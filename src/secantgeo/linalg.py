@@ -1,16 +1,25 @@
 """Exact linear algebra over Q(i).
 
-Ranks use fraction-free (Bareiss) elimination after clearing row
-denominators, so intermediate entries stay Gaussian integers of bounded
-size.  Subspaces carry a canonical reduced-row-echelon basis, hence
-subspace equality is plain syntactic equality of bases.
+Matrices hold Scalars, but rank and RREF never compute with them.  Each row
+is first multiplied by the lcm of its denominators, which leaves rank and
+row space unchanged, and elimination then runs on Gaussian integers:
+plain Python ints when every entry is real (every catalog chart and every
+sample point is), (re, im) int pairs otherwise.  `rank` is Bareiss's
+fraction-free elimination; `rref` is its Gauss-Jordan form, and divides
+each row by its pivot only when converting back to Scalars.  The division
+by the previous pivot that keeps the integers small is exact in Z[i] by
+Sylvester's identity, and is checked: an inexact one raises.
+
+Subspaces carry the canonical reduced-row-echelon basis, hence subspace
+equality is plain syntactic equality of bases.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, Scalar, _coerce
+from .scalars import ONE, ZERO, Rational, Scalar, _coerce
 
 
 def _as_scalar_row(row) -> list[Scalar]:
@@ -122,90 +131,117 @@ def stack_rows(mats: Sequence[Matrix]) -> Matrix:
     return Matrix(len(data), cols, data)
 
 
-def _cleared_rows(m: Matrix) -> list[list[Scalar]]:
-    # scale each row to Gaussian-integer entries; rank and kernels unchanged
+def _integer_rows(m: Matrix):
+    """The rows of m, each multiplied by the lcm of its denominators: lists of
+    ints when every entry is real, else lists of (re, im) int pairs.  Scaling
+    a row changes neither the rank nor the RREF.  Returns (rows, real)."""
+    real = not any(x.im for r in m.data for x in r)
     out = []
     for r in m.data:
-        lcm = 1
-        for x in r:
-            for part in (x.re, x.im):
-                d = part.denominator
-                if d != 1:
-                    g = _gcd(lcm, d)
-                    lcm = lcm // g * d
-        if lcm == 1:
-            out.append(list(r))
+        if real:
+            parts = [x.re for x in r]
+            den = lcm(*[p.denominator for p in parts])
+            if den == 1:
+                out.append([p.numerator for p in parts])
+            else:
+                out.append([p.numerator * (den // p.denominator) for p in parts])
         else:
-            c = Scalar(lcm)
-            out.append([c * x for x in r])
-    return out
+            den = lcm(*[p.denominator for x in r for p in (x.re, x.im)])
+            out.append([(x.re.numerator * (den // x.re.denominator),
+                         x.im.numerator * (den // x.im.denominator)) for x in r])
+    return out, real
 
 
-def _gcd(a, b):
-    a, b = int(a), int(b)
-    while b:
-        a, b = b, a % b
-    return a
+def _combine_int(lead, row, head, piv_row, prev):
+    """(lead * row - head * piv_row) / prev, entrywise on ints."""
+    if head:
+        out = [lead * x - head * y for x, y in zip(row, piv_row)]
+    else:
+        out = [lead * x for x in row]
+    if prev == 1:
+        return out
+    quo = [x // prev for x in out]
+    for q, x in zip(quo, out):
+        if q * prev != x:
+            raise ArithmeticError("inexact Bareiss division %r / %r" % (x, prev))
+    return quo
+
+
+def _combine_gauss(lead, row, head, piv_row, prev):
+    """(lead * row - head * piv_row) / prev, entrywise on Gaussian integers
+    held as (re, im) pairs."""
+    lr, li = lead
+    hr, hi = head
+    out = [(lr * xr - li * xi - hr * yr + hi * yi, lr * xi + li * xr - hr * yi - hi * yr)
+           for (xr, xi), (yr, yi) in zip(row, piv_row)]
+    pr, pi = prev
+    if (pr, pi) == (1, 0):
+        return out
+    norm = pr * pr + pi * pi
+    quo = []
+    for x in out:
+        # x * conj(prev) / |prev|^2
+        nr, ni = x[0] * pr + x[1] * pi, x[1] * pr - x[0] * pi
+        qr, rr = divmod(nr, norm)
+        qi, ri = divmod(ni, norm)
+        if rr or ri:
+            raise ArithmeticError("inexact Bareiss division %r / %r" % (x, prev))
+        quo.append((qr, qi))
+    return quo
+
+
+def _eliminate(m: Matrix, reduce: bool):
+    """Fraction-free elimination of m over the Gaussian integers.
+
+    Each step takes the first row at or below the next pivot position with a
+    nonzero entry in the column as pivot row, and replaces every other row
+    below it (every other row at all when reduce is set, which gives
+    Gauss-Jordan) by (lead * row - head * pivot row) / prev, where lead is
+    the new pivot and prev the one before.  By Sylvester's identity the
+    entries are then minors of the cleared input, so the division is exact
+    (Bareiss 1968); _combine_* raise if it is not.  Zero rows are dropped
+    first.  Returns (pivot columns, pivot rows, last pivot, real)."""
+    rows, real = _integer_rows(m)
+    nonzero, combine, prev = (bool, _combine_int, 1) if real else (any, _combine_gauss, (1, 0))
+    rows = [r for r in rows if any(map(nonzero, r))]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        if r == len(rows):
+            break
+        for i in range(r, len(rows)):
+            if nonzero(rows[i][c]):
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        piv_row = rows[r]
+        lead = piv_row[c]
+        for k in range(0 if reduce else r + 1, len(rows)):
+            if k != r:
+                row = rows[k]
+                rows[k] = combine(lead, row, row[c], piv_row, prev)
+        prev = lead
+        pivots.append(c)
+        r += 1
+    return pivots, rows[:r], prev, real
 
 
 def rank(m: Matrix) -> int:
-    """Rank by Bareiss fraction-free elimination."""
-    rows = [r for r in _cleared_rows(m) if any(r)]
-    if not rows:
-        return 0
-    ncols = m.cols
-    rk = 0
-    prev = ONE
-    for c in range(ncols):
-        piv = None
-        for i in range(rk, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        lead = rows[rk][c]
-        for i in range(rk + 1, len(rows)):
-            head = rows[i][c]
-            ri, rr = rows[i], rows[rk]
-            if head:
-                for j in range(c + 1, ncols):
-                    ri[j] = (lead * ri[j] - head * rr[j]) / prev
-            else:
-                for j in range(c + 1, ncols):
-                    ri[j] = (lead * ri[j]) / prev
-            ri[c] = ZERO
-        prev = lead
-        rk += 1
-        if rk == len(rows):
-            break
-    return rk
+    """Rank by Bareiss fraction-free elimination on Gaussian integers."""
+    return len(_eliminate(m, reduce=False)[0])
 
 
 def rref(m: Matrix) -> tuple[list[int], list[list[Scalar]]]:
     """Reduced row echelon form; returns (pivot columns, nonzero rows)."""
-    rows = [list(r) for r in m.data]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots, rows[:r]
+    pivots, rows, last, real = _eliminate(m, reduce=True)
+    # fraction-free Gauss-Jordan leaves last pivot at every pivot position
+    if real:
+        return pivots, [[Scalar(Rational(x, last)) if x else ZERO for x in r] for r in rows]
+    pr, pi = last
+    norm = pr * pr + pi * pi
+    return pivots, [[Scalar(Rational(xr * pr + xi * pi, norm), Rational(xi * pr - xr * pi, norm))
+                     if xr or xi else ZERO for xr, xi in r] for r in rows]
 
 
 class Subspace:

@@ -216,14 +216,10 @@ class PolyMap:
         return Matrix(len(rows), self.domain_dim, rows)
 
 
-def _exps_key(e):
-    return e
-
-
 def poly_to_json(p: Poly) -> list:
     return [
         {"exps": list(e), "coeff": scalar_to_json(c)}
-        for e, c in sorted(p.terms.items(), key=lambda t: _exps_key(t[0]))
+        for e, c in sorted(p.terms.items())
     ]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .genericity import certified_value, nonzero_vector
+from .genericity import CertificationError, certified_value, nonzero_vector
 from .linalg import Matrix, Subspace, kernel, rank, span_sum, stack_rows
 from .scalars import Scalar, scalar_from_json, scalar_to_json
 
@@ -76,11 +76,24 @@ def annihilator(s: QuadricSystem, v) -> Subspace:
 
 
 def quadric_from_coefficients(s: QuadricSystem, coeffs) -> Matrix:
-    acc = Matrix.zero(s.n, s.n)
-    for c, q in zip(coeffs, s.quadrics):
-        if c:
-            acc = acc.add(q.scale(c))
-    return acc
+    """sum_mu c_mu q^mu, each entry summed once on the rational parts; the
+    quadrics are symmetric, so only the lower triangle is summed."""
+    terms = [(c.re, c.im, q.data) for c, q in zip(coeffs, s.quadrics) if c]
+    real = not any(ci for _, ci, _ in terms)
+    data = [[None] * s.n for _ in range(s.n)]
+    for i in range(s.n):
+        for j in range(i + 1):
+            re = im = 0
+            for cr, ci, q in terms:
+                x = q[i][j]
+                if x:
+                    if real and not x.im:
+                        re += cr * x.re
+                    else:
+                        re += cr * x.re - ci * x.im
+                        im += cr * x.im + ci * x.re
+            data[i][j] = data[j][i] = Scalar(re, im)
+    return Matrix(s.n, s.n, data)
 
 
 def singular_locus(s: QuadricSystem, quadrics) -> Subspace:
@@ -161,7 +174,7 @@ def generic_vector(s: QuadricSystem, profile: RankProfile, stream, trials: int =
         if got == (profile.a0, profile.r, profile.dim_ker, profile.dim_ann, profile.dim_singloc):
             return v
         bound = min(bound * 2, 64)
-    raise RuntimeError("could not rediscover a vector matching the certified profile")
+    raise CertificationError("could not rediscover a vector matching the certified profile")
 
 
 def tangential_dimension(s: QuadricSystem, profile: RankProfile) -> int:

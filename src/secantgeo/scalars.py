@@ -1,16 +1,19 @@
 """Exact scalars: Gaussian rationals, i.e. complex numbers with rational
 real and imaginary parts.
 
-Every computation in this package is exact.  The rational backend is
-gmpy2.mpq when importable (much faster on large numerators) and
-fractions.Fraction otherwise; set SECANTGEO_BACKEND=fractions or
-SECANTGEO_BACKEND=gmpy2 to force one.  Both backends store reduced
-fractions with positive denominators and print as "p/q" with the
-denominator omitted when it is 1, which is exactly the wire format.
+Every computation in this package is exact, and no floating-point value is
+accepted: a Scalar is built from ints, rationals of the backend, or strings
+"p/q", and a float raises TypeError.  The rational backend is gmpy2.mpq
+when importable and fractions.Fraction otherwise; set
+SECANTGEO_BACKEND=fractions or SECANTGEO_BACKEND=gmpy2 to force one.  Both
+backends store reduced fractions with positive denominators and print as
+"p/q" with the denominator omitted when it is 1, which is exactly the wire
+format.  Exact rank and RREF do not use the backend (see `linalg`).
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 
 _FORCED = os.environ.get("SECANTGEO_BACKEND", "auto")
@@ -35,9 +38,12 @@ _R1 = Rational(1)
 
 
 def _rat(value) -> "Rational":
-    if isinstance(value, int):
+    if type(value) is Rational:
+        return value
+    # int ahead of the slower ABC check
+    if isinstance(value, (int, str, numbers.Rational)):
         return Rational(value)
-    return Rational(value)
+    raise TypeError("cannot make an exact rational of %r" % (value,))
 
 
 class Scalar:
@@ -136,10 +142,6 @@ ONE = Scalar(1)
 I = Scalar(0, 1)
 
 
-def _format_rat(r) -> str:
-    return str(r)
-
-
 def _parse_rat(text):
     if not isinstance(text, str):
         raise ValueError("rational must be a string, got %r" % (text,))
@@ -155,7 +157,7 @@ def _parse_rat(text):
 def scalar_to_json(z: Scalar) -> dict:
     """{"re": "p/q", "im": "r/s"}; decimal integer strings, optional leading
     minus, "/1" omitted."""
-    return {"re": _format_rat(z.re), "im": _format_rat(z.im)}
+    return {"re": str(z.re), "im": str(z.im)}
 
 
 def scalar_from_json(obj) -> Scalar:

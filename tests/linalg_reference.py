@@ -1,0 +1,77 @@
+"""The elimination `secantgeo.linalg` used before its integer kernel: rank
+and RREF computed directly on Scalars.  Kept as the reference the integer
+kernel is checked against."""
+
+from math import lcm
+
+from secantgeo.linalg import Matrix
+from secantgeo.scalars import ONE, ZERO, Scalar
+
+
+def _cleared_rows(m: Matrix) -> list[list[Scalar]]:
+    # scale each row to Gaussian-integer entries; rank and kernels unchanged
+    out = []
+    for r in m.data:
+        den = lcm(*(part.denominator for x in r for part in (x.re, x.im)))
+        out.append([Scalar(den) * x for x in r] if den != 1 else list(r))
+    return out
+
+
+def rank(m: Matrix) -> int:
+    """Rank by Bareiss fraction-free elimination on Scalars."""
+    rows = [r for r in _cleared_rows(m) if any(r)]
+    if not rows:
+        return 0
+    ncols = m.cols
+    rk = 0
+    prev = ONE
+    for c in range(ncols):
+        piv = None
+        for i in range(rk, len(rows)):
+            if rows[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        lead = rows[rk][c]
+        for i in range(rk + 1, len(rows)):
+            head = rows[i][c]
+            ri, rr = rows[i], rows[rk]
+            if head:
+                for j in range(c + 1, ncols):
+                    ri[j] = (lead * ri[j] - head * rr[j]) / prev
+            else:
+                for j in range(c + 1, ncols):
+                    ri[j] = (lead * ri[j]) / prev
+            ri[c] = ZERO
+        prev = lead
+        rk += 1
+        if rk == len(rows):
+            break
+    return rk
+
+
+def rref(m: Matrix) -> tuple[list[int], list[list[Scalar]]]:
+    """Reduced row echelon form on Scalars; (pivot columns, nonzero rows)."""
+    rows = [list(r) for r in m.data]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, rows[:r]

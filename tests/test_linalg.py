@@ -1,8 +1,14 @@
 import random
 
-from secantgeo.linalg import (Matrix, Subspace, intersect, inverse, kernel, random_vector,
-                              rank, rref, solve_left, span_sum, stack_rows)
-from secantgeo.scalars import ONE, ZERO, Scalar
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import linalg_reference as reference
+from secantgeo.linalg import (Matrix, Subspace, _combine_gauss, _combine_int, intersect,
+                              inverse, kernel, random_vector, rank, rref, solve_left, span_sum,
+                              stack_rows)
+from secantgeo.scalars import ONE, ZERO, Rational, Scalar
 
 
 def rand_matrix(rng, rows, cols, bound=5):
@@ -133,3 +139,97 @@ def test_gaussian_entries_rank():
     assert rank(m) == 1
     m2 = Matrix.from_rows([[Scalar(0, 1), Scalar(1)], [Scalar(1), Scalar(0, 1)]])
     assert rank(m2) == 2
+
+
+# -- the integer kernel against the Scalar reference ------------------------
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None)
+
+
+def entries(real):
+    """Zero often; otherwise p/q with a small denominator, and complex
+    unless real."""
+    part = st.builds(Rational, st.integers(-9, 9), st.integers(1, 6))
+    nonzero = st.builds(Scalar, part) if real else st.builds(Scalar, part, part)
+    return st.one_of(st.just(ZERO), nonzero)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """Small matrices over Q(i) with zero rows and columns, and rows that are
+    combinations of earlier ones (rank-deficient stacks)."""
+    real = draw(st.booleans())
+    rows = rows or draw(st.integers(1, 5))
+    cols = cols or draw(st.integers(1, 6))
+    data = []
+    for _ in range(rows):
+        if data and draw(st.booleans()):
+            coeffs = draw(st.lists(entries(real), min_size=len(data), max_size=len(data)))
+            row = [ZERO] * cols
+            for c, earlier in zip(coeffs, data):
+                row = [x + c * y for x, y in zip(row, earlier)]
+        else:
+            row = draw(st.lists(entries(real), min_size=cols, max_size=cols))
+        data.append(row)
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in data:
+            row[j] = ZERO
+    return Matrix(rows, cols, data)
+
+
+@st.composite
+def invertible(draw, n):
+    """A product of random elementary row operations on the n x n identity."""
+    rows = [list(r) for r in Matrix.identity(n).data]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["swap", "scale", "add"]))
+        if op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "scale":
+            c = draw(entries(False).filter(bool))
+            rows[i] = [c * x for x in rows[i]]
+        elif i != j:
+            c = draw(entries(False))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return Matrix(n, n, rows)
+
+
+@PROPERTY
+@given(matrices())
+def test_integer_elimination_matches_scalar_reference(m):
+    assert rank(m) == reference.rank(m)
+    assert rref(m) == reference.rref(m)
+
+
+@PROPERTY
+@given(matrices())
+def test_rank_plus_kernel_dimension_is_cols(m):
+    assert rank(m) + kernel(m).dim == m.cols
+
+
+@PROPERTY
+@given(st.data())
+def test_rref_invariant_under_row_operations(data):
+    m = data.draw(matrices())
+    e = data.draw(invertible(m.rows))
+    assert rref(e.matmul(m)) == rref(m)
+
+
+@PROPERTY
+@given(st.data())
+def test_rank_of_product_bounded_by_factors(data):
+    inner = data.draw(st.integers(1, 5))
+    a = data.draw(matrices(cols=inner))
+    b = data.draw(matrices(rows=inner))
+    assert rank(a.matmul(b)) <= min(rank(a), rank(b))
+
+
+def test_inexact_bareiss_division_raises():
+    with pytest.raises(ArithmeticError):
+        _combine_int(3, [1, 2], 1, [1, 1], 2)  # (3*2 - 1*1) / 2
+    assert _combine_int(3, [1, 2], 1, [1, 0], 2) == [1, 3]
+    with pytest.raises(ArithmeticError):
+        _combine_gauss((1, 0), [(1, 0)], (0, 0), [(0, 0)], (1, 1))  # 1 / (1 + i)
+    # 2 / (1 + i) = 1 - i
+    assert _combine_gauss((2, 0), [(1, 0)], (0, 0), [(0, 0)], (1, 1)) == [(1, -1)]

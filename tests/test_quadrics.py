@@ -1,4 +1,8 @@
-from secantgeo.genericity import derive_stream
+from dataclasses import replace
+
+import pytest
+
+from secantgeo.genericity import CertificationError, derive_stream
 from secantgeo.jets import chart_at, second_fundamental_form
 from secantgeo.linalg import Matrix, Subspace
 from secantgeo.polymaps import Poly, PolyMap
@@ -111,6 +115,15 @@ def test_generic_vector_certified():
     v = generic_vector(s, prof, derive_stream(0, "tq", "gv", 1))
     assert ii_image(s, v).dim == prof.a0
     assert annihilator(s, v).dim == prof.dim_ann
+
+
+def test_generic_vector_unmatchable_profile_is_certification_error():
+    s = severi_r_system()
+    prof = rank_profile(s, derive_stream(0, "tq", "gv"))
+    # II_v has rank at most a, so no vector realizes a0 = a + 1
+    impossible = replace(prof, a0=s.a + 1)
+    with pytest.raises(CertificationError):
+        generic_vector(s, impossible, derive_stream(0, "tq", "gv", 2))
 
 
 def test_secant_dimension_branches():

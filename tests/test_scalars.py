@@ -1,6 +1,8 @@
 import random
 
-from secantgeo.scalars import I, ONE, ZERO, Scalar, scalar_from_json, scalar_to_json
+import pytest
+
+from secantgeo.scalars import I, ONE, ZERO, Rational, Scalar, scalar_from_json, scalar_to_json
 
 
 def rand_scalar(rng, bound=30):
@@ -83,3 +85,14 @@ def test_is_real():
     assert Scalar(2).is_real()
     assert not Scalar(2, 1).is_real()
     assert ZERO.is_real()
+
+
+def test_floats_are_rejected():
+    for bad in (0.1, 1.0, float("nan")):
+        with pytest.raises(TypeError):
+            Scalar(bad)
+        with pytest.raises(TypeError):
+            Scalar(1, bad)
+        with pytest.raises(TypeError):
+            Scalar(1) + bad
+    assert Scalar(Rational(1, 10)) == Scalar("1/10")

@@ -4,7 +4,7 @@ from secantgeo import derive_stream
 from secantgeo.algebras import AlgebraElement, AlgebraTag
 from secantgeo.jets import chart_at, chart_roundtrip_check, refined_third_form_cube, second_fundamental_form
 from secantgeo.linalg import Matrix, kernel
-from secantgeo.oracles import join_dimension
+from secantgeo.oracles import build_tangent_map, gauss_fiber_dimension, join_dimension
 from secantgeo.quadrics import apply_ii, contraction, higher_secant_dimension, rank_profile
 from secantgeo.scalars import Scalar
 from secantgeo.zoo import build, catalog, expected, rank_variety, segre, severi, veronese, veronese_of
@@ -177,6 +177,30 @@ def test_expected_records_shape():
     rec = expected(severi("O"))
     assert rec["sigma3"] == 26
     assert expected(veronese(4, 1)) is None
+
+
+def test_analyses_reproduce_every_golden_number(entries, analysis):
+    """Every value in zoo_expected.json, read off the cached analyses.  The
+    report carries the Gauss fiber of tau only when tau is degenerate;
+    otherwise it is recomputed as scripts/regen_golden.py does."""
+    for name, ent in entries.items():
+        rep, _ = analysis(name)
+        want = expected(ent)
+        oracle = {c.quantity: c.oracle for c in rep.cross_checks}
+        sm = "_sm" if name == "cone_twisted_cubic" else ""
+        fiber = rep.dims["tau_gauss_fiber"]
+        if fiber is None:
+            fiber = gauss_fiber_dimension(build_tangent_map(ent.map),
+                                          derive_stream(0, name, "golden", "gauss"))
+        got = {
+            "n": rep.dims["n"], "ambient": rep.dims["ambient"], "a": rep.dims["a"],
+            "a0": rep.profile.a0, "r": rep.profile.r, "dim_x": oracle["dim_x"],
+            "dim_tau" + sm: oracle["dim_tau"], "dim_sigma" + sm: oracle["dim_sigma_2"],
+            "tau_gauss_fiber": fiber,
+        }
+        if "sigma3" in want:
+            got["sigma3"] = oracle["dim_sigma_3"]
+        assert got == want, name
 
 
 def test_segre_base_point_maps_to_rank_one():
