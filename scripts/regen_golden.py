@@ -6,7 +6,6 @@ script must reproduce the committed file byte for byte (seed 0 streams).
 """
 
 import json
-import time
 from pathlib import Path
 
 from secantgeo import derive_stream
@@ -51,13 +50,14 @@ def entry_record(ent) -> dict:
     return rec
 
 
+def golden_text() -> str:
+    """The golden file's text, recomputed from the oracles."""
+    table = {ent.name: entry_record(ent) for ent in catalog()}
+    return json.dumps(table, indent=2, sort_keys=True) + "\n"
+
+
 def main():
-    table = {}
-    for ent in catalog():
-        t0 = time.time()
-        table[ent.name] = entry_record(ent)
-        print("%-20s %5.1fs  %s" % (ent.name, time.time() - t0, table[ent.name]))
-    OUT.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    OUT.write_text(golden_text(), encoding="utf-8")
     print("wrote %s" % OUT)
 
 

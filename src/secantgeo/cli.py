@@ -10,12 +10,12 @@ import argparse
 import json
 import sys
 
-from .defects import clifford_relation_check
+from .defects import clifford_relation_check, vertex
 from .genericity import CertificationError, derive_stream
 from .jets import ChartError, chart_at, second_fundamental_form
 from .oracles import join_dimension, tangent_join_dimension
-from .polymaps import polymap_base_point, polymap_from_json, polymap_to_json
-from .quadrics import rank_profile
+from .polymaps import polymap_from_json, polymap_to_json
+from .quadrics import generic_vector, rank_profile
 from .report import AnalyzeOptions, analyze, load_input, render
 from .scalars import Scalar
 from .zoo import build
@@ -139,8 +139,9 @@ def _cmd_clifford(args) -> int:
     except (ValueError, ChartError) as e:
         raise InputError(str(e)) from None
     profile = rank_profile(s, derive_stream(args.seed, "profile"), args.trials)
-    cv = clifford_relation_check(s, profile, derive_stream(args.seed, "defects"),
-                                 args.trials)
+    stream = derive_stream(args.seed, "defects")
+    point = generic_vector(s, profile, stream, args.trials)
+    cv = clifford_relation_check(s, profile, point, vertex(s, profile, stream, args.trials))
     result = {
         "kind": "clifford_verdict",
         "applicable": cv.applicable,

@@ -9,16 +9,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .genericity import CertificationError
-from .linalg import Matrix, Subspace, intersect, kernel, solve_left, span_sum
+from .linalg import (Matrix, Subspace, _basis_vec, _dot, intersect, inverse, kernel,
+                     solve_left, span_sum)
 from .quadrics import (
+    GenericPoint,
     QuadricSystem,
     RankProfile,
-    annihilator,
     contraction,
     generic_vector,
-    ii_image,
     quadric_from_coefficients,
-    singular_locus,
 )
 from .scalars import ONE, Scalar, _coerce
 
@@ -33,8 +32,7 @@ def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> S
     w = None
     stable = 0
     for _ in range(60):
-        v = generic_vector(s, profile, stream, trials)
-        img = ii_image(s, v)
+        img = generic_vector(s, profile, stream, trials).image
         nxt = img if w is None else intersect([w, img])
         if w is not None and nxt == w:
             stable += 1
@@ -65,41 +63,26 @@ def minimal_subsystem(s: QuadricSystem, vert: Subspace) -> MinimalSubsystem:
     return MinimalSubsystem(coeffs, quads)
 
 
-def singloc_of_annihilator(s: QuadricSystem, v) -> Subspace:
-    ann = annihilator(s, v)
-    return singular_locus(s, [quadric_from_coefficients(s, row) for row in ann.basis])
-
-
-def gauss_fiber(s: QuadricSystem, v) -> Subspace:
+def gauss_fiber(s: QuadricSystem, point: GenericPoint) -> Subspace:
     """F_v = II_v(singloc Ann(v)) inside N: the affine direction space of
     the Gauss fiber of the tangentially swept variety through [II(v,v)]."""
-    sl = singloc_of_annihilator(s, v)
-    c = contraction(s, v)
-    return Subspace.from_vectors(s.a, [c.mul_vec(w) for w in sl.basis]) if sl.dim \
-        else Subspace.zero(s.a)
+    c = point.contraction
+    return Subspace.from_vectors(s.a, [c.mul_vec(w) for w in point.singloc.basis])
 
 
 def ii_pairing(s: QuadricSystem, w1, w2) -> list[Scalar]:
     """II(w1, w2) as a vector in N."""
-    w2v = [_coerce(x) for x in w2]
-    return [_dot(q.mul_vec(w2v), w1) for q in s.quadrics]
+    w1 = [_coerce(x) for x in w1]
+    w2 = [_coerce(x) for x in w2]
+    return [_dot(q.mul_vec(w2), w1) for q in s.quadrics]
 
 
-def ii_second_fundamental_form(s: QuadricSystem, v, w1, w2) -> tuple[list[Scalar], bool]:
+def ii_second_fundamental_form(s: QuadricSystem, point: GenericPoint, w1,
+                               w2) -> tuple[list[Scalar], bool]:
     """II(w1, w2) reduced modulo II_v(T): the second fundamental form of the
     tangential image at [II(v,v)] evaluated on tangent lifts."""
-    residue = ii_image(s, v).reduce(ii_pairing(s, w1, w2))
+    residue = point.image.reduce(ii_pairing(s, w1, w2))
     return residue, not any(residue)
-
-
-def _dot(u, v) -> Scalar:
-    acc = Scalar(0)
-    for a, b in zip(u, v):
-        a = _coerce(a)
-        b = _coerce(b)
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 @dataclass(frozen=True)
@@ -116,10 +99,9 @@ class QuotientFrames:
     iso: Matrix  # matrix of v -> II_v on the quotients, invertible
 
 
-def quotient_frames(s: QuadricSystem, v) -> QuotientFrames:
-    sl = singloc_of_annihilator(s, v)
-    img = ii_image(s, v)
-    fib = gauss_fiber(s, v)
+def quotient_frames(s: QuadricSystem, point: GenericPoint) -> QuotientFrames:
+    sl, img = point.singloc, point.image
+    fib = gauss_fiber(s, point)
     treps = tuple(sl.complement_indices())
     reduced = []
     for row in img.basis:
@@ -133,40 +115,27 @@ def quotient_frames(s: QuadricSystem, v) -> QuotientFrames:
         raise DefectError(
             "tangent quotient (dim %d) and image quotient (dim %d) disagree"
             % (len(treps), len(reduced)))
-    c = contraction(s, v)
-    cols = []
-    for j in treps:
-        vec = [c.at(mu, j) for mu in range(s.a)]
-        cols.append(fib.reduce(vec))
+    cols = [fib.reduce(point.contraction.col(j)) for j in treps]
     coords = solve_left(image_reps, Matrix(len(cols), s.a, cols))
     iso = coords.transpose()
     return QuotientFrames(treps, sl, img, fib, image_reps, iso)
 
 
-def clifford_action(s: QuadricSystem, v, w, frames: QuotientFrames | None = None) -> Matrix:
+def clifford_action(s: QuadricSystem, frames: QuotientFrames, w) -> Matrix:
     """The endomorphism phi_w of T / singloc(Ann v) obtained by following
-    II_w and inverting the isomorphism induced by II_v.  Requires
-    II_w(T) inside II_v(T) and II_w(singloc) inside F_v; phi_v is the
-    identity by construction."""
-    if frames is None:
-        frames = quotient_frames(s, v)
+    II_w and inverting the isomorphism induced by II_v (the frames at v).
+    Requires II_w(T) inside II_v(T) and II_w(singloc) inside F_v; phi_v is
+    the identity by construction."""
     cw = contraction(s, [_coerce(x) for x in w])
     for j in range(s.n):
-        col = [cw.at(mu, j) for mu in range(s.a)]
-        if not frames.image.contains(col):
+        if not frames.image.contains(cw.col(j)):
             raise DefectError("II_w(T) escapes II_v(T); w is not admissible")
     for row in frames.singloc.basis:
         if not frames.fiber.contains(cw.mul_vec(row)):
             raise DefectError("II_w(singloc) escapes the Gauss fiber directions")
-    cols = []
-    for j in frames.tangent_reps:
-        vec = [cw.at(mu, j) for mu in range(s.a)]
-        cols.append(frames.fiber.reduce(vec))
+    cols = [frames.fiber.reduce(cw.col(j)) for j in frames.tangent_reps]
     coords = solve_left(frames.image_reps, Matrix(len(cols), s.a, cols))
-    aw = coords.transpose()
-    from .linalg import inverse
-
-    return inverse(frames.iso).matmul(aw)
+    return inverse(frames.iso).matmul(coords.transpose())
 
 
 @dataclass(frozen=True)
@@ -185,15 +154,15 @@ class CliffordVerdict:
 def _restrict_quadric(q: Matrix, basis) -> Matrix:
     rows = []
     for u in basis:
-        qu = q.mul_vec(list(u))
-        rows.append([_dot(qu, list(w)) for w in basis])
+        qu = q.mul_vec(u)
+        rows.append([_dot(qu, w) for w in basis])
     return Matrix(len(rows), len(rows), rows)
 
 
-def clifford_relation_check(s: QuadricSystem, profile: RankProfile, stream,
-                            trials: int = 5, v=None) -> CliffordVerdict:
-    """At a certified-generic v of a degenerate tangential hypersurface,
-    verify the anticommutation relation
+def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: GenericPoint,
+                            vert: Subspace) -> CliffordVerdict:
+    """At a certified-generic point v of a degenerate tangential
+    hypersurface, with the vertex `vert`, verify the anticommutation relation
 
         phi_w1 phi_w2 + phi_w2 phi_w1 + 2 sign Q_v(w1, w2) Id = 0
 
@@ -204,15 +173,12 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, stream,
     if profile.a0 != s.a - 1:
         return CliffordVerdict(False, False, False, False, False, 0, False,
                                s.n - profile.dim_singloc, profile.dim_ker)
-    if v is None:
-        v = generic_vector(s, profile, stream, trials)
-    vert = vertex(s, profile, stream, trials)
-    frames = quotient_frames(s, v)
+    frames = quotient_frames(s, point)
     fiber_ok = frames.fiber.dim == vert.dim + 1
     mini = minimal_subsystem(s, vert)
 
-    ker = kernel(contraction(s, v))
-    kspan = [list(v)] + [list(row) for row in ker.basis]
+    ker = point.kernel
+    kspan = [point.v, *ker.basis]
     restrictions = [_restrict_quadric(q, kspan) for q in mini.quadrics]
     ref = next((m for m in restrictions if not m.is_zero()), None)
     prop_ok = ref is not None
@@ -226,10 +192,9 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, stream,
                                s.n - frames.singloc.dim, ker.dim)
     qv = ref.scale(ONE / ref.at(0, 0))  # Q_v on (v, w_1, ..., w_k) coordinates
 
-    phi_v = clifford_action(s, v, v, frames)
     ident = Matrix.identity(len(frames.tangent_reps))
-    phi_v_ok = phi_v == ident
-    phis = [clifford_action(s, v, list(row), frames) for row in ker.basis]
+    phi_v_ok = clifford_action(s, frames, point.v) == ident
+    phis = [clifford_action(s, frames, row) for row in ker.basis]
 
     sign = 0
     relation = True
@@ -283,32 +248,21 @@ def _infer_sign(anti: Matrix, coeff: Scalar, ident: Matrix) -> int:
     return 0
 
 
-def so_membership_check(s: QuadricSystem, profile: RankProfile, stream,
-                        trials: int = 5, v=None) -> bool:
+def so_membership_check(s: QuadricSystem, point: GenericPoint) -> bool:
     """Each phi_w for w in ker II_v is skew for the quotient descent of the
     annihilator generator: P(phi_w x, y) + P(x, phi_w y) = 0.  Requires
     dim Ann(v) = 1."""
-    if v is None:
-        v = generic_vector(s, profile, stream, trials)
-    ann = annihilator(s, v)
+    ann = point.annihilator
     if ann.dim != 1:
         raise DefectError("so membership needs a one-dimensional annihilator")
     p = quadric_from_coefficients(s, ann.basis[0])
-    frames = quotient_frames(s, v)
-    reps = [_basis_vec(s.n, j) for j in frames.tangent_reps]
-    pbar = _restrict_quadric(p, reps)
-    ker = kernel(contraction(s, v))
-    for row in ker.basis:
-        phi = clifford_action(s, v, list(row), frames)
+    frames = quotient_frames(s, point)
+    pbar = _restrict_quadric(p, [_basis_vec(s.n, j) for j in frames.tangent_reps])
+    for row in point.kernel.basis:
+        phi = clifford_action(s, frames, row)
         if not phi.transpose().matmul(pbar).add(pbar.matmul(phi)).is_zero():
             return False
     return True
-
-
-def _basis_vec(n: int, i: int):
-    v = [Scalar(0)] * n
-    v[i] = ONE
-    return v
 
 
 @dataclass(frozen=True)
@@ -381,12 +335,9 @@ class DefectReport:
     zak_bound: ZakBound
 
 
-def kernel_in_singular_locus(s: QuadricSystem, v) -> bool:
+def kernel_in_singular_locus(s: QuadricSystem, point: GenericPoint) -> bool:
     """span{v, ker II_v} lies inside singloc(Ann(v))."""
-    sl = singloc_of_annihilator(s, v)
-    if not sl.contains([_coerce(x) for x in v]):
-        return False
-    return all(sl.contains(list(row)) for row in kernel(contraction(s, v)).basis)
+    return point.singloc.contains(point.v) and point.singloc.contains_subspace(point.kernel)
 
 
 def _quadric_span(s: QuadricSystem, coeff_rows) -> Subspace:
@@ -397,19 +348,18 @@ def _quadric_span(s: QuadricSystem, coeff_rows) -> Subspace:
     return Subspace.from_vectors(s.n * s.n, flat)
 
 
-def annihilator_matches_image_perp(s: QuadricSystem, v) -> bool:
+def annihilator_matches_image_perp(s: QuadricSystem, point: GenericPoint) -> bool:
     """The quadrics singular at v span the same space as the quadrics whose
     coefficient functionals kill II_v(T)."""
-    lhs = _quadric_span(s, [list(r) for r in annihilator(s, v).basis])
-    rhs = _quadric_span(s, [list(r) for r in ii_image(s, v).perp().basis])
+    lhs = _quadric_span(s, point.annihilator.basis)
+    rhs = _quadric_span(s, point.image.perp().basis)
     return lhs == rhs
 
 
-def fiber_contains_singloc_products(s: QuadricSystem, v) -> bool:
+def fiber_contains_singloc_products(s: QuadricSystem, point: GenericPoint) -> bool:
     """II(w1, w2) lies in F_v for all w1, w2 in singloc(Ann(v))."""
-    sl = singloc_of_annihilator(s, v)
-    fib = gauss_fiber(s, v)
-    rows = [list(r) for r in sl.basis]
+    fib = gauss_fiber(s, point)
+    rows = point.singloc.basis
     for i, w1 in enumerate(rows):
         for w2 in rows[i:]:
             if not fib.contains(ii_pairing(s, w1, w2)):
@@ -417,21 +367,18 @@ def fiber_contains_singloc_products(s: QuadricSystem, v) -> bool:
     return True
 
 
-def fiber_dimension_identity(s: QuadricSystem, v) -> bool:
+def fiber_dimension_identity(s: QuadricSystem, point: GenericPoint) -> bool:
     """dim F_v = dim singloc(Ann(v)) - dim ker II_v (affine dims)."""
-    sl = singloc_of_annihilator(s, v)
-    return gauss_fiber(s, v).dim == sl.dim - kernel(contraction(s, v)).dim
+    return gauss_fiber(s, point).dim == point.singloc.dim - point.kernel.dim
 
 
-def quotient_singular_locus_match(s: QuadricSystem, v) -> bool:
+def quotient_singular_locus_match(s: QuadricSystem, point: GenericPoint) -> bool:
     """The singular locus of the induced quadric system on
     T / (span{v} + ker II_v) coincides with singloc(Ann(v)) modulo that
     same subspace."""
-    vv = [_coerce(x) for x in v]
-    ker = kernel(contraction(s, v))
-    k_sub = Subspace.from_vectors(s.n, [vv] + [list(r) for r in ker.basis])
-    reps = list(k_sub.complement_indices())
-    img = ii_image(s, v)
+    k_sub = Subspace.from_vectors(s.n, [point.v, *point.kernel.basis])
+    reps = k_sub.complement_indices()
+    img = point.image
     # stacked conditions: for x = sum_b x_b e_{reps[b]}, the reduced value of
     # II(x, e_{reps[t]}) must vanish for every t
     cols = []
@@ -453,29 +400,27 @@ def quotient_singular_locus_match(s: QuadricSystem, v) -> bool:
         lhs = span_sum([k_sub, Subspace.from_vectors(s.n, lifted)])
     else:
         lhs = k_sub
-    rhs = span_sum([k_sub, singloc_of_annihilator(s, v)])
+    rhs = span_sum([k_sub, point.singloc])
     return lhs == rhs
 
 
 def defect_report(s: QuadricSystem, profile: RankProfile, sigma_dim: int, stream,
                   trials: int = 5) -> DefectReport:
-    v = generic_vector(s, profile, stream, trials)
+    point = generic_vector(s, profile, stream, trials)
     vert = vertex(s, profile, stream, trials)
-    mini = minimal_subsystem(s, vert)
-    fib = gauss_fiber(s, v)
-    clifford = clifford_relation_check(s, profile, stream, trials)
+    clifford = clifford_relation_check(s, profile, point, vert)
     so_ok = None
     if profile.dim_ann == 1 and clifford.applicable:
         try:
-            so_ok = so_membership_check(s, profile, stream, trials)
+            so_ok = so_membership_check(s, point)
         except DefectError:
             so_ok = None
-    fiber_dim = fib.dim - 1
+    fiber_dim = gauss_fiber(s, point).dim - 1
     return DefectReport(
         profile=profile,
         vertex_dim=vert.dim,
         fiber_dim=fiber_dim,
-        minimal_subsystem=mini,
+        minimal_subsystem=minimal_subsystem(s, vert),
         clifford_verdict=clifford,
         so_membership=so_ok,
         rank_restriction=rank_restriction_check(s, profile, sigma_dim),

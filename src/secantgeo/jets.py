@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from math import factorial
 
 from .genericity import nonzero_vector
-from .linalg import Matrix, Subspace, rank, rref, solve_left
+from .linalg import Matrix, Subspace, _basis_vec, _unit, rref, solve_left
 from .polymaps import Poly, PolyMap
-from .quadrics import QuadricSystem, ii_image
-from .scalars import ONE, ZERO, Scalar, _coerce
+from .quadrics import QuadricSystem
+from .scalars import ZERO, Scalar, _coerce
 from .series import compose_each, compose_trunc, invert_map_series, mul_trunc, reciprocal_trunc, shift_poly
 
 
@@ -170,18 +170,6 @@ def chart_at(f: PolyMap, u0, order: int = 3) -> JetChart:
     )
 
 
-def _unit(n: int, j: int) -> tuple[int, ...]:
-    e = [0] * n
-    e[j] = 1
-    return tuple(e)
-
-
-def _basis_vec(n: int, i: int):
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
-
-
 def _q_entry(g2: Poly, i: int, j: int, n: int) -> Scalar:
     e = [0] * n
     e[i] += 1
@@ -196,13 +184,10 @@ def second_fundamental_form(j: JetChart) -> QuadricSystem:
     return QuadricSystem(j.n, j.a, j.q)
 
 
-def refined_third_form_cube(j: JetChart, v) -> tuple[list[Scalar], bool]:
+def refined_third_form_cube(j: JetChart, v, image: Subspace) -> tuple[list[Scalar], bool]:
     """The cubic form contracted three times with v, reduced modulo
-    II_v(T); returns (canonical residue representative, is zero)."""
-    v = [_coerce(x) for x in v]
-    cube = [p.evaluate(v) for p in j.c3]
-    image = ii_image(second_fundamental_form(j), v)
-    residue = image.reduce(cube)
+    image = II_v(T); returns (canonical residue representative, is zero)."""
+    residue = image.reduce([p.evaluate(v) for p in j.c3])
     return residue, not any(residue)
 
 

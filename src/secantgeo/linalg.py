@@ -121,6 +121,19 @@ def _dot(u, v) -> Scalar:
     return acc
 
 
+def _basis_vec(n: int, i: int) -> list[Scalar]:
+    v = [ZERO] * n
+    v[i] = ONE
+    return v
+
+
+def _unit(n: int, j: int) -> tuple[int, ...]:
+    """Exponent tuple of the j-th variable among n."""
+    e = [0] * n
+    e[j] = 1
+    return tuple(e)
+
+
 def stack_rows(mats: Sequence[Matrix]) -> Matrix:
     cols = mats[0].cols
     data = []

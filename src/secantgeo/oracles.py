@@ -177,27 +177,3 @@ def gauss_fiber_dimension(f: PolyMap, stream, trials: int = 5) -> int:
         lambda b, s: _gauss_sample(f, b, s), stream, trials, what="Gauss map rank")
     return (d_hat - 1) - gauss_rank
 
-
-def linear_project(f: PolyMap, target_dim: int, stream, bound: int = 5,
-                   retries: int = 10) -> PolyMap:
-    """Compose with a random full-rank linear map of the ambient lift onto a
-    (target_dim + 1)-dimensional space.  The result is conical: its
-    components are their own lift."""
-    lift = f.lift()
-    m = len(lift)
-    if target_dim + 1 >= m:
-        raise ValueError("target_dim must drop the ambient dimension")
-    rows_needed = target_dim + 1
-    for _ in range(retries):
-        rows = [[Scalar(stream.randint(-bound, bound)) for _ in range(m)] for _ in range(rows_needed)]
-        mat = Matrix(rows_needed, m, rows)
-        if rank(mat) == rows_needed:
-            break
-    else:
-        raise RuntimeError("no full-rank projection found")
-    comps = []
-    for i in range(rows_needed):
-        comps.append(poly_sum(f.domain_dim,
-                              [lift[j].scale(mat.at(i, j)) for j in range(m) if mat.at(i, j)]))
-    projective = f.projective  # homogeneous components stay homogeneous
-    return PolyMap(f.domain_dim, rows_needed, projective, tuple(comps), conical=True)

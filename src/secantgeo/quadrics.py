@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .genericity import CertificationError, certified_value, nonzero_vector
-from .linalg import Matrix, Subspace, kernel, rank, span_sum, stack_rows
+from .linalg import Matrix, Subspace, _dot, kernel, rank, span_sum, stack_rows
 from .scalars import Scalar, scalar_from_json, scalar_to_json
 
 
@@ -45,15 +45,7 @@ def apply_ii(s: QuadricSystem, v) -> list[Scalar]:
 
 
 def _eval_quadric(q: Matrix, v, w) -> Scalar:
-    return _dotv(v, q.mul_vec(w))
-
-
-def _dotv(u, v) -> Scalar:
-    acc = Scalar(0)
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
+    return _dot(v, q.mul_vec(w))
 
 
 def contraction(s: QuadricSystem, v) -> Matrix:
@@ -63,16 +55,7 @@ def contraction(s: QuadricSystem, v) -> Matrix:
 
 def ii_image(s: QuadricSystem, v) -> Subspace:
     """II_v(T) as a subspace of N."""
-    c = contraction(s, v)
-    return Subspace.from_vectors(s.a, [c.col(j) for j in range(s.n)])
-
-
-def annihilator(s: QuadricSystem, v) -> Subspace:
-    """Quadrics (as coefficient vectors in N*) singular at v: the kernel of
-    c -> sum_mu c_mu q^mu v.  Equals the image under II* of the annihilator
-    of II_v(T); both routes are computed and compared in the test suite."""
-    c = contraction(s, v)
-    return kernel(c.transpose())
+    return Subspace.from_vectors(s.a, contraction(s, v).transpose().data)
 
 
 def quadric_from_coefficients(s: QuadricSystem, coeffs) -> Matrix:
@@ -120,15 +103,37 @@ class RankProfile:
     certified: bool
 
 
-def _profile_at(s: QuadricSystem, v, inner_stream, inner_trials: int):
+@dataclass(frozen=True)
+class GenericPoint:
+    """A tangent vector v and everything read at it, computed once: the
+    contraction II_v (a x n), its image II_v(T) in N and kernel in T, the
+    annihilator Ann(v) in N* (the quadrics singular at v, as the kernel of
+    c -> sum_mu c_mu q^mu v), the common kernel of Ann(v) and the maximal
+    annihilator rank r."""
+
+    v: tuple[Scalar, ...]
+    contraction: Matrix
+    image: Subspace
+    kernel: Subspace
+    annihilator: Subspace
+    singloc: Subspace
+    r: int
+
+    @property
+    def profile(self) -> tuple[int, int, int, int, int]:
+        """(a0, r, dim_ker, dim_ann, dim_singloc), in RankProfile order."""
+        return (self.image.dim, self.r, self.kernel.dim, self.annihilator.dim,
+                self.singloc.dim)
+
+
+def _profile_at(s: QuadricSystem, v, inner_stream, inner_trials: int) -> GenericPoint:
     c = contraction(s, v)
-    a0 = rank(c)
-    ann = annihilator(s, v)
-    dim_ann = ann.dim
-    ann_quads = [quadric_from_coefficients(s, row) for row in ann.basis]
-    singloc = singular_locus(s, ann_quads)
+    ct = c.transpose()
+    ann = kernel(ct)
+    singloc = singular_locus(s, [quadric_from_coefficients(s, row) for row in ann.basis])
     r = _max_rank_in_span(s, ann, inner_stream, inner_trials)
-    return a0, r, s.n - a0, dim_ann, singloc.dim
+    return GenericPoint(tuple(v), c, Subspace.from_vectors(s.a, ct.data), kernel(c), ann,
+                        singloc, r)
 
 
 def _max_rank_in_span(s: QuadricSystem, ann: Subspace, stream, trials: int) -> int:
@@ -146,7 +151,7 @@ def _max_rank_in_span(s: QuadricSystem, ann: Subspace, stream, trials: int) -> i
             combos.append([x - y for x, y in zip(b0, b1)])
     for _ in range(trials):
         coeffs = nonzero_vector(ann.dim, 4, stream)
-        combos.append([_dotv(coeffs, col) for col in zip(*ann.basis)])
+        combos.append([_dot(coeffs, col) for col in zip(*ann.basis)])
     for combo in combos:
         q = quadric_from_coefficients(s, combo)
         best = max(best, rank(q))
@@ -159,20 +164,22 @@ def rank_profile(s: QuadricSystem, stream, trials: int = 5) -> RankProfile:
 
     def sample(bound, strm):
         v = nonzero_vector(s.n, bound, strm)
-        return _profile_at(s, v, strm, trials)
+        return _profile_at(s, v, strm, trials).profile
 
     tup = certified_value(sample, stream, trials, what="rank profile")
     return RankProfile(*tup, certified=True)
 
 
-def generic_vector(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5):
-    """A vector realizing the certified profile (redrawn until it does)."""
+def generic_vector(s: QuadricSystem, profile: RankProfile, stream,
+                   trials: int = 5) -> GenericPoint:
+    """A point whose vector realizes the certified profile (redrawn until
+    it does)."""
+    want = (profile.a0, profile.r, profile.dim_ker, profile.dim_ann, profile.dim_singloc)
     bound = 1
     for _ in range(16):
-        v = nonzero_vector(s.n, bound, stream)
-        got = _profile_at(s, v, stream, trials)
-        if got == (profile.a0, profile.r, profile.dim_ker, profile.dim_ann, profile.dim_singloc):
-            return v
+        point = _profile_at(s, nonzero_vector(s.n, bound, stream), stream, trials)
+        if point.profile == want:
+            return point
         bound = min(bound * 2, 64)
     raise CertificationError("could not rediscover a vector matching the certified profile")
 
@@ -202,9 +209,9 @@ def secant_dimension(s: QuadricSystem, jet, profile: RankProfile, stream,
 
     def sample(bound, strm):
         v = nonzero_vector(s.n, bound, strm)
-        a0 = rank(contraction(s, v))
-        _, cube_zero = refined_third_form_cube(jet, v)
-        return a0, cube_zero
+        image = ii_image(s, v)
+        _, cube_zero = refined_third_form_cube(jet, v, image)
+        return image.dim, cube_zero
 
     a0, cube_zero = certified_value(sample, stream, trials, what="refined cubic vanishing")
     dim = s.n + a0 + (0 if cube_zero else 1)
@@ -235,6 +242,33 @@ def higher_secant_dimension(s: QuadricSystem, k: int, profile: RankProfile, stre
     dim = s.n + span_dim
     bound = s.n + (k - 1) * profile.a0
     return HigherSecantDimension(k, dim, bound, dim <= bound)
+
+
+def hypersurface_projection(s: QuadricSystem, profile: RankProfile, stream,
+                            trials: int = 5) -> tuple[QuadricSystem, RankProfile]:
+    """Second fundamental form of a generic projection of the variety to
+    P^{n + a0 + 1}, where its tangential variety is a hypersurface, with
+    the certified profile of that form.
+
+    When the centre of projection misses the embedded tangent space, the
+    projected form is the original one followed by the induced quotient
+    map of normal spaces (Griffiths-Harris 1979): a random full-rank
+    (a0 + 1) x a combination of the quadrics.  A generic projection keeps
+    dim II_v(T), which the certified a0 of the projected form confirms."""
+    rows = profile.a0 + 1
+    for _ in range(10):
+        m = Matrix(rows, s.a, [[Scalar(stream.randint(-5, 5)) for _ in range(s.a)]
+                               for _ in range(rows)])
+        if rank(m) == rows:
+            break
+    else:
+        raise CertificationError("no full-rank projection of the normal space in 10 draws")
+    t = QuadricSystem(s.n, rows, tuple(quadric_from_coefficients(s, row) for row in m.data))
+    prof = rank_profile(t, stream, trials)
+    if prof.a0 != profile.a0:
+        raise CertificationError("projection changed a0 from %d to %d"
+                                 % (profile.a0, prof.a0))
+    return t, prof
 
 
 def quadric_system_to_json(s: QuadricSystem) -> dict:

@@ -17,11 +17,12 @@ from .defects import (DefectError, DefectReport, annihilator_matches_image_perp,
 from .genericity import derive_stream
 from .jets import JetChart, chart_at, chart_roundtrip_check, refined_third_form_cube, \
     second_fundamental_form
-from .oracles import join_dimension, linear_project, tangent_join_dimension
-from .polymaps import PolyMap, polymap_base_point, polymap_from_json
-from .quadrics import (QuadricSystem, RankProfile, generic_vector, higher_secant_dimension,
-                       is_tangentially_degenerate, quadric_system_from_json, rank_profile,
-                       secant_dimension, tangential_dimension)
+from .oracles import join_dimension, tangent_join_dimension
+from .polymaps import polymap_base_point, polymap_from_json
+from .quadrics import (RankProfile, generic_vector, higher_secant_dimension,
+                       hypersurface_projection, is_tangentially_degenerate,
+                       quadric_system_from_json, rank_profile, secant_dimension,
+                       tangential_dimension)
 from .scalars import Scalar
 
 
@@ -164,16 +165,13 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions(), descriptor: str | N
 
     # hypersurface reduction: when sigma is degenerate but tau is not a
     # hypersurface, the rank restriction applies to a generic projection to
-    # a space where it is
+    # P^{n + a0 + 1}, where it is; dim sigma <= n + a0 + 1, so the projection
+    # keeps it
     projected = None
-    if f is not None and sigma_degenerate and profile.a0 < a - 1:
-        proj = linear_project(f, n + profile.a0 + 1, derive_stream(seed, "projection"))
-        jet2 = chart_at(proj, base, 3)
-        s2 = second_fundamental_form(jet2)
-        prof2 = rank_profile(s2, derive_stream(seed, "projection", "profile"), trials)
-        sec2 = secant_dimension(s2, jet2, prof2, derive_stream(seed, "projection", "secant"),
-                                trials)
-        projected = defect_report(s2, prof2, sec2.dimension,
+    if sigma_degenerate and profile.a0 < a - 1:
+        s2, prof2 = hypersurface_projection(s, profile, derive_stream(seed, "projection"),
+                                            trials)
+        projected = defect_report(s2, prof2, sigma_for_defects,
                                   derive_stream(seed, "projection", "defects"), trials)
 
     cross_checks = (
@@ -196,14 +194,14 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions(), descriptor: str | N
         "tau_gauss_fiber": tau_gauss.fiber_dim if tau_gauss else None,
     }
 
-    verdicts = _verdicts(s, profile, jet, f, base, defects, projected, cross_checks,
+    verdicts = _verdicts(s, profile, jet, f, defects, projected, cross_checks,
                          sigma_rows, tau_gauss, sigma_degenerate, third_vanishes,
                          options)
     return AnalysisReport(descriptor, kind, options, profile, dims, defects, projected,
                           cross_checks, verdicts)
 
 
-def _verdicts(s, profile, jet, f, base, defects: DefectReport,
+def _verdicts(s, profile, jet, f, defects: DefectReport,
               projected: DefectReport | None, cross_checks, sigma_rows, tau_gauss,
               sigma_degenerate, third_vanishes, options) -> tuple[Verdict, ...]:
     out = []
@@ -297,10 +295,10 @@ def _verdicts(s, profile, jet, f, base, defects: DefectReport,
         ("quotient_singular_locus_match", quotient_singular_locus_match),
     )
     stream = derive_stream(options.seed, "properties")
-    vs = [generic_vector(s, profile, stream, options.trials) for _ in range(3)]
+    points = [generic_vector(s, profile, stream, options.trials) for _ in range(3)]
     for name, fn in checks:
         try:
-            ok = all(fn(s, v) for v in vs)
+            ok = all(fn(s, point) for point in points)
             out.append(Verdict(name, _status(ok), "checked at 3 certified-generic vectors"))
         except DefectError as e:
             out.append(Verdict(name, "fail", str(e)))
@@ -309,8 +307,8 @@ def _verdicts(s, profile, jet, f, base, defects: DefectReport,
         stream = derive_stream(options.seed, "third-form")
         ok = True
         for _ in range(5):
-            v = generic_vector(s, profile, stream, options.trials)
-            _, vanishes = refined_third_form_cube(jet, v)
+            point = generic_vector(s, profile, stream, options.trials)
+            _, vanishes = refined_third_form_cube(jet, point.v, point.image)
             ok = ok and vanishes
         out.append(Verdict("third_form_vanishing", _status(ok),
                            "refined cubic form vanishes at 5 generic vectors"))

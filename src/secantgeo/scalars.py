@@ -2,36 +2,21 @@
 real and imaginary parts.
 
 Every computation in this package is exact, and no floating-point value is
-accepted: a Scalar is built from ints, rationals of the backend, or strings
-"p/q", and a float raises TypeError.  The rational backend is gmpy2.mpq
-when importable and fractions.Fraction otherwise; set
-SECANTGEO_BACKEND=fractions or SECANTGEO_BACKEND=gmpy2 to force one.  Both
-backends store reduced fractions with positive denominators and print as
-"p/q" with the denominator omitted when it is 1, which is exactly the wire
-format.  Exact rank and RREF do not use the backend (see `linalg`).
+accepted: a Scalar is built from ints, Fractions, or strings "p/q", and a
+float raises TypeError.  The real and imaginary parts are stdlib
+`fractions.Fraction`s, which store reduced fractions with positive
+denominators and print as "p/q" with the denominator omitted when it is
+1, exactly the wire format.  Exact rank and RREF do not compute with
+Fractions (see `linalg`).
 """
 
 from __future__ import annotations
 
 import numbers
-import os
+from fractions import Fraction as Rational
 
-_FORCED = os.environ.get("SECANTGEO_BACKEND", "auto")
-if _FORCED not in ("auto", "gmpy2", "fractions"):
-    raise RuntimeError("SECANTGEO_BACKEND must be 'gmpy2' or 'fractions', got %r" % _FORCED)
-
-if _FORCED in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as Rational
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _FORCED == "gmpy2":
-            raise
-        from fractions import Fraction as Rational
-        BACKEND = "fractions"
-else:
-    from fractions import Fraction as Rational
-    BACKEND = "fractions"
+# the rational type, as recorded in benchmark metadata
+BACKEND = "fractions"
 
 _R0 = Rational(0)
 _R1 = Rational(1)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .linalg import Matrix, inverse
+from .linalg import Matrix, _unit, inverse
 from .polymaps import Poly
 from .scalars import ONE, Scalar
 
@@ -150,9 +150,3 @@ def invert_map_series(ys: Sequence[Poly], order: int) -> list[Poly]:
         hx = compose_each(higher, phi, order)
         phi = apply_inv([ident[i] - hx[i] for i in range(n)])
     return [p.truncated(order) for p in phi]
-
-
-def _unit(n: int, j: int) -> tuple[int, ...]:
-    e = [0] * n
-    e[j] = 1
-    return tuple(e)

@@ -76,22 +76,22 @@ def test_vertex_of_severi_system(charted):
 def test_gauss_fiber_of_cylinder():
     s = cylinder_system()
     prof = rank_profile(s, derive_stream(0, "td", "cy"))
-    v = generic_vector(s, prof, derive_stream(0, "td", "cy", 1))
-    fib = gauss_fiber(s, v)
+    point = generic_vector(s, prof, derive_stream(0, "td", "cy", 1))
+    fib = gauss_fiber(s, point)
     assert fib.dim == 1
-    assert fiber_dimension_identity(s, v)
+    assert fiber_dimension_identity(s, point)
 
 
 def test_ii_second_fundamental_form_residues(charted):
     _, _, s, prof = charted["severi_R"]
-    v = generic_vector(s, prof, derive_stream(0, "td", "ii"))
+    point = generic_vector(s, prof, derive_stream(0, "td", "ii"))
     # II(v, v) is by definition inside II_v(T)
-    residue, vanished = ii_second_fundamental_form(s, v, list(v), list(v))
+    residue, vanished = ii_second_fundamental_form(s, point, point.v, point.v)
     assert vanished
     assert residue == [Scalar(0)] * s.a
     # a direction transverse to the contact locus escapes
     e1 = [Scalar(1), Scalar(0)]
-    _, vanished = ii_second_fundamental_form(s, v, e1, e1)
+    _, vanished = ii_second_fundamental_form(s, point, e1, e1)
     assert not vanished
 
 
@@ -101,7 +101,9 @@ def test_clifford_on_division_algebra_systems(charted):
     signs = set()
     for name, (kdim, mdim) in want_dims.items():
         _, _, s, prof = charted[name]
-        verdict = clifford_relation_check(s, prof, derive_stream(0, "td", "cl", name))
+        stream = derive_stream(0, "td", "cl", name)
+        point = generic_vector(s, prof, stream)
+        verdict = clifford_relation_check(s, prof, point, vertex(s, prof, stream))
         assert verdict.applicable
         assert verdict.fiber_condition_ok
         assert verdict.proportionality_ok
@@ -119,21 +121,24 @@ def test_clifford_not_applicable_without_hypersurface_tau():
     # a0 = a: tau has the expected dimension, no forced representation
     s = QuadricSystem(2, 1, (sym(2, {(0, 1): "1/2"}),))
     prof = rank_profile(s, derive_stream(0, "td", "na"))
-    verdict = clifford_relation_check(s, prof, derive_stream(0, "td", "na", 1))
+    stream = derive_stream(0, "td", "na", 1)
+    point = generic_vector(s, prof, stream)
+    verdict = clifford_relation_check(s, prof, point, vertex(s, prof, stream))
     assert not verdict.applicable
 
 
 def test_clifford_action_rejects_inadmissible_direction(charted):
     _, _, s, prof = charted["severi_R"]
-    v = generic_vector(s, prof, derive_stream(0, "td", "ad"))
-    frames = quotient_frames(s, v)
-    phi_v = clifford_action(s, v, list(v), frames)
+    point = generic_vector(s, prof, derive_stream(0, "td", "ad"))
+    v = point.v
+    frames = quotient_frames(s, point)
+    phi_v = clifford_action(s, frames, v)
     assert phi_v == Matrix.identity(len(frames.tangent_reps))
     # II_w(T) of a transverse w is not contained in II_v(T)
     w = [v[0] + Scalar(1), v[1] + Scalar(2)]
     if list(w) != list(v):
         try:
-            clifford_action(s, v, w, frames)
+            clifford_action(s, frames, w)
             assert False
         except DefectError:
             pass
@@ -142,11 +147,11 @@ def test_clifford_action_rejects_inadmissible_direction(charted):
 def test_so_membership(charted):
     for name in ("severi_R", "severi_C"):
         _, _, s, prof = charted[name]
-        assert so_membership_check(s, prof, derive_stream(0, "td", "so", name))
+        assert so_membership_check(s, generic_vector(s, prof, derive_stream(0, "td", "so", name)))
     single = QuadricSystem(3, 1, (sym(3, {(0, 0): 1, (1, 2): "1/2"}),))
     prof = rank_profile(single, derive_stream(0, "td", "so1"))
     try:
-        so_membership_check(single, prof, derive_stream(0, "td", "so2"))
+        so_membership_check(single, generic_vector(single, prof, derive_stream(0, "td", "so2")))
         assert False
     except DefectError:
         pass
@@ -183,12 +188,12 @@ def test_structural_identities_at_generic_points(charted):
         systems.append(charted[name][2])
     for idx, s in enumerate(systems):
         prof = rank_profile(s, derive_stream(0, "td", "st", idx))
-        v = generic_vector(s, prof, derive_stream(0, "td", "st", idx, 1))
-        assert kernel_in_singular_locus(s, v)
-        assert annihilator_matches_image_perp(s, v)
-        assert fiber_contains_singloc_products(s, v)
-        assert fiber_dimension_identity(s, v)
-        assert quotient_singular_locus_match(s, v)
+        point = generic_vector(s, prof, derive_stream(0, "td", "st", idx, 1))
+        assert kernel_in_singular_locus(s, point)
+        assert annihilator_matches_image_perp(s, point)
+        assert fiber_contains_singloc_products(s, point)
+        assert fiber_dimension_identity(s, point)
+        assert quotient_singular_locus_match(s, point)
 
 
 def test_tau_gauss_bounds(charted):

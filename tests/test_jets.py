@@ -4,6 +4,7 @@ from secantgeo.genericity import derive_stream
 from secantgeo.jets import (ChartError, NotImmersiveError, chart_at, chart_roundtrip_check,
                             refined_third_form_cube, second_fundamental_form)
 from secantgeo.polymaps import Poly, PolyMap
+from secantgeo.quadrics import ii_image
 from secantgeo.scalars import ONE, ZERO, Scalar
 
 
@@ -104,13 +105,14 @@ def test_refined_third_form_cube():
     # z = u^3 in the plane: II = 0, the cube survives reduction
     f = graph_map(1, [Poly(1)], [Poly.monomial(1, (3,), 1)])
     jet = chart_at(f, [0], 3)
-    residue, is_zero = refined_third_form_cube(jet, [ONE])
+    residue, is_zero = refined_third_form_cube(
+        jet, [ONE], ii_image(second_fundamental_form(jet), [ONE]))
     assert not is_zero
     assert residue == [ONE]
     # quadratic graph: third form identically zero
     g = graph_map(1, [Poly.monomial(1, (2,), 1)])
     jg = chart_at(g, [0], 3)
-    _, z = refined_third_form_cube(jg, [ONE])
+    _, z = refined_third_form_cube(jg, [ONE], ii_image(second_fundamental_form(jg), [ONE]))
     assert z
 
 

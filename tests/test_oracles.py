@@ -7,7 +7,6 @@ from secantgeo.oracles import (
     build_tangent_map,
     gauss_fiber_dimension,
     join_dimension,
-    linear_project,
     tangent_join_dimension,
     terracini_consistency_check,
 )
@@ -95,22 +94,6 @@ def test_double_point_rejection_on_small_domains():
     ents = {e.name: e for e in catalog()}
     f = ents["veronese_conic"].map
     assert join_dimension(f, 2, derive_stream(0, "to", "cc")) == 3
-
-
-def test_linear_project_preserves_secant_dimension():
-    ents = {e.name: e for e in catalog()}
-    f = ents["veronese_3_2"].map
-    proj = linear_project(f, 5, derive_stream(0, "to", "pr"))
-    assert proj.domain_dim == f.domain_dim
-    assert proj.codomain_dim == 6
-    assert proj.conical
-    assert join_dimension(proj, 1, derive_stream(0, "to", "pr1")) == 2
-    assert join_dimension(proj, 2, derive_stream(0, "to", "pr2")) == 5
-    try:
-        linear_project(f, f.codomain_dim, derive_stream(0, "to", "pr3"))
-        assert False
-    except ValueError:
-        pass
 
 
 def test_double_cover_never_certifies_wrong():

@@ -2,12 +2,14 @@ from dataclasses import replace
 
 import pytest
 
+from secantgeo import quadrics
 from secantgeo.genericity import CertificationError, derive_stream
 from secantgeo.jets import chart_at, second_fundamental_form
-from secantgeo.linalg import Matrix, Subspace
+from secantgeo.linalg import Matrix, Subspace, kernel
 from secantgeo.polymaps import Poly, PolyMap
-from secantgeo.quadrics import (QuadricSystem, annihilator, apply_ii, contraction,
-                                generic_vector, higher_secant_dimension, ii_image,
+from secantgeo.quadrics import (QuadricSystem, _profile_at, apply_ii, contraction,
+                                generic_vector, higher_secant_dimension,
+                                hypersurface_projection, ii_image,
                                 is_tangentially_degenerate, quadric_from_coefficients,
                                 quadric_system_from_json, quadric_system_to_json,
                                 rank_profile, secant_dimension, singular_locus,
@@ -47,12 +49,14 @@ def test_contraction_and_image():
 def test_annihilator_and_singular_locus():
     s = severi_r_system()
     v = [Scalar(1), Scalar(2)]
-    ann = annihilator(s, v)
+    point = _profile_at(s, v, derive_stream(0, "tq", "an"), 5)
+    ann = point.annihilator
     assert ann.dim == 1
     q = quadric_from_coefficients(s, list(ann.basis[0]))
     # the annihilator quadric is singular exactly at multiples of v
     assert not any(q.mul_vec(v))
     sl = singular_locus(s, [q])
+    assert sl == point.singloc
     assert sl.dim == 1
     assert sl.contains(v)
 
@@ -112,9 +116,24 @@ def test_cylinder_system_is_degenerate():
 def test_generic_vector_certified():
     s = severi_r_system()
     prof = rank_profile(s, derive_stream(0, "tq", "gv"))
-    v = generic_vector(s, prof, derive_stream(0, "tq", "gv", 1))
-    assert ii_image(s, v).dim == prof.a0
-    assert annihilator(s, v).dim == prof.dim_ann
+    point = generic_vector(s, prof, derive_stream(0, "tq", "gv", 1))
+    assert point.image == ii_image(s, point.v)
+    assert point.kernel == kernel(contraction(s, point.v))
+    assert point.annihilator == kernel(contraction(s, point.v).transpose())
+    assert point.profile == (prof.a0, prof.r, prof.dim_ker, prof.dim_ann, prof.dim_singloc)
+
+
+def test_each_profile_draw_contracts_once(monkeypatch):
+    draws, contractions = [], []
+    draw, contract = quadrics._profile_at, quadrics.contraction
+    monkeypatch.setattr(quadrics, "_profile_at", lambda *a: draws.append(1) or draw(*a))
+    monkeypatch.setattr(quadrics, "contraction",
+                        lambda *a: contractions.append(1) or contract(*a))
+    s = severi_r_system()
+    prof = rank_profile(s, derive_stream(0, "tq", "once"))
+    generic_vector(s, prof, derive_stream(0, "tq", "once", 1))
+    assert len(draws) >= 6
+    assert len(contractions) == len(draws)
 
 
 def test_generic_vector_unmatchable_profile_is_certification_error():
@@ -124,6 +143,21 @@ def test_generic_vector_unmatchable_profile_is_certification_error():
     impossible = replace(prof, a0=s.a + 1)
     with pytest.raises(CertificationError):
         generic_vector(s, impossible, derive_stream(0, "tq", "gv", 2))
+
+
+def test_hypersurface_projection_keeps_a0():
+    # four quadrics with a0 = 2: a generic combination of three of them
+    # makes tau a hypersurface
+    s = QuadricSystem(2, 4, (sym(2, {(0, 0): 1}), sym(2, {(1, 1): 1}),
+                             sym(2, {(0, 1): 1}), sym(2, {(0, 0): 1, (1, 1): 1})))
+    prof = rank_profile(s, derive_stream(0, "tq", "hp"))
+    assert prof.a0 == 2
+    t, tprof = hypersurface_projection(s, prof, derive_stream(0, "tq", "hp", 1))
+    assert (t.n, t.a) == (2, 3)
+    assert tprof.a0 == t.a - 1
+    # a claimed a0 the projection cannot keep is a certification failure
+    with pytest.raises(CertificationError):
+        hypersurface_projection(s, replace(prof, a0=1), derive_stream(0, "tq", "hp", 2))
 
 
 def test_secant_dimension_branches():

@@ -1,11 +1,15 @@
+import importlib.util
 import random
+from pathlib import Path
+
+import pytest
 
 from secantgeo import derive_stream
 from secantgeo.algebras import AlgebraElement, AlgebraTag
 from secantgeo.jets import chart_at, chart_roundtrip_check, refined_third_form_cube, second_fundamental_form
 from secantgeo.linalg import Matrix, kernel
 from secantgeo.oracles import build_tangent_map, gauss_fiber_dimension, join_dimension
-from secantgeo.quadrics import apply_ii, contraction, higher_secant_dimension, rank_profile
+from secantgeo.quadrics import apply_ii, contraction, higher_secant_dimension, ii_image, rank_profile
 from secantgeo.scalars import Scalar
 from secantgeo.zoo import build, catalog, expected, rank_variety, segre, severi, veronese, veronese_of
 
@@ -38,7 +42,7 @@ def test_severi_charts_are_exactly_quadratic():
         assert all(p.is_zero() for p in jet.c4)
         rng = derive_stream(0, "tz", "c3", tag)
         v = [Scalar(rng.randint(-3, 3)) for _ in range(ent.n)]
-        _, vanished = refined_third_form_cube(jet, v)
+        _, vanished = refined_third_form_cube(jet, v, ii_image(second_fundamental_form(jet), v))
         assert vanished
 
 
@@ -177,6 +181,15 @@ def test_expected_records_shape():
     rec = expected(severi("O"))
     assert rec["sigma3"] == 26
     assert expected(veronese(4, 1)) is None
+
+
+@pytest.mark.slow
+def test_regen_golden_reproduces_committed_file():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "regen_golden.py"
+    spec = importlib.util.spec_from_file_location("regen_golden", script)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    assert regen.golden_text().encode("utf-8") == regen.OUT.read_bytes()
 
 
 def test_analyses_reproduce_every_golden_number(entries, analysis):
