@@ -1,20 +1,34 @@
-"""Regenerate src/secantgeo/data/zoo_expected.json from the dimension oracles.
+"""Regenerate src/secantgeo/data/zoo_expected.json from the dimension oracles,
+and tests/data/report_digests.json from the reports.
 
 Every number in the golden file comes out of the join/tangent/Gauss oracles
-or the certified rank profile; nothing is typed in by hand.  Rerunning the
-script must reproduce the committed file byte for byte (seed 0 streams).
+or the certified rank profile; nothing is typed in by hand.  The digest file
+holds the sha256 of the JSON report `secantgeo analyze --format json` writes
+at seed 0 for each lighter catalog entry and v2(P^4), once as a poly_map and
+once as its quadric_system; it pins every report byte of those inputs.
+Rerunning the script must reproduce both committed files byte for byte.
+
+    PYTHONPATH=src python scripts/regen_golden.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 from secantgeo import derive_stream
 from secantgeo.jets import chart_at, second_fundamental_form
-from secantgeo.oracles import build_tangent_map, gauss_fiber_dimension, join_dimension, tangent_join_dimension
-from secantgeo.quadrics import rank_profile
-from secantgeo.zoo import catalog
+from secantgeo.oracles import gauss_fiber_dimension, join_dimension, tangent_join_dimension
+from secantgeo.polymaps import polymap_to_json
+from secantgeo.quadrics import quadric_system_to_json, rank_profile
+from secantgeo.report import analyze, render
+from secantgeo.zoo import catalog, veronese
 
-OUT = Path(__file__).resolve().parents[1] / "src" / "secantgeo" / "data" / "zoo_expected.json"
+ROOT = Path(__file__).resolve().parents[1]
+OUT = ROOT / "src" / "secantgeo" / "data" / "zoo_expected.json"
+DIGESTS = ROOT / "tests" / "data" / "report_digests.json"
+
+# catalog entries whose analysis takes seconds, not a fraction of one
+HEAVY = {"severi_O", "grassmannian_2_7"}
 
 # entries whose third secant dimension the acceptance suite pins down
 WANT_SIGMA3 = {"segre_3_3", "severi_O"}
@@ -45,8 +59,7 @@ def entry_record(ent) -> dict:
         rec["dim_sigma"] = sigma
     if ent.name in WANT_SIGMA3:
         rec["sigma3"] = join_dimension(f, 3, derive_stream(0, ent.name, "golden", "sigma3"))
-    rec["tau_gauss_fiber"] = gauss_fiber_dimension(
-        build_tangent_map(f), derive_stream(0, ent.name, "golden", "gauss"))
+    rec["tau_gauss_fiber"] = gauss_fiber_dimension(f, derive_stream(0, ent.name, "golden", "gauss"))
     return rec
 
 
@@ -56,9 +69,23 @@ def golden_text() -> str:
     return json.dumps(table, indent=2, sort_keys=True) + "\n"
 
 
+def digest_text() -> str:
+    """The digest file's text, recomputed from the reports."""
+    table = {}
+    for ent in [e for e in catalog() if e.name not in HEAVY] + [veronese(2, 4)]:
+        jet = chart_at(ent.map, list(ent.base_point), 3)
+        inputs = {"poly_map": polymap_to_json(ent.map, base_point=ent.base_point),
+                  "quadric_system": quadric_system_to_json(second_fundamental_form(jet))}
+        for kind, obj in inputs.items():
+            report = render(analyze(obj), "json").encode("utf-8")
+            table["%s/%s" % (ent.name, kind)] = hashlib.sha256(report).hexdigest()
+    return json.dumps(table, indent=2, sort_keys=True) + "\n"
+
+
 def main():
-    OUT.write_text(golden_text(), encoding="utf-8")
-    print("wrote %s" % OUT)
+    for path, text in ((OUT, golden_text()), (DIGESTS, digest_text())):
+        path.write_text(text, encoding="utf-8")
+        print("wrote %s" % path)
 
 
 if __name__ == "__main__":

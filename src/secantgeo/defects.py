@@ -316,9 +316,9 @@ def tau_gauss_bound_check(f, s: QuadricSystem, profile: RankProfile, stream,
     """Fiber dimension of the Gauss map of the tangential variety against
     the two lower bounds delta_tau + 1 (always) and delta_tau + 2 (smooth
     source)."""
-    from .oracles import build_tangent_map, gauss_fiber_dimension
+    from .oracles import gauss_fiber_dimension
 
-    fiber = gauss_fiber_dimension(build_tangent_map(f), stream, trials)
+    fiber = gauss_fiber_dimension(f, stream, trials)
     delta = s.n - profile.a0
     return TauGaussBound(fiber, delta, fiber >= delta + 1, fiber >= delta + 2)
 

@@ -58,16 +58,14 @@ def nonzero_vector(dim: int, bound: int, stream, gaussian: bool = False):
             return v
 
 
-def fully_nonzero_vector(dim: int, bound: int, stream):
-    """Random integer vector with every coordinate nonzero.  Used for
-    Jacobian sampling, where individual zero parameters (scalings of a join,
-    coincident points) are systematically non-generic."""
-    from .scalars import Scalar
-
+def fully_nonzero_vector(dim: int, bound: int, stream) -> list[int]:
+    """Random vector of Python ints with every coordinate nonzero.  Used for
+    the oracles' sample points, where individual zero parameters (scalings
+    of a join, coincident points) are systematically non-generic."""
     out = []
     for _ in range(dim):
         x = stream.randint(1, bound)
         if stream.randint(0, 1):
             x = -x
-        out.append(Scalar(x))
+        out.append(x)
     return out

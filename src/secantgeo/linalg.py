@@ -8,7 +8,9 @@ sample point is), (re, im) int pairs otherwise.  `rank` is Bareiss's
 fraction-free elimination; `rref` is its Gauss-Jordan form, and divides
 each row by its pivot only when converting back to Scalars.  The division
 by the previous pivot that keeps the integers small is exact in Z[i] by
-Sylvester's identity, and is checked: an inexact one raises.
+Sylvester's identity, and is checked: an inexact one raises.  Callers that
+already hold Gaussian-integer vectors in that format (the oracles' point
+jets) use `eliminate`, `integer_reducer` and `integer_combination` directly.
 
 Subspaces carry the canonical reduced-row-echelon basis, hence subspace
 equality is plain syntactic equality of bases.
@@ -144,25 +146,31 @@ def stack_rows(mats: Sequence[Matrix]) -> Matrix:
     return Matrix(len(data), cols, data)
 
 
-def _integer_rows(m: Matrix):
-    """The rows of m, each multiplied by the lcm of its denominators: lists of
-    ints when every entry is real, else lists of (re, im) int pairs.  Scaling
-    a row changes neither the rank nor the RREF.  Returns (rows, real)."""
+def integer_values(values: Sequence[Scalar], real: bool) -> list:
+    """values times the lcm of their denominators, as Gaussian integers in
+    the elimination format: ints when real, else (re, im) int pairs.
+    Scaling a row changes neither the rank nor the RREF."""
+    if real:
+        parts = [x.re for x in values]
+        den = lcm(*[p.denominator for p in parts])
+        if den == 1:
+            return [p.numerator for p in parts]
+        return [p.numerator * (den // p.denominator) for p in parts]
+    den = lcm(*[p.denominator for x in values for p in (x.re, x.im)])
+    return [(x.re.numerator * (den // x.re.denominator),
+             x.im.numerator * (den // x.im.denominator)) for x in values]
+
+
+def _integer_rows(m: Matrix) -> list[list]:
+    """The rows of m, each multiplied by the lcm of its denominators, all in
+    one format."""
     real = not any(x.im for r in m.data for x in r)
-    out = []
-    for r in m.data:
-        if real:
-            parts = [x.re for x in r]
-            den = lcm(*[p.denominator for p in parts])
-            if den == 1:
-                out.append([p.numerator for p in parts])
-            else:
-                out.append([p.numerator * (den // p.denominator) for p in parts])
-        else:
-            den = lcm(*[p.denominator for x in r for p in (x.re, x.im)])
-            out.append([(x.re.numerator * (den // x.re.denominator),
-                         x.im.numerator * (den // x.im.denominator)) for x in r])
-    return out, real
+    return [integer_values(r, real) for r in m.data]
+
+
+def _is_real(rows) -> bool:
+    """Whether Gaussian-integer rows hold ints rather than (re, im) pairs."""
+    return not any(isinstance(x, tuple) for r in rows[:1] for x in r[:1])
 
 
 def _combine_int(lead, row, head, piv_row, prev):
@@ -203,8 +211,14 @@ def _combine_gauss(lead, row, head, piv_row, prev):
     return quo
 
 
-def _eliminate(m: Matrix, reduce: bool):
-    """Fraction-free elimination of m over the Gaussian integers.
+# (nonzero test, combine, one) for int rows and for (re, im) pair rows
+_ARITH = {True: (bool, _combine_int, 1), False: (any, _combine_gauss, (1, 0))}
+
+
+def eliminate(rows, reduce: bool = False):
+    """Fraction-free elimination of Gaussian-integer rows: lists of ints, or
+    of (re, im) int pairs (`integer_values`).  The rows themselves are left
+    as they are.
 
     Each step takes the first row at or below the next pivot position with a
     nonzero entry in the column as pivot row, and replaces every other row
@@ -213,13 +227,14 @@ def _eliminate(m: Matrix, reduce: bool):
     the new pivot and prev the one before.  By Sylvester's identity the
     entries are then minors of the cleared input, so the division is exact
     (Bareiss 1968); _combine_* raise if it is not.  Zero rows are dropped
-    first.  Returns (pivot columns, pivot rows, last pivot, real)."""
-    rows, real = _integer_rows(m)
-    nonzero, combine, prev = (bool, _combine_int, 1) if real else (any, _combine_gauss, (1, 0))
+    first.  Returns (pivot columns, pivot rows, last pivot); the number of
+    pivots is the rank."""
+    ncols = len(rows[0]) if rows else 0
+    nonzero, combine, prev = _ARITH[_is_real(rows)]
     rows = [r for r in rows if any(map(nonzero, r))]
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
+    for c in range(ncols):
         if r == len(rows):
             break
         for i in range(r, len(rows)):
@@ -237,19 +252,54 @@ def _eliminate(m: Matrix, reduce: bool):
         prev = lead
         pivots.append(c)
         r += 1
-    return pivots, rows[:r], prev, real
+    return pivots, rows[:r], prev
+
+
+def integer_reducer(vectors):
+    """(pivot columns, reduce) for the span T of Gaussian-integer vectors:
+    reduce(v) is v modulo T times the last pivot, on the non-pivot columns,
+    computed as last v - sum v[p] row_p over the fraction-free Gauss-Jordan
+    rows of T (which carry last at their pivots)."""
+    pivots, rows, last = eliminate(vectors, reduce=True)
+    nonzero, combine, one = _ARITH[type(last) is int]
+    keep = [j for j in range(len(vectors[0])) if j not in pivots]
+    rows = [[row[j] for j in keep] for row in rows]
+
+    def reduce(vec) -> list:
+        out = [vec[j] for j in keep]
+        for i, (p, row) in enumerate(zip(pivots, rows)):
+            if not i or nonzero(vec[p]):
+                out = combine(one if i else last, out, vec[p], row, one)
+        return out
+
+    return pivots, reduce
+
+
+def integer_combination(terms) -> list:
+    """sum c * vec over the (int c, vec) pairs, on Gaussian-integer vectors
+    of one format."""
+    (c, vec), *rest = terms
+    if _is_real([vec]):
+        acc = [c * x for x in vec]
+        for c, vec in rest:
+            acc = [a + c * x for a, x in zip(acc, vec)]
+        return acc
+    acc = [(c * x, c * y) for x, y in vec]
+    for c, vec in rest:
+        acc = [(a + c * x, b + c * y) for (a, b), (x, y) in zip(acc, vec)]
+    return acc
 
 
 def rank(m: Matrix) -> int:
     """Rank by Bareiss fraction-free elimination on Gaussian integers."""
-    return len(_eliminate(m, reduce=False)[0])
+    return len(eliminate(_integer_rows(m))[0])
 
 
 def rref(m: Matrix) -> tuple[list[int], list[list[Scalar]]]:
     """Reduced row echelon form; returns (pivot columns, nonzero rows)."""
-    pivots, rows, last, real = _eliminate(m, reduce=True)
+    pivots, rows, last = eliminate(_integer_rows(m), reduce=True)
     # fraction-free Gauss-Jordan leaves last pivot at every pivot position
-    if real:
+    if type(last) is int:
         return pivots, [[Scalar(Rational(x, last)) if x else ZERO for x in r] for r in rows]
     pr, pi = last
     norm = pr * pr + pi * pi
@@ -313,10 +363,18 @@ class Subspace:
         return all(self.contains(row) for row in other.basis)
 
     def perp(self) -> "Subspace":
-        """Annihilator under the standard bilinear pairing sum(x_i y_i)."""
+        """Annihilator under the standard bilinear pairing sum(x_i y_i), read
+        off the RREF basis: one vector per free column."""
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
-        return kernel(Matrix(self.dim, self.ambient_dim, self.basis))
+        vecs = []
+        for j in self.complement_indices():
+            v = [ZERO] * self.ambient_dim
+            v[j] = ONE
+            for p, row in zip(self.pivots, self.basis):
+                v[p] = -row[j]
+            vecs.append(v)
+        return Subspace.from_vectors(self.ambient_dim, vecs)
 
     def complement_indices(self) -> list[int]:
         """Standard coordinates whose basis vectors represent cosets of a
@@ -337,18 +395,9 @@ class Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Right kernel {x : m x = 0} with canonical basis."""
-    pivots, rows = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    vecs = []
-    for j in free:
-        v = [ZERO] * m.cols
-        v[j] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][j]
-        vecs.append(v)
-    return Subspace.from_vectors(m.cols, vecs)
+    """Right kernel {x : m x = 0} with canonical basis: the annihilator of
+    the row space."""
+    return Subspace.from_vectors(m.cols, m.data).perp()
 
 
 def span_sum(spaces: Sequence[Subspace]) -> Subspace:

@@ -1,60 +1,22 @@
-"""Independent dimension oracles by exact Jacobian ranks at random points.
+"""Independent dimension oracles by exact ranks at random points.
 
-These never look at fundamental forms: a secant or tangent variety is
-parametrized directly and its dimension read off the rank of an exact
-Jacobian at certified-generic parameters.  Formula-based dimensions are
-always cross-checked against these.
+These never look at fundamental forms.  By Terracini's lemma the Jacobian
+rank of a join or tangent map at a point is the dimension of a span of lift
+values and derivatives, so each oracle reads a low-order jet of the lift
+(`polymaps.lift_jet`) at certified-generic integer points and eliminates
+on its integer values; no join or tangent map is built.  Formula-based
+dimensions are always cross-checked against these.
 """
 
 from __future__ import annotations
 
 from .genericity import certified_value, fully_nonzero_vector
-from .linalg import Matrix, Subspace, rank, span_sum
-from .polymaps import Poly, PolyMap, poly_sum
-from .scalars import Scalar
+from .linalg import eliminate, integer_combination, integer_reducer
+from .polymaps import PolyMap, lift_jet
 
 
-def build_join_map(f: PolyMap, k: int) -> PolyMap:
-    """(u_1, ..., u_k, s_1, ..., s_k) -> sum s_i lift(u_i); its image is the
-    cone over the k-th secant variety (k = 1: over the variety itself)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    p = f.domain_dim
-    nv = k * p + k
-    lift = f.lift()
-    comps = []
-    for comp in lift:
-        parts = []
-        for i in range(k):
-            s_var = Poly.variable(nv, k * p + i)
-            parts.append(s_var * comp.embed(nv, i * p))
-        comps.append(poly_sum(nv, parts))
-    return PolyMap(nv, len(lift), False, tuple(comps), conical=True)
-
-
-def build_tangent_map(f: PolyMap) -> PolyMap:
-    """(s, u, t) -> s (lift(u) + t^alpha d_alpha lift(u)); its image is the
-    cone over the tangential variety of the smooth locus."""
-    p = f.domain_dim
-    nv = 1 + 2 * p
-    lift = f.lift()
-    comps = []
-    s_var = Poly.variable(nv, 0)
-    for comp in lift:
-        base = comp.embed(nv, 1)
-        parts = [base]
-        for alpha in range(p):
-            d = comp.diff(alpha)
-            if d.is_zero():
-                continue
-            parts.append(Poly.variable(nv, 1 + p + alpha) * d.embed(nv, 1))
-        comps.append(s_var * poly_sum(nv, parts))
-    return PolyMap(nv, len(lift), False, tuple(comps), conical=True)
-
-
-def _jacobian_rank_sample(g: PolyMap, bound: int, stream) -> int:
-    pt = fully_nonzero_vector(g.domain_dim, bound, stream)
-    return rank(g.jacobian_at(pt))
+def _rank(vecs) -> int:
+    return len(eliminate(vecs)[0])
 
 
 def _blocks_collide(blocks, projective: bool) -> bool:
@@ -72,9 +34,10 @@ def _blocks_collide(blocks, projective: bool) -> bool:
 
 
 def _join_point(f: PolyMap, k: int, bound: int, stream):
-    """Sample parameters for a join map: k source points plus k scalings.
-    Source blocks that name the same point of the variety never see the
-    generic join rank, so exact duplicates are redrawn."""
+    """Sample parameters for the join (u_1, ..., u_k, s_1, ..., s_k) ->
+    sum s_i lift(u_i): k source points plus k scalings.  Source blocks that
+    name the same point of the variety never see the generic join rank, so
+    exact duplicates are redrawn."""
     p = f.domain_dim
     blocks = [fully_nonzero_vector(p, bound, stream) for _ in range(k)]
     for _ in range(16):
@@ -86,94 +49,87 @@ def _join_point(f: PolyMap, k: int, bound: int, stream):
     return pt
 
 
+def _join_rank(f: PolyMap, k: int, pt) -> int:
+    """Rank of the join Jacobian at pt: as every scaling is nonzero, the
+    dimension of the span of lift(u_i) and its first partials."""
+    p = f.domain_dim
+    jets = [lift_jet(f, pt[i * p:(i + 1) * p], 1) for i in range(k)]
+    return _rank([vec for jet in jets for vec in jet.values()])
+
+
 def join_dimension(f: PolyMap, k: int, stream, trials: int = 5) -> int:
     """Projective dimension of the k-th secant variety (k = 1: of the
     variety itself), certified across trials."""
-    g = build_join_map(f, k)
-    val = certified_value(lambda b, s: rank(g.jacobian_at(_join_point(f, k, b, s))),
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    val = certified_value(lambda b, s: _join_rank(f, k, _join_point(f, k, b, s)),
                           stream, trials, what="join rank (k=%d)" % k)
     return val - 1
 
-def terracini_consistency_check(f: PolyMap, stream, samples: int = 5,
-                                bound: int = 3) -> bool:
-    """The rank of the k = 2 join Jacobian at (x, y, s, t) must equal the
-    dimension of the span of the two affine tangent spaces; checked exactly
-    at `samples` random parameter pairs."""
-    g = build_join_map(f, 2)
-    lift = f.lift()
-    m = len(lift)
+
+def _tangent_cone(f: PolyMap, pt, order: int):
+    """d(*idx): a derivative of order < `order` at pt = (s, u, t) of g = s (lift(u)
+    + t^alpha d_alpha lift(u)), the cone over the tangential variety, in the
+    variables idx (s is 0, u_beta is 1 + beta, t_alpha is 1 + p + alpha)."""
     p = f.domain_dim
+    s, t = pt[0], pt[1 + p:]
+    jet = lift_jet(f, pt[1:1 + p], order)
+    zero = integer_combination([(0, jet[()])])
 
-    def tangent_at(u) -> Subspace:
-        gens = [[q.evaluate(u) for q in lift]]
-        for j in range(p):
-            gens.append([q.diff(j).evaluate(u) for q in lift])
-        return Subspace.from_vectors(m, gens)
+    def d(*idx):
+        us = [i - 1 for i in idx if 0 < i <= p]
+        ts = [i - 1 - p for i in idx if i > p]
+        if idx.count(0) > 1 or len(ts) > 1:  # g is linear in s and in t
+            return zero
+        if ts:
+            terms = [(1, jet.get(tuple(sorted(us + ts))))]
+        else:
+            terms = [(1, jet.get(tuple(sorted(us))))] + [(t[a], jet.get(tuple(sorted(us + [a]))))
+                                                          for a in range(p)]
+        c = 1 if 0 in idx else s
+        terms = [(c * x, vec) for x, vec in terms if vec is not None]
+        return integer_combination(terms) if terms else zero
 
-    for _ in range(samples):
-        pt = _join_point(f, 2, bound, stream)
-        jr = rank(g.jacobian_at(pt))
-        spanned = span_sum([tangent_at(pt[:p]), tangent_at(pt[p:2 * p])])
-        if jr != spanned.dim:
-            return False
-    return True
+    return d
 
 
 def tangent_join_dimension(f: PolyMap, stream, trials: int = 5) -> int:
     """Projective dimension of the tangential variety of the smooth locus."""
-    g = build_tangent_map(f)
-    val = certified_value(lambda b, s: _jacobian_rank_sample(g, b, s), stream, trials,
-                          what="tangential rank")
-    return val - 1
+    nv = 1 + 2 * f.domain_dim
+
+    def sample(bound, strm):
+        d = _tangent_cone(f, fully_nonzero_vector(nv, bound, strm), 2)
+        return _rank([d(k) for k in range(nv)])
+
+    return certified_value(sample, stream, trials, what="tangential rank") - 1
 
 
-def _gauss_sample(f: PolyMap, bound: int, stream) -> tuple[int, int]:
-    """(dim of the affine tangent space, rank of the Gauss differential)."""
-    pt = fully_nonzero_vector(f.domain_dim, bound, stream)
-    p = f.domain_dim
-    lift = f.lift()
-    m = len(lift)
-    value = [q.evaluate(pt) for q in lift]
-    jac_cols = [[q.diff(j).evaluate(pt) for q in lift] for j in range(p)]
-    gens = [value] + jac_cols  # frame generating the affine tangent space
-    gen_mat = Matrix(m, 1 + p, zip(*gens))
-    tangent = Subspace.from_vectors(m, gens)
-    d_hat = tangent.dim
-
-    # columns of gen_mat that give a pointwise basis of the tangent space
-    basis_idx = []
-    chosen: list[list[Scalar]] = []
-    for cidx in range(1 + p):
-        col = list(gen_mat.col(cidx))
-        cand = Subspace.from_vectors(m, chosen + [col])
-        if cand.dim > len(chosen):
-            basis_idx.append(cidx)
-            chosen.append(col)
-        if len(chosen) == d_hat:
-            break
-
-    # derivative of each basis generator in each parameter direction,
-    # reduced modulo the tangent space: the Gauss differential lands in
-    # Hom(T, C^m / T)
-    rows = []
-    for k in range(p):
-        row: list[Scalar] = []
-        for cidx in basis_idx:
-            if cidx == 0:
-                dvec = [jac_cols[k][i] for i in range(m)]
-            else:
-                j = cidx - 1
-                dvec = [lift[i].diff(j).diff(k).evaluate(pt) for i in range(m)]
-            row.extend(tangent.reduce(dvec))
-        rows.append(row)
-    gauss_rank = rank(Matrix(p, len(rows[0]), rows)) if rows and rows[0] else 0
-    return d_hat, gauss_rank
+def _gauss_sample(d, nv: int) -> tuple[int, int]:
+    """(dim of the affine tangent space, rank of the Gauss differential) of a
+    cone parametrized by nv variables with derivatives d(*idx) at a point."""
+    gens = [d(*idx) for idx in [()] + [(k,) for k in range(nv)]]
+    # the generators that give a pointwise basis of the tangent space T,
+    # greedily in order: the pivot columns of the m x (1 + nv) frame
+    basis = eliminate(list(zip(*gens)))[0]
+    # the Gauss differential, in Hom(T, C^m / T): each basis generator's
+    # derivatives modulo T.  The value's derivatives lie in T: its block is 0.
+    pivots, reduce = integer_reducer(gens)
+    reduced = {key: reduce(d(*key))
+               for key in {tuple(sorted((c - 1, k))) for c in basis if c for k in range(nv)}}
+    diff_rows = [[x for c in basis if c for x in reduced[tuple(sorted((c - 1, k)))]]
+                 for k in range(nv)]
+    return len(pivots), _rank(diff_rows)
 
 
 def gauss_fiber_dimension(f: PolyMap, stream, trials: int = 5) -> int:
-    """General fiber dimension of the Gauss map of the image of f:
-    dim(image) - rank of the differential of the tangent-space assignment."""
-    d_hat, gauss_rank = certified_value(
-        lambda b, s: _gauss_sample(f, b, s), stream, trials, what="Gauss map rank")
-    return (d_hat - 1) - gauss_rank
+    """General fiber dimension of the Gauss map of the tangential variety of
+    the image of f: dim(tau) - rank of the differential of the tangent-space
+    assignment, from the 2-jet of the cone g over tau, read off the 3-jet of
+    the lift of f."""
+    nv = 1 + 2 * f.domain_dim
 
+    def sample(bound, strm):
+        return _gauss_sample(_tangent_cone(f, fully_nonzero_vector(nv, bound, strm), 3), nv)
+
+    d_hat, gauss_rank = certified_value(sample, stream, trials, what="Gauss map rank")
+    return (d_hat - 1) - gauss_rank

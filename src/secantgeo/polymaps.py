@@ -9,9 +9,10 @@ may be flagged projective; every projective map is conical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .linalg import Matrix
+from .linalg import Matrix, integer_values
 from .scalars import ONE, ZERO, Scalar, _coerce, scalar_from_json, scalar_to_json
 
 
@@ -205,15 +206,43 @@ class PolyMap:
     def evaluate(self, point: Sequence[Scalar]) -> list[Scalar]:
         return [p.evaluate(point) for p in self.components]
 
-    def evaluate_lift(self, point: Sequence[Scalar]) -> list[Scalar]:
-        return [p.evaluate(point) for p in self.lift()]
-
     def jacobian_at(self, point: Sequence[Scalar]) -> Matrix:
-        """Rows indexed by lift coordinates, columns by domain variables."""
+        """Rows indexed by lift coordinates, columns by domain variables.
+        The oracles read `lift_jet`; the tests' symbolic reference reads this."""
         rows = []
         for p in self.lift():
             rows.append([p.diff(j).evaluate(point) for j in range(self.domain_dim)])
         return Matrix(len(rows), self.domain_dim, rows)
+
+
+def lift_jet(f: PolyMap, u: Sequence[int], order: int) -> dict:
+    """The partial derivatives of the lift of f up to `order` at the integer
+    point u, each lift component scaled by the lcm of its coefficients'
+    denominators (a diagonal change of coordinates, which moves no rank).
+    Keys are sorted tuples of variable indices, () for the value, always
+    present; a missing key is zero.  Values are Gaussian-integer vectors in
+    the format of `linalg.eliminate`: ints for a real map, else (re, im)
+    int pairs."""
+    lift = f.lift()
+    real = all(not c.im for q in lift for c in q.terms.values())
+    zero = 0 if real else (0, 0)
+    jet = {(): [zero] * len(lift)}
+    for i, q in enumerate(lift):
+        for e, c in zip(q.terms, integer_values(list(q.terms.values()), real)):
+            support = [j for j, k in enumerate(e) if k]
+            for r in range(min(order, sum(e)) + 1):
+                for idx in combinations_with_replacement(support, r):
+                    rest, w = list(e), 1
+                    for j in idx:  # falling factorials of the exponents
+                        w *= rest[j]
+                        rest[j] -= 1
+                    if w:
+                        for j in support:
+                            w *= u[j] ** rest[j]
+                        vec = jet.setdefault(idx, [zero] * len(lift))
+                        vec[i] = vec[i] + c * w if real else \
+                            (vec[i][0] + c[0] * w, vec[i][1] + c[1] * w)
+    return jet
 
 
 def poly_to_json(p: Poly) -> list:
@@ -231,7 +260,7 @@ def poly_from_json(obj, nvars: int) -> Poly:
         if not isinstance(t, dict) or set(t) != {"exps", "coeff"}:
             raise ValueError("term must have exactly the keys exps, coeff: %r" % (t,))
         e = t["exps"]
-        if not isinstance(e, list) or len(e) != nvars or not all(isinstance(k, int) and k >= 0 for k in e):
+        if not isinstance(e, list) or len(e) != nvars or not all(type(k) is int and k >= 0 for k in e):
             raise ValueError("bad exponent vector %r" % (e,))
         c = scalar_from_json(t["coeff"])
         key = tuple(e)
@@ -265,14 +294,16 @@ def polymap_from_json(obj) -> PolyMap:
         raise ValueError("kind must be 'poly_map'")
     n = obj["domain_dim"]
     m = obj["codomain_dim"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
+    if type(n) is not int or type(m) is not int or n < 1 or m < 1:
         raise ValueError("domain_dim and codomain_dim must be positive integers")
     comps = obj["components"]
     if not isinstance(comps, list) or len(comps) != m:
         raise ValueError("components must be a list of length codomain_dim")
+    if type(obj["projective"]) is not bool:
+        raise ValueError("projective must be true or false")
     polys = tuple(poly_from_json(c, n) for c in comps)
     polymap_base_point(obj)  # validate eagerly so bad inputs fail at load time
-    return PolyMap(n, m, bool(obj["projective"]), polys)
+    return PolyMap(n, m, obj["projective"], polys)
 
 
 def polymap_base_point(obj) -> list[Scalar] | None:

@@ -128,12 +128,13 @@ class GenericPoint:
 
 def _profile_at(s: QuadricSystem, v, inner_stream, inner_trials: int) -> GenericPoint:
     c = contraction(s, v)
-    ct = c.transpose()
-    ann = kernel(ct)
+    # Ann(v) is the kernel of the transposed contraction: the annihilator of
+    # its row space II_v(T), so one RREF gives both
+    image = Subspace.from_vectors(s.a, c.transpose().data)
+    ann = image.perp()
     singloc = singular_locus(s, [quadric_from_coefficients(s, row) for row in ann.basis])
     r = _max_rank_in_span(s, ann, inner_stream, inner_trials)
-    return GenericPoint(tuple(v), c, Subspace.from_vectors(s.a, ct.data), kernel(c), ann,
-                        singloc, r)
+    return GenericPoint(tuple(v), c, image, kernel(c), ann, singloc, r)
 
 
 def _max_rank_in_span(s: QuadricSystem, ann: Subspace, stream, trials: int) -> int:
@@ -288,7 +289,7 @@ def quadric_system_from_json(obj) -> QuadricSystem:
     if obj["kind"] != "quadric_system":
         raise ValueError("kind must be 'quadric_system'")
     n, a = obj["n"], obj["a"]
-    if not isinstance(n, int) or not isinstance(a, int) or n < 1 or a < 0:
+    if type(n) is not int or type(a) is not int or n < 1 or a < 0:  # no JSON booleans
         raise ValueError("bad n or a")
     rows = obj["quadrics"]
     if not isinstance(rows, list) or len(rows) != a:

@@ -75,3 +75,18 @@ def rref(m: Matrix) -> tuple[list[int], list[list[Scalar]]]:
         pivots.append(c)
         r += 1
     return pivots, rows[:r]
+
+
+def kernel(m: Matrix) -> list[list[Scalar]]:
+    """Canonical basis of the right kernel: one vector per free column of
+    the RREF, row-reduced once more."""
+    pivots, rows = rref(m)
+    vecs = []
+    for j in range(m.cols):
+        if j not in pivots:
+            v = [ZERO] * m.cols
+            v[j] = ONE
+            for r, p in enumerate(pivots):
+                v[p] = -rows[r][j]
+            vecs.append(v)
+    return rref(Matrix(len(vecs), m.cols, vecs))[1] if vecs else []

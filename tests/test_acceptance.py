@@ -6,10 +6,10 @@ import json
 import os
 import sys
 
+from oracle_reference import terracini_consistency_check
 from secantgeo.cli import main
 from secantgeo.defects import tau_gauss_bound_check
 from secantgeo.genericity import derive_stream
-from secantgeo.oracles import terracini_consistency_check
 from secantgeo.report import AnalyzeOptions, analyze, render
 from secantgeo.zoo import catalog
 

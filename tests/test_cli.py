@@ -156,3 +156,29 @@ def test_analyze_k_flag_limits_sigma_table():
     assert code == 0
     rep = json.loads(out)
     assert [row["k"] for row in rep["dims"]["sigma_k"]] == [2]
+
+
+def test_json_booleans_are_not_integers():
+    """true is 1 to Python's isinstance(x, int); an input that says true
+    where a count or an exponent belongs is malformed all the same, and so
+    is a projective flag that is not true or false."""
+    curve = {"kind": "poly_map", "domain_dim": 1, "codomain_dim": 2, "projective": False,
+             "components": [[{"exps": [1], "coeff": sc("1")}],
+                            [{"exps": [2], "coeff": sc("1")}]]}
+    code, _, _ = run(["analyze"], stdin_text=json.dumps(curve))
+    assert code == 0
+    bad_dim = dict(curve, domain_dim=True)
+    bad_exps = dict(curve, components=[[{"exps": [True], "coeff": sc("1")}],
+                                       curve["components"][1]])
+    system = {"kind": "quadric_system", "n": True, "a": 1, "quadrics": [[[sc("1")]]]}
+    cases = [(bad_dim, "domain_dim"), (bad_exps, "exponent"), (system, "bad n")]
+    # (x^2, xy, y^2) is homogeneous, so a truthy non-bool would make it a cone
+    conic = dict(curve, domain_dim=2, codomain_dim=3,
+                 components=[[{"exps": e, "coeff": sc("1")}] for e in ([2, 0], [1, 1], [0, 2])])
+    cases += [(dict(conic, projective=flag), "projective") for flag in ("no", 1)]
+    for obj, field in cases:
+        code, out, err = run(["analyze"], stdin_text=json.dumps(obj))
+        assert code == 1 and out == "", obj
+        assert err.startswith("error: ") and field in err
+    code, _, _ = run(["analyze"], stdin_text=json.dumps(dict(system, n=1)))
+    assert code == 0

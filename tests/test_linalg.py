@@ -204,6 +204,14 @@ def test_integer_elimination_matches_scalar_reference(m):
 
 @PROPERTY
 @given(matrices())
+def test_kernel_and_perp_match_scalar_reference(m):
+    want = reference.kernel(m)
+    assert [list(r) for r in kernel(m).basis] == want
+    assert [list(r) for r in Subspace.from_vectors(m.cols, m.data).perp().basis] == want
+
+
+@PROPERTY
+@given(matrices())
 def test_rank_plus_kernel_dimension_is_cols(m):
     assert rank(m) + kernel(m).dim == m.cols
 

@@ -1,17 +1,18 @@
 import random
+from itertools import combinations_with_replacement
+from math import lcm
+from unittest import mock
 
-from secantgeo import derive_stream
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle_reference as reference
+from oracle_reference import build_join_map, build_tangent_map, terracini_consistency_check
+from secantgeo import derive_stream, oracles
 from secantgeo.genericity import CertificationError
-from secantgeo.oracles import (
-    build_join_map,
-    build_tangent_map,
-    gauss_fiber_dimension,
-    join_dimension,
-    tangent_join_dimension,
-    terracini_consistency_check,
-)
-from secantgeo.polymaps import Poly, PolyMap
-from secantgeo.scalars import Scalar
+from secantgeo.oracles import gauss_fiber_dimension, join_dimension, tangent_join_dimension
+from secantgeo.polymaps import Poly, PolyMap, lift_jet
+from secantgeo.scalars import Rational, Scalar
 from secantgeo.zoo import catalog
 
 
@@ -58,6 +59,11 @@ def test_join_k_validation():
         assert False
     except ValueError:
         pass
+    try:
+        join_dimension(twisted_cubic(), 0, derive_stream(0, "to", "k0"))
+        assert False
+    except ValueError:
+        pass
 
 
 def test_twisted_cubic_dimensions():
@@ -66,9 +72,10 @@ def test_twisted_cubic_dimensions():
     assert join_dimension(f, 1, derive_stream(0, "to", "x")) == 1
     assert join_dimension(f, 2, derive_stream(0, "to", "s2")) == 3
     assert tangent_join_dimension(f, derive_stream(0, "to", "t")) == 2
-    # a curve carries no Gauss fiber, its tangent developable a 1-dim one
-    assert gauss_fiber_dimension(f, derive_stream(0, "to", "g1")) == 0
-    assert gauss_fiber_dimension(build_tangent_map(f), derive_stream(0, "to", "g2")) == 1
+    # a curve carries no Gauss fiber (the reference's Gauss map of X), its
+    # tangent developable a 1-dim one
+    assert reference.gauss_fiber_dimension(f, derive_stream(0, "to", "g1")) == 0
+    assert gauss_fiber_dimension(f, derive_stream(0, "to", "g2")) == 1
 
 
 def test_line_has_degenerate_secants():
@@ -85,7 +92,7 @@ def test_plane_gauss_fiber_is_full():
     comps = (Poly.variable(2, 0), Poly.variable(2, 1),
              Poly.variable(2, 0) + Poly.variable(2, 1))
     f = PolyMap(2, 3, False, comps)
-    assert gauss_fiber_dimension(f, derive_stream(0, "to", "pl")) == 2
+    assert reference.gauss_fiber_dimension(f, derive_stream(0, "to", "pl")) == 2
 
 
 def test_double_point_rejection_on_small_domains():
@@ -129,7 +136,7 @@ def test_immersed_graph_dimension_random():
 
 
 def test_terracini_consistency_on_small_charts():
-    """Join Jacobian rank vs tangent-span dimension, at random pairs.  The
+    """Symbolic join Jacobian rank vs the jet-based rank, at random pairs.  The
     twisted cubic has filling secants, the quadric cone degenerate ones;
     the identity must hold either way."""
     assert terracini_consistency_check(twisted_cubic(), derive_stream(0, "to", "terr"))
@@ -140,3 +147,86 @@ def test_terracini_consistency_on_small_charts():
         Poly.monomial(2, (1, 1), 1),
     ))
     assert terracini_consistency_check(cone, derive_stream(1, "to", "terr"))
+
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def poly_maps(draw):
+    """Small affine or projective maps with rational or Gaussian-rational
+    coefficients.  An affine map starts with its coordinates, as a graph
+    chart does, so that its image is rarely linear."""
+    projective = draw(st.booleans())
+    gaussian = draw(st.booleans())
+    p = draw(st.integers(1, 3))
+    deg = draw(st.integers(1 if projective else 2, 3))
+    part = st.builds(Rational, st.integers(-6, 6), st.integers(1, 4))
+    coeff = (st.builds(Scalar, part, part) if gaussian else st.builds(Scalar, part)).filter(bool)
+    comps = [] if projective else [Poly.variable(p, j) for j in range(p)]
+    for _ in range(draw(st.integers(2, 6))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            e = [0] * p
+            # a term of degree deg, or of degree 2 to deg for an affine map
+            for j in draw(st.lists(st.integers(0, p - 1), min_size=deg if projective else 2,
+                                   max_size=deg)):
+                e[j] += 1
+            terms[tuple(e)] = draw(coeff)
+        comps.append(Poly(p, terms))
+    return PolyMap(p, len(comps), projective, tuple(comps))
+
+
+def _every_sample(module, oracle, f, *args, stream):
+    """The values of all samples of module.oracle(f, *args, stream), drawn at
+    small bounds where special points are common, with certification
+    stubbed out: five draws at bound 1, then bounds 2, 3 and 5."""
+    log = []
+
+    def certified(sample, stream, trials, what="value"):
+        log.extend(sample(b, stream) for b in (1, 1, 1, 1, 1, 2, 3, 5))
+        return log[0]
+
+    with mock.patch.object(module, "certified_value", certified):
+        getattr(module, oracle)(f, *args, stream)
+    return log
+
+
+@PROPERTY
+@given(poly_maps(), st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_lift_jet_is_the_scaled_derivatives(f, point):
+    p = f.domain_dim
+    u = point[:p]
+    lift = f.lift()
+    real = all(not c.im for q in lift for c in q.terms.values())
+    jet = lift_jet(f, u, 3)
+    scales = [lcm(*[x.denominator for c in q.terms.values() for x in (c.re, c.im)])
+              for q in lift]
+    for r in range(4):
+        for idx in combinations_with_replacement(range(p), r):
+            vec = jet.get(idx, [0] * len(lift))
+            # the format of linalg.eliminate: ints, or (re, im) pairs throughout
+            assert idx not in jet or all(isinstance(x, tuple) != real for x in vec)
+            for i, q in enumerate(lift):
+                for j in idx:
+                    q = q.diff(j)
+                want = Scalar(scales[i]) * q.evaluate([Scalar(x) for x in u])
+                got = Scalar(*vec[i]) if isinstance(vec[i], tuple) else Scalar(vec[i])
+                assert got == want, (idx, i)
+
+
+@PROPERTY
+@given(poly_maps(), st.integers(0, 10 ** 6))
+def test_jet_oracles_match_the_symbolic_reference(f, seed):
+    """Every sample value, not only the certified one: equal ranks at the
+    same points, special ones included.  The tau Gauss oracle is compared
+    with the reference's Gauss map of the symbolic tangent map."""
+    def both(name, *args, ref_map=f):
+        got = _every_sample(oracles, name, f, *args, stream=derive_stream(seed, name, *args))
+        want = _every_sample(reference, name, ref_map, *args, stream=derive_stream(seed, name, *args))
+        assert got == want, name
+
+    for k in (1, 2, 3):
+        both("join_dimension", k)
+    both("tangent_join_dimension")
+    both("gauss_fiber_dimension", ref_map=build_tangent_map(f))

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from secantgeo import quadrics
+from secantgeo import linalg, quadrics
 from secantgeo.genericity import CertificationError, derive_stream
 from secantgeo.jets import chart_at, second_fundamental_form
 from secantgeo.linalg import Matrix, Subspace, kernel
@@ -134,6 +134,20 @@ def test_each_profile_draw_contracts_once(monkeypatch):
     generic_vector(s, prof, derive_stream(0, "tq", "once", 1))
     assert len(draws) >= 6
     assert len(contractions) == len(draws)
+
+
+def test_each_profile_draw_reduces_the_contraction_once(monkeypatch):
+    """II_v(T) and Ann(v) both come from one RREF of the transposed
+    contraction."""
+    seen = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: seen.append(m) or rref(m))
+    s = severi_r_system()
+    stream = derive_stream(0, "tq", "rref")
+    for v in ([ONE, ZERO], [ONE, ONE], [Scalar(2), Scalar(-3)]):
+        seen.clear()
+        point = _profile_at(s, v, stream, 5)
+        assert seen.count(point.contraction.transpose()) == 1
 
 
 def test_generic_vector_unmatchable_profile_is_certification_error():

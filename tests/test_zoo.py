@@ -8,7 +8,7 @@ from secantgeo import derive_stream
 from secantgeo.algebras import AlgebraElement, AlgebraTag
 from secantgeo.jets import chart_at, chart_roundtrip_check, refined_third_form_cube, second_fundamental_form
 from secantgeo.linalg import Matrix, kernel
-from secantgeo.oracles import build_tangent_map, gauss_fiber_dimension, join_dimension
+from secantgeo.oracles import gauss_fiber_dimension, join_dimension
 from secantgeo.quadrics import apply_ii, contraction, higher_secant_dimension, ii_image, rank_profile
 from secantgeo.scalars import Scalar
 from secantgeo.zoo import build, catalog, expected, rank_variety, segre, severi, veronese, veronese_of
@@ -183,13 +183,27 @@ def test_expected_records_shape():
     assert expected(veronese(4, 1)) is None
 
 
-@pytest.mark.slow
-def test_regen_golden_reproduces_committed_file():
+def _regen_golden():
     script = Path(__file__).resolve().parents[1] / "scripts" / "regen_golden.py"
     spec = importlib.util.spec_from_file_location("regen_golden", script)
     regen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(regen)
+    return regen
+
+
+@pytest.mark.slow
+def test_regen_golden_reproduces_committed_file():
+    regen = _regen_golden()
     assert regen.golden_text().encode("utf-8") == regen.OUT.read_bytes()
+
+
+@pytest.mark.slow
+def test_reports_match_committed_digests():
+    """Every byte of the seed-0 JSON report of each lighter catalog entry and
+    v2(P^4), as poly_map and as quadric_system (tests/data/report_digests.json,
+    written by scripts/regen_golden.py)."""
+    regen = _regen_golden()
+    assert regen.digest_text().encode("utf-8") == regen.DIGESTS.read_bytes()
 
 
 def test_analyses_reproduce_every_golden_number(entries, analysis):
@@ -203,8 +217,7 @@ def test_analyses_reproduce_every_golden_number(entries, analysis):
         sm = "_sm" if name == "cone_twisted_cubic" else ""
         fiber = rep.dims["tau_gauss_fiber"]
         if fiber is None:
-            fiber = gauss_fiber_dimension(build_tangent_map(ent.map),
-                                          derive_stream(0, name, "golden", "gauss"))
+            fiber = gauss_fiber_dimension(ent.map, derive_stream(0, name, "golden", "gauss"))
         got = {
             "n": rep.dims["n"], "ambient": rep.dims["ambient"], "a": rep.dims["a"],
             "a0": rep.profile.a0, "r": rep.profile.r, "dim_x": oracle["dim_x"],
