@@ -5,7 +5,8 @@ Every number in the golden file comes out of the join/tangent/Gauss oracles
 or the certified rank profile; nothing is typed in by hand.  The digest file
 holds the sha256 of the JSON report `secantgeo analyze --format json` writes
 at seed 0 for each lighter catalog entry and v2(P^4), once as a poly_map and
-once as its quadric_system; it pins every report byte of those inputs.
+once as its quadric_system, and of three Gaussian-rational systems
+(`complex_system`); it pins every report byte of those inputs.
 Rerunning the script must reproduce both committed files byte for byte.
 
     PYTHONPATH=src python scripts/regen_golden.py
@@ -19,8 +20,9 @@ from secantgeo import derive_stream
 from secantgeo.jets import chart_at, second_fundamental_form
 from secantgeo.oracles import gauss_fiber_dimension, join_dimension, tangent_join_dimension
 from secantgeo.polymaps import polymap_to_json
-from secantgeo.quadrics import quadric_system_to_json, rank_profile
+from secantgeo.quadrics import QuadricSystem, quadric_system_to_json, rank_profile
 from secantgeo.report import analyze, render
+from secantgeo.scalars import I, Scalar
 from secantgeo.zoo import catalog, veronese
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,6 +34,11 @@ HEAVY = {"severi_O", "grassmannian_2_7"}
 
 # entries whose third secant dimension the acceptance suite pins down
 WANT_SIGMA3 = {"segre_3_3", "severi_O"}
+
+# entries whose forms, made complex, pin the Z[i] route of the report: no
+# catalog chart is complex, and these keep a0 = a - 1, so the annihilator
+# rank, the singular locus and the Clifford checks all run on Z[i]
+COMPLEX = ("severi_C", "severi_H", "segre_3_3")
 
 
 def entry_record(ent) -> dict:
@@ -69,6 +76,16 @@ def golden_text() -> str:
     return json.dumps(table, indent=2, sort_keys=True) + "\n"
 
 
+def complex_system(ent) -> QuadricSystem:
+    """The second fundamental form of ent with q_0 += (1 + i/2) q_1 and
+    q_last *= i."""
+    s = second_fundamental_form(chart_at(ent.map, list(ent.base_point), 3))
+    qs = list(s.quadrics)
+    qs[0] = qs[0].add(qs[1].scale(Scalar(1, "1/2")))
+    qs[-1] = qs[-1].scale(I)
+    return QuadricSystem(s.n, s.a, tuple(qs))
+
+
 def digest_text() -> str:
     """The digest file's text, recomputed from the reports."""
     table = {}
@@ -79,6 +96,10 @@ def digest_text() -> str:
         for kind, obj in inputs.items():
             report = render(analyze(obj), "json").encode("utf-8")
             table["%s/%s" % (ent.name, kind)] = hashlib.sha256(report).hexdigest()
+    for ent in [e for e in catalog() if e.name in COMPLEX]:
+        report = render(analyze(quadric_system_to_json(complex_system(ent))), "json")
+        table["%s_gaussian/quadric_system" % ent.name] = \
+            hashlib.sha256(report.encode("utf-8")).hexdigest()
     return json.dumps(table, indent=2, sort_keys=True) + "\n"
 
 

@@ -153,7 +153,7 @@ def chart_at(f: PolyMap, u0, order: int = 3) -> JetChart:
     c4 = tuple(g.graded_part(4) for g in graphs) if order >= 4 else None
 
     tangent_frame = Subspace.from_vectors(m, [diff.col(j) for j in range(n)])
-    normal_frame = Subspace.from_vectors(m, [_basis_vec(m, i) for i in nrows]) if a else Subspace.zero(m)
+    normal_frame = Subspace.from_vectors(m, [_basis_vec(m, i) for i in nrows])
     return JetChart(
         base_point=u0,
         tangent_frame=tangent_frame,

@@ -1,19 +1,19 @@
 """Exact linear algebra over Q(i).
 
-Matrices hold Scalars, but rank and RREF never compute with them.  Each row
-is first multiplied by the lcm of its denominators, which leaves rank and
-row space unchanged, and elimination then runs on Gaussian integers:
-plain Python ints when every entry is real (every catalog chart and every
-sample point is), (re, im) int pairs otherwise.  `rank` is Bareiss's
-fraction-free elimination; `rref` is its Gauss-Jordan form, and divides
-each row by its pivot only when converting back to Scalars.  The division
-by the previous pivot that keeps the integers small is exact in Z[i] by
-Sylvester's identity, and is checked: an inexact one raises.  Callers that
-already hold Gaussian-integer vectors in that format (the oracles' point
-jets) use `eliminate`, `integer_reducer` and `integer_combination` directly.
-
-Subspaces carry the canonical reduced-row-echelon basis, hence subspace
-equality is plain syntactic equality of bases.
+Matrices hold Scalars, but no elimination computes with them.  Each row is
+first multiplied by the lcm of its denominators (`integer_values`), which
+leaves rank and row space unchanged, and elimination then runs on Gaussian
+integers: plain Python ints when every entry is real (every catalog chart
+and every sample point is), (re, im) int pairs otherwise.  `eliminate` is
+Bareiss's fraction-free elimination, or its Gauss-Jordan form; the division
+by the previous pivot is exact in Z[i] by Sylvester's identity, and is
+checked.  Its callers: `rank`; `IntegerSpan`, which gives `rref`, every
+Subspace and kernel, and divides by the pivot only when converting back to
+Scalars (`scalar_values`); `integer_reducer`; the oracles' ranks of point
+jets; and the quadric systems, which keep their quadrics on Gaussian
+integers (`QuadricSystem.integer_form`) for contractions, annihilator ranks
+and singular loci.  Subspaces carry the canonical reduced-row-echelon basis,
+hence subspace equality is plain syntactic equality of bases.
 """
 
 from __future__ import annotations
@@ -42,13 +42,6 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        data = [_as_scalar_row(r) for r in rows]
-        if not data:
-            raise ValueError("from_rows needs at least one row")
-        return Matrix(len(data), len(data[0]), data)
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
@@ -58,9 +51,6 @@ class Matrix:
 
     def at(self, i: int, j: int) -> Scalar:
         return self.data[i][j]
-
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.data[i]
 
     def col(self, j: int) -> tuple[Scalar, ...]:
         return tuple(r[j] for r in self.data)
@@ -136,36 +126,38 @@ def _unit(n: int, j: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def stack_rows(mats: Sequence[Matrix]) -> Matrix:
-    cols = mats[0].cols
-    data = []
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("stack_rows column mismatch")
-        data.extend(m.data)
-    return Matrix(len(data), cols, data)
-
-
-def integer_values(values: Sequence[Scalar], real: bool) -> list:
-    """values times the lcm of their denominators, as Gaussian integers in
-    the elimination format: ints when real, else (re, im) int pairs.
-    Scaling a row changes neither the rank nor the RREF."""
+def integer_values(values: Sequence[Scalar], real: bool | None = None) -> tuple[list, int]:
+    """(values times den, den), den the lcm of their denominators, as Gaussian
+    integers in the elimination format: ints when real (by default, when no
+    value is complex), else (re, im) int pairs.  No rank or RREF moves."""
+    if real is None:
+        real = not any(x.im for x in values)
     if real:
         parts = [x.re for x in values]
         den = lcm(*[p.denominator for p in parts])
         if den == 1:
-            return [p.numerator for p in parts]
-        return [p.numerator * (den // p.denominator) for p in parts]
+            return [p.numerator for p in parts], 1
+        return [p.numerator * (den // p.denominator) for p in parts], den
     den = lcm(*[p.denominator for x in values for p in (x.re, x.im)])
     return [(x.re.numerator * (den // x.re.denominator),
-             x.im.numerator * (den // x.im.denominator)) for x in values]
+             x.im.numerator * (den // x.im.denominator)) for x in values], den
 
 
-def _integer_rows(m: Matrix) -> list[list]:
-    """The rows of m, each multiplied by the lcm of its denominators, all in
-    one format."""
-    real = not any(x.im for r in m.data for x in r)
-    return [integer_values(r, real) for r in m.data]
+def scalar_values(values, den) -> list[Scalar]:
+    """Gaussian integers of either format divided by den (an int, or an
+    (re, im) pair), as Scalars: the way back from the elimination format."""
+    if type(den) is int and _is_real([values]):
+        return [Scalar(Rational(x, den)) if x else ZERO for x in values]
+    pr, pi = (den, 0) if type(den) is int else den
+    norm = pr * pr + pi * pi
+    return [Scalar(Rational(xr * pr + xi * pi, norm), Rational(xi * pr - xr * pi, norm))
+            if xr or xi else ZERO for xr, xi in values]
+
+
+def _integer_rows(rows) -> list[list]:
+    """Scalar rows, each cleared by `integer_values`, all in one format."""
+    real = not any(x.im for r in rows for x in r)
+    return [integer_values(r, real)[0] for r in rows]
 
 
 def _is_real(rows) -> bool:
@@ -276,35 +268,61 @@ def integer_reducer(vectors):
 
 
 def integer_combination(terms) -> list:
-    """sum c * vec over the (int c, vec) pairs, on Gaussian-integer vectors
-    of one format."""
+    """sum c * vec over the (c, vec) pairs, on Gaussian integers: vectors of
+    one format, coefficients of either, the sum in pairs when any of them
+    is.  Terms with a zero coefficient add nothing and are skipped."""
     (c, vec), *rest = terms
-    if _is_real([vec]):
+    real = _is_real([vec])
+    if real and all(type(c) is int for c, _ in terms):
         acc = [c * x for x in vec]
         for c, vec in rest:
-            acc = [a + c * x for a, x in zip(acc, vec)]
+            if c:
+                acc = [a + c * x for a, x in zip(acc, vec)]
         return acc
-    acc = [(c * x, c * y) for x, y in vec]
-    for c, vec in rest:
-        acc = [(a + c * x, b + c * y) for (a, b), (x, y) in zip(acc, vec)]
+    acc = [(0, 0)] * len(vec)
+    for c, vec in terms:
+        cr, ci = (c, 0) if type(c) is int else c
+        if cr or ci:
+            acc = ([(a + cr * x, b + ci * x) for (a, b), x in zip(acc, vec)] if real else
+                   [(a + cr * x - ci * y, b + cr * y + ci * x) for (a, b), (x, y) in zip(acc, vec)])
     return acc
+
+
+class IntegerSpan:
+    """The span of Gaussian-integer rows after one fraction-free Gauss-Jordan
+    elimination: `rows` carry the last pivot `last` at every pivot column,
+    so they are the canonical (RREF) basis times one common factor."""
+
+    __slots__ = ("ambient_dim", "pivots", "rows", "last")
+
+    def __init__(self, ambient_dim: int, rows):
+        self.ambient_dim = ambient_dim
+        self.pivots, self.rows, self.last = eliminate(rows, reduce=True)
+
+    def subspace(self) -> "Subspace":
+        """The span with its canonical basis as Scalars."""
+        return Subspace(self.ambient_dim, tuple(self.pivots),
+                        tuple(tuple(scalar_values(r, self.last)) for r in self.rows))
+
+    def perp(self) -> "IntegerSpan":
+        """The annihilator under sum x_i y_i, spanned by one vector per free
+        column j: -last at j and row_i[j] at the pivot of row_i."""
+        n, at = self.ambient_dim, dict(zip(self.pivots, self.rows))
+        neg, zero = (-self.last, 0) if type(self.last) is int else \
+            ((-self.last[0], -self.last[1]), (0, 0))
+        return IntegerSpan(n, [[at[k][j] if k in at else neg if k == j else zero
+                                for k in range(n)] for j in range(n) if j not in at])
 
 
 def rank(m: Matrix) -> int:
     """Rank by Bareiss fraction-free elimination on Gaussian integers."""
-    return len(eliminate(_integer_rows(m))[0])
+    return len(eliminate(_integer_rows(m.data))[0])
 
 
 def rref(m: Matrix) -> tuple[list[int], list[list[Scalar]]]:
     """Reduced row echelon form; returns (pivot columns, nonzero rows)."""
-    pivots, rows, last = eliminate(_integer_rows(m), reduce=True)
-    # fraction-free Gauss-Jordan leaves last pivot at every pivot position
-    if type(last) is int:
-        return pivots, [[Scalar(Rational(x, last)) if x else ZERO for x in r] for r in rows]
-    pr, pi = last
-    norm = pr * pr + pi * pi
-    return pivots, [[Scalar(Rational(xr * pr + xi * pi, norm), Rational(xi * pr - xr * pi, norm))
-                     if xr or xi else ZERO for xr, xi in r] for r in rows]
+    span = IntegerSpan(m.cols, _integer_rows(m.data))
+    return span.pivots, [scalar_values(r, span.last) for r in span.rows]
 
 
 class Subspace:
@@ -326,19 +344,7 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("vector length != ambient_dim")
-        if not rows:
-            return Subspace.zero(ambient_dim)
-        pivots, red = rref(Matrix(len(rows), ambient_dim, rows))
-        return Subspace(ambient_dim, tuple(pivots), tuple(tuple(r) for r in red))
-
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, (), ())
-
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        ident = Matrix.identity(ambient_dim)
-        return Subspace(ambient_dim, tuple(range(ambient_dim)), ident.data)
+        return IntegerSpan(ambient_dim, _integer_rows(rows)).subspace()
 
     @property
     def dim(self) -> int:
@@ -363,18 +369,8 @@ class Subspace:
         return all(self.contains(row) for row in other.basis)
 
     def perp(self) -> "Subspace":
-        """Annihilator under the standard bilinear pairing sum(x_i y_i), read
-        off the RREF basis: one vector per free column."""
-        if self.dim == 0:
-            return Subspace.full(self.ambient_dim)
-        vecs = []
-        for j in self.complement_indices():
-            v = [ZERO] * self.ambient_dim
-            v[j] = ONE
-            for p, row in zip(self.pivots, self.basis):
-                v[p] = -row[j]
-            vecs.append(v)
-        return Subspace.from_vectors(self.ambient_dim, vecs)
+        """Annihilator under the standard bilinear pairing sum(x_i y_i)."""
+        return IntegerSpan(self.ambient_dim, _integer_rows(self.basis)).perp().subspace()
 
     def complement_indices(self) -> list[int]:
         """Standard coordinates whose basis vectors represent cosets of a
@@ -397,7 +393,7 @@ class Subspace:
 def kernel(m: Matrix) -> Subspace:
     """Right kernel {x : m x = 0} with canonical basis: the annihilator of
     the row space."""
-    return Subspace.from_vectors(m.cols, m.data).perp()
+    return IntegerSpan(m.cols, _integer_rows(m.data)).perp().subspace()
 
 
 def span_sum(spaces: Sequence[Subspace]) -> Subspace:
@@ -422,9 +418,7 @@ def intersect(spaces: Sequence[Subspace]) -> Subspace:
         if s.ambient_dim != amb:
             raise ValueError("ambient mismatch")
         ann_rows.extend(s.perp().basis)
-    if not ann_rows:
-        return Subspace.full(amb)
-    return kernel(Matrix(len(ann_rows), amb, ann_rows))
+    return IntegerSpan(amb, _integer_rows(ann_rows)).perp().subspace()
 
 
 def solve_left(rows_a: Matrix, rows_b: Matrix) -> Matrix:

@@ -228,7 +228,7 @@ def lift_jet(f: PolyMap, u: Sequence[int], order: int) -> dict:
     zero = 0 if real else (0, 0)
     jet = {(): [zero] * len(lift)}
     for i, q in enumerate(lift):
-        for e, c in zip(q.terms, integer_values(list(q.terms.values()), real)):
+        for e, c in zip(q.terms, integer_values(list(q.terms.values()), real)[0]):
             support = [j for j, k in enumerate(e) if k]
             for r in range(min(order, sum(e)) + 1):
                 for idx in combinations_with_replacement(support, r):

@@ -10,10 +10,12 @@ vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .genericity import CertificationError, certified_value, nonzero_vector
-from .linalg import Matrix, Subspace, _dot, kernel, rank, span_sum, stack_rows
-from .scalars import Scalar, scalar_from_json, scalar_to_json
+from .linalg import (IntegerSpan, Matrix, Subspace, eliminate, integer_combination,
+                     integer_values, scalar_values, span_sum)
+from .scalars import Scalar, _coerce, scalar_from_json, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -31,60 +33,71 @@ class QuadricSystem:
             if not q.is_symmetric():
                 raise ValueError("quadric matrix not symmetric")
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[list, ...], int]:
+        """(quadrics, D): each quadric times one common denominator D, its n
+        rows in a row as n * n Gaussian integers in the format of `eliminate`.
+        One scaling of the whole system moves no rank, image, kernel,
+        annihilator, singular locus or r."""
+        flat, den = integer_values([x for q in self.quadrics for r in q.data for x in r])
+        size = self.n * self.n
+        return tuple(flat[i:i + size] for i in range(0, len(flat), size)), den
+
     def independent(self) -> bool:
         """Whether the a quadrics are linearly independent (II* injective)."""
-        if self.a == 0:
-            return True
-        flat = [[q.at(i, j) for i in range(self.n) for j in range(self.n)] for q in self.quadrics]
-        return rank(Matrix(self.a, self.n * self.n, flat)) == self.a
+        return len(eliminate(list(self.integer_form[0]))[0]) == self.a
+
+
+def _square(q, n: int) -> list:
+    """The n rows of a quadric on the integer form."""
+    return [q[i:i + n] for i in range(0, n * n, n)]
 
 
 def apply_ii(s: QuadricSystem, v) -> list[Scalar]:
     """II(v, v) as a vector in the normal space C^a."""
-    return [_eval_quadric(q, v, v) for q in s.quadrics]
+    return contraction(s, v).mul_vec([_coerce(x) for x in v])
 
 
-def _eval_quadric(q: Matrix, v, w) -> Scalar:
-    return _dot(v, q.mul_vec(w))
+def integer_contraction(s: QuadricSystem, v) -> tuple[list, int]:
+    """(c, den): II_v = c / den, with c the a x n contraction on the
+    integer form at v cleared of its denominators, as Gaussian integers."""
+    if len(v) != s.n:
+        raise ValueError("vector length != n")
+    quads, den = s.integer_form
+    vi, lam = integer_values([_coerce(x) for x in v])
+    # q v = sum_k v_k q[k], q being symmetric
+    return [integer_combination(list(zip(vi, _square(q, s.n)))) for q in quads], den * lam
 
 
 def contraction(s: QuadricSystem, v) -> Matrix:
     """The linear map II_v = II(v, .) : T -> N as an a x n matrix."""
-    return Matrix(s.a, s.n, [q.mul_vec(v) for q in s.quadrics])
+    c, den = integer_contraction(s, v)
+    return Matrix(s.a, s.n, [scalar_values(r, den) for r in c])
 
 
 def ii_image(s: QuadricSystem, v) -> Subspace:
     """II_v(T) as a subspace of N."""
-    return Subspace.from_vectors(s.a, contraction(s, v).transpose().data)
+    return IntegerSpan(s.a, list(zip(*integer_contraction(s, v)[0]))).subspace()
+
+
+def integer_quadric(s: QuadricSystem, coeffs) -> list:
+    """sum_mu c_mu q^mu on the integer form, for Gaussian-integer
+    coefficients of either format."""
+    return integer_combination(list(zip(coeffs, s.integer_form[0])))
 
 
 def quadric_from_coefficients(s: QuadricSystem, coeffs) -> Matrix:
-    """sum_mu c_mu q^mu, each entry summed once on the rational parts; the
-    quadrics are symmetric, so only the lower triangle is summed."""
-    terms = [(c.re, c.im, q.data) for c, q in zip(coeffs, s.quadrics) if c]
-    real = not any(ci for _, ci, _ in terms)
-    data = [[None] * s.n for _ in range(s.n)]
-    for i in range(s.n):
-        for j in range(i + 1):
-            re = im = 0
-            for cr, ci, q in terms:
-                x = q[i][j]
-                if x:
-                    if real and not x.im:
-                        re += cr * x.re
-                    else:
-                        re += cr * x.re - ci * x.im
-                        im += cr * x.im + ci * x.re
-            data[i][j] = data[j][i] = Scalar(re, im)
-    return Matrix(s.n, s.n, data)
+    """sum_mu c_mu q^mu for exact coefficients: cleared by their lcm L,
+    combined on the integer form and divided by L D once."""
+    ints, den = integer_values([_coerce(c) for c in coeffs])
+    q = integer_quadric(s, ints)
+    return Matrix(s.n, s.n, _square(scalar_values(q, den * s.integer_form[1]), s.n))
 
 
-def singular_locus(s: QuadricSystem, quadrics) -> Subspace:
-    """Common kernel of the given quadrics; all of T for an empty list."""
-    mats = list(quadrics)
-    if not mats:
-        return Subspace.full(s.n)
-    return kernel(stack_rows(mats))
+def singular_locus(s: QuadricSystem, quads) -> Subspace:
+    """Common kernel of quadrics on the integer form (`integer_quadric`): the
+    kernel of their stacked rows; all of T for none."""
+    return IntegerSpan(s.n, [r for q in quads for r in _square(q, s.n)]).perp().subspace()
 
 
 @dataclass(frozen=True)
@@ -127,36 +140,30 @@ class GenericPoint:
 
 
 def _profile_at(s: QuadricSystem, v, inner_stream, inner_trials: int) -> GenericPoint:
-    c = contraction(s, v)
+    c, den = integer_contraction(s, v)
     # Ann(v) is the kernel of the transposed contraction: the annihilator of
-    # its row space II_v(T), so one RREF gives both
-    image = Subspace.from_vectors(s.a, c.transpose().data)
+    # its row space II_v(T), so one elimination gives both
+    image = IntegerSpan(s.a, list(zip(*c)))
     ann = image.perp()
-    singloc = singular_locus(s, [quadric_from_coefficients(s, row) for row in ann.basis])
-    r = _max_rank_in_span(s, ann, inner_stream, inner_trials)
-    return GenericPoint(tuple(v), c, image, kernel(c), ann, singloc, r)
+    # Ann(v)'s quadrics from its fraction-free basis: the canonical one
+    # times a common factor, which moves no rank or kernel
+    quads = [integer_quadric(s, row) for row in ann.rows]
+    return GenericPoint(tuple(v), Matrix(s.a, s.n, [scalar_values(r, den) for r in c]),
+                        image.subspace(), IntegerSpan(s.n, c).perp().subspace(),
+                        ann.subspace(), singular_locus(s, quads),
+                        _max_rank_in_span(s.n, quads, inner_stream, inner_trials))
 
 
-def _max_rank_in_span(s: QuadricSystem, ann: Subspace, stream, trials: int) -> int:
-    if ann.dim == 0:
-        return 0
-    best = 0
-    combos = []
-    if ann.dim <= 2:
-        # exhaustive corners: basis members and their sums and differences
-        combos.append(ann.basis[0])
-        if ann.dim == 2:
-            b0, b1 = ann.basis
-            combos.append(b1)
-            combos.append([x + y for x, y in zip(b0, b1)])
-            combos.append([x - y for x, y in zip(b0, b1)])
-    for _ in range(trials):
-        coeffs = nonzero_vector(ann.dim, 4, stream)
-        combos.append([_dot(coeffs, col) for col in zip(*ann.basis)])
-    for combo in combos:
-        q = quadric_from_coefficients(s, combo)
-        best = max(best, rank(q))
-    return best
+def _max_rank_in_span(n: int, quads: list, stream, trials: int) -> int:
+    """The largest rank of the members of quads, their sum and difference
+    (for up to two), and `trials` random combinations."""
+    combos = list(quads) if len(quads) <= 2 else []
+    if len(quads) == 2:
+        combos += [integer_combination([(1, quads[0]), (c, quads[1])]) for c in (1, -1)]
+    for _ in range(trials if quads else 0):
+        coeffs = nonzero_vector(len(quads), 4, stream)
+        combos.append(integer_combination([(c.re.numerator, q) for c, q in zip(coeffs, quads)]))
+    return max([len(eliminate(_square(q, n))[0]) for q in combos], default=0)
 
 
 def rank_profile(s: QuadricSystem, stream, trials: int = 5) -> RankProfile:
@@ -258,13 +265,12 @@ def hypersurface_projection(s: QuadricSystem, profile: RankProfile, stream,
     dim II_v(T), which the certified a0 of the projected form confirms."""
     rows = profile.a0 + 1
     for _ in range(10):
-        m = Matrix(rows, s.a, [[Scalar(stream.randint(-5, 5)) for _ in range(s.a)]
-                               for _ in range(rows)])
-        if rank(m) == rows:
+        m = [[stream.randint(-5, 5) for _ in range(s.a)] for _ in range(rows)]
+        if len(eliminate(m)[0]) == rows:
             break
     else:
         raise CertificationError("no full-rank projection of the normal space in 10 draws")
-    t = QuadricSystem(s.n, rows, tuple(quadric_from_coefficients(s, row) for row in m.data))
+    t = QuadricSystem(s.n, rows, tuple(quadric_from_coefficients(s, row) for row in m))
     prof = rank_profile(t, stream, trials)
     if prof.a0 != profile.a0:
         raise CertificationError("projection changed a0 from %d to %d"

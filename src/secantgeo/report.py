@@ -204,10 +204,10 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions(), descriptor: str | N
 def _verdicts(s, profile, jet, f, defects: DefectReport,
               projected: DefectReport | None, cross_checks, sigma_rows, tau_gauss,
               sigma_degenerate, third_vanishes, options) -> tuple[Verdict, ...]:
-    out = []
-    out.append(Verdict("independent_system", _status(s.independent()),
-                       "the quadrics are linearly independent" if s.independent()
-                       else "degenerate system: some quadrics are dependent or zero"))
+    independent = s.independent()
+    out = [Verdict("independent_system", _status(independent),
+                   "the quadrics are linearly independent" if independent
+                   else "degenerate system: some quadrics are dependent or zero")]
 
     pairs = [c for c in cross_checks if c.agree is not None]
     if pairs:

@@ -1,6 +1,7 @@
 """The elimination `secantgeo.linalg` used before its integer kernel: rank
 and RREF computed directly on Scalars.  Kept as the reference the integer
-kernel is checked against."""
+kernel is checked against, with `stack_rows`, which only the references
+use."""
 
 from math import lcm
 
@@ -90,3 +91,13 @@ def kernel(m: Matrix) -> list[list[Scalar]]:
                 v[p] = -rows[r][j]
             vecs.append(v)
     return rref(Matrix(len(vecs), m.cols, vecs))[1] if vecs else []
+
+
+def stack_rows(mats) -> Matrix:
+    cols = mats[0].cols
+    data = []
+    for m in mats:
+        if m.cols != cols:
+            raise ValueError("stack_rows column mismatch")
+        data.extend(m.data)
+    return Matrix(len(data), cols, data)

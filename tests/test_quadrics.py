@@ -1,20 +1,24 @@
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quadrics_reference as reference
 from secantgeo import linalg, quadrics
-from secantgeo.genericity import CertificationError, derive_stream
+from secantgeo.genericity import CertificationError, derive_stream, nonzero_vector
 from secantgeo.jets import chart_at, second_fundamental_form
-from secantgeo.linalg import Matrix, Subspace, kernel
+from secantgeo.linalg import Matrix, Subspace, integer_values, kernel, rank
 from secantgeo.polymaps import Poly, PolyMap
-from secantgeo.quadrics import (QuadricSystem, _profile_at, apply_ii, contraction,
-                                generic_vector, higher_secant_dimension,
-                                hypersurface_projection, ii_image,
-                                is_tangentially_degenerate, quadric_from_coefficients,
-                                quadric_system_from_json, quadric_system_to_json,
-                                rank_profile, secant_dimension, singular_locus,
-                                tangential_dimension)
-from secantgeo.scalars import ONE, ZERO, Scalar
+from secantgeo.quadrics import (QuadricSystem, _max_rank_in_span, _profile_at, apply_ii,
+                                contraction, generic_vector, higher_secant_dimension,
+                                hypersurface_projection, ii_image, integer_contraction,
+                                integer_quadric, is_tangentially_degenerate,
+                                quadric_from_coefficients, quadric_system_from_json,
+                                quadric_system_to_json, rank_profile, secant_dimension,
+                                singular_locus, tangential_dimension)
+from secantgeo.scalars import ONE, ZERO, Rational, Scalar
 
 
 def sym(n, entries):
@@ -55,8 +59,8 @@ def test_annihilator_and_singular_locus():
     q = quadric_from_coefficients(s, list(ann.basis[0]))
     # the annihilator quadric is singular exactly at multiples of v
     assert not any(q.mul_vec(v))
-    sl = singular_locus(s, [q])
-    assert sl == point.singloc
+    sl = singular_locus(s, [integer_quadric(s, integer_values(ann.basis[0])[0])])
+    assert sl == point.singloc == kernel(q)
     assert sl.dim == 1
     assert sl.contains(v)
 
@@ -125,9 +129,9 @@ def test_generic_vector_certified():
 
 def test_each_profile_draw_contracts_once(monkeypatch):
     draws, contractions = [], []
-    draw, contract = quadrics._profile_at, quadrics.contraction
+    draw, contract = quadrics._profile_at, quadrics.integer_contraction
     monkeypatch.setattr(quadrics, "_profile_at", lambda *a: draws.append(1) or draw(*a))
-    monkeypatch.setattr(quadrics, "contraction",
+    monkeypatch.setattr(quadrics, "integer_contraction",
                         lambda *a: contractions.append(1) or contract(*a))
     s = severi_r_system()
     prof = rank_profile(s, derive_stream(0, "tq", "once"))
@@ -137,17 +141,36 @@ def test_each_profile_draw_contracts_once(monkeypatch):
 
 
 def test_each_profile_draw_reduces_the_contraction_once(monkeypatch):
-    """II_v(T) and Ann(v) both come from one RREF of the transposed
-    contraction."""
+    """II_v(T) and Ann(v) both come from one elimination of the transposed
+    integer contraction."""
     seen = []
-    rref = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda m: seen.append(m) or rref(m))
+    eliminate = linalg.eliminate
+    monkeypatch.setattr(linalg, "eliminate", lambda rows, reduce=False:
+                        seen.append([list(r) for r in rows]) or eliminate(rows, reduce))
     s = severi_r_system()
     stream = derive_stream(0, "tq", "rref")
     for v in ([ONE, ZERO], [ONE, ONE], [Scalar(2), Scalar(-3)]):
         seen.clear()
-        point = _profile_at(s, v, stream, 5)
-        assert seen.count(point.contraction.transpose()) == 1
+        _profile_at(s, v, stream, 5)
+        assert seen.count([list(r) for r in zip(*integer_contraction(s, v)[0])]) == 1
+
+
+def test_annihilator_rank_search_combinations():
+    """Members, sum and difference only for up to two quadrics, and every
+    random combination with the drawn coefficients as drawn."""
+    # q0 = diag(0, 2, 2, 1) and q1 = diag(1, -1, 1, 0), on the integer form:
+    # rank 3 each and at q0 -+ 2 q1, while q0 -+ q1 reach rank 4
+    q0 = [x if i % 5 == 0 else 0 for i, x in enumerate([0, 2, 2, 1] * 4)]
+    q1 = [x if i % 5 == 0 else 0 for i, x in enumerate([1, -1, 1, 0] * 4)]
+    assert _max_rank_in_span(4, [q0, q1], random.Random(0), 0) == 4
+    assert _max_rank_in_span(4, [q0, q1, q0], random.Random(0), 0) == 0
+    seen = set()
+    for seed in range(40):
+        c = nonzero_vector(3, 4, random.Random(seed))
+        want = int(c[0] + c[1] != 0)
+        assert _max_rank_in_span(1, [[1], [1], [0]], random.Random(seed), 1) == want
+        seen.add(want)
+    assert seen == {0, 1}
 
 
 def test_generic_vector_unmatchable_profile_is_certification_error():
@@ -234,3 +257,70 @@ def test_independent_flag():
     assert s.independent()
     dup = QuadricSystem(2, 2, (s.quadrics[0], s.quadrics[0]))
     assert not dup.independent()
+
+
+# -- the integer form against the Scalar reference --------------------------
+
+PROPERTY = settings(max_examples=120, deadline=None, database=None)
+
+
+def entries(real):
+    """Zero often; otherwise p/q with a small denominator, and complex
+    unless real."""
+    part = st.builds(Rational, st.integers(-9, 9), st.integers(1, 6))
+    nonzero = st.builds(Scalar, part) if real else st.builds(Scalar, part, part)
+    return st.one_of(st.just(ZERO), nonzero)
+
+
+@st.composite
+def systems(draw):
+    """Small systems over Q or Q(i) with zero quadrics and quadrics that are
+    combinations of earlier ones."""
+    real = draw(st.booleans())
+    n, a = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    quads = []
+    for _ in range(a):
+        kind = draw(st.sampled_from(["zero", "dependent", "random"] if quads else
+                                    ["zero", "random"]))
+        if kind == "zero":
+            quads.append(Matrix.zero(n, n))
+        elif kind == "dependent":
+            coeffs = draw(st.lists(entries(real), min_size=len(quads), max_size=len(quads)))
+            acc = Matrix.zero(n, n)
+            for c, q in zip(coeffs, quads):
+                acc = acc.add(q.scale(c))
+            quads.append(acc)
+        else:
+            rows = [[ZERO] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    rows[i][j] = rows[j][i] = draw(entries(real))
+            quads.append(Matrix(n, n, rows))
+    return QuadricSystem(n, a, tuple(quads))
+
+
+@PROPERTY
+@given(systems(), st.integers(0, 2**32), st.integers(1, 6), st.booleans())
+def test_profile_matches_scalar_reference(s, seed, bound, gaussian):
+    """Every field of the point, and the stream state after it, equal the
+    Scalar route's at the same draws."""
+    v = nonzero_vector(s.n, bound, random.Random(seed), gaussian)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    point = _profile_at(s, v, ours, 3)
+    want = reference.profile_at(s, v, theirs, 3)
+    assert point == want
+    assert ours.getstate() == theirs.getstate()
+
+
+@PROPERTY
+@given(systems(), st.data())
+def test_combinations_match_scalar_reference(s, data):
+    coeffs = data.draw(st.lists(entries(data.draw(st.booleans())), min_size=s.a,
+                                max_size=s.a))
+    if s.a:
+        q = quadric_from_coefficients(s, coeffs)
+        assert q == reference.quadric_from_coefficients(s, coeffs)
+    v = data.draw(st.lists(entries(False), min_size=s.n, max_size=s.n))
+    assert contraction(s, v) == reference.contraction(s, v)
+    flat = Matrix(s.a, s.n * s.n, [[x for r in q.data for x in r] for q in s.quadrics])
+    assert s.independent() == (rank(flat) == s.a)

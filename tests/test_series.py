@@ -1,9 +1,12 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from secantgeo.polymaps import Poly
 from secantgeo.series import (compose_each, compose_trunc, invert_map_series, mul_trunc,
                               reciprocal_trunc, shift_poly)
-from secantgeo.scalars import ONE, Scalar
+from secantgeo.scalars import ONE, Rational, Scalar
 
 
 def rand_poly(rng, nvars, degree, bound=4):
@@ -114,3 +117,57 @@ def test_degenerate_orders():
     assert mul_trunc(p, p, 0).is_zero()
     one = Poly.constant(2, 3)
     assert mul_trunc(p, one, 2) == p.scale(3)
+
+
+# -- properties on random maps over Q and Q(i) ------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+
+def coefficients(real):
+    part = st.builds(Rational, st.integers(-5, 5), st.integers(1, 4))
+    return st.builds(Scalar, part) if real else st.builds(Scalar, part, part)
+
+
+@st.composite
+def series_maps(draw, nonlinear_from=0):
+    """(n, order, ys): n polynomials in n variables over Q or Q(i), each with
+    p/q coefficients on monomials of degree nonlinear_from..order."""
+    real = draw(st.booleans())
+    n, order = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    ys = []
+    for _ in range(n):
+        p = Poly(n)
+        for _ in range(draw(st.integers(0, 4))):
+            e = draw(st.lists(st.integers(0, order), min_size=n, max_size=n))
+            if nonlinear_from <= sum(e) <= order:
+                p = p + Poly.monomial(n, e, draw(coefficients(real)))
+        ys.append(p)
+    return n, order, ys
+
+
+@PROPERTY
+@given(series_maps(nonlinear_from=2), st.data())
+def test_invert_map_series_roundtrips_on_random_invertible_maps(m, data):
+    """y(h) = L h + higher terms, L lower triangular with a nonzero
+    diagonal: the truncated inverse is a two-sided inverse up to order."""
+    n, order, higher = m
+    real = data.draw(st.booleans())
+    ys = []
+    for i, q in enumerate(higher):
+        lin = Poly.variable(n, i, data.draw(coefficients(real).filter(bool)))
+        for j in range(i):
+            lin = lin + Poly.variable(n, j, data.draw(coefficients(real)))
+        ys.append(lin + q)
+    phi = invert_map_series(ys, order)
+    ident = [Poly.variable(n, i) for i in range(n)]
+    assert compose_each(ys, phi, order) == ident
+    assert compose_each(phi, ys, order) == ident
+
+
+@PROPERTY
+@given(series_maps())
+def test_compose_each_with_identity_substitution_is_identity(m):
+    n, order, fs = m
+    ident = [Poly.variable(n, i) for i in range(n)]
+    assert compose_each(fs, ident, order) == [f.truncated(order) for f in fs]

@@ -200,8 +200,8 @@ def test_regen_golden_reproduces_committed_file():
 @pytest.mark.slow
 def test_reports_match_committed_digests():
     """Every byte of the seed-0 JSON report of each lighter catalog entry and
-    v2(P^4), as poly_map and as quadric_system (tests/data/report_digests.json,
-    written by scripts/regen_golden.py)."""
+    v2(P^4), as poly_map and as quadric_system, and of three Gaussian-rational
+    systems (tests/data/report_digests.json, written by scripts/regen_golden.py)."""
     regen = _regen_golden()
     assert regen.digest_text().encode("utf-8") == regen.DIGESTS.read_bytes()
 
