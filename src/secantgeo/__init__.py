@@ -3,12 +3,11 @@ fundamental forms, tangential and secant defects, Gauss fibers, and the
 Clifford algebra structure forced on degenerate tangential hypersurfaces.
 """
 
-from .scalars import BACKEND, Scalar
+from .scalars import Scalar
 from .linalg import Matrix, Subspace, intersect, kernel, random_vector, rank, rref, span_sum
 from .genericity import CertificationError, certified_value, derive_stream
 
 __all__ = [
-    "BACKEND",
     "CertificationError",
     "Matrix",
     "Scalar",

@@ -2,38 +2,37 @@
 swept variety, Gauss fibers through a generic tangent direction, and the
 Clifford algebra representation forced on the tangent quotient when the
 tangential variety is a degenerate hypersurface.
+
+All of it runs on the integer form of the system and on the integer spans
+of the generic point.  A matrix is held as Gaussian integers with one
+denominator, and an identity between such matrices is checked
+cross-multiplied, so nothing divides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .genericity import CertificationError
-from .linalg import (Matrix, Subspace, _basis_vec, _dot, intersect, inverse, kernel,
-                     solve_left, span_sum)
-from .quadrics import (
-    GenericPoint,
-    QuadricSystem,
-    RankProfile,
-    contraction,
-    generic_vector,
-    quadric_from_coefficients,
-)
-from .scalars import ONE, Scalar, _coerce
+from .linalg import (IntegerSpan, _is_zero, _negate, _same_format, eliminate,
+                     integer_combination, integer_mul_vec, integer_values)
+from .quadrics import (GenericPoint, QuadricSystem, RankProfile, _square, contract,
+                       generic_vector, integer_quadric)
 
 
 class DefectError(RuntimeError):
     """A structural hypothesis failed at a certified-generic vector."""
 
 
-def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> Subspace:
+def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> IntegerSpan:
     """Intersection of II_v(T) over certified-generic v, stabilized when
     unchanged for 3 consecutive fresh samples."""
     w = None
     stable = 0
     for _ in range(60):
         img = generic_vector(s, profile, stream, trials).image
-        nxt = img if w is None else intersect([w, img])
+        nxt = img if w is None else w.intersect(img)
         if w is not None and nxt == w:
             stable += 1
         else:
@@ -46,96 +45,109 @@ def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> S
 
 @dataclass(frozen=True)
 class MinimalSubsystem:
-    """The subsystem II*(V^perp) cutting out the same tangential variety:
-    coefficient vectors in N* together with the matching quadrics."""
+    """The subsystem II*(V^perp) cutting out the same tangential variety: its
+    coefficient vectors in N*, and on demand the matching quadrics on the
+    integer form."""
 
-    coefficients: Subspace
-    quadrics: tuple[Matrix, ...]
+    system: QuadricSystem
+    coefficients: IntegerSpan
 
     @property
     def dim(self) -> int:
         return self.coefficients.dim
 
-
-def minimal_subsystem(s: QuadricSystem, vert: Subspace) -> MinimalSubsystem:
-    coeffs = vert.perp()
-    quads = tuple(quadric_from_coefficients(s, row) for row in coeffs.basis)
-    return MinimalSubsystem(coeffs, quads)
+    @property
+    def quadrics(self) -> tuple[list, ...]:
+        return tuple(integer_quadric(self.system, row) for row in self.coefficients.rows)
 
 
-def gauss_fiber(s: QuadricSystem, point: GenericPoint) -> Subspace:
-    """F_v = II_v(singloc Ann(v)) inside N: the affine direction space of
-    the Gauss fiber of the tangentially swept variety through [II(v,v)]."""
-    c = point.contraction
-    return Subspace.from_vectors(s.a, [c.mul_vec(w) for w in point.singloc.basis])
+def minimal_subsystem(s: QuadricSystem, vert: IntegerSpan) -> MinimalSubsystem:
+    return MinimalSubsystem(s, vert.perp())
 
 
-def ii_pairing(s: QuadricSystem, w1, w2) -> list[Scalar]:
-    """II(w1, w2) as a vector in N."""
-    w1 = [_coerce(x) for x in w1]
-    w2 = [_coerce(x) for x in w2]
-    return [_dot(q.mul_vec(w2), w1) for q in s.quadrics]
+def ii_pairing(s: QuadricSystem, w1, w2) -> list:
+    """D II(w1, w2) as a vector in N, for w1, w2 on Gaussian integers and D
+    the denominator of the integer form."""
+    return integer_mul_vec(contract(s, w2), w1)
 
 
-def ii_second_fundamental_form(s: QuadricSystem, point: GenericPoint, w1,
-                               w2) -> tuple[list[Scalar], bool]:
-    """II(w1, w2) reduced modulo II_v(T): the second fundamental form of the
-    tangential image at [II(v,v)] evaluated on tangent lifts."""
-    residue = point.image.reduce(ii_pairing(s, w1, w2))
-    return residue, not any(residue)
+def _integer_v(point: GenericPoint) -> list:
+    """v cleared of its denominators, on Gaussian integers: the vector the
+    point's integer contraction was taken at."""
+    return integer_values(point.v)[0]
 
 
 @dataclass(frozen=True)
 class QuotientFrames:
-    """Coset representative frames for T / singloc(Ann v) and
-    II_v(T) / F_v, plus the matrix of the induced isomorphism between
-    them."""
+    """Frames for T / singloc(Ann v) and II_v(T) / F_v, and the matrix of the
+    isomorphism II_v induces between them.  T / singloc is spanned by the
+    unit vectors at `tangent_reps`.  A vector of the image quotient is
+    reduced modulo F_v (`IntegerSpan.reduce`); its coordinates in the
+    reduced-row-echelon basis of the quotient are then its entries at
+    `pivots`."""
 
     tangent_reps: tuple[int, ...]
-    singloc: Subspace
-    image: Subspace
-    fiber: Subspace
-    image_reps: Matrix  # rows: reduced representatives spanning the image quotient
-    iso: Matrix  # matrix of v -> II_v on the quotients, invertible
+    singloc: IntegerSpan
+    image: IntegerSpan
+    fiber: IntegerSpan
+    pivots: tuple[int, ...]
+    iso: list  # II_v on the quotients in these frames, times a common factor
+
+
+def _coordinates(fiber: IntegerSpan, treps, pivots, cols) -> list:
+    """Entry (i, j): coordinate i of column treps[j] in the image quotient."""
+    red = [fiber.reduce(cols[t]) for t in treps]
+    return [[r[p] for r in red] for p in pivots]
 
 
 def quotient_frames(s: QuadricSystem, point: GenericPoint) -> QuotientFrames:
-    sl, img = point.singloc, point.image
-    fib = gauss_fiber(s, point)
-    treps = tuple(sl.complement_indices())
-    reduced = []
-    for row in img.basis:
-        red = fib.reduce(row)
-        if any(red):
-            cand = reduced + [red]
-            if Subspace.from_vectors(s.a, cand).dim == len(cand):
-                reduced.append(red)
-    image_reps = Matrix(len(reduced), s.a, reduced)
-    if len(treps) != len(reduced):
+    sl, img, fib = point.singloc, point.image, point.fiber
+    treps = tuple(sl.free_columns())
+    pivots = tuple(eliminate([fib.reduce(row) for row in img.rows])[0])
+    if len(treps) != len(pivots):
         raise DefectError(
             "tangent quotient (dim %d) and image quotient (dim %d) disagree"
-            % (len(treps), len(reduced)))
-    cols = [fib.reduce(point.contraction.col(j)) for j in treps]
-    coords = solve_left(image_reps, Matrix(len(cols), s.a, cols))
-    iso = coords.transpose()
-    return QuotientFrames(treps, sl, img, fib, image_reps, iso)
+            % (len(treps), len(pivots)))
+    cols = list(zip(*point.contraction[0]))
+    return QuotientFrames(treps, sl, img, fib, pivots, _coordinates(fib, treps, pivots, cols))
 
 
-def clifford_action(s: QuadricSystem, frames: QuotientFrames, w) -> Matrix:
-    """The endomorphism phi_w of T / singloc(Ann v) obtained by following
-    II_w and inverting the isomorphism induced by II_v (the frames at v).
-    Requires II_w(T) inside II_v(T) and II_w(singloc) inside F_v; phi_v is
-    the identity by construction."""
-    cw = contraction(s, [_coerce(x) for x in w])
-    for j in range(s.n):
-        if not frames.image.contains(cw.col(j)):
-            raise DefectError("II_w(T) escapes II_v(T); w is not admissible")
-    for row in frames.singloc.basis:
-        if not frames.fiber.contains(cw.mul_vec(row)):
-            raise DefectError("II_w(singloc) escapes the Gauss fiber directions")
-    cols = [frames.fiber.reduce(cw.col(j)) for j in frames.tangent_reps]
-    coords = solve_left(frames.image_reps, Matrix(len(cols), s.a, cols))
-    return inverse(frames.iso).matmul(coords.transpose())
+def clifford_action(s: QuadricSystem, frames: QuotientFrames, w) -> tuple[list, object]:
+    """(M, den): the endomorphism phi_w = M / den of T / singloc(Ann v), for
+    w on Gaussian integers, obtained by following II_w and inverting the
+    isomorphism induced by II_v (the frames at v).  Requires II_w(T) inside
+    II_v(T) and II_w(singloc) inside F_v; phi_v is the identity by
+    construction."""
+    cw = contract(s, w)
+    cols = list(zip(*cw))
+    if not all(frames.image.contains(col) for col in cols):
+        raise DefectError("II_w(T) escapes II_v(T); w is not admissible")
+    if not all(frames.fiber.contains(integer_mul_vec(cw, row)) for row in frames.singloc.rows):
+        raise DefectError("II_w(singloc) escapes the Gauss fiber directions")
+    k = len(frames.tangent_reps)
+    # fraction-free Gauss-Jordan on [iso | II_w] leaves last [Id | iso^-1 II_w]
+    rows = _same_format(frames.iso + _coordinates(frames.fiber, frames.tangent_reps,
+                                                 frames.pivots, cols))
+    pivots, red, last = eliminate([x + y for x, y in zip(rows[:k], rows[k:])], reduce=True)
+    if pivots != list(range(k)):
+        raise ValueError("matrix is singular")
+    return [r[k:] for r in red], last
+
+
+def _mul(x, y):
+    """x y for Gaussian integers of either format."""
+    return integer_combination([(x, [y])])[0]
+
+
+def _matmul(a: list, b: list) -> list:
+    return [integer_combination(list(zip(row, b))) for row in a]
+
+
+def _vanishes(terms) -> bool:
+    """Whether sum c m over the (c, m) pairs of scalars and matrices is zero."""
+    coeffs = [c for c, _ in terms]
+    return all(_is_zero(integer_combination(list(zip(coeffs, _same_format(list(rows))))))
+               for rows in zip(*(m for _, m in terms)))
 
 
 @dataclass(frozen=True)
@@ -151,16 +163,15 @@ class CliffordVerdict:
     kernel_dim: int
 
 
-def _restrict_quadric(q: Matrix, basis) -> Matrix:
-    rows = []
-    for u in basis:
-        qu = q.mul_vec(u)
-        rows.append([_dot(qu, w) for w in basis])
-    return Matrix(len(rows), len(rows), rows)
+def _restrict_quadric(n: int, q: list, basis) -> list:
+    """The Gram matrix u^T q w over the basis, for q on the integer form."""
+    qb = _same_format([integer_mul_vec(_square(q, n), w) for w in basis])
+    return [integer_mul_vec(qb, u) for u in basis]
 
 
 def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: GenericPoint,
-                            vert: Subspace) -> CliffordVerdict:
+                            vert: IntegerSpan,
+                            frames: QuotientFrames | None = None) -> CliffordVerdict:
     """At a certified-generic point v of a degenerate tangential
     hypersurface, with the vertex `vert`, verify the anticommutation relation
 
@@ -169,98 +180,75 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Gener
     on pairs from ker II_v, with one global sign; Q_v is the common
     restriction of the minimal-subsystem quadrics to span{v} + ker II_v,
     normalized so Q_v(v, v) = 1.  phi_v must be the identity, and v must be
-    Q_v-orthogonal to the kernel directions."""
+    Q_v-orthogonal to the kernel directions.  `frames` are the point's
+    quotient frames, when already built."""
     if profile.a0 != s.a - 1:
         return CliffordVerdict(False, False, False, False, False, 0, False,
                                s.n - profile.dim_singloc, profile.dim_ker)
-    frames = quotient_frames(s, point)
+    if frames is None:
+        frames = quotient_frames(s, point)
     fiber_ok = frames.fiber.dim == vert.dim + 1
     mini = minimal_subsystem(s, vert)
 
     ker = point.kernel
-    kspan = [point.v, *ker.basis]
-    restrictions = [_restrict_quadric(q, kspan) for q in mini.quadrics]
-    ref = next((m for m in restrictions if not m.is_zero()), None)
+    vi = _integer_v(point)
+    restrictions = [_restrict_quadric(s.n, q, [vi, *ker.rows]) for q in mini.quadrics]
+    ref = next((m for m in restrictions if not all(map(_is_zero, m))), None)
     prop_ok = ref is not None
     if prop_ok:
-        for m in restrictions:
-            if not _proportional(m, ref):
-                prop_ok = False
-                break
-    if not prop_ok or not ref or not ref.at(0, 0):
+        # m = lambda ref, cross-multiplied at the first nonzero entry of ref
+        i0, j0 = next((i, j) for i, r in enumerate(ref) for j, x in enumerate(r)
+                      if not _is_zero([x]))
+        prop_ok = all(_vanishes([(ref[i0][j0], m), (_negate(m[i0][j0]), ref)])
+                      for m in restrictions)
+    if not prop_ok or _is_zero([ref[0][0]]):
         return CliffordVerdict(True, fiber_ok, False, False, False, 0, False,
                                s.n - frames.singloc.dim, ker.dim)
-    qv = ref.scale(ONE / ref.at(0, 0))  # Q_v on (v, w_1, ..., w_k) coordinates
+    # the frames are taken at vi = lam v, so each computed phi is the true one
+    # over lam, and Q_v(w_i, w_j) = lam^2 ref[i][j] / ref[0][0]: lam cancels
+    # from the relation, and the computed phi_vi is phi_v
+    q00 = ref[0][0]
+    ident = [[int(i == j) for j in range(len(frames.tangent_reps))]
+             for i in range(len(frames.tangent_reps))]
+    m_v, d_v = clifford_action(s, frames, vi)
+    phi_v_ok = _vanishes([(1, m_v), (_negate(d_v), ident)])
+    phis = [clifford_action(s, frames, row) for row in ker.rows]
 
-    ident = Matrix.identity(len(frames.tangent_reps))
-    phi_v_ok = clifford_action(s, frames, point.v) == ident
-    phis = [clifford_action(s, frames, row) for row in ker.basis]
-
-    sign = 0
-    relation = True
-    k = ker.dim
-    for i in range(k):
-        for j in range(i, k):
-            anti = phis[i].matmul(phis[j]).add(phis[j].matmul(phis[i]))
-            coeff = qv.at(i + 1, j + 1)
-            if sign == 0:
-                sign = _infer_sign(anti, coeff, ident)
-                if sign == 0:
-                    continue
-            want = ident.scale(Scalar(-2 * sign) * coeff)
-            if anti != want:
-                relation = False
-    if sign == 0:
-        sign = 1
-        relation = relation and all(
-            phis[i].matmul(phis[j]).add(phis[j].matmul(phis[i])).is_zero()
-            for i in range(k) for j in range(i, k))
-
-    v_orth = all(not qv.at(0, i + 1) for i in range(k))
-
+    # with phi_i = m_i / d_i: q00 (m_i m_j + m_j m_i) + 2 sign ref_ij d_i d_j Id = 0;
+    # the first pair with Q_ij != 0 that fits a sign fixes it
+    k, sign, relation, antis = ker.dim, 0, True, []
+    for i, j in combinations_with_replacement(range(k), 2):
+        (mi, di), (mj, dj) = phis[i], phis[j]
+        anti = [(q00, _matmul(mi, mj)), (q00, _matmul(mj, mi))]
+        rhs = _mul(ref[i + 1][j + 1], _mul(di, dj))
+        antis.append(anti)
+        if sign:
+            relation = relation and _vanishes(anti + [(_mul(2 * sign, rhs), ident)])
+        elif not _is_zero([rhs]):
+            sign = next((c for c in (1, -1) if _vanishes(anti + [(_mul(2 * c, rhs), ident)])), 0)
+    if not sign:
+        sign, relation = 1, all(map(_vanishes, antis))
+    v_orth = all(_is_zero([ref[0][i + 1]]) for i in range(k))
     return CliffordVerdict(True, fiber_ok, True, phi_v_ok, relation, sign, v_orth,
                            len(frames.tangent_reps), k)
 
 
-def _proportional(m: Matrix, ref: Matrix) -> bool:
-    lam = None
-    for i in range(m.rows):
-        for j in range(m.cols):
-            a, b = m.at(i, j), ref.at(i, j)
-            if not b:
-                if a:
-                    return False
-                continue
-            ratio = a / b
-            if lam is None:
-                lam = ratio
-            elif ratio != lam:
-                return False
-    return True
-
-
-def _infer_sign(anti: Matrix, coeff: Scalar, ident: Matrix) -> int:
-    if not coeff:
-        return 0
-    for cand in (1, -1):
-        if anti == ident.scale(Scalar(-2 * cand) * coeff):
-            return cand
-    return 0
-
-
-def so_membership_check(s: QuadricSystem, point: GenericPoint) -> bool:
+def so_membership_check(s: QuadricSystem, point: GenericPoint,
+                        frames: QuotientFrames | None = None) -> bool:
     """Each phi_w for w in ker II_v is skew for the quotient descent of the
     annihilator generator: P(phi_w x, y) + P(x, phi_w y) = 0.  Requires
     dim Ann(v) = 1."""
     ann = point.annihilator
     if ann.dim != 1:
         raise DefectError("so membership needs a one-dimensional annihilator")
-    p = quadric_from_coefficients(s, ann.basis[0])
-    frames = quotient_frames(s, point)
-    pbar = _restrict_quadric(p, [_basis_vec(s.n, j) for j in frames.tangent_reps])
-    for row in point.kernel.basis:
-        phi = clifford_action(s, frames, row)
-        if not phi.transpose().matmul(pbar).add(pbar.matmul(phi)).is_zero():
+    if frames is None:
+        frames = quotient_frames(s, point)
+    p, t = integer_quadric(s, ann.rows[0]), frames.tangent_reps
+    pbar = [[p[i * s.n + j] for j in t] for i in t]
+    for row in point.kernel.rows:
+        m, _ = clifford_action(s, frames, row)
+        if not _vanishes([(1, _matmul([list(c) for c in zip(*m)], pbar)),
+                          (1, _matmul(pbar, m))]):
             return False
     return True
 
@@ -277,11 +265,14 @@ def rank_restriction_check(s: QuadricSystem, profile: RankProfile,
                            sigma_dim: int) -> RankRestriction:
     """For a degenerate secant variety whose tangential variety is a
     hypersurface, the maximal annihilator rank satisfies r >= n - a + 2."""
-    ambient = s.n + s.a
-    degenerate = sigma_dim < min(2 * s.n + 1, ambient)
-    applicable = degenerate and profile.a0 == s.a - 1
     lower = s.n - s.a + 2
-    return RankRestriction(applicable, profile.r >= lower, profile.r, lower)
+    return RankRestriction(_hypersurface_case(s, profile, sigma_dim), profile.r >= lower,
+                           profile.r, lower)
+
+
+def _hypersurface_case(s: QuadricSystem, profile: RankProfile, sigma_dim: int) -> bool:
+    """A degenerate secant variety and a hypersurface tangential variety."""
+    return sigma_dim < min(2 * s.n + 1, s.n + s.a) and profile.a0 == s.a - 1
 
 
 @dataclass(frozen=True)
@@ -295,12 +286,8 @@ def zak_bound_check(s: QuadricSystem, profile: RankProfile, sigma_dim: int,
                     fiber_dim: int) -> ZakBound:
     """a >= n/2 + 2 + fiber_dim/2, compared exactly: 2a >= n + 4 + fiber.
     Applies under the same hypotheses as the rank restriction."""
-    ambient = s.n + s.a
-    degenerate = sigma_dim < min(2 * s.n + 1, ambient)
-    applicable = degenerate and profile.a0 == s.a - 1
-    lhs = 2 * s.a
-    rhs = s.n + 4 + fiber_dim
-    return ZakBound(applicable, lhs >= rhs, lhs == rhs)
+    lhs, rhs = 2 * s.a, s.n + 4 + fiber_dim
+    return ZakBound(_hypersurface_case(s, profile, sigma_dim), lhs >= rhs, lhs == rhs)
 
 
 @dataclass(frozen=True)
@@ -337,85 +324,65 @@ class DefectReport:
 
 def kernel_in_singular_locus(s: QuadricSystem, point: GenericPoint) -> bool:
     """span{v, ker II_v} lies inside singloc(Ann(v))."""
-    return point.singloc.contains(point.v) and point.singloc.contains_subspace(point.kernel)
+    sl = point.singloc
+    return sl.contains(_integer_v(point)) and all(map(sl.contains, point.kernel.rows))
 
 
-def _quadric_span(s: QuadricSystem, coeff_rows) -> Subspace:
-    flat = []
-    for row in coeff_rows:
-        q = quadric_from_coefficients(s, row)
-        flat.append([q.at(i, j) for i in range(s.n) for j in range(s.n)])
-    return Subspace.from_vectors(s.n * s.n, flat)
+def _quadric_span(s: QuadricSystem, coeff_rows) -> IntegerSpan:
+    return IntegerSpan(s.n * s.n, [integer_quadric(s, row) for row in coeff_rows])
 
 
 def annihilator_matches_image_perp(s: QuadricSystem, point: GenericPoint) -> bool:
     """The quadrics singular at v span the same space as the quadrics whose
     coefficient functionals kill II_v(T)."""
-    lhs = _quadric_span(s, point.annihilator.basis)
-    rhs = _quadric_span(s, point.image.perp().basis)
+    lhs = _quadric_span(s, point.annihilator.rows)
+    rhs = _quadric_span(s, point.image.perp().rows)
     return lhs == rhs
 
 
 def fiber_contains_singloc_products(s: QuadricSystem, point: GenericPoint) -> bool:
     """II(w1, w2) lies in F_v for all w1, w2 in singloc(Ann(v))."""
-    fib = gauss_fiber(s, point)
-    rows = point.singloc.basis
-    for i, w1 in enumerate(rows):
-        for w2 in rows[i:]:
-            if not fib.contains(ii_pairing(s, w1, w2)):
-                return False
-    return True
+    rows = point.singloc.rows
+    return all(point.fiber.contains(ii_pairing(s, w1, w2))
+               for i, w1 in enumerate(rows) for w2 in rows[i:])
 
 
 def fiber_dimension_identity(s: QuadricSystem, point: GenericPoint) -> bool:
     """dim F_v = dim singloc(Ann(v)) - dim ker II_v (affine dims)."""
-    return gauss_fiber(s, point).dim == point.singloc.dim - point.kernel.dim
+    return point.fiber.dim == point.singloc.dim - point.kernel.dim
 
 
 def quotient_singular_locus_match(s: QuadricSystem, point: GenericPoint) -> bool:
     """The singular locus of the induced quadric system on
     T / (span{v} + ker II_v) coincides with singloc(Ann(v)) modulo that
     same subspace."""
-    k_sub = Subspace.from_vectors(s.n, [point.v, *point.kernel.basis])
-    reps = k_sub.complement_indices()
-    img = point.image
-    # stacked conditions: for x = sum_b x_b e_{reps[b]}, the reduced value of
-    # II(x, e_{reps[t]}) must vanish for every t
-    cols = []
-    for b in reps:
-        col: list[Scalar] = []
-        for t in reps:
-            col.extend(img.reduce(ii_pairing(s, _basis_vec(s.n, b), _basis_vec(s.n, t))))
-        cols.append(col)
-    if reps:
-        stacked = Matrix(len(cols[0]), len(reps), zip(*cols)) if cols[0] else \
-            Matrix(0, len(reps), [])
-        null = kernel(stacked)
-        lifted = []
-        for row in null.basis:
-            vec = [Scalar(0)] * s.n
-            for b, x in zip(reps, row):
-                vec[b] = x
-            lifted.append(vec)
-        lhs = span_sum([k_sub, Subspace.from_vectors(s.n, lifted)])
-    else:
-        lhs = k_sub
-    rhs = span_sum([k_sub, point.singloc])
-    return lhs == rhs
+    n, quads = s.n, s.integer_form[0]
+    k_sub = IntegerSpan(n, [_integer_v(point), *point.kernel.rows])
+    reps = k_sub.free_columns()
+    # stacked conditions, one column per b: for x = sum_b x_b e_{reps[b]}, the
+    # reduced value of II(x, e_{reps[t]}) must vanish for every t
+    cols = [[x for t in reps for x in point.image.reduce([q[b * n + t] for q in quads])]
+            for b in reps]
+    null = IntegerSpan(len(reps), list(zip(*cols))).perp()
+    zero = 0 if type(null.last) is int else (0, 0)
+    lifted = [[dict(zip(reps, row)).get(j, zero) for j in range(n)] for row in null.rows]
+    return IntegerSpan(n, k_sub.rows + lifted) == IntegerSpan(n, k_sub.rows + point.singloc.rows)
 
 
 def defect_report(s: QuadricSystem, profile: RankProfile, sigma_dim: int, stream,
                   trials: int = 5) -> DefectReport:
     point = generic_vector(s, profile, stream, trials)
     vert = vertex(s, profile, stream, trials)
-    clifford = clifford_relation_check(s, profile, point, vert)
+    # the quotient frames at v, built once for both Clifford checks
+    frames = quotient_frames(s, point) if profile.a0 == s.a - 1 else None
+    clifford = clifford_relation_check(s, profile, point, vert, frames)
     so_ok = None
     if profile.dim_ann == 1 and clifford.applicable:
         try:
-            so_ok = so_membership_check(s, point)
+            so_ok = so_membership_check(s, point, frames)
         except DefectError:
             so_ok = None
-    fiber_dim = gauss_fiber(s, point).dim - 1
+    fiber_dim = point.fiber.dim - 1
     return DefectReport(
         profile=profile,
         vertex_dim=vert.dim,

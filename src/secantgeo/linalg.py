@@ -1,24 +1,24 @@
 """Exact linear algebra over Q(i).
 
-Matrices hold Scalars, but no elimination computes with them.  Each row is
-first multiplied by the lcm of its denominators (`integer_values`), which
-leaves rank and row space unchanged, and elimination then runs on Gaussian
-integers: plain Python ints when every entry is real (every catalog chart
-and every sample point is), (re, im) int pairs otherwise.  `eliminate` is
-Bareiss's fraction-free elimination, or its Gauss-Jordan form; the division
-by the previous pivot is exact in Z[i] by Sylvester's identity, and is
-checked.  Its callers: `rank`; `IntegerSpan`, which gives `rref`, every
-Subspace and kernel, and divides by the pivot only when converting back to
-Scalars (`scalar_values`); `integer_reducer`; the oracles' ranks of point
-jets; and the quadric systems, which keep their quadrics on Gaussian
-integers (`QuadricSystem.integer_form`) for contractions, annihilator ranks
-and singular loci.  Subspaces carry the canonical reduced-row-echelon basis,
-hence subspace equality is plain syntactic equality of bases.
+Elimination runs on Gaussian integers: plain Python ints when every entry
+is real (every catalog chart and sample point is), (re, im) int pairs
+otherwise.  `eliminate` is Bareiss's fraction-free elimination, or its
+Gauss-Jordan form; the division by the previous pivot is exact in Z[i] by
+Sylvester's identity, and is checked.  `IntegerSpan` keeps the canonical
+basis of a span times one integer factor, and reduces, intersects and
+compares spans without dividing.  The quadric systems, the generic point,
+the defect checks and the oracles work on these integers throughout.
+Scalars come in at the edge: `integer_values` clears a Scalar row by the
+lcm of its denominators, which moves no rank or row space, and
+`scalar_values` divides on the way back.  Scalar `Matrix`, `Subspace`,
+`rank`, `rref`, `kernel`, `span_sum` and `intersect` serve the charts and
+series, the inputs and the public API, and convert once at each call.
 """
 
 from __future__ import annotations
 
-from math import lcm
+import functools
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Rational, Scalar, _coerce
@@ -41,14 +41,6 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [[ZERO] * cols for _ in range(rows)])
-
     def at(self, i: int, j: int) -> Scalar:
         return self.data[i][j]
 
@@ -70,22 +62,6 @@ class Matrix:
             out.append(acc)
         return out
 
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("matmul shape mismatch")
-        cols = other.transpose().data
-        data = [[_dot(r, c) for c in cols] for r in self.data]
-        return Matrix(self.rows, other.cols, data)
-
-    def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[c * x for x in r] for r in self.data])
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("add shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      [[x + y for x, y in zip(r, s)] for r, s in zip(self.data, other.data)])
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self.data[i][j] == self.data[j][i] for i in range(self.rows) for j in range(i))
@@ -103,14 +79,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%d x %d)" % (self.rows, self.cols)
-
-
-def _dot(u, v) -> Scalar:
-    acc = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 def _basis_vec(n: int, i: int) -> list[Scalar]:
@@ -163,6 +131,28 @@ def _integer_rows(rows) -> list[list]:
 def _is_real(rows) -> bool:
     """Whether Gaussian-integer rows hold ints rather than (re, im) pairs."""
     return not any(isinstance(x, tuple) for r in rows[:1] for x in r[:1])
+
+
+def _same_format(rows) -> list:
+    """Gaussian-integer rows in one format: int rows lifted to pairs when
+    some other row holds pairs."""
+    if len({type(r[0]) for r in rows if len(r)}) < 2:
+        return rows
+    return [_pairs(r) for r in rows]
+
+
+def _pairs(vec) -> list:
+    return [(x, 0) for x in vec] if _is_real([vec]) else vec
+
+
+def _is_zero(vec) -> bool:
+    """Whether a Gaussian-integer vector of either format vanishes."""
+    return not any(x[0] or x[1] if type(x) is tuple else x for x in vec)
+
+
+def _negate(x):
+    """-x for a Gaussian integer of either format."""
+    return -x if type(x) is int else (-x[0], -x[1])
 
 
 def _combine_int(lead, row, head, piv_row, prev):
@@ -247,26 +237,6 @@ def eliminate(rows, reduce: bool = False):
     return pivots, rows[:r], prev
 
 
-def integer_reducer(vectors):
-    """(pivot columns, reduce) for the span T of Gaussian-integer vectors:
-    reduce(v) is v modulo T times the last pivot, on the non-pivot columns,
-    computed as last v - sum v[p] row_p over the fraction-free Gauss-Jordan
-    rows of T (which carry last at their pivots)."""
-    pivots, rows, last = eliminate(vectors, reduce=True)
-    nonzero, combine, one = _ARITH[type(last) is int]
-    keep = [j for j in range(len(vectors[0])) if j not in pivots]
-    rows = [[row[j] for j in keep] for row in rows]
-
-    def reduce(vec) -> list:
-        out = [vec[j] for j in keep]
-        for i, (p, row) in enumerate(zip(pivots, rows)):
-            if not i or nonzero(vec[p]):
-                out = combine(one if i else last, out, vec[p], row, one)
-        return out
-
-    return pivots, reduce
-
-
 def integer_combination(terms) -> list:
     """sum c * vec over the (c, vec) pairs, on Gaussian integers: vectors of
     one format, coefficients of either, the sum in pairs when any of them
@@ -288,16 +258,84 @@ def integer_combination(terms) -> list:
     return acc
 
 
+def integer_mul_vec(rows, vec) -> list:
+    """The matrix with these Gaussian-integer rows times vec, which may be
+    in either format."""
+    return integer_combination(list(zip(vec, zip(*rows)))) if rows else []
+
+
 class IntegerSpan:
     """The span of Gaussian-integer rows after one fraction-free Gauss-Jordan
-    elimination: `rows` carry the last pivot `last` at every pivot column,
-    so they are the canonical (RREF) basis times one common factor."""
+    elimination: `rows` carry `last` at every pivot column, so they are the
+    canonical (RREF) basis times one common factor.  That factor is then made
+    the least integer, up to sign, that clears the canonical basis: rows are
+    multiplied by conj(last), so that last is real, and divided by the gcd
+    of all their integer parts.  A span carried from one elimination into
+    the next so keeps small entries, over Z[i] as over Z."""
 
-    __slots__ = ("ambient_dim", "pivots", "rows", "last")
+    __slots__ = ("ambient_dim", "pivots", "rows", "last", "_free", "_free_rows")
 
     def __init__(self, ambient_dim: int, rows):
         self.ambient_dim = ambient_dim
-        self.pivots, self.rows, self.last = eliminate(rows, reduce=True)
+        self.pivots, rows, last = eliminate(_same_format(rows), reduce=True)
+        if type(last) is int:
+            g = gcd(*[x for r in rows for x in r])
+            if g > 1:
+                rows, last = [[x // g for x in r] for r in rows], last // g
+        else:
+            if last[1]:
+                lr, li = last
+                rows = [[(x * lr + y * li, y * lr - x * li) for x, y in r] for r in rows]
+                last = (lr * lr + li * li, 0)
+            g = gcd(*[p for r in rows for x in r for p in x])
+            if g > 1:
+                rows = [[(x // g, y // g) for x, y in r] for r in rows]
+                last = (last[0] // g, 0)
+        self.rows, self.last = rows, last
+        self._free = None
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def free_columns(self) -> list[int]:
+        """The non-pivot columns: their unit vectors represent a basis of the
+        quotient by the span."""
+        if self._free is None:
+            pivots = set(self.pivots)
+            self._free = [j for j in range(self.ambient_dim) if j not in pivots]
+            self._free_rows = [[row[j] for j in self._free] for row in self.rows]
+        return self._free
+
+    def reduce(self, vec) -> list:
+        """last vec - sum vec[p] row_p on the free columns: vec modulo the
+        span times `last`, zero exactly when vec lies in the span."""
+        free = self.free_columns()
+        rows, last = self._free_rows, self.last
+        if _is_real([vec]) != (type(last) is int):
+            if type(last) is int:
+                rows, last = [_pairs(r) for r in rows], (last, 0)
+            else:
+                vec = _pairs(vec)
+        nonzero, combine, one = _ARITH[type(last) is int]
+        out = [vec[j] for j in free]
+        for i, (p, row) in enumerate(zip(self.pivots, rows)):
+            if not i or nonzero(vec[p]):
+                out = combine(one if i else last, out, vec[p], row, one)
+        return out
+
+    def contains(self, vec) -> bool:
+        return _is_zero(self.reduce(vec))
+
+    def intersect(self, other: "IntegerSpan") -> "IntegerSpan":
+        """The intersection, by Zassenhaus: in an echelon form of the rows
+        (u, u) for u in this span and (w, 0) for w in the other, the rows
+        that vanish on the first half span it with their second half."""
+        n, k = self.ambient_dim, self.dim
+        rows = [list(r) for r in _same_format(self.rows + other.rows)]
+        zero = [0 if _is_real(rows) else (0, 0)] * n
+        pivots, red, _ = eliminate([r + r for r in rows[:k]] + [r + zero for r in rows[k:]])
+        return IntegerSpan(n, [r[n:] for p, r in zip(pivots, red) if p >= n])
 
     def subspace(self) -> "Subspace":
         """The span with its canonical basis as Scalars."""
@@ -308,10 +346,20 @@ class IntegerSpan:
         """The annihilator under sum x_i y_i, spanned by one vector per free
         column j: -last at j and row_i[j] at the pivot of row_i."""
         n, at = self.ambient_dim, dict(zip(self.pivots, self.rows))
-        neg, zero = (-self.last, 0) if type(self.last) is int else \
-            ((-self.last[0], -self.last[1]), (0, 0))
+        neg, zero = _negate(self.last), 0 if type(self.last) is int else (0, 0)
         return IntegerSpan(n, [[at[k][j] if k in at else neg if k == j else zero
                                 for k in range(n)] for j in range(n) if j not in at])
+
+    def __eq__(self, other):
+        """Equal spans: equal pivots, and rows equal after cross-multiplying
+        by the other span's `last`."""
+        if not isinstance(other, IntegerSpan):
+            return NotImplemented
+        if (self.ambient_dim, self.pivots) != (other.ambient_dim, other.pivots):
+            return False
+        neg = _negate(self.last)
+        return all(_is_zero(integer_combination([(other.last, r), (neg, t)]))
+                   for r, t in (_same_format([r, t]) for r, t in zip(self.rows, other.rows)))
 
 
 def rank(m: Matrix) -> int:
@@ -365,18 +413,9 @@ class Subspace:
     def contains(self, vec: Sequence) -> bool:
         return not any(self.reduce(vec))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
-
     def perp(self) -> "Subspace":
         """Annihilator under the standard bilinear pairing sum(x_i y_i)."""
         return IntegerSpan(self.ambient_dim, _integer_rows(self.basis)).perp().subspace()
-
-    def complement_indices(self) -> list[int]:
-        """Standard coordinates whose basis vectors represent cosets of a
-        complement to this subspace."""
-        pivot_set = set(self.pivots)
-        return [j for j in range(self.ambient_dim) if j not in pivot_set]
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -399,26 +438,19 @@ def kernel(m: Matrix) -> Subspace:
 def span_sum(spaces: Sequence[Subspace]) -> Subspace:
     if not spaces:
         raise ValueError("span_sum of nothing")
-    amb = spaces[0].ambient_dim
-    vecs: list[Sequence[Scalar]] = []
-    for s in spaces:
-        if s.ambient_dim != amb:
-            raise ValueError("ambient mismatch")
-        vecs.extend(s.basis)
-    return Subspace.from_vectors(amb, vecs)
+    if len({s.ambient_dim for s in spaces}) > 1:
+        raise ValueError("ambient mismatch")
+    return Subspace.from_vectors(spaces[0].ambient_dim, [v for s in spaces for v in s.basis])
 
 
 def intersect(spaces: Sequence[Subspace]) -> Subspace:
-    """Intersection via the kernel of the stacked annihilator systems."""
+    """Intersection by Zassenhaus on the integer rows (`IntegerSpan.intersect`)."""
     if not spaces:
         raise ValueError("intersect of nothing")
-    amb = spaces[0].ambient_dim
-    ann_rows: list[Sequence[Scalar]] = []
-    for s in spaces:
-        if s.ambient_dim != amb:
-            raise ValueError("ambient mismatch")
-        ann_rows.extend(s.perp().basis)
-    return IntegerSpan(amb, _integer_rows(ann_rows)).perp().subspace()
+    if len({s.ambient_dim for s in spaces}) > 1:
+        raise ValueError("ambient mismatch")
+    spans = [IntegerSpan(s.ambient_dim, _integer_rows(s.basis)) for s in spaces]
+    return functools.reduce(IntegerSpan.intersect, spans).subspace()
 
 
 def solve_left(rows_a: Matrix, rows_b: Matrix) -> Matrix:

@@ -11,7 +11,7 @@ dimensions are always cross-checked against these.
 from __future__ import annotations
 
 from .genericity import certified_value, fully_nonzero_vector
-from .linalg import eliminate, integer_combination, integer_reducer
+from .linalg import IntegerSpan, eliminate, integer_combination
 from .polymaps import PolyMap, lift_jet
 
 
@@ -113,12 +113,12 @@ def _gauss_sample(d, nv: int) -> tuple[int, int]:
     basis = eliminate(list(zip(*gens)))[0]
     # the Gauss differential, in Hom(T, C^m / T): each basis generator's
     # derivatives modulo T.  The value's derivatives lie in T: its block is 0.
-    pivots, reduce = integer_reducer(gens)
-    reduced = {key: reduce(d(*key))
+    span = IntegerSpan(len(gens[0]), gens)
+    reduced = {key: span.reduce(d(*key))
                for key in {tuple(sorted((c - 1, k))) for c in basis if c for k in range(nv)}}
     diff_rows = [[x for c in basis if c for x in reduced[tuple(sorted((c - 1, k)))]]
                  for k in range(nv)]
-    return len(pivots), _rank(diff_rows)
+    return span.dim, _rank(diff_rows)
 
 
 def gauss_fiber_dimension(f: PolyMap, stream, trials: int = 5) -> int:

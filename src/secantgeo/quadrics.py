@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .genericity import CertificationError, certified_value, nonzero_vector
 from .linalg import (IntegerSpan, Matrix, Subspace, eliminate, integer_combination,
-                     integer_values, scalar_values, span_sum)
+                     integer_mul_vec, integer_values, scalar_values)
 from .scalars import Scalar, _coerce, scalar_from_json, scalar_to_json
 
 
@@ -63,10 +63,15 @@ def integer_contraction(s: QuadricSystem, v) -> tuple[list, int]:
     integer form at v cleared of its denominators, as Gaussian integers."""
     if len(v) != s.n:
         raise ValueError("vector length != n")
-    quads, den = s.integer_form
     vi, lam = integer_values([_coerce(x) for x in v])
-    # q v = sum_k v_k q[k], q being symmetric
-    return [integer_combination(list(zip(vi, _square(q, s.n)))) for q in quads], den * lam
+    return contract(s, vi), s.integer_form[1] * lam
+
+
+def contract(s: QuadricSystem, w) -> list:
+    """D II_w as a x n Gaussian integers, for w itself on Gaussian integers
+    (either format): the contraction on the integer form."""
+    # q w = sum_k w_k q[k], q being symmetric
+    return [integer_combination(list(zip(w, _square(q, s.n)))) for q in s.integer_form[0]]
 
 
 def contraction(s: QuadricSystem, v) -> Matrix:
@@ -94,10 +99,10 @@ def quadric_from_coefficients(s: QuadricSystem, coeffs) -> Matrix:
     return Matrix(s.n, s.n, _square(scalar_values(q, den * s.integer_form[1]), s.n))
 
 
-def singular_locus(s: QuadricSystem, quads) -> Subspace:
+def singular_locus(s: QuadricSystem, quads) -> IntegerSpan:
     """Common kernel of quadrics on the integer form (`integer_quadric`): the
     kernel of their stacked rows; all of T for none."""
-    return IntegerSpan(s.n, [r for q in quads for r in _square(q, s.n)]).perp().subspace()
+    return IntegerSpan(s.n, [r for q in quads for r in _square(q, s.n)]).perp()
 
 
 @dataclass(frozen=True)
@@ -118,18 +123,19 @@ class RankProfile:
 
 @dataclass(frozen=True)
 class GenericPoint:
-    """A tangent vector v and everything read at it, computed once: the
-    contraction II_v (a x n), its image II_v(T) in N and kernel in T, the
+    """A tangent vector v and everything read at it, computed once on the
+    integer form: the contraction II_v = c / den (a x n Gaussian integers),
+    the spans of its image II_v(T) in N and its kernel in T, of the
     annihilator Ann(v) in N* (the quadrics singular at v, as the kernel of
-    c -> sum_mu c_mu q^mu v), the common kernel of Ann(v) and the maximal
-    annihilator rank r."""
+    c -> sum_mu c_mu q^mu v), and of the common kernel of Ann(v); the maximal
+    annihilator rank r; and, on first use, the Gauss fiber directions F_v."""
 
     v: tuple[Scalar, ...]
-    contraction: Matrix
-    image: Subspace
-    kernel: Subspace
-    annihilator: Subspace
-    singloc: Subspace
+    contraction: tuple[list, int]
+    image: IntegerSpan
+    kernel: IntegerSpan
+    annihilator: IntegerSpan
+    singloc: IntegerSpan
     r: int
 
     @property
@@ -137,6 +143,13 @@ class GenericPoint:
         """(a0, r, dim_ker, dim_ann, dim_singloc), in RankProfile order."""
         return (self.image.dim, self.r, self.kernel.dim, self.annihilator.dim,
                 self.singloc.dim)
+
+    @cached_property
+    def fiber(self) -> IntegerSpan:
+        """F_v = II_v(singloc Ann(v)) inside N: the affine direction space of
+        the Gauss fiber of the tangentially swept variety through [II(v,v)]."""
+        c = self.contraction[0]
+        return IntegerSpan(len(c), [integer_mul_vec(c, w) for w in self.singloc.rows])
 
 
 def _profile_at(s: QuadricSystem, v, inner_stream, inner_trials: int) -> GenericPoint:
@@ -148,9 +161,8 @@ def _profile_at(s: QuadricSystem, v, inner_stream, inner_trials: int) -> Generic
     # Ann(v)'s quadrics from its fraction-free basis: the canonical one
     # times a common factor, which moves no rank or kernel
     quads = [integer_quadric(s, row) for row in ann.rows]
-    return GenericPoint(tuple(v), Matrix(s.a, s.n, [scalar_values(r, den) for r in c]),
-                        image.subspace(), IntegerSpan(s.n, c).perp().subspace(),
-                        ann.subspace(), singular_locus(s, quads),
+    return GenericPoint(tuple(v), (c, den), image, IntegerSpan(s.n, c).perp(), ann,
+                        singular_locus(s, quads),
                         _max_rank_in_span(s.n, quads, inner_stream, inner_trials))
 
 
@@ -243,8 +255,12 @@ def higher_secant_dimension(s: QuadricSystem, k: int, profile: RankProfile, stre
         raise ValueError("k must be >= 2")
 
     def sample(bound, strm):
-        spans = [ii_image(s, nonzero_vector(s.n, bound, strm)) for _ in range(k - 1)]
-        return span_sum(spans).dim
+        # the span of the images is the row space of the stacked transposed
+        # contractions
+        rows = []
+        for _ in range(k - 1):
+            rows.extend(zip(*integer_contraction(s, nonzero_vector(s.n, bound, strm))[0]))
+        return len(eliminate(rows)[0])
 
     span_dim = certified_value(sample, stream, trials, what="secant span dimension")
     dim = s.n + span_dim

@@ -1,11 +1,14 @@
 """The elimination `secantgeo.linalg` used before its integer kernel: rank
 and RREF computed directly on Scalars.  Kept as the reference the integer
-kernel is checked against, with `stack_rows`, which only the references
-use."""
+kernel is checked against, with the Scalar matrix products and sums
+and the subspace helpers (`identity`, `zero`, `stack_rows`, `matmul`, `add`,
+`scale`, `contains_subspace`, `complement_indices`) that only the references
+and the tests use, and `intersect` as it was before it ran by Zassenhaus on
+integer spans: through the kernel of the stacked annihilators."""
 
 from math import lcm
 
-from secantgeo.linalg import Matrix
+from secantgeo.linalg import Matrix, Subspace
 from secantgeo.scalars import ONE, ZERO, Scalar
 
 
@@ -101,3 +104,54 @@ def stack_rows(mats) -> Matrix:
             raise ValueError("stack_rows column mismatch")
         data.extend(m.data)
     return Matrix(len(data), cols, data)
+
+
+def _dot(u, v) -> Scalar:
+    acc = ZERO
+    for a, b in zip(u, v):
+        if a and b:
+            acc = acc + a * b
+    return acc
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    if a.cols != b.rows:
+        raise ValueError("matmul shape mismatch")
+    cols = b.transpose().data
+    data = [[_dot(r, c) for c in cols] for r in a.data]
+    return Matrix(a.rows, b.cols, data)
+
+
+def scale(m: Matrix, c: Scalar) -> Matrix:
+    return Matrix(m.rows, m.cols, [[c * x for x in r] for r in m.data])
+
+
+def add(a: Matrix, b: Matrix) -> Matrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("add shape mismatch")
+    return Matrix(a.rows, a.cols,
+                  [[x + y for x, y in zip(r, s)] for r, s in zip(a.data, b.data)])
+
+
+def identity(n: int) -> Matrix:
+    return Matrix(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+
+def zero(rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, [[ZERO] * cols for _ in range(rows)])
+
+
+def contains_subspace(u: Subspace, w: Subspace) -> bool:
+    return all(u.contains(row) for row in w.basis)
+
+
+def complement_indices(u: Subspace) -> list[int]:
+    """Standard coordinates whose basis vectors represent cosets of a
+    complement to u."""
+    return [j for j in range(u.ambient_dim) if j not in set(u.pivots)]
+
+
+def intersect(spaces) -> Subspace:
+    amb = spaces[0].ambient_dim
+    ann = [row for u in spaces for row in kernel(Matrix(u.dim, amb, u.basis))]
+    return Subspace.from_vectors(amb, kernel(Matrix(len(ann), amb, ann)))

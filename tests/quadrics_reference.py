@@ -1,13 +1,45 @@
 """The pointwise profile `secantgeo.quadrics` computed before it worked on
 the integer form of a system: the contraction, the annihilator quadrics and
-the randomized annihilator-rank search all built as Scalar matrices.  Kept
-as the reference `_profile_at` is checked against, at the same draws."""
+the randomized annihilator-rank search all built as Scalar matrices, the
+point held as Scalar subspaces, and the higher secant spans summed as
+Scalar subspaces.  Kept as the reference `_profile_at` and
+`higher_secant_dimension` are checked against, at the same draws."""
 
-from linalg_reference import stack_rows
-from secantgeo.genericity import nonzero_vector
-from secantgeo.linalg import Matrix, Subspace, _dot, kernel, rank
-from secantgeo.quadrics import GenericPoint, QuadricSystem
+from dataclasses import dataclass
+
+from linalg_reference import _dot, identity, stack_rows
+from secantgeo.genericity import certified_value, nonzero_vector
+from secantgeo.linalg import Matrix, Subspace, kernel, rank, scalar_values, span_sum
+from secantgeo.quadrics import (GenericPoint, HigherSecantDimension, QuadricSystem, RankProfile,
+                                ii_image)
 from secantgeo.scalars import Scalar
+
+
+@dataclass(frozen=True)
+class ScalarPoint:
+    """`quadrics.GenericPoint` with every field as a Scalar matrix or subspace."""
+
+    v: tuple[Scalar, ...]
+    contraction: Matrix
+    image: Subspace
+    kernel: Subspace
+    annihilator: Subspace
+    singloc: Subspace
+    r: int
+
+    @property
+    def profile(self) -> tuple[int, int, int, int, int]:
+        return (self.image.dim, self.r, self.kernel.dim, self.annihilator.dim,
+                self.singloc.dim)
+
+
+def scalar_point(point: GenericPoint) -> ScalarPoint:
+    """The integer point converted field by field: the contraction c / den as
+    a Scalar matrix, each span as its canonical Scalar subspace."""
+    c, den = point.contraction
+    return ScalarPoint(point.v, Matrix(len(c), len(point.v), [scalar_values(r, den) for r in c]),
+                       point.image.subspace(), point.kernel.subspace(),
+                       point.annihilator.subspace(), point.singloc.subspace(), point.r)
 
 
 def contraction(s: QuadricSystem, v) -> Matrix:
@@ -39,17 +71,17 @@ def singular_locus(s: QuadricSystem, quadrics) -> Subspace:
     """Common kernel of the given quadrics; all of T for an empty list."""
     mats = list(quadrics)
     if not mats:
-        return Subspace.from_vectors(s.n, Matrix.identity(s.n).data)
+        return Subspace.from_vectors(s.n, identity(s.n).data)
     return kernel(stack_rows(mats))
 
 
-def profile_at(s: QuadricSystem, v, inner_stream, inner_trials: int) -> GenericPoint:
+def profile_at(s: QuadricSystem, v, inner_stream, inner_trials: int) -> ScalarPoint:
     c = contraction(s, v)
     image = Subspace.from_vectors(s.a, c.transpose().data)
     ann = image.perp()
     singloc = singular_locus(s, [quadric_from_coefficients(s, row) for row in ann.basis])
     r = max_rank_in_span(s, ann, inner_stream, inner_trials)
-    return GenericPoint(tuple(v), c, image, kernel(c), ann, singloc, r)
+    return ScalarPoint(tuple(v), c, image, kernel(c), ann, singloc, r)
 
 
 def max_rank_in_span(s: QuadricSystem, ann: Subspace, stream, trials: int) -> int:
@@ -72,3 +104,18 @@ def max_rank_in_span(s: QuadricSystem, ann: Subspace, stream, trials: int) -> in
         q = quadric_from_coefficients(s, combo)
         best = max(best, rank(q))
     return best
+
+
+def higher_secant_dimension(s: QuadricSystem, k: int, profile: RankProfile, stream,
+                            trials: int = 5) -> HigherSecantDimension:
+    if k < 2:
+        raise ValueError("k must be >= 2")
+
+    def sample(bound, strm):
+        spans = [ii_image(s, nonzero_vector(s.n, bound, strm)) for _ in range(k - 1)]
+        return span_sum(spans).dim
+
+    span_dim = certified_value(sample, stream, trials, what="secant span dimension")
+    dim = s.n + span_dim
+    bound = s.n + (k - 1) * profile.a0
+    return HigherSecantDimension(k, dim, bound, dim <= bound)

@@ -1,4 +1,18 @@
-from secantgeo import derive_stream
+import dataclasses
+import functools
+import importlib.util
+import random
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import defects_reference
+import quadrics_reference
+from defects_reference import ii_second_fundamental_form
+from linalg_reference import add, identity, matmul, scale, zero
+from quadrics_reference import scalar_point
+from secantgeo import defects, derive_stream
 from secantgeo.defects import (
     DefectError,
     annihilator_matches_image_perp,
@@ -7,8 +21,6 @@ from secantgeo.defects import (
     defect_report,
     fiber_contains_singloc_products,
     fiber_dimension_identity,
-    gauss_fiber,
-    ii_second_fundamental_form,
     kernel_in_singular_locus,
     minimal_subsystem,
     quotient_frames,
@@ -19,9 +31,14 @@ from secantgeo.defects import (
     vertex,
     zak_bound_check,
 )
-from secantgeo.linalg import Matrix
-from secantgeo.quadrics import QuadricSystem, generic_vector, rank_profile
-from secantgeo.scalars import Scalar
+from secantgeo.genericity import CertificationError
+from secantgeo.jets import chart_at, second_fundamental_form
+from secantgeo.linalg import IntegerSpan, Matrix, integer_values, scalar_values
+from secantgeo.quadrics import (QuadricSystem, _profile_at, generic_vector,
+                                higher_secant_dimension, rank_profile)
+from secantgeo.scalars import ONE, ZERO, Scalar
+from secantgeo.zoo import catalog
+from test_quadrics import systems
 
 
 def sym(n, entries):
@@ -77,7 +94,7 @@ def test_gauss_fiber_of_cylinder():
     s = cylinder_system()
     prof = rank_profile(s, derive_stream(0, "td", "cy"))
     point = generic_vector(s, prof, derive_stream(0, "td", "cy", 1))
-    fib = gauss_fiber(s, point)
+    fib = point.fiber
     assert fib.dim == 1
     assert fiber_dimension_identity(s, point)
 
@@ -86,6 +103,7 @@ def test_ii_second_fundamental_form_residues(charted):
     _, _, s, prof = charted["severi_R"]
     point = generic_vector(s, prof, derive_stream(0, "td", "ii"))
     # II(v, v) is by definition inside II_v(T)
+    point = scalar_point(point)
     residue, vanished = ii_second_fundamental_form(s, point, point.v, point.v)
     assert vanished
     assert residue == [Scalar(0)] * s.a
@@ -130,12 +148,13 @@ def test_clifford_not_applicable_without_hypersurface_tau():
 def test_clifford_action_rejects_inadmissible_direction(charted):
     _, _, s, prof = charted["severi_R"]
     point = generic_vector(s, prof, derive_stream(0, "td", "ad"))
-    v = point.v
+    v = integer_values(point.v)[0]
     frames = quotient_frames(s, point)
-    phi_v = clifford_action(s, frames, v)
-    assert phi_v == Matrix.identity(len(frames.tangent_reps))
+    m, den = clifford_action(s, frames, v)
+    k = len(frames.tangent_reps)
+    assert Matrix(k, k, [scalar_values(r, den) for r in m]) == identity(k)
     # II_w(T) of a transverse w is not contained in II_v(T)
-    w = [v[0] + Scalar(1), v[1] + Scalar(2)]
+    w = [v[0] + 1, v[1] + 2]
     if list(w) != list(v):
         try:
             clifford_action(s, frames, w)
@@ -223,3 +242,156 @@ def test_defect_report_on_severi(charted):
     assert rep.so_membership is True
     assert rep.rank_restriction.holds
     assert rep.zak_bound.equality
+
+
+# -- the integer route against the Scalar reference --------------------------
+
+REFERENCE = settings(max_examples=40, deadline=None, database=None)
+
+# Severi systems and the Gaussian-rational ones of scripts/regen_golden.py:
+# they reach the Clifford branch, and the latter the pair format
+SEVERI = ("severi_R", "severi_C", "severi_H")
+GAUSSIAN = ("severi_C", "segre_3_3")
+
+
+@functools.lru_cache(maxsize=None)
+def base_system(name: str, gaussian: bool) -> QuadricSystem:
+    ent = {e.name: e for e in catalog()}[name]
+    if gaussian:
+        spec = importlib.util.spec_from_file_location(
+            "regen_golden", Path(__file__).resolve().parents[1] / "scripts" / "regen_golden.py")
+        regen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(regen)
+        return regen.complex_system(ent)
+    return second_fundamental_form(chart_at(ent.map, list(ent.base_point), 3))
+
+
+@st.composite
+def changed_systems(draw):
+    """A base system under random unimodular changes of coordinates A on T
+    and B on N, over Z or Z[i]: q'^mu = sum_nu B[mu][nu] A^T q^nu A."""
+    name, gaussian = draw(st.sampled_from([(n, False) for n in SEVERI] +
+                                          [(n, True) for n in GAUSSIAN]))
+    s = base_system(name, gaussian)
+    im = st.integers(-2, 2) if draw(st.booleans()) else st.just(0)
+    entry = st.builds(Scalar, st.integers(-2, 2), im)
+
+    def unimodular(m):
+        # unit lower times unit upper triangular: determinant 1
+        low = Matrix(m, m, [[ONE if i == j else draw(entry) if j < i else ZERO
+                             for j in range(m)] for i in range(m)])
+        up = Matrix(m, m, [[ONE if i == j else draw(entry) if j > i else ZERO
+                            for j in range(m)] for i in range(m)])
+        return matmul(low, up)
+
+    a, b = unimodular(s.n), unimodular(s.a)
+    moved = [matmul(a.transpose(), matmul(q, a)) for q in s.quadrics]
+    quads = []
+    for row in b.data:
+        acc = zero(s.n, s.n)
+        for c, q in zip(row, moved):
+            acc = add(acc, scale(q, c))
+        quads.append(acc)
+    return QuadricSystem(s.n, s.a, tuple(quads))
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as e:  # the two routes must fail alike
+        return "raises", type(e).__name__, str(e)
+
+
+def _same(ours, theirs, convert=lambda x: x):
+    """Run both routes at equal fresh streams: equal outcomes, ours
+    converted explicitly, and equal stream states after."""
+    s1, s2 = random.Random(7), random.Random(7)
+    got, want = _outcome(ours, s1), _outcome(theirs, s2)
+    assert (got[0], convert(got[1])) == want if got[0] == "value" else got == want
+    assert s1.getstate() == s2.getstate()
+    return got
+
+
+def _report_fields(s, rep):
+    """Every DefectReport field, the integer ones converted: each span to its
+    canonical Scalar subspace, each integer-form quadric to its Scalar matrix."""
+    mini = rep.minimal_subsystem
+    if isinstance(mini.coefficients, IntegerSpan):
+        last, den = mini.coefficients.last, s.integer_form[1]
+        den = den * last if type(last) is int else (den * last[0], den * last[1])
+        quads = tuple(Matrix(s.n, s.n, [scalar_values(q, den)[i:i + s.n]
+                                        for i in range(0, s.n * s.n, s.n)])
+                      for q in mini.quadrics)
+        coeffs = mini.coefficients.subspace()
+    else:
+        quads, coeffs = mini.quadrics, mini.coefficients
+    return (rep.profile, rep.vertex_dim, rep.fiber_dim, coeffs, mini.dim, quads,
+            dataclasses.astuple(rep.clifford_verdict), rep.so_membership,
+            dataclasses.astuple(rep.rank_restriction), dataclasses.astuple(rep.zak_bound))
+
+
+PROPERTY_CHECKS = ("kernel_in_singular_locus", "annihilator_matches_image_perp",
+                   "fiber_contains_singloc_products", "fiber_dimension_identity",
+                   "quotient_singular_locus_match")
+
+
+def compare_with_reference(s):
+    """Every DefectReport field, vertex, higher_secant_dimension, and at two
+    generic points and at half the second one (a v with a denominator) the
+    five property checks, so-membership and the Clifford verdict, against
+    the Scalar route.  Returns our defect report, or None when the profile
+    does not certify."""
+    try:
+        prof = rank_profile(s, random.Random(3))
+    except CertificationError:
+        return None
+    sigma = s.n + prof.a0
+    got = _same(lambda st: defect_report(s, prof, sigma, st),
+                lambda st: _report_fields(s, defects_reference.defect_report(s, prof, sigma, st)),
+                lambda rep: _report_fields(s, rep))
+    vert = _same(lambda st: vertex(s, prof, st), lambda st: defects_reference.vertex(s, prof, st),
+                 lambda v: v.subspace())[1]
+    for k in (2, 3):
+        _same(lambda st: higher_secant_dimension(s, k, prof, st),
+              lambda st: quadrics_reference.higher_secant_dimension(s, k, prof, st))
+    stream, points = random.Random(11), []
+    try:
+        points += [generic_vector(s, prof, stream) for _ in range(2)]
+        points.append(_profile_at(s, [x * Scalar("1/2") for x in points[-1].v], stream, 3))
+    except CertificationError:
+        pass
+    for point in points:
+        ref_point = scalar_point(point)
+        for name in PROPERTY_CHECKS + ("so_membership_check",):
+            ours, theirs = getattr(defects, name), getattr(defects_reference, name)
+            assert _outcome(ours, s, point) == _outcome(theirs, s, ref_point), name
+        if isinstance(vert, IntegerSpan):
+            assert _outcome(lambda: dataclasses.astuple(
+                clifford_relation_check(s, prof, point, vert))) == _outcome(
+                lambda: dataclasses.astuple(defects_reference.clifford_relation_check(
+                    s, prof, ref_point, vert.subspace())))
+    return got[1] if got[0] == "value" else None
+
+
+@REFERENCE
+@given(systems())
+def test_defect_route_matches_reference_on_random_systems(s):
+    compare_with_reference(s)
+
+
+@REFERENCE
+@given(changed_systems())
+def test_defect_route_matches_reference_on_changed_severi_systems(s):
+    compare_with_reference(s)
+
+
+def test_reference_comparison_reaches_the_clifford_branch():
+    """The Gaussian severi_C system passes every Clifford check, on a kernel
+    and in the pair format."""
+    s = base_system("severi_C", True)
+    assert s.integer_form[0][0] and type(s.integer_form[0][0][0]) is tuple
+    rep = compare_with_reference(s)
+    cv = rep.clifford_verdict
+    assert cv.applicable and cv.proportionality_ok and cv.relation_holds
+    assert cv.kernel_dim == 1 and cv.module_dim == 2
+    assert rep.so_membership is True

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_reference as reference
-from linalg_reference import stack_rows
-from secantgeo.linalg import (Matrix, Subspace, _combine_gauss, _combine_int, intersect,
-                              inverse, kernel, random_vector, rank, rref, solve_left, span_sum)
+from linalg_reference import (complement_indices, contains_subspace, identity, matmul,
+                              stack_rows, zero)
+from secantgeo.linalg import (IntegerSpan, Matrix, Subspace, _combine_gauss, _combine_int,
+                              _integer_rows, _negate, integer_values, intersect, inverse, kernel,
+                              random_vector, rank, rref, solve_left, span_sum)
 from secantgeo.scalars import ONE, ZERO, Rational, Scalar
 
 
@@ -22,8 +24,8 @@ def rand_matrix(rng, rows, cols, bound=5):
 
 
 def test_rank_basic():
-    assert rank(Matrix.identity(4)) == 4
-    assert rank(Matrix.zero(3, 5)) == 0
+    assert rank(identity(4)) == 4
+    assert rank(zero(3, 5)) == 0
     m = from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert rank(m) == 2
 
@@ -59,7 +61,7 @@ def test_subspace_equality_and_membership():
     assert u.dim == 2
     assert u.contains([2, 3, 5])
     assert not u.contains([0, 0, 1])
-    assert u.contains_subspace(Subspace.from_vectors(3, [[1, 1, 2]]))
+    assert contains_subspace(u, Subspace.from_vectors(3, [[1, 1, 2]]))
 
 
 def test_subspace_dimension_formula():
@@ -71,8 +73,8 @@ def test_subspace_dimension_formula():
         s = span_sum([u, w])
         i = intersect([u, w])
         assert s.dim + i.dim == u.dim + w.dim
-        assert s.contains_subspace(u) and s.contains_subspace(w)
-        assert u.contains_subspace(i) and w.contains_subspace(i)
+        assert contains_subspace(s, u) and contains_subspace(s, w)
+        assert contains_subspace(u, i) and contains_subspace(w, i)
 
 
 def test_reduce_is_canonical_coset():
@@ -117,11 +119,11 @@ def test_solve_left_and_inverse():
             if rank(a) == n:
                 break
         x = rand_matrix(rng, rng.randint(1, 4), n)
-        b = x.matmul(a)
+        b = matmul(x, a)
         assert solve_left(a, b) == x
         ai = inverse(a)
-        assert a.matmul(ai) == Matrix.identity(n)
-        assert ai.matmul(a) == Matrix.identity(n)
+        assert matmul(a, ai) == identity(n)
+        assert matmul(ai, a) == identity(n)
 
 
 def test_stack_rows_and_complement():
@@ -131,7 +133,7 @@ def test_stack_rows_and_complement():
     assert st.rows == 3 and st.cols == 2
     assert st.data[2] == (Scalar(5), Scalar(6))
     u = Subspace.from_vectors(4, [[1, 0, 3, 0], [0, 1, 4, 0]])
-    comp = u.complement_indices()
+    comp = complement_indices(u)
     assert comp == [2, 3]
     full = span_sum([u, Subspace.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])])
     assert full.dim == 4
@@ -185,7 +187,7 @@ def matrices(draw, rows=None, cols=None):
 @st.composite
 def invertible(draw, n):
     """A product of random elementary row operations on the n x n identity."""
-    rows = [list(r) for r in Matrix.identity(n).data]
+    rows = [list(r) for r in identity(n).data]
     for _ in range(draw(st.integers(0, 6))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         op = draw(st.sampled_from(["swap", "scale", "add"]))
@@ -226,7 +228,7 @@ def test_rank_plus_kernel_dimension_is_cols(m):
 def test_rref_invariant_under_row_operations(data):
     m = data.draw(matrices())
     e = data.draw(invertible(m.rows))
-    assert rref(e.matmul(m)) == rref(m)
+    assert rref(matmul(e, m)) == rref(m)
 
 
 @PROPERTY
@@ -235,7 +237,37 @@ def test_rank_of_product_bounded_by_factors(data):
     inner = data.draw(st.integers(1, 5))
     a = data.draw(matrices(cols=inner))
     b = data.draw(matrices(rows=inner))
-    assert rank(a.matmul(b)) <= min(rank(a), rank(b))
+    assert rank(matmul(a, b)) <= min(rank(a), rank(b))
+
+
+@PROPERTY
+@given(st.data())
+def test_integer_spans_match_scalar_reference(data):
+    """An IntegerSpan holds its canonical basis times the least integer that
+    clears it, up to sign, over Z and over Z[i]; and it intersects,
+    reduces and compares as the Scalar subspaces do, in either format."""
+    m = data.draw(matrices())
+    other = data.draw(matrices(cols=m.cols))
+    span, other_span = (IntegerSpan(x.cols, _integer_rows(x.data)) for x in (m, other))
+    basis = span.subspace().basis
+    if basis:
+        ints, den = integer_values([x for r in basis for x in r], type(span.last) is int)
+        if span.last in (-den, (-den, 0)):
+            ints, den = [_negate(x) for x in ints], -den
+        assert [x for r in span.rows for x in r] == ints
+        assert span.last in (den, (den, 0))
+
+    def perp_rows(sub):
+        return reference.kernel(Matrix(sub.dim, sub.ambient_dim, sub.basis))
+
+    u, w = span.subspace(), other_span.subspace()
+    stacked = perp_rows(u) + perp_rows(w)
+    want = reference.kernel(Matrix(len(stacked), m.cols, stacked))
+    assert [list(r) for r in span.intersect(other_span).subspace().basis] == want
+    for row in other.data:
+        assert span.contains(integer_values(row)[0]) == u.contains(row)
+    assert (span == other_span) == (u == w)
+    assert span == IntegerSpan(m.cols, _integer_rows(u.basis))
 
 
 def test_inexact_bareiss_division_raises():

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadrics_reference as reference
+from linalg_reference import add, scale, zero
 from secantgeo import linalg, quadrics
+from secantgeo.defects import vertex
 from secantgeo.genericity import CertificationError, derive_stream, nonzero_vector
 from secantgeo.jets import chart_at, second_fundamental_form
 from secantgeo.linalg import Matrix, Subspace, integer_values, kernel, rank
@@ -54,15 +56,16 @@ def test_annihilator_and_singular_locus():
     s = severi_r_system()
     v = [Scalar(1), Scalar(2)]
     point = _profile_at(s, v, derive_stream(0, "tq", "an"), 5)
-    ann = point.annihilator
+    ann = point.annihilator.subspace()
     assert ann.dim == 1
     q = quadric_from_coefficients(s, list(ann.basis[0]))
     # the annihilator quadric is singular exactly at multiples of v
     assert not any(q.mul_vec(v))
     sl = singular_locus(s, [integer_quadric(s, integer_values(ann.basis[0])[0])])
-    assert sl == point.singloc == kernel(q)
+    assert sl == point.singloc
+    assert sl.subspace() == kernel(q)
     assert sl.dim == 1
-    assert sl.contains(v)
+    assert sl.contains(integer_values(v)[0])
 
 
 def test_rank_profile_severi_r():
@@ -121,9 +124,9 @@ def test_generic_vector_certified():
     s = severi_r_system()
     prof = rank_profile(s, derive_stream(0, "tq", "gv"))
     point = generic_vector(s, prof, derive_stream(0, "tq", "gv", 1))
-    assert point.image == ii_image(s, point.v)
-    assert point.kernel == kernel(contraction(s, point.v))
-    assert point.annihilator == kernel(contraction(s, point.v).transpose())
+    assert point.image.subspace() == ii_image(s, point.v)
+    assert point.kernel.subspace() == kernel(contraction(s, point.v))
+    assert point.annihilator.subspace() == kernel(contraction(s, point.v).transpose())
     assert point.profile == (prof.a0, prof.r, prof.dim_ker, prof.dim_ann, prof.dim_singloc)
 
 
@@ -138,6 +141,23 @@ def test_each_profile_draw_contracts_once(monkeypatch):
     generic_vector(s, prof, derive_stream(0, "tq", "once", 1))
     assert len(draws) >= 6
     assert len(contractions) == len(draws)
+
+
+def test_profile_and_vertex_draws_build_no_scalar(monkeypatch):
+    """A rank_profile call and a vertex call stay on the integer form: no
+    draw converts a contraction or a span back to Scalars."""
+    built = []
+    for mod in (linalg, quadrics):
+        convert = mod.scalar_values
+        monkeypatch.setattr(mod, "scalar_values",
+                            lambda *a, convert=convert: built.append(a) or convert(*a))
+    s = severi_r_system()
+    prof = rank_profile(s, derive_stream(0, "tq", "noscalar"))
+    vertex(s, prof, derive_stream(0, "tq", "noscalar", 1))
+    assert built == []
+    # the count sees a conversion where one is made
+    generic_vector(s, prof, derive_stream(0, "tq", "noscalar", 2)).image.subspace()
+    assert built
 
 
 def test_each_profile_draw_reduces_the_contraction_once(monkeypatch):
@@ -283,12 +303,12 @@ def systems(draw):
         kind = draw(st.sampled_from(["zero", "dependent", "random"] if quads else
                                     ["zero", "random"]))
         if kind == "zero":
-            quads.append(Matrix.zero(n, n))
+            quads.append(zero(n, n))
         elif kind == "dependent":
             coeffs = draw(st.lists(entries(real), min_size=len(quads), max_size=len(quads)))
-            acc = Matrix.zero(n, n)
+            acc = zero(n, n)
             for c, q in zip(coeffs, quads):
-                acc = acc.add(q.scale(c))
+                acc = add(acc, scale(q, c))
             quads.append(acc)
         else:
             rows = [[ZERO] * n for _ in range(n)]
@@ -308,7 +328,7 @@ def test_profile_matches_scalar_reference(s, seed, bound, gaussian):
     ours, theirs = random.Random(seed), random.Random(seed)
     point = _profile_at(s, v, ours, 3)
     want = reference.profile_at(s, v, theirs, 3)
-    assert point == want
+    assert reference.scalar_point(point) == want
     assert ours.getstate() == theirs.getstate()
 
 
