@@ -7,6 +7,7 @@ Exit codes: 0 all requested verdicts computed (even when some fail),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -51,7 +52,10 @@ def _common_flags(p: argparse.ArgumentParser, order=True):
         p.add_argument("--order", type=int, default=3, choices=(3, 4))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later `main` call:
+    parse_args keeps no state between calls."""
     ap = argparse.ArgumentParser(prog="secantgeo",
                                  description="dimension and defect analysis of secant and "
                                              "tangential varieties from exact chart data")

@@ -328,16 +328,14 @@ def kernel_in_singular_locus(s: QuadricSystem, point: GenericPoint) -> bool:
     return sl.contains(_integer_v(point)) and all(map(sl.contains, point.kernel.rows))
 
 
-def _quadric_span(s: QuadricSystem, coeff_rows) -> IntegerSpan:
-    return IntegerSpan(s.n * s.n, [integer_quadric(s, row) for row in coeff_rows])
-
-
 def annihilator_matches_image_perp(s: QuadricSystem, point: GenericPoint) -> bool:
-    """The quadrics singular at v span the same space as the quadrics whose
-    coefficient functionals kill II_v(T)."""
-    lhs = _quadric_span(s, point.annihilator.rows)
-    rhs = _quadric_span(s, point.image.perp().rows)
-    return lhs == rhs
+    """Ann(v) is all of II_v(T)^perp: the quadric of each of its rows is
+    singular at v, so that Ann(v) kills II_v(T), and dim Ann(v) + dim
+    II_v(T) = a."""
+    v = _integer_v(point)
+    return point.annihilator.dim + point.image.dim == s.a and all(
+        _is_zero(integer_mul_vec(_square(integer_quadric(s, row), s.n), v))
+        for row in point.annihilator.rows)
 
 
 def fiber_contains_singloc_products(s: QuadricSystem, point: GenericPoint) -> bool:

@@ -6,6 +6,14 @@ origin, moves the tangent space onto the first n coordinates by an exact
 linear change, inverts the tangent projection as a truncated series and
 reads off the graph coefficients.  Everything is exact; the truncation
 order (3 or 4) only limits which coefficients exist.
+
+chart_roundtrip_check certifies a chart on Gaussian integers: the lift,
+base point, center, normal correction and graph are cleared of their
+denominators once, and along each random line the graph identity is
+checked multiplied through by the units it would divide by, as one
+identity between univariate integer series per normal row (ints for real
+data, (re, im) pairs otherwise).  The Scalar `Poly` route it replaced is
+the reference in `tests/jets_reference.py`.
 """
 
 from __future__ import annotations
@@ -14,11 +22,12 @@ from dataclasses import dataclass
 from math import factorial
 
 from .genericity import nonzero_vector
-from .linalg import Matrix, Subspace, _basis_vec, _unit, rref, solve_left
+from .linalg import (Matrix, Subspace, _basis_vec, _negate, _unit, integer_combination,
+                     integer_values, rref, solve_left)
 from .polymaps import Poly, PolyMap
 from .quadrics import QuadricSystem
 from .scalars import ZERO, Scalar, _coerce
-from .series import compose_each, compose_trunc, invert_map_series, mul_trunc, reciprocal_trunc, shift_poly
+from .series import compose_each, invert_map_series, mul_trunc, reciprocal_trunc, shift_poly
 
 
 class ChartError(ValueError):
@@ -195,43 +204,134 @@ def chart_roundtrip_check(f: PolyMap, j: JetChart, stream, samples: int = 10,
                           bound: int = 3) -> bool:
     """Replay the recorded chart along random lines u0 + t h and compare the
     one-variable Taylor expansions of the normal coordinates against the
-    graph, exactly modulo degree > order."""
-    order = j.order
-    n = f.domain_dim
+    graph, exactly modulo t^(k+1), k the chart order.
+
+    Everything is cleared to Gaussian integers first: the lift (one common
+    denominator, which cancels in the chart), the base point u0 = U / d (the
+    lift scaled by d^deg), the center C / delta, each correction row K /
+    kappa and each graph row G_2 + ... + G_k over omega.  Along a line the
+    lift gives integer series, P the pivot's, and with Y = delta L - C P and
+    Z_s = kappa Y_s - K Y_tan the test y_s = g_s(y_tan) reads, times the
+    unit kappa omega (delta P)^k,
+
+        omega (delta P)^(k-1) Z_s = kappa sum_m (delta P)^(k-m) G_m(Y_tan),
+
+    so nothing divides.  A pivot vanishing at t = 0 is no unit and fails."""
+    k, n = j.order, f.domain_dim
     lift = f.lift()
+    graphs = [_graph_terms(j, s) for s in range(j.a)]
+    scalars = [*j.base_point, *j.chart_center, *(x for r in j.normal_correction.data for x in r),
+               *(c for q in lift for c in q.terms.values()), *(c for g in graphs for _, c in g)]
+    real = not any(x.im for x in scalars)
+    mul, zero, one = _SERIES[real]
+    zero, one = [zero] * (k + 1), [one] + [zero] * k
+
+    u, d = integer_values(j.base_point, real)
+    deg = max(q.degree() for q in lift)
+    coeffs = iter(integer_values([c for q in lift for c in q.terms.values()], real)[0])
+    lift_terms = [[(_times(next(coeffs), d ** (deg - sum(e))), e) for e in q.terms] for q in lift]
+    center, delta = integer_values(j.chart_center, real)
+    # per normal row: Z_s times omega as terms (coefficient, index into Y),
+    # and kappa G_m as terms (coefficient, exponent) for m = 2, ..., k
+    rows = []
+    for s, i in enumerate(j.normal_rows):
+        kk, kappa = integer_values(j.normal_correction.data[s], real)
+        gg, omega = integer_values([c for _, c in graphs[s]], real)
+        z = [(omega * kappa, i)] + [(_times(_negate(c), omega), t)
+                                    for c, t in zip(kk, j.tangent_rows)]
+        g = [[(_times(c, kappa), e) for c, (e, _) in zip(gg, graphs[s]) if sum(e) == m]
+             for m in range(2, k + 1)]
+        rows.append((z, g))
+
     for _ in range(samples):
         h = nonzero_vector(n, bound, stream)
-        gs = [Poly.constant(1, j.base_point[i]) + Poly.variable(1, 0, h[i]) for i in range(n)]
-        line = compose_each(lift, gs, order)
-        inv_piv = reciprocal_trunc(line[j.pivot_index], order)
-        body = [i for i in range(len(lift)) if i != j.pivot_index]
-        coords = [mul_trunc(line[b], inv_piv, order) for b in body]
-        centered = [p - Poly.constant(1, c) for p, c in zip(coords, j.chart_center)]
-        y_tan = [centered[i] for i in j.tangent_rows]
-        for s, i in enumerate(j.normal_rows):
-            y = centered[i]
-            for alpha in range(n):
-                c = j.normal_correction.at(s, alpha)
-                if c:
-                    y = y - y_tan[alpha].scale(c)
-            g = _graph_poly(j, s)
-            expect = compose_trunc(g, y_tan, order)
-            if not (y - expect).truncated(order).is_zero():
+        # U_i + d h_i t, the line times d
+        line = [[x, _times(one[0], d * y.re.numerator)] + zero[2:] for x, y in zip(u, h)]
+        lmono = _monomials(line, mul, one)
+        big = [integer_combination([(c, lmono(e)) for c, e in terms]) if terms else zero
+               for terms in lift_terms]
+        p = big[j.pivot_index]
+        if p[0] == zero[0]:
+            return False
+        body = big[:j.pivot_index] + big[j.pivot_index + 1:]
+        y = [integer_combination([(delta, b), (_negate(c), p)]) for b, c in zip(body, center)]
+        ymono = _monomials([y[i] for i in j.tangent_rows], mul, one)
+        dp = integer_combination([(delta, p)])
+        dp_top = dp  # (delta P)^(k-1)
+        for _ in range(k - 2):
+            dp_top = mul(dp_top, dp)
+        for z, g in rows:
+            rhs = zero  # sum_m (delta P)^(k-m) G_m by Horner's rule
+            for gm in g:
+                rhs = mul(rhs, dp)
+                if gm:
+                    rhs = integer_combination([(1, rhs)] + [(c, ymono(e)) for c, e in gm])
+            if mul(integer_combination([(c, y[t]) for c, t in z]), dp_top) != rhs:
                 return False
     return True
 
 
-def _graph_poly(j: JetChart, s: int) -> Poly:
-    g2 = Poly(j.n, {})
+def _graph_terms(j: JetChart, s: int) -> list:
+    """The graph of normal row s as (exponent, coefficient) pairs: q with
+    its off-diagonal entries doubled, then c3, then c4."""
+    terms = []
     for i in range(j.n):
-        for k in range(i, j.n):
-            c = j.q[s].at(i, k)
+        for l in range(i, j.n):
+            c = j.q[s].at(i, l)
             if c:
                 e = [0] * j.n
                 e[i] += 1
-                e[k] += 1
-                g2 = g2 + Poly.monomial(j.n, e, c if i == k else c * Scalar(2))
-    g = g2 + j.c3[s]
+                e[l] += 1
+                terms.append((tuple(e), c if i == l else c + c))
+    terms += j.c3[s].terms.items()
     if j.c4 is not None:
-        g = g + j.c4[s]
-    return g
+        terms += j.c4[s].terms.items()
+    return terms
+
+
+def _times(c, w: int):
+    """A Gaussian integer of either format times the int w."""
+    return c * w if type(c) is int else (c[0] * w, c[1] * w)
+
+
+def _monomials(xs: list, mul, one: list):
+    """e -> prod_i xs[i]^e_i, truncated, memoized: each monomial of degree
+    two or more is one product with a monomial of one degree lower."""
+    cache = {(0,) * len(xs): one}
+    cache.update((_unit(len(xs), i), x) for i, x in enumerate(xs))
+
+    def mono(e):
+        m = cache.get(e)
+        if m is None:
+            i = next(i for i, x in enumerate(e) if x)
+            m = cache[e] = mul(xs[i], mono(e[:i] + (e[i] - 1,) + e[i + 1:]))
+        return m
+
+    return mono
+
+
+def _mul_int(a: list, b: list) -> list:
+    """a b over Z, truncated to the length of a."""
+    k = len(a)
+    out = [0] * k
+    for i, x in enumerate(a):
+        if x:
+            for l in range(k - i):
+                out[i + l] += x * b[l]
+    return out
+
+
+def _mul_gauss(a: list, b: list) -> list:
+    """a b over Z[i] on (re, im) pairs, truncated to the length of a."""
+    k = len(a)
+    re, im = [0] * k, [0] * k
+    for i, (x, y) in enumerate(a):
+        if x or y:
+            for l, (v, w) in enumerate(b[:k - i]):
+                re[i + l] += x * v - y * w
+                im[i + l] += x * w + y * v
+    return list(zip(re, im))
+
+
+# (truncated product, zero, one) for int series and for (re, im) pair series
+_SERIES = {True: (_mul_int, 0, 1), False: (_mul_gauss, (0, 0), (1, 0))}

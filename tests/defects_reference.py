@@ -340,20 +340,12 @@ def kernel_in_singular_locus(s: QuadricSystem, point: ScalarPoint) -> bool:
     return point.singloc.contains(point.v) and contains_subspace(point.singloc, point.kernel)
 
 
-def _quadric_span(s: QuadricSystem, coeff_rows) -> Subspace:
-    flat = []
-    for row in coeff_rows:
-        q = quadric_from_coefficients(s, row)
-        flat.append([q.at(i, j) for i in range(s.n) for j in range(s.n)])
-    return Subspace.from_vectors(s.n * s.n, flat)
-
-
 def annihilator_matches_image_perp(s: QuadricSystem, point: ScalarPoint) -> bool:
-    """The quadrics singular at v span the same space as the quadrics whose
-    coefficient functionals kill II_v(T)."""
-    lhs = _quadric_span(s, point.annihilator.basis)
-    rhs = _quadric_span(s, point.image.perp().basis)
-    return lhs == rhs
+    """Ann(v) is all of II_v(T)^perp: each of its quadrics is singular at v,
+    and dim Ann(v) + dim II_v(T) = a."""
+    v = list(point.v)
+    return point.annihilator.dim + point.image.dim == s.a and all(
+        not any(quadric_from_coefficients(s, row).mul_vec(v)) for row in point.annihilator.basis)
 
 
 def fiber_contains_singloc_products(s: QuadricSystem, point: ScalarPoint) -> bool:

@@ -5,6 +5,7 @@ import json
 import os
 import sys
 
+from secantgeo import cli
 from secantgeo.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -182,3 +183,27 @@ def test_json_booleans_are_not_integers():
         assert err.startswith("error: ") and field in err
     code, _, _ = run(["analyze"], stdin_text=json.dumps(dict(system, n=1)))
     assert code == 0
+
+
+def test_shared_parser_carries_no_state_between_calls():
+    """Each command gives the same result after other commands and flags
+    have run through the one parser as on a freshly built parser; a flag
+    given to one call is missing from the next (the last zoo call exits 1
+    for want of --k)."""
+    _, chart, _ = run(["zoo", "veronese", "--d", "2", "--m", "1"])
+    calls = [(["zoo", "segre", "--k", "2", "--r", "3"], ""),
+             (["analyze", "--seed", "3", "--k", "3", "--format", "json"], chart),
+             (["analyze"], chart),
+             (["oracle", "join", "--k", "3", "--trials", "2"], chart),
+             (["oracle", "tangent"], chart),
+             (["clifford", "--order", "4"], chart),
+             (["zoo", "cone", "--of", "veronese:3,1"], ""),
+             (["zoo", "segre", "--r", "3"], "")]
+    first = []
+    for argv, stdin_text in calls:
+        cli._build_parser.cache_clear()
+        first.append(run(argv, stdin_text))
+    assert [code for code, _, _ in first] == [0] * 7 + [1]
+    for order in (calls, calls[::-1]):
+        assert [run(argv, stdin_text) for argv, stdin_text in order] == \
+            [first[calls.index(c)] for c in order]

@@ -215,6 +215,25 @@ def test_structural_identities_at_generic_points(charted):
         assert quotient_singular_locus_match(s, point)
 
 
+def test_annihilator_check_reads_the_quadrics(charted):
+    """A span of the dimension of Ann(v) holding a quadric not singular at v
+    fails the check, on both routes, and so does a proper part of Ann(v)."""
+    for idx, s in enumerate((cylinder_system(), charted["severi_R"][2])):
+        prof = rank_profile(s, derive_stream(0, "td", "ann", idx))
+        point = generic_vector(s, prof, derive_stream(0, "td", "ann", idx, 1))
+        ann = point.annihilator
+        assert ann.dim >= 1 and annihilator_matches_image_perp(s, point)
+        unit = next(e for e in ([int(i == j) for j in range(s.a)] for i in range(s.a))
+                    if not ann.contains(e))
+        wrong = IntegerSpan(s.a, ann.rows[1:] + [unit])
+        assert wrong.dim == ann.dim
+        bad = dataclasses.replace(point, annihilator=wrong)
+        assert not annihilator_matches_image_perp(s, bad)
+        assert not defects_reference.annihilator_matches_image_perp(s, scalar_point(bad))
+        part = dataclasses.replace(point, annihilator=IntegerSpan(s.a, ann.rows[1:]))
+        assert not annihilator_matches_image_perp(s, part)
+
+
 def test_tau_gauss_bounds(charted):
     ent, _, s, prof = charted["severi_R"]
     tg = tau_gauss_bound_check(ent.map, s, prof, derive_stream(0, "td", "tg"))

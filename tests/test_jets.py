@@ -1,11 +1,19 @@
 import random
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import jets_reference as reference
 from secantgeo.genericity import derive_stream
 from secantgeo.jets import (ChartError, NotImmersiveError, chart_at, chart_roundtrip_check,
                             refined_third_form_cube, second_fundamental_form)
-from secantgeo.polymaps import Poly, PolyMap
+from secantgeo.linalg import Matrix
+from secantgeo.polymaps import Poly, PolyMap, polymap_to_json
 from secantgeo.quadrics import ii_image
-from secantgeo.scalars import ONE, ZERO, Scalar
+from secantgeo.report import analyze
+from secantgeo.scalars import ONE, ZERO, Rational, Scalar
 
 
 def graph_map(n, quad_polys, cubic_polys=None):
@@ -128,3 +136,111 @@ def test_order_validation():
         assert False
     except ValueError:
         pass
+
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def graph_charts(draw):
+    """A chart of a random graph map at an integer, rational or
+    Gaussian-rational base point, at order 3 or 4: its normal components
+    are sums of terms of degree 2 to 4 with rational or Gaussian-rational
+    coefficients."""
+    n = draw(st.integers(1, 3))
+    gaussian = draw(st.booleans())
+    part = st.builds(Rational, st.integers(-4, 4), st.integers(1, 3))
+    coeff = (st.builds(Scalar, part, part) if gaussian else st.builds(Scalar, part)).filter(bool)
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            e = [0] * n
+            for i in draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4)):
+                e[i] += 1
+            terms[tuple(e)] = draw(coeff)
+        comps.append(Poly(n, terms))
+    f = graph_map(n, comps)
+    kind = draw(st.sampled_from(("integer", "rational", "gaussian")))
+    ints = st.integers(-2, 2)
+    point = {"integer": st.builds(Scalar, ints),
+             "rational": st.builds(Scalar, part),
+             "gaussian": st.builds(Scalar, part, part)}[kind]
+    base = draw(st.lists(point, min_size=n, max_size=n))
+    return f, chart_at(f, base, draw(st.sampled_from((3, 4))))
+
+
+@PROPERTY
+@given(graph_charts(), st.integers(0, 10 ** 6))
+def test_roundtrip_matches_the_poly_reference(chart, seed):
+    """Same draws, same exact answer as the Poly series route, on the chart
+    and on each of its perturbations (`_perturbed`); the chart passes."""
+    f, jet = chart
+    assert chart_roundtrip_check(f, jet, derive_stream(seed, "rt"), samples=3)
+    for name, j in [("chart", jet), *_perturbed(jet).items()]:
+        got = chart_roundtrip_check(f, j, derive_stream(seed, "rt"), samples=3)
+        assert got == reference.chart_roundtrip_check(f, j, derive_stream(seed, "rt"), samples=3), name
+
+
+def _perturbed(jet):
+    """The chart with one entry moved by 1, for each field the round trip
+    reads (c4 only at order 4)."""
+    n, e = jet.n, [0] * jet.n
+    q = [m.data for m in jet.q]
+    q[0] = [[x + 1 if i == l == 0 else x for l, x in enumerate(r)] for i, r in enumerate(q[0])]
+    corr = [list(r) for r in jet.normal_correction.data]
+    corr[0][0] += 1
+    center = list(jet.chart_center)
+    center[jet.normal_rows[0]] += 1
+    out = {"q": replace(jet, q=tuple(Matrix(n, n, m) for m in q)),
+           "normal_correction": replace(jet, normal_correction=Matrix(jet.a, n, corr)),
+           "chart_center": replace(jet, chart_center=tuple(center))}
+    for name in ("c3", "c4")[:jet.order - 2]:
+        polys = list(getattr(jet, name))
+        e[0] = 3 if name == "c3" else 4
+        polys[0] = polys[0] + Poly.monomial(n, e, 1)
+        out[name] = replace(jet, **{name: tuple(polys)})
+    return out
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_perturbed_chart_fails_both_routes(gaussian):
+    """Moving one entry of q, c3, c4, the center or the normal correction
+    breaks the identity, on Z and on Z[i]."""
+    c = Scalar(1, 2) if gaussian else Scalar(1)
+    q1 = Poly.monomial(2, (2, 0), c) + Poly.monomial(2, (0, 2), 1)
+    q2 = Poly.monomial(2, (1, 1), 1) + Poly.monomial(2, (0, 3), c)
+    f = graph_map(2, [q1, q2])
+    for base in ([0, 0], [Scalar("1/2"), Scalar(-1, 1)]):
+        jet = chart_at(f, base, 4)
+        assert chart_roundtrip_check(f, jet, derive_stream(0, "jets", "rt"))
+        for name, bad in _perturbed(jet).items():
+            assert not chart_roundtrip_check(f, bad, derive_stream(0, "jets", "rt")), name
+            assert not reference.chart_roundtrip_check(f, bad, derive_stream(0, "jets", "rt")), name
+
+
+def test_vanishing_pivot_is_never_accepted():
+    """A pivot series vanishing at t = 0 is no unit: multiplied through, the
+    identity can hold on a line (0 = 0 here), yet the check fails, where the
+    reference cannot divide at all."""
+    f = graph_map(1, [Poly(1)])  # the line u -> (u, 0)
+    jet = chart_at(f, [0], 3)
+    assert chart_roundtrip_check(f, jet, derive_stream(0, "jets", "pivot"))
+    bad = replace(jet, pivot_index=1)  # u itself, zero at the base point
+    assert not chart_roundtrip_check(f, bad, derive_stream(0, "jets", "pivot"))
+    with pytest.raises(ZeroDivisionError):
+        reference.chart_roundtrip_check(f, bad, derive_stream(0, "jets", "pivot"))
+
+
+def test_gaussian_map_roundtrip_in_the_report():
+    """A poly_map with Gaussian-rational coefficients and base point: the
+    round trip runs on (re, im) pairs and the report's verdict passes."""
+    i = Scalar(0, 1)
+    q1 = Poly.monomial(2, (2, 0), i) + Poly.monomial(2, (0, 2), 1)
+    q2 = Poly.monomial(2, (1, 1), Scalar(1, "1/2")) + Poly.monomial(2, (0, 3), 1)
+    f = graph_map(2, [q1, q2])
+    base = [Scalar("1/2"), i]
+    rep = analyze(polymap_to_json(f, base_point=base))
+    assert {v.name: v.status for v in rep.verdicts}["chart_roundtrip"] == "pass"
+    jet = chart_at(f, base, 3)
+    assert not chart_roundtrip_check(f, _perturbed(jet)["q"], derive_stream(0, "jets", "zi"))
