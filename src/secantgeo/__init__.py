@@ -4,20 +4,14 @@ Clifford algebra structure forced on degenerate tangential hypersurfaces.
 """
 
 from .scalars import Scalar
-from .linalg import Matrix, Subspace, intersect, kernel, random_vector, rank, rref, span_sum
+from .linalg import Matrix, random_vector
 from .genericity import CertificationError, certified_value, derive_stream
 
 __all__ = [
     "CertificationError",
     "Matrix",
     "Scalar",
-    "Subspace",
     "certified_value",
     "derive_stream",
-    "intersect",
-    "kernel",
     "random_vector",
-    "rank",
-    "rref",
-    "span_sum",
 ]

@@ -50,10 +50,6 @@ def _table_from_lines(dim, lines):
     return table
 
 
-def _mul_basis(table, i, j):
-    return table[i][j]
-
-
 def _associator_coords(table, i, j, k):
     # (J_i J_j) J_k - J_i (J_j J_k), as (index, coefficient) pairs
     p, s1 = table[i][j]

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 
 from .genericity import CertificationError
 from .linalg import (IntegerSpan, _is_zero, _negate, _same_format, eliminate,
-                     integer_combination, integer_mul_vec, integer_values)
+                     integer_combination, integer_mul_vec, solve)
 from .quadrics import (GenericPoint, QuadricSystem, RankProfile, _square, contract,
                        generic_vector, integer_quadric)
 
@@ -71,12 +71,6 @@ def ii_pairing(s: QuadricSystem, w1, w2) -> list:
     return integer_mul_vec(contract(s, w2), w1)
 
 
-def _integer_v(point: GenericPoint) -> list:
-    """v cleared of its denominators, on Gaussian integers: the vector the
-    point's integer contraction was taken at."""
-    return integer_values(point.v)[0]
-
-
 @dataclass(frozen=True)
 class QuotientFrames:
     """Frames for T / singloc(Ann v) and II_v(T) / F_v, and the matrix of the
@@ -124,14 +118,7 @@ def clifford_action(s: QuadricSystem, frames: QuotientFrames, w) -> tuple[list, 
         raise DefectError("II_w(T) escapes II_v(T); w is not admissible")
     if not all(frames.fiber.contains(integer_mul_vec(cw, row)) for row in frames.singloc.rows):
         raise DefectError("II_w(singloc) escapes the Gauss fiber directions")
-    k = len(frames.tangent_reps)
-    # fraction-free Gauss-Jordan on [iso | II_w] leaves last [Id | iso^-1 II_w]
-    rows = _same_format(frames.iso + _coordinates(frames.fiber, frames.tangent_reps,
-                                                 frames.pivots, cols))
-    pivots, red, last = eliminate([x + y for x, y in zip(rows[:k], rows[k:])], reduce=True)
-    if pivots != list(range(k)):
-        raise ValueError("matrix is singular")
-    return [r[k:] for r in red], last
+    return solve(frames.iso, _coordinates(frames.fiber, frames.tangent_reps, frames.pivots, cols))
 
 
 def _mul(x, y):
@@ -191,8 +178,7 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Gener
     mini = minimal_subsystem(s, vert)
 
     ker = point.kernel
-    vi = _integer_v(point)
-    restrictions = [_restrict_quadric(s.n, q, [vi, *ker.rows]) for q in mini.quadrics]
+    restrictions = [_restrict_quadric(s.n, q, [point.v, *ker.rows]) for q in mini.quadrics]
     ref = next((m for m in restrictions if not all(map(_is_zero, m))), None)
     prop_ok = ref is not None
     if prop_ok:
@@ -204,13 +190,10 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Gener
     if not prop_ok or _is_zero([ref[0][0]]):
         return CliffordVerdict(True, fiber_ok, False, False, False, 0, False,
                                s.n - frames.singloc.dim, ker.dim)
-    # the frames are taken at vi = lam v, so each computed phi is the true one
-    # over lam, and Q_v(w_i, w_j) = lam^2 ref[i][j] / ref[0][0]: lam cancels
-    # from the relation, and the computed phi_vi is phi_v
     q00 = ref[0][0]
     ident = [[int(i == j) for j in range(len(frames.tangent_reps))]
              for i in range(len(frames.tangent_reps))]
-    m_v, d_v = clifford_action(s, frames, vi)
+    m_v, d_v = clifford_action(s, frames, point.v)
     phi_v_ok = _vanishes([(1, m_v), (_negate(d_v), ident)])
     phis = [clifford_action(s, frames, row) for row in ker.rows]
 
@@ -325,16 +308,15 @@ class DefectReport:
 def kernel_in_singular_locus(s: QuadricSystem, point: GenericPoint) -> bool:
     """span{v, ker II_v} lies inside singloc(Ann(v))."""
     sl = point.singloc
-    return sl.contains(_integer_v(point)) and all(map(sl.contains, point.kernel.rows))
+    return sl.contains(point.v) and all(map(sl.contains, point.kernel.rows))
 
 
 def annihilator_matches_image_perp(s: QuadricSystem, point: GenericPoint) -> bool:
     """Ann(v) is all of II_v(T)^perp: the quadric of each of its rows is
     singular at v, so that Ann(v) kills II_v(T), and dim Ann(v) + dim
     II_v(T) = a."""
-    v = _integer_v(point)
     return point.annihilator.dim + point.image.dim == s.a and all(
-        _is_zero(integer_mul_vec(_square(integer_quadric(s, row), s.n), v))
+        _is_zero(integer_mul_vec(_square(integer_quadric(s, row), s.n), point.v))
         for row in point.annihilator.rows)
 
 
@@ -355,7 +337,7 @@ def quotient_singular_locus_match(s: QuadricSystem, point: GenericPoint) -> bool
     T / (span{v} + ker II_v) coincides with singloc(Ann(v)) modulo that
     same subspace."""
     n, quads = s.n, s.integer_form[0]
-    k_sub = IntegerSpan(n, [_integer_v(point), *point.kernel.rows])
+    k_sub = IntegerSpan(n, [point.v, *point.kernel.rows])
     reps = k_sub.free_columns()
     # stacked conditions, one column per b: for x = sum_b x_b e_{reps[b]}, the
     # reduced value of II(x, e_{reps[t]}) must vanish for every t

@@ -50,10 +50,10 @@ def certified_value(sample: Callable[[int, random.Random], object], stream,
         % (what, trials, top, seen[-1][1]))
 
 
-def nonzero_vector(dim: int, bound: int, stream, gaussian: bool = False):
-    """Random integer vector, resampled until nonzero."""
+def nonzero_vector(dim: int, bound: int, stream) -> list[int]:
+    """Random vector of Python ints, resampled until nonzero."""
     while True:
-        v = random_vector(dim, bound, stream, gaussian)
+        v = random_vector(dim, bound, stream)
         if any(v):
             return v
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from math import factorial
 
 from .genericity import nonzero_vector
-from .linalg import (Matrix, Subspace, _basis_vec, _negate, _unit, integer_combination,
-                     integer_values, rref, solve_left)
+from .linalg import (IntegerSpan, Matrix, _integer_rows, _negate, _unit, eliminate,
+                     integer_combination, integer_values, scalar_values, solve)
 from .polymaps import Poly, PolyMap
 from .quadrics import QuadricSystem
 from .scalars import ZERO, Scalar, _coerce
@@ -41,8 +41,6 @@ class NotImmersiveError(ChartError):
 @dataclass(frozen=True)
 class JetChart:
     base_point: tuple[Scalar, ...]
-    tangent_frame: Subspace
-    normal_frame: Subspace
     q: tuple[Matrix, ...]
     c3: tuple[Poly, ...]
     c4: tuple[Poly, ...] | None
@@ -118,22 +116,22 @@ def chart_at(f: PolyMap, u0, order: int = 3) -> JetChart:
 
     m = len(body)
     n = f.domain_dim
-    diff_rows = [[p.graded_part(1).terms.get(_unit(n, j), ZERO) for j in range(n)] for p in centered]
-    diff = Matrix(m, n, diff_rows)
-    tangent_pivots, _ = rref(diff.transpose())
+    # the rows of diff^T, each cleared once: the pivot columns of its row
+    # space are the tangent rows, and the normal correction corr = ms mr^-1
+    # (ms, mr the normal and tangent rows of diff) is read off its columns
+    # as corr^T = solve(mr^T, ms^T)
+    diff_t = _integer_rows([[p.graded_part(1).terms.get(_unit(n, j), ZERO) for p in centered]
+                            for j in range(n)])
+    tangent_pivots = eliminate(diff_t)[0]
     if len(tangent_pivots) < n:
         raise NotImmersiveError("differential has rank %d < %d at the base point"
                                 % (len(tangent_pivots), n))
     trows = tuple(tangent_pivots)
     nrows = tuple(i for i in range(m) if i not in set(trows))
     a = len(nrows)
-
-    mr = Matrix(n, n, [diff_rows[i] for i in trows])
-    if a:
-        ms = Matrix(a, n, [diff_rows[i] for i in nrows])
-        corr = solve_left(mr, ms)
-    else:
-        corr = Matrix(0, n, [])
+    x, last = solve([[r[i] for i in trows] for r in diff_t],
+                    [[r[i] for i in nrows] for r in diff_t])
+    corr = Matrix(a, n, [scalar_values(col, last) for col in zip(*x)])
 
     y_tan = [centered[i] for i in trows]
     y_nor = []
@@ -161,12 +159,8 @@ def chart_at(f: PolyMap, u0, order: int = 3) -> JetChart:
     c3 = tuple(g.graded_part(3) for g in graphs)
     c4 = tuple(g.graded_part(4) for g in graphs) if order >= 4 else None
 
-    tangent_frame = Subspace.from_vectors(m, [diff.col(j) for j in range(n)])
-    normal_frame = Subspace.from_vectors(m, [_basis_vec(m, i) for i in nrows])
     return JetChart(
         base_point=u0,
-        tangent_frame=tangent_frame,
-        normal_frame=normal_frame,
         q=tuple(qmats),
         c3=c3,
         c4=c4,
@@ -193,11 +187,11 @@ def second_fundamental_form(j: JetChart) -> QuadricSystem:
     return QuadricSystem(j.n, j.a, j.q)
 
 
-def refined_third_form_cube(j: JetChart, v, image: Subspace) -> tuple[list[Scalar], bool]:
-    """The cubic form contracted three times with v, reduced modulo
-    image = II_v(T); returns (canonical residue representative, is zero)."""
-    residue = image.reduce([p.evaluate(v) for p in j.c3])
-    return residue, not any(residue)
+def refined_third_form_cube(j: JetChart, v, image: IntegerSpan) -> bool:
+    """Whether the cubic form contracted three times with v, cleared to
+    Gaussian integers, lies in image = II_v(T): the refined cubic form
+    vanishes at v."""
+    return image.contains(integer_values([p.evaluate(v) for p in j.c3])[0])
 
 
 def chart_roundtrip_check(f: PolyMap, j: JetChart, stream, samples: int = 10,
@@ -246,7 +240,7 @@ def chart_roundtrip_check(f: PolyMap, j: JetChart, stream, samples: int = 10,
     for _ in range(samples):
         h = nonzero_vector(n, bound, stream)
         # U_i + d h_i t, the line times d
-        line = [[x, _times(one[0], d * y.re.numerator)] + zero[2:] for x, y in zip(u, h)]
+        line = [[x, _times(one[0], d * y)] + zero[2:] for x, y in zip(u, h)]
         lmono = _monomials(line, mul, one)
         big = [integer_combination([(c, lmono(e)) for c, e in terms]) if terms else zero
                for terms in lift_terms]

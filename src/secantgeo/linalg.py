@@ -1,31 +1,26 @@
-"""Exact linear algebra over Q(i).
+"""Exact linear algebra over Q(i), on Gaussian integers.
 
 Elimination runs on Gaussian integers: plain Python ints when every entry
 is real (every catalog chart and sample point is), (re, im) int pairs
 otherwise.  `eliminate` is Bareiss's fraction-free elimination, or its
 Gauss-Jordan form; the division by the previous pivot is exact in Z[i] by
-Sylvester's identity, and is checked.  `IntegerSpan` keeps the canonical
-basis of a span times one integer factor, and reduces, intersects and
-compares spans without dividing.  The quadric systems, the generic point,
-the defect checks and the oracles work on these integers throughout.
-Scalars come in at the edge: `integer_values` clears a Scalar row by the
-lcm of its denominators, which moves no rank or row space, and
-`scalar_values` divides on the way back.  Scalar `Matrix`, `Subspace`,
-`rank`, `rref`, `kernel`, `span_sum` and `intersect` serve the charts and
-series, the inputs and the public API, and convert once at each call.
+Sylvester's identity, and is checked.  `IntegerSpan` is the one span type:
+it keeps the canonical basis of a span times one integer factor, and
+reduces, intersects and compares spans without dividing.  `solve` is the
+one solver.  The quadric systems, the generic point, the defect checks,
+the oracles, the chart's normal correction and the series inverse all work
+on these integers, and the random draws are ints.  Scalars stay at the
+edge (`Matrix`, `Poly`, chart coefficients, JSON): `integer_values` clears
+a Scalar row by the lcm of its denominators, which moves no rank or row
+space, and `scalar_values` divides on the way back.
 """
 
 from __future__ import annotations
 
-import functools
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .scalars import ONE, ZERO, Rational, Scalar, _coerce
-
-
-def _as_scalar_row(row) -> list[Scalar]:
-    return [_coerce(x) for x in row]
+from .scalars import ZERO, Rational, Scalar
 
 
 class Matrix:
@@ -44,30 +39,9 @@ class Matrix:
     def at(self, i: int, j: int) -> Scalar:
         return self.data[i][j]
 
-    def col(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(r[j] for r in self.data)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, zip(*self.data)) if self.data else Matrix(0, 0, [])
-
-    def mul_vec(self, vec: Sequence[Scalar]) -> list[Scalar]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for r in self.data:
-            acc = ZERO
-            for a, b in zip(r, vec):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return out
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self.data[i][j] == self.data[j][i] for i in range(self.rows) for j in range(i))
-
-    def is_zero(self) -> bool:
-        return not any(any(r) for r in self.data)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -79,12 +53,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%d x %d)" % (self.rows, self.cols)
-
-
-def _basis_vec(n: int, i: int) -> list[Scalar]:
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
 
 
 def _unit(n: int, j: int) -> tuple[int, ...]:
@@ -337,11 +305,6 @@ class IntegerSpan:
         pivots, red, _ = eliminate([r + r for r in rows[:k]] + [r + zero for r in rows[k:]])
         return IntegerSpan(n, [r[n:] for p, r in zip(pivots, red) if p >= n])
 
-    def subspace(self) -> "Subspace":
-        """The span with its canonical basis as Scalars."""
-        return Subspace(self.ambient_dim, tuple(self.pivots),
-                        tuple(tuple(scalar_values(r, self.last)) for r in self.rows))
-
     def perp(self) -> "IntegerSpan":
         """The annihilator under sum x_i y_i, spanned by one vector per free
         column j: -last at j and row_i[j] at the pivot of row_i."""
@@ -362,140 +325,21 @@ class IntegerSpan:
                    for r, t in (_same_format([r, t]) for r, t in zip(self.rows, other.rows)))
 
 
-def rank(m: Matrix) -> int:
-    """Rank by Bareiss fraction-free elimination on Gaussian integers."""
-    return len(eliminate(_integer_rows(m.data))[0])
-
-
-def rref(m: Matrix) -> tuple[list[int], list[list[Scalar]]]:
-    """Reduced row echelon form; returns (pivot columns, nonzero rows)."""
-    span = IntegerSpan(m.cols, _integer_rows(m.data))
-    return span.pivots, [scalar_values(r, span.last) for r in span.rows]
-
-
-class Subspace:
-    """A linear subspace of C^ambient_dim with canonical RREF basis rows."""
-
-    __slots__ = ("ambient_dim", "pivots", "basis")
-
-    def __init__(self, ambient_dim: int, pivots: tuple[int, ...], basis: tuple[tuple[Scalar, ...], ...]):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
-    @staticmethod
-    def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [_as_scalar_row(v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise ValueError("vector length != ambient_dim")
-        return IntegerSpan(ambient_dim, _integer_rows(rows)).subspace()
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def reduce(self, vec: Sequence) -> list[Scalar]:
-        """Canonical coset representative of vec modulo this subspace
-        (entries at pivot columns are zeroed)."""
-        v = _as_scalar_row(vec)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length != ambient_dim")
-        for p, row in zip(self.pivots, self.basis):
-            c = v[p]
-            if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        return v
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
-
-    def perp(self) -> "Subspace":
-        """Annihilator under the standard bilinear pairing sum(x_i y_i)."""
-        return IntegerSpan(self.ambient_dim, _integer_rows(self.basis)).perp().subspace()
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (self.ambient_dim, self.basis) == (other.ambient_dim, other.basis)
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
-    def __repr__(self):
-        return "Subspace(dim %d in C^%d)" % (self.dim, self.ambient_dim)
-
-
-def kernel(m: Matrix) -> Subspace:
-    """Right kernel {x : m x = 0} with canonical basis: the annihilator of
-    the row space."""
-    return IntegerSpan(m.cols, _integer_rows(m.data)).perp().subspace()
-
-
-def span_sum(spaces: Sequence[Subspace]) -> Subspace:
-    if not spaces:
-        raise ValueError("span_sum of nothing")
-    if len({s.ambient_dim for s in spaces}) > 1:
-        raise ValueError("ambient mismatch")
-    return Subspace.from_vectors(spaces[0].ambient_dim, [v for s in spaces for v in s.basis])
-
-
-def intersect(spaces: Sequence[Subspace]) -> Subspace:
-    """Intersection by Zassenhaus on the integer rows (`IntegerSpan.intersect`)."""
-    if not spaces:
-        raise ValueError("intersect of nothing")
-    if len({s.ambient_dim for s in spaces}) > 1:
-        raise ValueError("ambient mismatch")
-    spans = [IntegerSpan(s.ambient_dim, _integer_rows(s.basis)) for s in spaces]
-    return functools.reduce(IntegerSpan.intersect, spans).subspace()
-
-
-def solve_left(rows_a: Matrix, rows_b: Matrix) -> Matrix:
-    """C with C @ rows_a == rows_b, for rows_a of full row rank.
-
-    Raises ValueError when some row of rows_b is outside the row space."""
-    n = rows_a.rows
-    aug = [list(rows_a.data[i]) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    pivots, red = rref(Matrix(n, rows_a.cols + n, aug))
-    if len(pivots) != n or any(p >= rows_a.cols for p in pivots):
-        raise ValueError("solve_left needs full row rank")
-    out = []
-    for brow in rows_b.data:
-        v = list(brow)
-        coeffs = [ZERO] * n
-        for r, p in enumerate(pivots):
-            c = v[p]
-            if c:
-                v = [x - c * y for x, y in zip(v, red[r][: rows_a.cols])]
-                coeffs = [x + c * y for x, y in zip(coeffs, red[r][rows_a.cols:])]
-        if any(v):
-            raise ValueError("row not in span")
-        out.append(coeffs)
-    return Matrix(rows_b.rows, n, out)
-
-
-def inverse(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
-        raise ValueError("inverse of non-square matrix")
-    n = m.rows
-    aug = [list(m.data[i]) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    pivots, red = rref(Matrix(n, 2 * n, aug))
-    if pivots != list(range(n)):
+def solve(a, b) -> tuple[list, object]:
+    """(x, last) with x / last = a^-1 b, for the square Gaussian-integer
+    rows a and as many rows b, of either format: fraction-free
+    Gauss-Jordan on [a | b] leaves last [Id | a^-1 b].  Raises ValueError
+    when a is singular."""
+    k = len(a)
+    rows = _same_format(list(a) + list(b))
+    pivots, red, last = eliminate([[*x, *y] for x, y in zip(rows[:k], rows[k:])], reduce=True)
+    if pivots != list(range(k)):
         raise ValueError("matrix is singular")
-    return Matrix(n, n, [r[n:] for r in red])
+    return [r[k:] for r in red], last
 
 
-def random_vector(dim: int, bound: int, stream, gaussian: bool = False) -> list[Scalar]:
-    """Entries uniform on the integers in [-bound, bound]; with gaussian=True
-    real and imaginary parts are drawn that way (real part first)."""
+def random_vector(dim: int, bound: int, stream) -> list[int]:
+    """Entries uniform on the integers in [-bound, bound]."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    out = []
-    for _ in range(dim):
-        re = stream.randint(-bound, bound)
-        im = stream.randint(-bound, bound) if gaussian else 0
-        out.append(Scalar(re, im))
-    return out
+    return [stream.randint(-bound, bound) for _ in range(dim)]

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .genericity import CertificationError, certified_value, nonzero_vector
-from .linalg import (IntegerSpan, Matrix, Subspace, eliminate, integer_combination,
-                     integer_mul_vec, integer_values, scalar_values)
-from .scalars import Scalar, _coerce, scalar_from_json, scalar_to_json
+from .linalg import (IntegerSpan, Matrix, eliminate, integer_combination, integer_mul_vec,
+                     integer_values, scalar_values)
+from .scalars import scalar_from_json, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -53,36 +53,11 @@ def _square(q, n: int) -> list:
     return [q[i:i + n] for i in range(0, n * n, n)]
 
 
-def apply_ii(s: QuadricSystem, v) -> list[Scalar]:
-    """II(v, v) as a vector in the normal space C^a."""
-    return contraction(s, v).mul_vec([_coerce(x) for x in v])
-
-
-def integer_contraction(s: QuadricSystem, v) -> tuple[list, int]:
-    """(c, den): II_v = c / den, with c the a x n contraction on the
-    integer form at v cleared of its denominators, as Gaussian integers."""
-    if len(v) != s.n:
-        raise ValueError("vector length != n")
-    vi, lam = integer_values([_coerce(x) for x in v])
-    return contract(s, vi), s.integer_form[1] * lam
-
-
 def contract(s: QuadricSystem, w) -> list:
     """D II_w as a x n Gaussian integers, for w itself on Gaussian integers
     (either format): the contraction on the integer form."""
     # q w = sum_k w_k q[k], q being symmetric
     return [integer_combination(list(zip(w, _square(q, s.n)))) for q in s.integer_form[0]]
-
-
-def contraction(s: QuadricSystem, v) -> Matrix:
-    """The linear map II_v = II(v, .) : T -> N as an a x n matrix."""
-    c, den = integer_contraction(s, v)
-    return Matrix(s.a, s.n, [scalar_values(r, den) for r in c])
-
-
-def ii_image(s: QuadricSystem, v) -> Subspace:
-    """II_v(T) as a subspace of N."""
-    return IntegerSpan(s.a, list(zip(*integer_contraction(s, v)[0]))).subspace()
 
 
 def integer_quadric(s: QuadricSystem, coeffs) -> list:
@@ -92,11 +67,10 @@ def integer_quadric(s: QuadricSystem, coeffs) -> list:
 
 
 def quadric_from_coefficients(s: QuadricSystem, coeffs) -> Matrix:
-    """sum_mu c_mu q^mu for exact coefficients: cleared by their lcm L,
-    combined on the integer form and divided by L D once."""
-    ints, den = integer_values([_coerce(c) for c in coeffs])
-    q = integer_quadric(s, ints)
-    return Matrix(s.n, s.n, _square(scalar_values(q, den * s.integer_form[1]), s.n))
+    """sum_mu c_mu q^mu as a Scalar matrix, for Gaussian-integer
+    coefficients of either format: `integer_quadric` divided by D once."""
+    q = integer_quadric(s, coeffs)
+    return Matrix(s.n, s.n, _square(scalar_values(q, s.integer_form[1]), s.n))
 
 
 def singular_locus(s: QuadricSystem, quads) -> IntegerSpan:
@@ -123,14 +97,15 @@ class RankProfile:
 
 @dataclass(frozen=True)
 class GenericPoint:
-    """A tangent vector v and everything read at it, computed once on the
-    integer form: the contraction II_v = c / den (a x n Gaussian integers),
+    """A tangent vector v on Gaussian integers and everything read at it,
+    computed once on the integer form: the contraction II_v = c / den (a x n
+    Gaussian integers, den the denominator of the integer form),
     the spans of its image II_v(T) in N and its kernel in T, of the
     annihilator Ann(v) in N* (the quadrics singular at v, as the kernel of
     c -> sum_mu c_mu q^mu v), and of the common kernel of Ann(v); the maximal
     annihilator rank r; and, on first use, the Gauss fiber directions F_v."""
 
-    v: tuple[Scalar, ...]
+    v: tuple
     contraction: tuple[list, int]
     image: IntegerSpan
     kernel: IntegerSpan
@@ -153,7 +128,7 @@ class GenericPoint:
 
 
 def _profile_at(s: QuadricSystem, v, inner_stream, inner_trials: int) -> GenericPoint:
-    c, den = integer_contraction(s, v)
+    c = contract(s, v)
     # Ann(v) is the kernel of the transposed contraction: the annihilator of
     # its row space II_v(T), so one elimination gives both
     image = IntegerSpan(s.a, list(zip(*c)))
@@ -161,7 +136,7 @@ def _profile_at(s: QuadricSystem, v, inner_stream, inner_trials: int) -> Generic
     # Ann(v)'s quadrics from its fraction-free basis: the canonical one
     # times a common factor, which moves no rank or kernel
     quads = [integer_quadric(s, row) for row in ann.rows]
-    return GenericPoint(tuple(v), (c, den), image, IntegerSpan(s.n, c).perp(), ann,
+    return GenericPoint(tuple(v), (c, s.integer_form[1]), image, IntegerSpan(s.n, c).perp(), ann,
                         singular_locus(s, quads),
                         _max_rank_in_span(s.n, quads, inner_stream, inner_trials))
 
@@ -173,8 +148,7 @@ def _max_rank_in_span(n: int, quads: list, stream, trials: int) -> int:
     if len(quads) == 2:
         combos += [integer_combination([(1, quads[0]), (c, quads[1])]) for c in (1, -1)]
     for _ in range(trials if quads else 0):
-        coeffs = nonzero_vector(len(quads), 4, stream)
-        combos.append(integer_combination([(c.re.numerator, q) for c, q in zip(coeffs, quads)]))
+        combos.append(integer_combination(list(zip(nonzero_vector(len(quads), 4, stream), quads))))
     return max([len(eliminate(_square(q, n))[0]) for q in combos], default=0)
 
 
@@ -229,9 +203,8 @@ def secant_dimension(s: QuadricSystem, jet, profile: RankProfile, stream,
 
     def sample(bound, strm):
         v = nonzero_vector(s.n, bound, strm)
-        image = ii_image(s, v)
-        _, cube_zero = refined_third_form_cube(jet, v, image)
-        return image.dim, cube_zero
+        image = IntegerSpan(s.a, list(zip(*contract(s, v))))
+        return image.dim, refined_third_form_cube(jet, v, image)
 
     a0, cube_zero = certified_value(sample, stream, trials, what="refined cubic vanishing")
     dim = s.n + a0 + (0 if cube_zero else 1)
@@ -243,7 +216,6 @@ class HigherSecantDimension:
     k: int
     dimension: int
     bound: int
-    within_bound: bool
 
 
 def higher_secant_dimension(s: QuadricSystem, k: int, profile: RankProfile, stream,
@@ -259,13 +231,12 @@ def higher_secant_dimension(s: QuadricSystem, k: int, profile: RankProfile, stre
         # contractions
         rows = []
         for _ in range(k - 1):
-            rows.extend(zip(*integer_contraction(s, nonzero_vector(s.n, bound, strm))[0]))
+            rows.extend(zip(*contract(s, nonzero_vector(s.n, bound, strm))))
         return len(eliminate(rows)[0])
 
     span_dim = certified_value(sample, stream, trials, what="secant span dimension")
     dim = s.n + span_dim
-    bound = s.n + (k - 1) * profile.a0
-    return HigherSecantDimension(k, dim, bound, dim <= bound)
+    return HigherSecantDimension(k, dim, s.n + (k - 1) * profile.a0)
 
 
 def hypersurface_projection(s: QuadricSystem, profile: RankProfile, stream,

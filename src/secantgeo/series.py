@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .linalg import Matrix, _unit, inverse
+from .linalg import _integer_rows, _unit, scalar_values, solve
 from .polymaps import Poly
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 def _degree_buckets(p: Poly, order: int) -> list[list[tuple[tuple[int, ...], Scalar]]]:
@@ -128,9 +128,11 @@ def invert_map_series(ys: Sequence[Poly], order: int) -> list[Poly]:
     invertible linear part, following successive substitution: each pass
     gains one order of accuracy."""
     n = len(ys)
-    lin = Matrix(n, n, [[y.graded_part(1).terms.get(_unit(n, j), Scalar(0)) for j in range(n)]
-                        for y in ys])
-    lin_inv = inverse(lin)
+    # lin^-1 = solve(lin, Id), each row of [lin | Id] cleared once
+    aug = _integer_rows([[y.graded_part(1).terms.get(_unit(n, j), ZERO) for j in range(n)]
+                         + [ONE if j == i else ZERO for j in range(n)] for i, y in enumerate(ys)])
+    x, last = solve([r[:n] for r in aug], [r[n:] for r in aug])
+    lin_inv = [scalar_values(r, last) for r in x]
     higher = [Poly(n, {e: c for e, c in y.terms.items() if sum(e) >= 2}) for y in ys]
     ident = [Poly.variable(n, i) for i in range(n)]
 
@@ -139,7 +141,7 @@ def invert_map_series(ys: Sequence[Poly], order: int) -> list[Poly]:
         for i in range(n):
             acc = Poly(n)
             for j in range(n):
-                c = lin_inv.at(i, j)
+                c = lin_inv[i][j]
                 if c:
                     acc = acc + vec[j].scale(c)
             out.append(acc)

@@ -9,21 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from linalg_reference import (_dot, add, complement_indices, contains_subspace, identity,
-                              intersect, matmul, scale)
-from quadrics_reference import ScalarPoint, scalar_point
+from linalg_reference import (Subspace, _dot, add, col, complement_indices, contains_subspace,
+                              identity, inverse, is_zero, kernel, matmul, mul_vec, scale,
+                              solve_left, span_sum, subspace, transpose)
+from linalg_reference import intersect_through_perps as intersect
+from quadrics_reference import ScalarPoint, contraction, quadric_from_coefficients, scalar_point
 from secantgeo.defects import DefectError
 from secantgeo.genericity import CertificationError
-from secantgeo.linalg import (Matrix, Subspace, _basis_vec, inverse, kernel, solve_left,
-                              span_sum)
-from secantgeo.quadrics import (
-    QuadricSystem,
-    RankProfile,
-    contraction,
-    generic_vector,
-    quadric_from_coefficients,
-)
-from secantgeo.scalars import ONE, Scalar, _coerce
+from secantgeo.linalg import Matrix
+from secantgeo.quadrics import QuadricSystem, RankProfile, generic_vector
+from secantgeo.scalars import ONE, ZERO, Scalar, _coerce
 
 
 def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> Subspace:
@@ -32,7 +27,7 @@ def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> S
     w = None
     stable = 0
     for _ in range(60):
-        img = generic_vector(s, profile, stream, trials).image.subspace()
+        img = subspace(generic_vector(s, profile, stream, trials).image)
         nxt = img if w is None else intersect([w, img])
         if w is not None and nxt == w:
             stable += 1
@@ -57,6 +52,12 @@ class MinimalSubsystem:
         return self.coefficients.dim
 
 
+def _basis_vec(n: int, i: int) -> list[Scalar]:
+    v = [ZERO] * n
+    v[i] = ONE
+    return v
+
+
 def minimal_subsystem(s: QuadricSystem, vert: Subspace) -> MinimalSubsystem:
     coeffs = vert.perp()
     quads = tuple(quadric_from_coefficients(s, row) for row in coeffs.basis)
@@ -67,14 +68,14 @@ def gauss_fiber(s: QuadricSystem, point: ScalarPoint) -> Subspace:
     """F_v = II_v(singloc Ann(v)) inside N: the affine direction space of
     the Gauss fiber of the tangentially swept variety through [II(v,v)]."""
     c = point.contraction
-    return Subspace.from_vectors(s.a, [c.mul_vec(w) for w in point.singloc.basis])
+    return Subspace.from_vectors(s.a, [mul_vec(c, w) for w in point.singloc.basis])
 
 
 def ii_pairing(s: QuadricSystem, w1, w2) -> list[Scalar]:
     """II(w1, w2) as a vector in N."""
     w1 = [_coerce(x) for x in w1]
     w2 = [_coerce(x) for x in w2]
-    return [_dot(q.mul_vec(w2), w1) for q in s.quadrics]
+    return [_dot(mul_vec(q, w2), w1) for q in s.quadrics]
 
 
 def ii_second_fundamental_form(s: QuadricSystem, point: ScalarPoint, w1,
@@ -115,9 +116,9 @@ def quotient_frames(s: QuadricSystem, point: ScalarPoint) -> QuotientFrames:
         raise DefectError(
             "tangent quotient (dim %d) and image quotient (dim %d) disagree"
             % (len(treps), len(reduced)))
-    cols = [fib.reduce(point.contraction.col(j)) for j in treps]
+    cols = [fib.reduce(col(point.contraction, j)) for j in treps]
     coords = solve_left(image_reps, Matrix(len(cols), s.a, cols))
-    iso = coords.transpose()
+    iso = transpose(coords)
     return QuotientFrames(treps, sl, img, fib, image_reps, iso)
 
 
@@ -128,14 +129,14 @@ def clifford_action(s: QuadricSystem, frames: QuotientFrames, w) -> Matrix:
     the identity by construction."""
     cw = contraction(s, [_coerce(x) for x in w])
     for j in range(s.n):
-        if not frames.image.contains(cw.col(j)):
+        if not frames.image.contains(col(cw, j)):
             raise DefectError("II_w(T) escapes II_v(T); w is not admissible")
     for row in frames.singloc.basis:
-        if not frames.fiber.contains(cw.mul_vec(row)):
+        if not frames.fiber.contains(mul_vec(cw, row)):
             raise DefectError("II_w(singloc) escapes the Gauss fiber directions")
-    cols = [frames.fiber.reduce(cw.col(j)) for j in frames.tangent_reps]
+    cols = [frames.fiber.reduce(col(cw, j)) for j in frames.tangent_reps]
     coords = solve_left(frames.image_reps, Matrix(len(cols), s.a, cols))
-    return matmul(inverse(frames.iso), coords.transpose())
+    return matmul(inverse(frames.iso), transpose(coords))
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ class CliffordVerdict:
 def _restrict_quadric(q: Matrix, basis) -> Matrix:
     rows = []
     for u in basis:
-        qu = q.mul_vec(u)
+        qu = mul_vec(q, u)
         rows.append([_dot(qu, w) for w in basis])
     return Matrix(len(rows), len(rows), rows)
 
@@ -180,7 +181,7 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Scala
     ker = point.kernel
     kspan = [point.v, *ker.basis]
     restrictions = [_restrict_quadric(q, kspan) for q in mini.quadrics]
-    ref = next((m for m in restrictions if not m.is_zero()), None)
+    ref = next((m for m in restrictions if not is_zero(m)), None)
     prop_ok = ref is not None
     if prop_ok:
         for m in restrictions:
@@ -213,7 +214,7 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Scala
     if sign == 0:
         sign = 1
         relation = relation and all(
-            add(matmul(phis[i], phis[j]), matmul(phis[j], phis[i])).is_zero()
+            is_zero(add(matmul(phis[i], phis[j]), matmul(phis[j], phis[i])))
             for i in range(k) for j in range(i, k))
 
     v_orth = all(not qv.at(0, i + 1) for i in range(k))
@@ -260,7 +261,7 @@ def so_membership_check(s: QuadricSystem, point: ScalarPoint) -> bool:
     pbar = _restrict_quadric(p, [_basis_vec(s.n, j) for j in frames.tangent_reps])
     for row in point.kernel.basis:
         phi = clifford_action(s, frames, row)
-        if not add(matmul(phi.transpose(), pbar), matmul(pbar, phi)).is_zero():
+        if not is_zero(add(matmul(transpose(phi), pbar), matmul(pbar, phi))):
             return False
     return True
 
@@ -345,7 +346,7 @@ def annihilator_matches_image_perp(s: QuadricSystem, point: ScalarPoint) -> bool
     and dim Ann(v) + dim II_v(T) = a."""
     v = list(point.v)
     return point.annihilator.dim + point.image.dim == s.a and all(
-        not any(quadric_from_coefficients(s, row).mul_vec(v)) for row in point.annihilator.basis)
+        not any(mul_vec(quadric_from_coefficients(s, row), v)) for row in point.annihilator.basis)
 
 
 def fiber_contains_singloc_products(s: QuadricSystem, point: ScalarPoint) -> bool:

@@ -1,15 +1,27 @@
-"""The elimination `secantgeo.linalg` used before its integer kernel: rank
-and RREF computed directly on Scalars.  Kept as the reference the integer
-kernel is checked against, with the Scalar matrix products and sums
-and the subspace helpers (`identity`, `zero`, `stack_rows`, `matmul`, `add`,
-`scale`, `contains_subspace`, `complement_indices`) that only the references
-and the tests use, and `intersect` as it was before it ran by Zassenhaus on
-integer spans: through the kernel of the stacked annihilators."""
+"""Two references for `secantgeo.linalg`.
 
+The elimination it used before its integer kernel: rank, RREF and kernel
+computed directly on Scalars (`scalar_rank`, `scalar_rref`,
+`scalar_kernel`), and `intersect_through_perps`, the intersection as it was
+before it ran by Zassenhaus on integer spans.  The integer kernel is
+checked against these.
+
+The Scalar span API it kept until `IntegerSpan` and `solve` became its one
+span type and one solver: `Subspace`, `rank`, `rref`, `kernel`,
+`span_sum`, `intersect`, `subspace`, `solve_left` and `inverse`.  They run
+on the integer kernel and convert to Scalars once per call, so the
+references and tests that read Scalar matrices and subspaces keep its
+speed; `solve` is checked against `solve_left` and `inverse`.  With them
+the Scalar matrix helpers only the references and the tests use
+(`transpose`, `col`, `mul_vec`, `is_zero`, `identity`, `zero`, `stack_rows`, `matmul`, `add`,
+`scale`, `contains_subspace`, `complement_indices`)."""
+
+import functools
 from math import lcm
+from typing import Iterable, Sequence
 
-from secantgeo.linalg import Matrix, Subspace
-from secantgeo.scalars import ONE, ZERO, Scalar
+from secantgeo.linalg import IntegerSpan, Matrix, _integer_rows, eliminate, scalar_values
+from secantgeo.scalars import ONE, ZERO, Scalar, _coerce
 
 
 def _cleared_rows(m: Matrix) -> list[list[Scalar]]:
@@ -21,7 +33,7 @@ def _cleared_rows(m: Matrix) -> list[list[Scalar]]:
     return out
 
 
-def rank(m: Matrix) -> int:
+def scalar_rank(m: Matrix) -> int:
     """Rank by Bareiss fraction-free elimination on Scalars."""
     rows = [r for r in _cleared_rows(m) if any(r)]
     if not rows:
@@ -56,7 +68,7 @@ def rank(m: Matrix) -> int:
     return rk
 
 
-def rref(m: Matrix) -> tuple[list[int], list[list[Scalar]]]:
+def scalar_rref(m: Matrix) -> tuple[list[int], list[list[Scalar]]]:
     """Reduced row echelon form on Scalars; (pivot columns, nonzero rows)."""
     rows = [list(r) for r in m.data]
     pivots: list[int] = []
@@ -81,10 +93,10 @@ def rref(m: Matrix) -> tuple[list[int], list[list[Scalar]]]:
     return pivots, rows[:r]
 
 
-def kernel(m: Matrix) -> list[list[Scalar]]:
+def scalar_kernel(m: Matrix) -> list[list[Scalar]]:
     """Canonical basis of the right kernel: one vector per free column of
     the RREF, row-reduced once more."""
-    pivots, rows = rref(m)
+    pivots, rows = scalar_rref(m)
     vecs = []
     for j in range(m.cols):
         if j not in pivots:
@@ -93,7 +105,7 @@ def kernel(m: Matrix) -> list[list[Scalar]]:
             for r, p in enumerate(pivots):
                 v[p] = -rows[r][j]
             vecs.append(v)
-    return rref(Matrix(len(vecs), m.cols, vecs))[1] if vecs else []
+    return scalar_rref(Matrix(len(vecs), m.cols, vecs))[1] if vecs else []
 
 
 def stack_rows(mats) -> Matrix:
@@ -117,7 +129,7 @@ def _dot(u, v) -> Scalar:
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError("matmul shape mismatch")
-    cols = b.transpose().data
+    cols = transpose(b).data
     data = [[_dot(r, c) for c in cols] for r in a.data]
     return Matrix(a.rows, b.cols, data)
 
@@ -141,17 +153,173 @@ def zero(rows: int, cols: int) -> Matrix:
     return Matrix(rows, cols, [[ZERO] * cols for _ in range(rows)])
 
 
-def contains_subspace(u: Subspace, w: Subspace) -> bool:
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(m.cols, m.rows, zip(*m.data)) if m.data else Matrix(0, 0, [])
+
+
+def col(m: Matrix, j: int) -> tuple[Scalar, ...]:
+    return tuple(r[j] for r in m.data)
+
+
+def mul_vec(m: Matrix, vec: Sequence) -> list[Scalar]:
+    if len(vec) != m.cols:
+        raise ValueError("vector length mismatch")
+    return [_dot(r, vec) for r in m.data]
+
+
+def is_zero(m: Matrix) -> bool:
+    return not any(any(r) for r in m.data)
+
+
+def contains_subspace(u: "Subspace", w: "Subspace") -> bool:
     return all(u.contains(row) for row in w.basis)
 
 
-def complement_indices(u: Subspace) -> list[int]:
+def complement_indices(u: "Subspace") -> list[int]:
     """Standard coordinates whose basis vectors represent cosets of a
     complement to u."""
     return [j for j in range(u.ambient_dim) if j not in set(u.pivots)]
 
 
-def intersect(spaces) -> Subspace:
+def intersect_through_perps(spaces) -> "Subspace":
     amb = spaces[0].ambient_dim
-    ann = [row for u in spaces for row in kernel(Matrix(u.dim, amb, u.basis))]
-    return Subspace.from_vectors(amb, kernel(Matrix(len(ann), amb, ann)))
+    ann = [row for u in spaces for row in scalar_kernel(Matrix(u.dim, amb, u.basis))]
+    return Subspace.from_vectors(amb, scalar_kernel(Matrix(len(ann), amb, ann)))
+
+
+# -- the Scalar span API, on the integer kernel ------------------------------
+
+def rank(m: Matrix) -> int:
+    """Rank by Bareiss fraction-free elimination on Gaussian integers."""
+    return len(eliminate(_integer_rows(m.data))[0])
+
+
+def rref(m: Matrix) -> tuple[list[int], list[list[Scalar]]]:
+    """Reduced row echelon form; returns (pivot columns, nonzero rows)."""
+    span = IntegerSpan(m.cols, _integer_rows(m.data))
+    return span.pivots, [scalar_values(r, span.last) for r in span.rows]
+
+
+def subspace(span: IntegerSpan) -> "Subspace":
+    """The span with its canonical basis as Scalars."""
+    return Subspace(span.ambient_dim, tuple(span.pivots),
+                    tuple(tuple(scalar_values(r, span.last)) for r in span.rows))
+
+
+def _as_scalar_row(row) -> list[Scalar]:
+    return [_coerce(x) for x in row]
+
+
+class Subspace:
+    """A linear subspace of C^ambient_dim with canonical RREF basis rows."""
+
+    __slots__ = ("ambient_dim", "pivots", "basis")
+
+    def __init__(self, ambient_dim: int, pivots: tuple[int, ...], basis: tuple[tuple[Scalar, ...], ...]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "basis", basis)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Subspace is immutable")
+
+    @staticmethod
+    def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
+        rows = [_as_scalar_row(v) for v in vectors]
+        for r in rows:
+            if len(r) != ambient_dim:
+                raise ValueError("vector length != ambient_dim")
+        return subspace(IntegerSpan(ambient_dim, _integer_rows(rows)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def reduce(self, vec: Sequence) -> list[Scalar]:
+        """Canonical coset representative of vec modulo this subspace
+        (entries at pivot columns are zeroed)."""
+        v = _as_scalar_row(vec)
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length != ambient_dim")
+        for p, row in zip(self.pivots, self.basis):
+            c = v[p]
+            if c:
+                v = [x - c * y for x, y in zip(v, row)]
+        return v
+
+    def contains(self, vec: Sequence) -> bool:
+        return not any(self.reduce(vec))
+
+    def perp(self) -> "Subspace":
+        """Annihilator under the standard bilinear pairing sum(x_i y_i)."""
+        return subspace(IntegerSpan(self.ambient_dim, _integer_rows(self.basis)).perp())
+
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return (self.ambient_dim, self.basis) == (other.ambient_dim, other.basis)
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self):
+        return "Subspace(dim %d in C^%d)" % (self.dim, self.ambient_dim)
+
+
+def kernel(m: Matrix) -> Subspace:
+    """Right kernel {x : m x = 0} with canonical basis: the annihilator of
+    the row space."""
+    return subspace(IntegerSpan(m.cols, _integer_rows(m.data)).perp())
+
+
+def span_sum(spaces: Sequence[Subspace]) -> Subspace:
+    if not spaces:
+        raise ValueError("span_sum of nothing")
+    if len({s.ambient_dim for s in spaces}) > 1:
+        raise ValueError("ambient mismatch")
+    return Subspace.from_vectors(spaces[0].ambient_dim, [v for s in spaces for v in s.basis])
+
+
+def intersect(spaces: Sequence[Subspace]) -> Subspace:
+    """Intersection by Zassenhaus on the integer rows (`IntegerSpan.intersect`)."""
+    if not spaces:
+        raise ValueError("intersect of nothing")
+    if len({s.ambient_dim for s in spaces}) > 1:
+        raise ValueError("ambient mismatch")
+    spans = [IntegerSpan(s.ambient_dim, _integer_rows(s.basis)) for s in spaces]
+    return subspace(functools.reduce(IntegerSpan.intersect, spans))
+
+
+def solve_left(rows_a: Matrix, rows_b: Matrix) -> Matrix:
+    """C with C @ rows_a == rows_b, for rows_a of full row rank.
+
+    Raises ValueError when some row of rows_b is outside the row space."""
+    n = rows_a.rows
+    aug = [list(rows_a.data[i]) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
+    pivots, red = rref(Matrix(n, rows_a.cols + n, aug))
+    if len(pivots) != n or any(p >= rows_a.cols for p in pivots):
+        raise ValueError("solve_left needs full row rank")
+    out = []
+    for brow in rows_b.data:
+        v = list(brow)
+        coeffs = [ZERO] * n
+        for r, p in enumerate(pivots):
+            c = v[p]
+            if c:
+                v = [x - c * y for x, y in zip(v, red[r][: rows_a.cols])]
+                coeffs = [x + c * y for x, y in zip(coeffs, red[r][rows_a.cols:])]
+        if any(v):
+            raise ValueError("row not in span")
+        out.append(coeffs)
+    return Matrix(rows_b.rows, n, out)
+
+
+def inverse(m: Matrix) -> Matrix:
+    if m.rows != m.cols:
+        raise ValueError("inverse of non-square matrix")
+    n = m.rows
+    aug = [list(m.data[i]) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
+    pivots, red = rref(Matrix(n, 2 * n, aug))
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return Matrix(n, n, [r[n:] for r in red])

@@ -5,7 +5,8 @@ derivatives.  Kept as the reference the jet-based oracles of
 `secantgeo.oracles` are checked against, at the same sample points."""
 
 from secantgeo.genericity import certified_value, fully_nonzero_vector
-from secantgeo.linalg import Matrix, Subspace, rank
+from linalg_reference import Subspace, col, rank
+from secantgeo.linalg import Matrix
 from secantgeo.oracles import _join_point, _join_rank
 from secantgeo.polymaps import Poly, PolyMap, poly_sum
 from secantgeo.scalars import Scalar
@@ -70,11 +71,11 @@ def _gauss_sample(f: PolyMap, bound: int, stream) -> tuple[int, int]:
     basis_idx = []
     chosen: list[list[Scalar]] = []
     for cidx in range(1 + p):
-        col = list(gen_mat.col(cidx))
-        cand = Subspace.from_vectors(m, chosen + [col])
+        column = list(col(gen_mat, cidx))
+        cand = Subspace.from_vectors(m, chosen + [column])
         if cand.dim > len(chosen):
             basis_idx.append(cidx)
-            chosen.append(col)
+            chosen.append(column)
         if len(chosen) == d_hat:
             break
 

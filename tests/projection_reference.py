@@ -7,7 +7,8 @@ Kept as the reference the quadric projection is checked against."""
 from secantgeo.defects import DefectReport, defect_report
 from secantgeo.genericity import derive_stream
 from secantgeo.jets import chart_at, second_fundamental_form
-from secantgeo.linalg import Matrix, rank
+from linalg_reference import rank
+from secantgeo.linalg import Matrix
 from secantgeo.polymaps import PolyMap, poly_sum
 from secantgeo.quadrics import rank_profile, secant_dimension
 from secantgeo.scalars import Scalar

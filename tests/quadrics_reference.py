@@ -3,16 +3,21 @@ the integer form of a system: the contraction, the annihilator quadrics and
 the randomized annihilator-rank search all built as Scalar matrices, the
 point held as Scalar subspaces, and the higher secant spans summed as
 Scalar subspaces.  Kept as the reference `_profile_at` and
-`higher_secant_dimension` are checked against, at the same draws."""
+`higher_secant_dimension` are checked against, at the same draws.  With
+them `contraction`, `apply_ii` and `ii_image`, which left the package once
+only the tests used them: II_v taken on the integer form at v cleared of
+its denominators and converted to Scalars once, which `scalar_contraction`
+(II_v straight from the Scalar quadrics) checks."""
 
 from dataclasses import dataclass
 
-from linalg_reference import _dot, identity, stack_rows
+from linalg_reference import (Subspace, _dot, identity, kernel, mul_vec, rank, span_sum,
+                              stack_rows, subspace, transpose)
 from secantgeo.genericity import certified_value, nonzero_vector
-from secantgeo.linalg import Matrix, Subspace, kernel, rank, scalar_values, span_sum
+from secantgeo.linalg import Matrix, integer_values, scalar_values
 from secantgeo.quadrics import (GenericPoint, HigherSecantDimension, QuadricSystem, RankProfile,
-                                ii_image)
-from secantgeo.scalars import Scalar
+                                contract)
+from secantgeo.scalars import Scalar, _coerce
 
 
 @dataclass(frozen=True)
@@ -34,16 +39,36 @@ class ScalarPoint:
 
 
 def scalar_point(point: GenericPoint) -> ScalarPoint:
-    """The integer point converted field by field: the contraction c / den as
-    a Scalar matrix, each span as its canonical Scalar subspace."""
+    """The integer point converted field by field: v as Scalars, the
+    contraction c / den as a Scalar matrix, each span as its canonical
+    Scalar subspace."""
     c, den = point.contraction
-    return ScalarPoint(point.v, Matrix(len(c), len(point.v), [scalar_values(r, den) for r in c]),
-                       point.image.subspace(), point.kernel.subspace(),
-                       point.annihilator.subspace(), point.singloc.subspace(), point.r)
+    return ScalarPoint(tuple(scalar_values(point.v, 1)),
+                       Matrix(len(c), len(point.v), [scalar_values(r, den) for r in c]),
+                       subspace(point.image), subspace(point.kernel),
+                       subspace(point.annihilator), subspace(point.singloc), point.r)
+
+
+def scalar_contraction(s: QuadricSystem, v) -> Matrix:
+    """II_v straight from the Scalar quadrics."""
+    return Matrix(s.a, s.n, [mul_vec(q, v) for q in s.quadrics])
 
 
 def contraction(s: QuadricSystem, v) -> Matrix:
-    return Matrix(s.a, s.n, [q.mul_vec(v) for q in s.quadrics])
+    """The linear map II_v = II(v, .) : T -> N as an a x n matrix, from
+    the integer form at v cleared of its denominators."""
+    vi, lam = integer_values([_coerce(x) for x in v])
+    return Matrix(s.a, s.n, [scalar_values(r, s.integer_form[1] * lam) for r in contract(s, vi)])
+
+
+def apply_ii(s: QuadricSystem, v) -> list[Scalar]:
+    """II(v, v) as a vector in the normal space C^a."""
+    return mul_vec(contraction(s, v), v)
+
+
+def ii_image(s: QuadricSystem, v) -> Subspace:
+    """II_v(T) as a subspace of N."""
+    return Subspace.from_vectors(s.a, transpose(contraction(s, v)).data)
 
 
 def quadric_from_coefficients(s: QuadricSystem, coeffs) -> Matrix:
@@ -76,8 +101,8 @@ def singular_locus(s: QuadricSystem, quadrics) -> Subspace:
 
 
 def profile_at(s: QuadricSystem, v, inner_stream, inner_trials: int) -> ScalarPoint:
-    c = contraction(s, v)
-    image = Subspace.from_vectors(s.a, c.transpose().data)
+    c = scalar_contraction(s, v)
+    image = Subspace.from_vectors(s.a, transpose(c).data)
     ann = image.perp()
     singloc = singular_locus(s, [quadric_from_coefficients(s, row) for row in ann.basis])
     r = max_rank_in_span(s, ann, inner_stream, inner_trials)
@@ -116,6 +141,4 @@ def higher_secant_dimension(s: QuadricSystem, k: int, profile: RankProfile, stre
         return span_sum(spans).dim
 
     span_dim = certified_value(sample, stream, trials, what="secant span dimension")
-    dim = s.n + span_dim
-    bound = s.n + (k - 1) * profile.a0
-    return HigherSecantDimension(k, dim, bound, dim <= bound)
+    return HigherSecantDimension(k, s.n + span_dim, s.n + (k - 1) * profile.a0)

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jets_reference as reference
-from secantgeo.genericity import derive_stream
+from linalg_reference import is_zero, rank
+from quadrics_reference import ii_image
+from secantgeo.genericity import derive_stream, nonzero_vector
 from secantgeo.jets import (ChartError, NotImmersiveError, chart_at, chart_roundtrip_check,
                             refined_third_form_cube, second_fundamental_form)
-from secantgeo.linalg import Matrix
+from secantgeo.linalg import IntegerSpan, Matrix
 from secantgeo.polymaps import Poly, PolyMap, polymap_to_json
-from secantgeo.quadrics import ii_image
+from secantgeo.quadrics import contract
 from secantgeo.report import analyze
 from secantgeo.scalars import ONE, ZERO, Rational, Scalar
 
@@ -42,8 +44,6 @@ def test_chart_reads_off_graph_quadrics():
 def test_chart_away_from_origin_agrees():
     # same graph, chart at a nonzero point: the pivot normalization changes
     # the quadric entries but never the rank
-    from secantgeo.linalg import rank
-
     q1 = Poly.monomial(2, (2, 0), 1) + Poly.monomial(2, (0, 2), 1)
     f = graph_map(2, [q1])
     jet = chart_at(f, [3, -2], 3)
@@ -57,7 +57,7 @@ def test_cubic_coefficients():
     c = Poly.monomial(1, (3,), 1)
     f = graph_map(1, [Poly(1)], [c])
     jet = chart_at(f, [0], 4)
-    assert jet.q[0].is_zero()
+    assert is_zero(jet.q[0])
     assert jet.c3_entry(0, 0, 0, 0) == ONE
     assert jet.c4 is not None
     assert jet.c4_entry(0, 0, 0, 0, 0) == ZERO
@@ -109,19 +109,24 @@ def test_roundtrip_random_graphs():
         assert chart_roundtrip_check(f, jet, derive_stream(0, "jets", trial), samples=4)
 
 
+def _image(jet, v) -> IntegerSpan:
+    """II_v(T) of the chart's second fundamental form, as an integer span."""
+    s = second_fundamental_form(jet)
+    return IntegerSpan(s.a, list(zip(*contract(s, v))))
+
+
 def test_refined_third_form_cube():
     # z = u^3 in the plane: II = 0, the cube survives reduction
     f = graph_map(1, [Poly(1)], [Poly.monomial(1, (3,), 1)])
     jet = chart_at(f, [0], 3)
-    residue, is_zero = refined_third_form_cube(
-        jet, [ONE], ii_image(second_fundamental_form(jet), [ONE]))
-    assert not is_zero
+    assert not refined_third_form_cube(jet, [1], _image(jet, [1]))
+    residue, _ = reference.refined_third_form_cube(
+        jet, [1], ii_image(second_fundamental_form(jet), [1]))
     assert residue == [ONE]
     # quadratic graph: third form identically zero
     g = graph_map(1, [Poly.monomial(1, (2,), 1)])
     jg = chart_at(g, [0], 3)
-    _, z = refined_third_form_cube(jg, [ONE], ii_image(second_fundamental_form(jg), [ONE]))
-    assert z
+    assert refined_third_form_cube(jg, [1], _image(jg, [1]))
 
 
 def test_order_validation():
@@ -174,12 +179,50 @@ def graph_charts(draw):
 @given(graph_charts(), st.integers(0, 10 ** 6))
 def test_roundtrip_matches_the_poly_reference(chart, seed):
     """Same draws, same exact answer as the Poly series route, on the chart
-    and on each of its perturbations (`_perturbed`); the chart passes."""
+    and on each of its perturbations (`_perturbed`); the chart passes.  The
+    chart itself, its normal correction, q, c3 and c4, equals the one the
+    route through the Scalar RREF, `solve_left` and `inverse` gives."""
     f, jet = chart
+    assert (jet.normal_correction, jet.q, jet.c3, jet.c4) == \
+        reference.chart_fields(f, jet.base_point, jet.order), "Scalar solver route"
     assert chart_roundtrip_check(f, jet, derive_stream(seed, "rt"), samples=3)
     for name, j in [("chart", jet), *_perturbed(jet).items()]:
         got = chart_roundtrip_check(f, j, derive_stream(seed, "rt"), samples=3)
         assert got == reference.chart_roundtrip_check(f, j, derive_stream(seed, "rt"), samples=3), name
+
+
+def _gaussian_map():
+    """A graph map with Gaussian-rational coefficients and a cubic term,
+    and a Gaussian-rational base point."""
+    i = Scalar(0, 1)
+    q1 = Poly.monomial(2, (2, 0), i) + Poly.monomial(2, (0, 2), 1)
+    q2 = Poly.monomial(2, (1, 1), Scalar(1, "1/2")) + Poly.monomial(2, (0, 3), 1)
+    return graph_map(2, [q1, q2]), [Scalar("1/2"), i]
+
+
+HEAVY = ("severi_O", "grassmannian_2_7")
+
+
+def test_catalog_charts_and_refined_cubes_match_the_references(charted):
+    """On the light catalog charts and a Gaussian map: the chart's fields
+    equal the Scalar solver route's, and at the same draws the refined cubic
+    on integer spans says what c3(v) reduced modulo a Scalar `Subspace`
+    says, vanishing at some charts and not at others."""
+    f, base = _gaussian_map()
+    cases = [(e.map, list(e.base_point), jet) for name, (e, jet, _, _) in sorted(charted.items())
+             if name not in HEAVY] + [(f, base, chart_at(f, base, 3))]
+    seen = set()
+    for f, base, jet in cases:
+        assert (jet.normal_correction, jet.q, jet.c3, jet.c4) == \
+            reference.chart_fields(f, base, 3)
+        s = second_fundamental_form(jet)
+        stream = derive_stream(0, "jets", "cube")
+        for bound in (1, 2, 3):
+            v = nonzero_vector(s.n, bound, stream)
+            got = refined_third_form_cube(jet, v, _image(jet, v))
+            assert got == reference.refined_third_form_cube(jet, v, ii_image(s, v))[1]
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def _perturbed(jet):
@@ -235,11 +278,7 @@ def test_vanishing_pivot_is_never_accepted():
 def test_gaussian_map_roundtrip_in_the_report():
     """A poly_map with Gaussian-rational coefficients and base point: the
     round trip runs on (re, im) pairs and the report's verdict passes."""
-    i = Scalar(0, 1)
-    q1 = Poly.monomial(2, (2, 0), i) + Poly.monomial(2, (0, 2), 1)
-    q2 = Poly.monomial(2, (1, 1), Scalar(1, "1/2")) + Poly.monomial(2, (0, 3), 1)
-    f = graph_map(2, [q1, q2])
-    base = [Scalar("1/2"), i]
+    f, base = _gaussian_map()
     rep = analyze(polymap_to_json(f, base_point=base))
     assert {v.name: v.status for v in rep.verdicts}["chart_roundtrip"] == "pass"
     jet = chart_at(f, base, 3)

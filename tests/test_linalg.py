@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_reference as reference
-from linalg_reference import (complement_indices, contains_subspace, identity, matmul,
-                              stack_rows, zero)
-from secantgeo.linalg import (IntegerSpan, Matrix, Subspace, _combine_gauss, _combine_int,
-                              _integer_rows, _negate, integer_values, intersect, inverse, kernel,
-                              random_vector, rank, rref, solve_left, span_sum)
+from linalg_reference import (Subspace, complement_indices, contains_subspace, identity,
+                              intersect, inverse, kernel, matmul, mul_vec, rank, rref, solve_left,
+                              span_sum, stack_rows, subspace, transpose, zero)
+from secantgeo.linalg import (IntegerSpan, Matrix, _combine_gauss, _combine_int, _integer_rows,
+                              _negate, integer_values, random_vector, scalar_values, solve)
 from secantgeo.scalars import ONE, ZERO, Rational, Scalar
 
 
@@ -40,7 +40,7 @@ def test_rank_row_operations_invariant():
         c = Scalar(rng.randint(-3, 3))
         rows[1] = [x + c * y for x, y in zip(rows[1], rows[0])]
         assert rank(Matrix(4, 6, rows)) == r
-        assert rank(m.transpose()) == r
+        assert rank(transpose(m)) == r
 
 
 def test_rref_canonical():
@@ -107,7 +107,7 @@ def test_perp_and_kernel():
     m = from_rows([[1, 2, 0], [0, 0, 1]])
     k = kernel(m)
     assert k.dim == 1
-    assert not any(m.mul_vec(list(k.basis[0])))
+    assert not any(mul_vec(m, list(k.basis[0])))
 
 
 def test_solve_left_and_inverse():
@@ -186,7 +186,9 @@ def matrices(draw, rows=None, cols=None):
 
 @st.composite
 def invertible(draw, n):
-    """A product of random elementary row operations on the n x n identity."""
+    """A product of random elementary row operations on the n x n identity,
+    over Q or Q(i)."""
+    real = draw(st.booleans())
     rows = [list(r) for r in identity(n).data]
     for _ in range(draw(st.integers(0, 6))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -194,10 +196,10 @@ def invertible(draw, n):
         if op == "swap":
             rows[i], rows[j] = rows[j], rows[i]
         elif op == "scale":
-            c = draw(entries(False).filter(bool))
+            c = draw(entries(real).filter(bool))
             rows[i] = [c * x for x in rows[i]]
         elif i != j:
-            c = draw(entries(False))
+            c = draw(entries(real))
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
     return Matrix(n, n, rows)
 
@@ -205,14 +207,14 @@ def invertible(draw, n):
 @PROPERTY
 @given(matrices())
 def test_integer_elimination_matches_scalar_reference(m):
-    assert rank(m) == reference.rank(m)
-    assert rref(m) == reference.rref(m)
+    assert rank(m) == reference.scalar_rank(m)
+    assert rref(m) == reference.scalar_rref(m)
 
 
 @PROPERTY
 @given(matrices())
 def test_kernel_and_perp_match_scalar_reference(m):
-    want = reference.kernel(m)
+    want = reference.scalar_kernel(m)
     assert [list(r) for r in kernel(m).basis] == want
     assert [list(r) for r in Subspace.from_vectors(m.cols, m.data).perp().basis] == want
 
@@ -249,7 +251,7 @@ def test_integer_spans_match_scalar_reference(data):
     m = data.draw(matrices())
     other = data.draw(matrices(cols=m.cols))
     span, other_span = (IntegerSpan(x.cols, _integer_rows(x.data)) for x in (m, other))
-    basis = span.subspace().basis
+    basis = subspace(span).basis
     if basis:
         ints, den = integer_values([x for r in basis for x in r], type(span.last) is int)
         if span.last in (-den, (-den, 0)):
@@ -258,12 +260,12 @@ def test_integer_spans_match_scalar_reference(data):
         assert span.last in (den, (den, 0))
 
     def perp_rows(sub):
-        return reference.kernel(Matrix(sub.dim, sub.ambient_dim, sub.basis))
+        return reference.scalar_kernel(Matrix(sub.dim, sub.ambient_dim, sub.basis))
 
-    u, w = span.subspace(), other_span.subspace()
+    u, w = subspace(span), subspace(other_span)
     stacked = perp_rows(u) + perp_rows(w)
-    want = reference.kernel(Matrix(len(stacked), m.cols, stacked))
-    assert [list(r) for r in span.intersect(other_span).subspace().basis] == want
+    want = reference.scalar_kernel(Matrix(len(stacked), m.cols, stacked))
+    assert [list(r) for r in subspace(span.intersect(other_span)).basis] == want
     for row in other.data:
         assert span.contains(integer_values(row)[0]) == u.contains(row)
     assert (span == other_span) == (u == w)
@@ -278,3 +280,32 @@ def test_inexact_bareiss_division_raises():
         _combine_gauss((1, 0), [(1, 0)], (0, 0), [(0, 0)], (1, 1))  # 1 / (1 + i)
     # 2 / (1 + i) = 1 - i
     assert _combine_gauss((2, 0), [(1, 0)], (0, 0), [(0, 0)], (1, 1)) == [(1, -1)]
+
+
+def _solved(a: Matrix, b: Matrix) -> Matrix:
+    """a^-1 b by `solve`, each row of [a | b] cleared once, as Scalars."""
+    aug = _integer_rows([list(r) + list(t) for r, t in zip(a.data, b.data)])
+    x, last = solve([r[:a.cols] for r in aug], [r[a.cols:] for r in aug])
+    return Matrix(a.rows, b.cols, [scalar_values(r, last) for r in x])
+
+
+@PROPERTY
+@given(st.data())
+def test_solve_matches_solve_left_and_inverse(data):
+    """On square matrices over Q and Q(i), full rank or not: solve(a, Id) is
+    inverse(a), and solve(a^T, b^T) is solve_left(a, b)^T, the series' and
+    the chart's call shapes; a singular a raises ValueError on both routes."""
+    n = data.draw(st.integers(1, 4))
+    a = data.draw(st.one_of(matrices(rows=n, cols=n), invertible(n)))
+    b = data.draw(matrices(cols=n))
+    if rank(a) < n:
+        for ours, theirs in ((lambda: _solved(a, identity(n)), lambda: inverse(a)),
+                             (lambda: _solved(transpose(a), transpose(b)),
+                              lambda: solve_left(a, b))):
+            with pytest.raises(ValueError):
+                ours()
+            with pytest.raises(ValueError):
+                theirs()
+        return
+    assert _solved(a, identity(n)) == inverse(a)
+    assert _solved(transpose(a), transpose(b)) == transpose(solve_left(a, b))

@@ -4,12 +4,14 @@ from pathlib import Path
 
 import pytest
 
+from linalg_reference import kernel
+from quadrics_reference import apply_ii
 from secantgeo import derive_stream
 from secantgeo.algebras import AlgebraElement, AlgebraTag
 from secantgeo.jets import chart_at, chart_roundtrip_check, refined_third_form_cube, second_fundamental_form
-from secantgeo.linalg import Matrix, kernel
+from secantgeo.linalg import IntegerSpan, Matrix, scalar_values
 from secantgeo.oracles import gauss_fiber_dimension, join_dimension
-from secantgeo.quadrics import apply_ii, contraction, higher_secant_dimension, ii_image, rank_profile
+from secantgeo.quadrics import contract, higher_secant_dimension, rank_profile
 from secantgeo.scalars import Scalar
 from secantgeo.zoo import build, catalog, expected, rank_variety, segre, severi, veronese, veronese_of
 
@@ -41,9 +43,9 @@ def test_severi_charts_are_exactly_quadratic():
         assert all(p.is_zero() for p in jet.c3)
         assert all(p.is_zero() for p in jet.c4)
         rng = derive_stream(0, "tz", "c3", tag)
-        v = [Scalar(rng.randint(-3, 3)) for _ in range(ent.n)]
-        _, vanished = refined_third_form_cube(jet, v, ii_image(second_fundamental_form(jet), v))
-        assert vanished
+        v = [rng.randint(-3, 3) for _ in range(ent.n)]
+        s = second_fundamental_form(jet)
+        assert refined_third_form_cube(jet, v, IntegerSpan(s.a, list(zip(*contract(s, v)))))
 
 
 def test_base_locus_of_severi_systems(charted):
@@ -97,19 +99,19 @@ def test_base_locus_is_empty_over_r(charted):
 
 def test_apply_ii_jacobian_is_twice_contraction(charted):
     # directional derivatives of w -> II(w, w): quadratics differentiate
-    # exactly through symmetric differences
+    # exactly through symmetric differences; c is the integer contraction
     rng = random.Random(7)
     for name in ("severi_C", "segre_3_3", "veronese_2_2"):
         _, _, s, _ = charted[name]
-        v = [Scalar(rng.randint(-3, 3)) for _ in range(s.n)]
-        c = contraction(s, v)
+        v = [rng.randint(-3, 3) for _ in range(s.n)]
+        c = [scalar_values(r, s.integer_form[1]) for r in contract(s, v)]
         for j in range(s.n):
             up = list(v)
             dn = list(v)
-            up[j] = up[j] + Scalar(1)
-            dn[j] = dn[j] - Scalar(1)
+            up[j] += 1
+            dn[j] -= 1
             diff = [(a - b) / Scalar(2) for a, b in zip(apply_ii(s, up), apply_ii(s, dn))]
-            assert diff == [Scalar(2) * c.at(mu, j) for mu in range(s.a)]
+            assert diff == [Scalar(2) * c[mu][j] for mu in range(s.a)]
 
 
 def test_higher_secants_respect_span_bound(charted):
@@ -120,7 +122,6 @@ def test_higher_secants_respect_span_bound(charted):
         for k in (2, 3, 4):
             h = higher_secant_dimension(s, k, prof, derive_stream(0, "tz", "hs", name, k))
             assert h.bound == s.n + (k - 1) * prof.a0
-            assert h.within_bound
             ambient = ent.ambient
             assert h.dimension <= min(ambient, h.bound)
         h2 = higher_secant_dimension(s, 2, prof, derive_stream(0, "tz", "hs2", name))
