@@ -102,7 +102,7 @@ def quotient_frames(s: QuadricSystem, point: GenericPoint) -> QuotientFrames:
         raise DefectError(
             "tangent quotient (dim %d) and image quotient (dim %d) disagree"
             % (len(treps), len(pivots)))
-    cols = list(zip(*point.contraction[0]))
+    cols = list(zip(*point.contraction))
     return QuotientFrames(treps, sl, img, fib, pivots, _coordinates(fib, treps, pivots, cols))
 
 
@@ -150,6 +150,11 @@ class CliffordVerdict:
     kernel_dim: int
 
 
+def _clifford_not_applicable(s: QuadricSystem, profile: RankProfile) -> CliffordVerdict:
+    return CliffordVerdict(False, False, False, False, False, 0, False,
+                           s.n - profile.dim_singloc, profile.dim_ker)
+
+
 def _restrict_quadric(n: int, q: list, basis) -> list:
     """The Gram matrix u^T q w over the basis, for q on the integer form."""
     qb = _same_format([integer_mul_vec(_square(q, n), w) for w in basis])
@@ -170,8 +175,7 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Gener
     Q_v-orthogonal to the kernel directions.  `frames` are the point's
     quotient frames, when already built."""
     if profile.a0 != s.a - 1:
-        return CliffordVerdict(False, False, False, False, False, 0, False,
-                               s.n - profile.dim_singloc, profile.dim_ker)
+        return _clifford_not_applicable(s, profile)
     if frames is None:
         frames = quotient_frames(s, point)
     fiber_ok = frames.fiber.dim == vert.dim + 1
@@ -303,6 +307,7 @@ class DefectReport:
     so_membership: bool | None
     rank_restriction: RankRestriction
     zak_bound: ZakBound
+    clifford_unmet: str | None = None  # the failed Clifford hypothesis, if one failed
 
 
 def kernel_in_singular_locus(s: QuadricSystem, point: GenericPoint) -> bool:
@@ -353,9 +358,16 @@ def defect_report(s: QuadricSystem, profile: RankProfile, sigma_dim: int, stream
                   trials: int = 5) -> DefectReport:
     point = generic_vector(s, profile, stream, trials)
     vert = vertex(s, profile, stream, trials)
-    # the quotient frames at v, built once for both Clifford checks
-    frames = quotient_frames(s, point) if profile.a0 == s.a - 1 else None
-    clifford = clifford_relation_check(s, profile, point, vert, frames)
+    # the quotient frames at v, built once for both Clifford checks; without
+    # them neither check has its hypothesis
+    frames = unmet = None
+    if profile.a0 == s.a - 1:
+        try:
+            frames = quotient_frames(s, point)
+        except DefectError as e:
+            unmet = "needs ker II_v inside singloc Ann(v); %s" % e
+    clifford = _clifford_not_applicable(s, profile) if unmet else \
+        clifford_relation_check(s, profile, point, vert, frames)
     so_ok = None
     if profile.dim_ann == 1 and clifford.applicable:
         try:
@@ -372,4 +384,5 @@ def defect_report(s: QuadricSystem, profile: RankProfile, sigma_dim: int, stream
         so_membership=so_ok,
         rank_restriction=rank_restriction_check(s, profile, sigma_dim),
         zak_bound=zak_bound_check(s, profile, sigma_dim, fiber_dim),
+        clifford_unmet=unmet,
     )

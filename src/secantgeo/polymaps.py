@@ -9,6 +9,7 @@ may be flagged projective; every projective map is conical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
@@ -123,15 +124,6 @@ class Poly:
             acc = acc + term
         return acc
 
-    def embed(self, nvars: int, offset: int) -> "Poly":
-        """Same polynomial in a larger variable space, variables shifted by
-        offset."""
-        pad_l = (0,) * offset
-        out = {}
-        for e, c in self.terms.items():
-            out[pad_l + e + (0,) * (nvars - offset - self.nvars)] = c
-        return Poly(nvars, out)
-
     def graded_part(self, d: int) -> "Poly":
         return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
 
@@ -198,6 +190,12 @@ class PolyMap:
         """Dimension of the projective space the image lives in."""
         return self.codomain_dim - 1 if self.conical else self.codomain_dim
 
+    @cached_property
+    def jet_plans(self) -> dict:
+        """order -> the integer term plan of `lift_jet` at that order, each
+        built on first use."""
+        return {}
+
     def lift(self) -> tuple[Poly, ...]:
         if self.conical:
             return self.components
@@ -215,18 +213,16 @@ class PolyMap:
         return Matrix(len(rows), self.domain_dim, rows)
 
 
-def lift_jet(f: PolyMap, u: Sequence[int], order: int) -> dict:
-    """The partial derivatives of the lift of f up to `order` at the integer
-    point u, each lift component scaled by the lcm of its coefficients'
-    denominators (a diagonal change of coordinates, which moves no rank).
-    Keys are sorted tuples of variable indices, () for the value, always
-    present; a missing key is zero.  Values are Gaussian-integer vectors in
-    the format of `linalg.eliminate`: ints for a real map, else (re, im)
-    int pairs."""
+def _jet_plan(f: PolyMap, order: int) -> tuple:
+    """What `lift_jet` reads at `order`, fixed for the map: (real, width,
+    keys, monomials, terms).  keys lists the derivative keys in order of
+    first appearance; monomials the distinct remaining exponents, sparse as
+    (variable, power) pairs; each term (key, component, c, monomial) is a
+    lift coefficient, cleared, times its falling factorial, whose partial
+    at u is c times the monomial at u."""
     lift = f.lift()
     real = all(not c.im for q in lift for c in q.terms.values())
-    zero = 0 if real else (0, 0)
-    jet = {(): [zero] * len(lift)}
+    keys, monomials, terms = {(): 0}, {}, []
     for i, q in enumerate(lift):
         for e, c in zip(q.terms, integer_values(list(q.terms.values()), real)[0]):
             support = [j for j, k in enumerate(e) if k]
@@ -237,12 +233,40 @@ def lift_jet(f: PolyMap, u: Sequence[int], order: int) -> dict:
                         w *= rest[j]
                         rest[j] -= 1
                     if w:
-                        for j in support:
-                            w *= u[j] ** rest[j]
-                        vec = jet.setdefault(idx, [zero] * len(lift))
-                        vec[i] = vec[i] + c * w if real else \
-                            (vec[i][0] + c[0] * w, vec[i][1] + c[1] * w)
-    return jet
+                        mono = tuple((j, rest[j]) for j in support if rest[j])
+                        terms.append((keys.setdefault(idx, len(keys)), i,
+                                      c * w if real else (c[0] * w, c[1] * w),
+                                      monomials.setdefault(mono, len(monomials))))
+    return real, len(lift), list(keys), list(monomials), terms
+
+
+def lift_jet(f: PolyMap, u: Sequence[int], order: int) -> dict:
+    """The partial derivatives of the lift of f up to `order` at the integer
+    point u, each lift component scaled by the lcm of its coefficients'
+    denominators (a diagonal change of coordinates, which moves no rank).
+    Keys are sorted tuples of variable indices, () for the value, always
+    present; a missing key is zero.  Values are Gaussian-integer vectors in
+    the format of `linalg.eliminate`: ints for a real map, else (re, im)
+    int pairs.  The map's term plan at `order` is built on first use."""
+    plan = f.jet_plans.get(order)
+    if plan is None:
+        plan = f.jet_plans[order] = _jet_plan(f, order)
+    real, width, keys, monomials, terms = plan
+    at = []
+    for mono in monomials:
+        x = 1
+        for j, k in mono:
+            x *= u[j] ** k
+        at.append(x)
+    vecs = [[0 if real else (0, 0)] * width for _ in keys]
+    if real:
+        for key, i, c, m in terms:
+            vecs[key][i] += c * at[m]
+    else:
+        for key, i, (cr, ci), m in terms:
+            vec, x = vecs[key], at[m]
+            vec[i] = (vec[i][0] + cr * x, vec[i][1] + ci * x)
+    return dict(zip(keys, vecs))
 
 
 def poly_to_json(p: Poly) -> list:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .genericity import CertificationError, certified_value, nonzero_vector
 from .linalg import (IntegerSpan, Matrix, eliminate, integer_combination, integer_mul_vec,
@@ -98,32 +99,37 @@ class RankProfile:
 @dataclass(frozen=True)
 class GenericPoint:
     """A tangent vector v on Gaussian integers and everything read at it,
-    computed once on the integer form: the contraction II_v = c / den (a x n
-    Gaussian integers, den the denominator of the integer form),
-    the spans of its image II_v(T) in N and its kernel in T, of the
-    annihilator Ann(v) in N* (the quadrics singular at v, as the kernel of
-    c -> sum_mu c_mu q^mu v), and of the common kernel of Ann(v); the maximal
-    annihilator rank r; and, on first use, the Gauss fiber directions F_v."""
+    computed once on the integer form: the contraction D II_v (a x n
+    Gaussian integers, D the denominator of the integer form), the spans
+    of its image II_v(T) in N, of the annihilator Ann(v) in N* (the
+    quadrics singular at v, as the kernel of c -> sum_mu c_mu q^mu v), and
+    of the common kernel of Ann(v); the maximal annihilator rank r; and, on
+    first use, ker II_v in T and the Gauss fiber directions F_v."""
 
     v: tuple
-    contraction: tuple[list, int]
+    contraction: list
     image: IntegerSpan
-    kernel: IntegerSpan
     annihilator: IntegerSpan
     singloc: IntegerSpan
     r: int
 
     @property
     def profile(self) -> tuple[int, int, int, int, int]:
-        """(a0, r, dim_ker, dim_ann, dim_singloc), in RankProfile order."""
-        return (self.image.dim, self.r, self.kernel.dim, self.annihilator.dim,
+        """(a0, r, dim_ker, dim_ann, dim_singloc), in RankProfile order;
+        dim ker II_v = n - a0."""
+        return (self.image.dim, self.r, len(self.v) - self.image.dim, self.annihilator.dim,
                 self.singloc.dim)
+
+    @cached_property
+    def kernel(self) -> IntegerSpan:
+        """ker II_v inside T."""
+        return IntegerSpan(len(self.v), self.contraction).perp()
 
     @cached_property
     def fiber(self) -> IntegerSpan:
         """F_v = II_v(singloc Ann(v)) inside N: the affine direction space of
         the Gauss fiber of the tangentially swept variety through [II(v,v)]."""
-        c = self.contraction[0]
+        c = self.contraction
         return IntegerSpan(len(c), [integer_mul_vec(c, w) for w in self.singloc.rows])
 
 
@@ -136,20 +142,27 @@ def _profile_at(s: QuadricSystem, v, inner_stream, inner_trials: int) -> Generic
     # Ann(v)'s quadrics from its fraction-free basis: the canonical one
     # times a common factor, which moves no rank or kernel
     quads = [integer_quadric(s, row) for row in ann.rows]
-    return GenericPoint(tuple(v), (c, s.integer_form[1]), image, IntegerSpan(s.n, c).perp(), ann,
-                        singular_locus(s, quads),
-                        _max_rank_in_span(s.n, quads, inner_stream, inner_trials))
+    singloc = singular_locus(s, quads)
+    r = _max_rank_in_span(s.n, quads, inner_stream, inner_trials, s.n - singloc.dim)
+    return GenericPoint(tuple(v), c, image, ann, singloc, r)
 
 
-def _max_rank_in_span(n: int, quads: list, stream, trials: int) -> int:
+def _max_rank_in_span(n: int, quads: list, stream, trials: int, ceiling: int) -> int:
     """The largest rank of the members of quads, their sum and difference
-    (for up to two), and `trials` random combinations."""
-    combos = list(quads) if len(quads) <= 2 else []
+    (for up to two), and `trials` random combinations.  Every combination
+    is drawn, but they are eliminated in turn only until one reaches
+    `ceiling`, a rank bound for the whole span (n minus the dimension of
+    the common kernel of quads)."""
+    corners = list(quads) if len(quads) <= 2 else []
     if len(quads) == 2:
-        combos += [integer_combination([(1, quads[0]), (c, quads[1])]) for c in (1, -1)]
-    for _ in range(trials if quads else 0):
-        combos.append(integer_combination(list(zip(nonzero_vector(len(quads), 4, stream), quads))))
-    return max([len(eliminate(_square(q, n))[0]) for q in combos], default=0)
+        corners += [integer_combination([(1, quads[0]), (c, quads[1])]) for c in (1, -1)]
+    drawn = [nonzero_vector(len(quads), 4, stream) for _ in range(trials if quads else 0)]
+    best = 0
+    for q in chain(corners, (integer_combination(list(zip(c, quads))) for c in drawn)):
+        if best >= ceiling:
+            break
+        best = max(best, len(eliminate(_square(q, n))[0]))
+    return best
 
 
 def rank_profile(s: QuadricSystem, stream, trials: int = 5) -> RankProfile:

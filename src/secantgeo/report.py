@@ -279,11 +279,11 @@ def _verdicts(s, profile, jet, f, defects: DefectReport,
     else:
         for name in ("clifford_fiber_condition", "clifford_proportionality",
                      "clifford_identity", "clifford_relation"):
-            out.append(Verdict(name, "not-applicable",
+            out.append(Verdict(name, "not-applicable", defects.clifford_unmet or
                                "tangential variety is not a hypersurface"))
     out.append(Verdict("so_membership", _status(defects.so_membership),
                        "each phi_w is skew for the annihilator pairing"
-                       if defects.so_membership is not None else
+                       if defects.so_membership is not None else defects.clifford_unmet or
                        "needs a one-dimensional annihilator in the hypersurface case"))
 
     # structural properties at 3 certified-generic vectors

@@ -110,9 +110,6 @@ class Scalar:
         """|z|^2 as a nonnegative rational."""
         return self.re * self.re + self.im * self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
 
 def _coerce(value) -> Scalar:
     if isinstance(value, Scalar):

@@ -399,7 +399,7 @@ def quotient_singular_locus_match(s: QuadricSystem, point: ScalarPoint) -> bool:
 
 def defect_report(s: QuadricSystem, profile: RankProfile, sigma_dim: int, stream,
                   trials: int = 5) -> DefectReport:
-    point = scalar_point(generic_vector(s, profile, stream, trials))
+    point = scalar_point(s, generic_vector(s, profile, stream, trials))
     vert = vertex(s, profile, stream, trials)
     clifford = clifford_relation_check(s, profile, point, vert)
     so_ok = None

@@ -14,7 +14,8 @@ references and tests that read Scalar matrices and subspaces keep its
 speed; `solve` is checked against `solve_left` and `inverse`.  With them
 the Scalar matrix helpers only the references and the tests use
 (`transpose`, `col`, `mul_vec`, `is_zero`, `identity`, `zero`, `stack_rows`, `matmul`, `add`,
-`scale`, `contains_subspace`, `complement_indices`)."""
+`scale`, `contains_subspace`, `complement_indices`), and `is_real`, which
+left `Scalar` for the same reason."""
 
 import functools
 from math import lcm
@@ -116,6 +117,10 @@ def stack_rows(mats) -> Matrix:
             raise ValueError("stack_rows column mismatch")
         data.extend(m.data)
     return Matrix(len(data), cols, data)
+
+
+def is_real(x: Scalar) -> bool:
+    return not x.im
 
 
 def _dot(u, v) -> Scalar:

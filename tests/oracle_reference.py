@@ -2,7 +2,8 @@
 the join and tangent maps built as PolyMaps, their Jacobians differentiated
 at each sample, and the Gauss differential taken from symbolic second
 derivatives.  Kept as the reference the jet-based oracles of
-`secantgeo.oracles` are checked against, at the same sample points."""
+`secantgeo.oracles` are checked against, at the same sample points.  With
+them `embed`, which left `Poly` once only these maps used it."""
 
 from secantgeo.genericity import certified_value, fully_nonzero_vector
 from linalg_reference import Subspace, col, rank
@@ -10,6 +11,13 @@ from secantgeo.linalg import Matrix
 from secantgeo.oracles import _join_point, _join_rank
 from secantgeo.polymaps import Poly, PolyMap, poly_sum
 from secantgeo.scalars import Scalar
+
+
+def embed(p: Poly, nvars: int, offset: int) -> Poly:
+    """The same polynomial in a larger variable space, its variables
+    shifted by offset."""
+    pad = (0,) * offset, (0,) * (nvars - offset - p.nvars)
+    return Poly(nvars, {pad[0] + e + pad[1]: c for e, c in p.terms.items()})
 
 
 def build_join_map(f: PolyMap, k: int) -> PolyMap:
@@ -25,7 +33,7 @@ def build_join_map(f: PolyMap, k: int) -> PolyMap:
         parts = []
         for i in range(k):
             s_var = Poly.variable(nv, k * p + i)
-            parts.append(s_var * comp.embed(nv, i * p))
+            parts.append(s_var * embed(comp, nv, i * p))
         comps.append(poly_sum(nv, parts))
     return PolyMap(nv, len(lift), False, tuple(comps), conical=True)
 
@@ -39,13 +47,13 @@ def build_tangent_map(f: PolyMap) -> PolyMap:
     comps = []
     s_var = Poly.variable(nv, 0)
     for comp in lift:
-        base = comp.embed(nv, 1)
+        base = embed(comp, nv, 1)
         parts = [base]
         for alpha in range(p):
             d = comp.diff(alpha)
             if d.is_zero():
                 continue
-            parts.append(Poly.variable(nv, 1 + p + alpha) * d.embed(nv, 1))
+            parts.append(Poly.variable(nv, 1 + p + alpha) * embed(d, nv, 1))
         comps.append(s_var * poly_sum(nv, parts))
     return PolyMap(nv, len(lift), False, tuple(comps), conical=True)
 

@@ -38,11 +38,11 @@ class ScalarPoint:
                 self.singloc.dim)
 
 
-def scalar_point(point: GenericPoint) -> ScalarPoint:
-    """The integer point converted field by field: v as Scalars, the
-    contraction c / den as a Scalar matrix, each span as its canonical
-    Scalar subspace."""
-    c, den = point.contraction
+def scalar_point(s: QuadricSystem, point: GenericPoint) -> ScalarPoint:
+    """The integer point of s converted field by field: v as Scalars, the
+    contraction divided by the denominator of the integer form as a Scalar
+    matrix, each span as its canonical Scalar subspace."""
+    c, den = point.contraction, s.integer_form[1]
     return ScalarPoint(tuple(scalar_values(point.v, 1)),
                        Matrix(len(c), len(point.v), [scalar_values(r, den) for r in c]),
                        subspace(point.image), subspace(point.kernel),

@@ -5,7 +5,7 @@ import json
 import os
 import sys
 
-from secantgeo import cli
+from secantgeo import cli, defects
 from secantgeo.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -149,6 +149,51 @@ def test_clifford_subcommand():
     assert cv["sign"] in (-1, 1)
     assert cv["module_dim"] == 2 and cv["kernel_dim"] == 1
     assert cv["kernel_orthogonal_to_v"]
+
+
+def test_missing_quotient_frames_is_a_verdict_not_exit_3(monkeypatch):
+    """When the quotient frames at v do not exist (ker II_v not inside
+    singloc Ann(v), so the tangent and image quotients differ in dimension),
+    the Clifford and so-membership lines are not-applicable with that
+    hypothesis named, and the analysis exits 0.  No system reaches this at
+    a point of generic rank: Ann(v) is the normal space of the image of
+    v -> II(v, v) at II(v, v), constant along ker II_v, which forces
+    ker II_v into singloc Ann(v).  So the failure is injected, on the
+    cylinder x1^2, x2^2, x1 x2 over C^3, where a0 = a - 1 = 2 and ker II_v
+    is a line."""
+    z, one, half = sc("0"), sc("1"), sc("1/2")
+    cylinder = json.dumps({"kind": "quadric_system", "n": 3, "a": 3, "quadrics": [
+        [[one, z, z], [z, z, z], [z, z, z]],
+        [[z, z, z], [z, one, z], [z, z, z]],
+        [[z, half, z], [half, z, z], [z, z, z]]]})
+    names = ("clifford_fiber_condition", "clifford_proportionality", "clifford_identity",
+             "clifford_relation", "so_membership")
+
+    def verdicts():
+        code, out, err = run(["analyze", "--format", "json"], stdin_text=cylinder)
+        assert code == 0 and err == ""
+        rep = json.loads(out)
+        assert rep["profile"]["a0"] == 2 and rep["profile"]["dim_ker"] == 1
+        return rep, {v["name"]: v for v in rep["verdicts"]}
+
+    clean, by_name = verdicts()
+    assert all(by_name[name]["status"] == "pass" for name in names)
+
+    def no_frames(s, point):
+        raise defects.DefectError("tangent quotient (dim 1) and image quotient (dim 0) disagree")
+
+    monkeypatch.setattr(defects, "quotient_frames", no_frames)
+    rep, by_name = verdicts()
+    for name in names:
+        assert by_name[name] == {
+            "name": name, "status": "not-applicable",
+            "detail": "needs ker II_v inside singloc Ann(v); tangent quotient (dim 1) and "
+                      "image quotient (dim 0) disagree"}
+    assert not rep["defects"]["clifford_verdict"]["applicable"]
+    assert rep["defects"]["so_membership"] is None
+    assert by_name["kernel_in_singular_locus"]["status"] == "pass"
+    assert [v for v in rep["verdicts"] if v["name"] not in names] == \
+        [v for v in clean["verdicts"] if v["name"] not in names]
 
 
 def test_analyze_k_flag_limits_sigma_table():

@@ -103,7 +103,7 @@ def test_ii_second_fundamental_form_residues(charted):
     _, _, s, prof = charted["severi_R"]
     point = generic_vector(s, prof, derive_stream(0, "td", "ii"))
     # II(v, v) is by definition inside II_v(T)
-    point = scalar_point(point)
+    point = scalar_point(s, point)
     residue, vanished = ii_second_fundamental_form(s, point, point.v, point.v)
     assert vanished
     assert residue == [Scalar(0)] * s.a
@@ -229,7 +229,7 @@ def test_annihilator_check_reads_the_quadrics(charted):
         assert wrong.dim == ann.dim
         bad = dataclasses.replace(point, annihilator=wrong)
         assert not annihilator_matches_image_perp(s, bad)
-        assert not defects_reference.annihilator_matches_image_perp(s, scalar_point(bad))
+        assert not defects_reference.annihilator_matches_image_perp(s, scalar_point(s, bad))
         part = dataclasses.replace(point, annihilator=IntegerSpan(s.a, ann.rows[1:]))
         assert not annihilator_matches_image_perp(s, part)
 
@@ -380,7 +380,7 @@ def compare_with_reference(s):
     except CertificationError:
         pass
     for point in points:
-        ref_point = scalar_point(point)
+        ref_point = scalar_point(s, point)
         for name in PROPERTY_CHECKS + ("so_membership_check",):
             ours, theirs = getattr(defects, name), getattr(defects_reference, name)
             assert _outcome(ours, s, point) == _outcome(theirs, s, ref_point), name

