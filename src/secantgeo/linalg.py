@@ -4,9 +4,12 @@ Elimination runs on Gaussian integers: plain Python ints when every entry
 is real (every catalog chart and sample point is), (re, im) int pairs
 otherwise.  `eliminate` is Bareiss's fraction-free elimination, or its
 Gauss-Jordan form; the division by the previous pivot is exact in Z[i] by
-Sylvester's identity, and is checked.  `IntegerSpan` is the one span type:
-it keeps the canonical basis of a span times one integer factor, and
-reduces, intersects and compares spans without dividing.  `solve` is the
+Sylvester's identity, and is checked.  On ints one comparison checks a
+whole row: the floor-division remainders all have the sign of the divisor
+or are zero, so the row's sum equals the divisor times the sum of its
+quotients only when every remainder is zero.  `IntegerSpan` is the one
+span type: it keeps the canonical basis of a span times one integer
+factor, and reduces, intersects and compares spans without dividing.  `solve` is the
 one solver.  The quadric systems, the generic point, the defect checks,
 the oracles, the chart's normal correction and the series inverse all work
 on these integers, and the random draws are ints.  Scalars stay at the
@@ -18,6 +21,7 @@ space, and `scalar_values` divides on the way back.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .scalars import ZERO, Rational, Scalar
@@ -97,8 +101,9 @@ def _integer_rows(rows) -> list[list]:
 
 
 def _is_real(rows) -> bool:
-    """Whether Gaussian-integer rows hold ints rather than (re, im) pairs."""
-    return not any(isinstance(x, tuple) for r in rows[:1] for x in r[:1])
+    """Whether Gaussian-integer rows hold ints rather than (re, im) pairs,
+    read off the first entry; True when there is none."""
+    return not (rows and len(rows[0]) and type(rows[0][0]) is tuple)
 
 
 def _same_format(rows) -> list:
@@ -132,9 +137,11 @@ def _combine_int(lead, row, head, piv_row, prev):
     if prev == 1:
         return out
     quo = [x // prev for x in out]
-    for q, x in zip(quo, out):
-        if q * prev != x:
-            raise ArithmeticError("inexact Bareiss division %r / %r" % (x, prev))
+    # every remainder x - q * prev has the sign of prev or is 0, so they
+    # sum to 0 only when each of them is 0
+    if sum(out) != prev * sum(quo):
+        x = next(x for x in out if x % prev)
+        raise ArithmeticError("inexact Bareiss division %r / %r" % (x, prev))
     return quo
 
 
@@ -228,8 +235,13 @@ def integer_combination(terms) -> list:
 
 def integer_mul_vec(rows, vec) -> list:
     """The matrix with these Gaussian-integer rows times vec, which may be
-    in either format."""
-    return integer_combination(list(zip(vec, zip(*rows)))) if rows else []
+    in either format: one dot product per row when both hold ints, else
+    the combination of the columns."""
+    if not rows:
+        return []
+    if _is_real(rows) and _is_real([vec]):
+        return [sum(map(mul, r, vec)) for r in rows]
+    return integer_combination(list(zip(vec, zip(*rows))))
 
 
 class IntegerSpan:

@@ -44,6 +44,11 @@ class QuadricSystem:
         size = self.n * self.n
         return tuple(flat[i:i + size] for i in range(0, len(flat), size)), den
 
+    @cached_property
+    def integer_rows(self) -> tuple[list, ...]:
+        """The n rows of each quadric of the integer form."""
+        return tuple(_square(q, self.n) for q in self.integer_form[0])
+
     def independent(self) -> bool:
         """Whether the a quadrics are linearly independent (II* injective)."""
         return len(eliminate(list(self.integer_form[0]))[0]) == self.a
@@ -57,8 +62,7 @@ def _square(q, n: int) -> list:
 def contract(s: QuadricSystem, w) -> list:
     """D II_w as a x n Gaussian integers, for w itself on Gaussian integers
     (either format): the contraction on the integer form."""
-    # q w = sum_k w_k q[k], q being symmetric
-    return [integer_combination(list(zip(w, _square(q, s.n)))) for q in s.integer_form[0]]
+    return [integer_mul_vec(rows, w) for rows in s.integer_rows]
 
 
 def integer_quadric(s: QuadricSystem, coeffs) -> list:

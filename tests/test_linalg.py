@@ -9,7 +9,8 @@ from linalg_reference import (Subspace, complement_indices, contains_subspace, i
                               intersect, inverse, kernel, matmul, mul_vec, rank, rref, solve_left,
                               span_sum, stack_rows, subspace, transpose, zero)
 from secantgeo.linalg import (IntegerSpan, Matrix, _combine_gauss, _combine_int, _integer_rows,
-                              _negate, integer_values, random_vector, scalar_values, solve)
+                              _negate, integer_combination, integer_mul_vec, integer_values,
+                              random_vector, scalar_values, solve)
 from secantgeo.scalars import ONE, ZERO, Rational, Scalar
 
 
@@ -280,6 +281,62 @@ def test_inexact_bareiss_division_raises():
         _combine_gauss((1, 0), [(1, 0)], (0, 0), [(0, 0)], (1, 1))  # 1 / (1 + i)
     # 2 / (1 + i) = 1 - i
     assert _combine_gauss((2, 0), [(1, 0)], (0, 0), [(0, 0)], (1, 1)) == [(1, -1)]
+
+
+@st.composite
+def bareiss_steps(draw):
+    """(lead, row, head, piv_row, prev) for `_combine_int`, prev of either
+    sign: random, or built so that lead * row - head * piv_row has chosen
+    remainders mod prev, in pairs r, -r that a check on the sum of the
+    entries alone would let cancel."""
+    prev = draw(st.integers(-12, 12).filter(lambda p: p not in (0, 1)))
+    size = draw(st.integers(1, 6))
+    ints = st.lists(st.integers(-60, 60), min_size=size, max_size=size)
+    head, piv_row = draw(st.integers(-9, 9)), draw(ints)
+    if draw(st.booleans()):
+        return draw(st.integers(-9, 9).filter(bool)), draw(ints), head, piv_row, prev
+    rem = []
+    while len(rem) < size:
+        r = draw(st.integers(-abs(prev) + 1, abs(prev) - 1))
+        rem += [r, -r] if draw(st.booleans()) else [r]
+    out = [q * prev + r for q, r in zip(draw(ints), rem)]
+    lead = draw(st.sampled_from([1, -1]))
+    return lead, [lead * (x + head * y) for x, y in zip(out, piv_row)], head, piv_row, prev
+
+
+@PROPERTY
+@given(bareiss_steps())
+def test_combine_int_raises_exactly_on_inexact_division(step):
+    """One sum over the row checks every division by prev: _combine_int
+    raises when some entry of lead * row - head * piv_row is not a multiple
+    of prev, and returns the entrywise quotients otherwise."""
+    lead, row, head, piv_row, prev = step
+    out = [lead * x - head * y for x, y in zip(row, piv_row)]
+    if any(x % prev for x in out):
+        with pytest.raises(ArithmeticError):
+            _combine_int(lead, row, head, piv_row, prev)
+    else:
+        assert _combine_int(lead, row, head, piv_row, prev) == [x // prev for x in out]
+
+
+def gaussian_rows(real, rows, cols):
+    entry = (st.integers(-9, 9) if real else
+             st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows,
+                    max_size=rows)
+
+
+@PROPERTY
+@given(st.data())
+def test_mul_vec_matches_column_combination(data):
+    """integer_mul_vec, row dot products on ints, is the combination of the
+    columns by vec for rows and vec of every format, and [] for no rows."""
+    rows_real, vec_real = data.draw(st.booleans()), data.draw(st.booleans())
+    k, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 5))
+    rows = data.draw(gaussian_rows(rows_real, k, cols))
+    vec = data.draw(gaussian_rows(vec_real, 1, cols))[0]
+    want = integer_combination(list(zip(vec, zip(*rows)))) if rows else []
+    assert integer_mul_vec(rows, vec) == want
 
 
 def _solved(a: Matrix, b: Matrix) -> Matrix:

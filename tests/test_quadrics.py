@@ -367,7 +367,10 @@ def test_combinations_match_scalar_reference(s, data):
         ints = integer_values(coeffs)[0]
         assert quadric_from_coefficients(s, ints) == \
             reference.quadric_from_coefficients(s, scalar_values(ints, 1))
-    v = data.draw(st.lists(entries(False), min_size=s.n, max_size=s.n))
-    assert reference.contraction(s, v) == reference.scalar_contraction(s, v)
+    # v cleared to ints and to pairs, on real and Gaussian systems: every
+    # format case of `contract`
+    for real in (True, False):
+        v = data.draw(st.lists(entries(real), min_size=s.n, max_size=s.n))
+        assert reference.contraction(s, v) == reference.scalar_contraction(s, v)
     flat = Matrix(s.a, s.n * s.n, [[x for r in q.data for x in r] for q in s.quadrics])
     assert s.independent() == (rank(flat) == s.a)
