@@ -18,10 +18,10 @@ from pathlib import Path
 
 from secantgeo import derive_stream
 from secantgeo.jets import chart_at, second_fundamental_form
-from secantgeo.linalg import Matrix
+from secantgeo.linalg import scalar_values
 from secantgeo.oracles import gauss_fiber_dimension, join_dimension, tangent_join_dimension
 from secantgeo.polymaps import polymap_to_json
-from secantgeo.quadrics import QuadricSystem, quadric_system_to_json, rank_profile
+from secantgeo.quadrics import QuadricSystem, quadric_system, quadric_system_to_json, rank_profile
 from secantgeo.report import analyze, render
 from secantgeo.scalars import I, Scalar
 from secantgeo.zoo import catalog, veronese
@@ -81,11 +81,12 @@ def complex_system(ent) -> QuadricSystem:
     """The second fundamental form of ent with q_0 += (1 + i/2) q_1 and
     q_last *= i."""
     s = second_fundamental_form(chart_at(ent.map, list(ent.base_point), 3))
-    qs = [q.data for q in s.quadrics]
+    n = s.n
+    qs = [[scalar_values(q[i:i + n], s.den) for i in range(0, n * n, n)] for q in s.quadrics]
     c = Scalar(1, "1/2")
     qs[0] = [[x + c * y for x, y in zip(r, t)] for r, t in zip(qs[0], qs[1])]
     qs[-1] = [[I * x for x in r] for r in qs[-1]]
-    return QuadricSystem(s.n, s.a, tuple(Matrix(s.n, s.n, q) for q in qs))
+    return quadric_system(s.n, qs)
 
 
 def digest_text() -> str:

@@ -10,13 +10,14 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 
-from .defects import clifford_relation_check, vertex
+from .defects import defect_report
 from .genericity import CertificationError, derive_stream
 from .jets import ChartError, chart_at, second_fundamental_form
 from .oracles import join_dimension, tangent_join_dimension
 from .polymaps import polymap_from_json, polymap_to_json
-from .quadrics import generic_vector, rank_profile
+from .quadrics import rank_profile
 from .report import AnalyzeOptions, analyze, load_input, render
 from .scalars import Scalar
 from .zoo import build
@@ -143,21 +144,10 @@ def _cmd_clifford(args) -> int:
     except (ValueError, ChartError) as e:
         raise InputError(str(e)) from None
     profile = rank_profile(s, derive_stream(args.seed, "profile"), args.trials)
-    stream = derive_stream(args.seed, "defects")
-    point = generic_vector(s, profile, stream, args.trials)
-    cv = clifford_relation_check(s, profile, point, vertex(s, profile, stream, args.trials))
-    result = {
-        "kind": "clifford_verdict",
-        "applicable": cv.applicable,
-        "fiber_condition_ok": cv.fiber_condition_ok,
-        "proportionality_ok": cv.proportionality_ok,
-        "phi_v_is_identity": cv.phi_v_is_identity,
-        "relation_holds": cv.relation_holds,
-        "sign": cv.sign,
-        "kernel_orthogonal_to_v": cv.kernel_orthogonal_to_v,
-        "module_dim": cv.module_dim,
-        "kernel_dim": cv.kernel_dim,
-    }
+    # the verdict of the analysis, at its stream and draws
+    cv = defect_report(s, profile, s.n + profile.a0, derive_stream(args.seed, "defects"),
+                       args.trials).clifford_verdict
+    result = {"kind": "clifford_verdict", **asdict(cv)}
     sys.stdout.write(json.dumps(result, indent=2) + "\n")
     return 0
 

@@ -3,8 +3,8 @@ swept variety, Gauss fibers through a generic tangent direction, and the
 Clifford algebra representation forced on the tangent quotient when the
 tangential variety is a degenerate hypersurface.
 
-All of it runs on the integer form of the system and on the integer spans
-of the generic point.  A matrix is held as Gaussian integers with one
+All of it runs on the Gaussian-integer quadrics of the system and on the
+integer spans of the generic point.  A matrix is held as Gaussian integers with one
 denominator, and an identity between such matrices is checked
 cross-multiplied, so nothing divides.
 """
@@ -46,8 +46,8 @@ def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> I
 @dataclass(frozen=True)
 class MinimalSubsystem:
     """The subsystem II*(V^perp) cutting out the same tangential variety: its
-    coefficient vectors in N*, and on demand the matching quadrics on the
-    integer form."""
+    coefficient vectors in N*, and on demand the matching quadrics, in the
+    format of `integer_quadric`."""
 
     system: QuadricSystem
     coefficients: IntegerSpan
@@ -66,8 +66,8 @@ def minimal_subsystem(s: QuadricSystem, vert: IntegerSpan) -> MinimalSubsystem:
 
 
 def ii_pairing(s: QuadricSystem, w1, w2) -> list:
-    """D II(w1, w2) as a vector in N, for w1, w2 on Gaussian integers and D
-    the denominator of the integer form."""
+    """den II(w1, w2) as a vector in N, for w1, w2 on Gaussian integers and
+    den the system's denominator."""
     return integer_mul_vec(contract(s, w2), w1)
 
 
@@ -156,7 +156,8 @@ def _clifford_not_applicable(s: QuadricSystem, profile: RankProfile) -> Clifford
 
 
 def _restrict_quadric(n: int, q: list, basis) -> list:
-    """The Gram matrix u^T q w over the basis, for q on the integer form."""
+    """The Gram matrix u^T q w over the basis, for q in the format of
+    `integer_quadric`."""
     qb = _same_format([integer_mul_vec(_square(q, n), w) for w in basis])
     return [integer_mul_vec(qb, u) for u in basis]
 
@@ -341,7 +342,7 @@ def quotient_singular_locus_match(s: QuadricSystem, point: GenericPoint) -> bool
     """The singular locus of the induced quadric system on
     T / (span{v} + ker II_v) coincides with singloc(Ann(v)) modulo that
     same subspace."""
-    n, quads = s.n, s.integer_form[0]
+    n, quads = s.n, s.quadrics
     k_sub = IntegerSpan(n, [point.v, *point.kernel.rows])
     reps = k_sub.free_columns()
     # stacked conditions, one column per b: for x = sum_b x_b e_{reps[b]}, the

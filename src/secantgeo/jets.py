@@ -4,8 +4,10 @@ tangent space at a point.
 chart_at picks an affine chart of the target, recenters the image at the
 origin, moves the tangent space onto the first n coordinates by an exact
 linear change, inverts the tangent projection as a truncated series and
-reads off the graph coefficients.  Everything is exact; the truncation
-order (3 or 4) only limits which coefficients exist.
+reads off the graph coefficients: its graded parts c2, c3 (and c4) as
+`Poly`s.  Everything is exact; the truncation order (3 or 4) only limits
+which coefficients exist.  `second_fundamental_form` reads the quadrics
+off c2, halving each off-diagonal entry once.
 
 chart_roundtrip_check certifies a chart on Gaussian integers: the lift,
 base point, center, normal correction and graph are cleared of their
@@ -25,7 +27,7 @@ from .genericity import nonzero_vector
 from .linalg import (IntegerSpan, Matrix, _integer_rows, _negate, _unit, eliminate,
                      integer_combination, integer_values, scalar_values, solve)
 from .polymaps import Poly, PolyMap
-from .quadrics import QuadricSystem
+from .quadrics import QuadricSystem, quadric_system
 from .scalars import ZERO, Scalar, _coerce
 from .series import compose_each, invert_map_series, mul_trunc, reciprocal_trunc, shift_poly
 
@@ -41,7 +43,7 @@ class NotImmersiveError(ChartError):
 @dataclass(frozen=True)
 class JetChart:
     base_point: tuple[Scalar, ...]
-    q: tuple[Matrix, ...]
+    c2: tuple[Poly, ...]
     c3: tuple[Poly, ...]
     c4: tuple[Poly, ...] | None
     order: int
@@ -151,19 +153,11 @@ def chart_at(f: PolyMap, u0, order: int = 3) -> JetChart:
         if not g.truncated(1).is_zero():
             raise AssertionError("graph coordinate kept terms below order 2")
 
-    qmats = []
-    for g in graphs:
-        g2 = g.graded_part(2)
-        rows = [[_q_entry(g2, i, j, n) for j in range(n)] for i in range(n)]
-        qmats.append(Matrix(n, n, rows))
-    c3 = tuple(g.graded_part(3) for g in graphs)
-    c4 = tuple(g.graded_part(4) for g in graphs) if order >= 4 else None
-
     return JetChart(
         base_point=u0,
-        q=tuple(qmats),
-        c3=c3,
-        c4=c4,
+        c2=tuple(g.graded_part(2) for g in graphs),
+        c3=tuple(g.graded_part(3) for g in graphs),
+        c4=tuple(g.graded_part(4) for g in graphs) if order >= 4 else None,
         order=order,
         pivot_index=pivot,
         chart_center=tuple(center),
@@ -184,7 +178,11 @@ def _q_entry(g2: Poly, i: int, j: int, n: int) -> Scalar:
 
 
 def second_fundamental_form(j: JetChart) -> QuadricSystem:
-    return QuadricSystem(j.n, j.a, j.q)
+    """The quadrics of c2: its square terms on the diagonal, half of each
+    cross term off it."""
+    n = j.n
+    return quadric_system(n, [[[_q_entry(g2, i, k, n) for k in range(n)] for i in range(n)]
+                              for g2 in j.c2])
 
 
 def refined_third_form_cube(j: JetChart, v, image: IntegerSpan) -> bool:
@@ -266,21 +264,10 @@ def chart_roundtrip_check(f: PolyMap, j: JetChart, stream, samples: int = 10,
 
 
 def _graph_terms(j: JetChart, s: int) -> list:
-    """The graph of normal row s as (exponent, coefficient) pairs: q with
-    its off-diagonal entries doubled, then c3, then c4."""
-    terms = []
-    for i in range(j.n):
-        for l in range(i, j.n):
-            c = j.q[s].at(i, l)
-            if c:
-                e = [0] * j.n
-                e[i] += 1
-                e[l] += 1
-                terms.append((tuple(e), c if i == l else c + c))
-    terms += j.c3[s].terms.items()
-    if j.c4 is not None:
-        terms += j.c4[s].terms.items()
-    return terms
+    """The graph of normal row s as (exponent, coefficient) pairs: c2, c3,
+    then c4."""
+    parts = (j.c2, j.c3) if j.c4 is None else (j.c2, j.c3, j.c4)
+    return [t for c in parts for t in c[s].terms.items()]
 
 
 def _times(c, w: int):

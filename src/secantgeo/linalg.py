@@ -13,9 +13,10 @@ factor, and reduces, intersects and compares spans without dividing.  `solve` is
 one solver.  The quadric systems, the generic point, the defect checks,
 the oracles, the chart's normal correction and the series inverse all work
 on these integers, and the random draws are ints.  Scalars stay at the
-edge (`Matrix`, `Poly`, chart coefficients, JSON): `integer_values` clears
-a Scalar row by the lcm of its denominators, which moves no rank or row
-space, and `scalar_values` divides on the way back.
+edge (`Matrix` for the chart's normal correction and the Jacobian, `Poly`,
+chart coefficients, JSON): `integer_values` clears a Scalar row by the lcm
+of its denominators, which moves no rank or row space, and `scalar_values`
+divides on the way back.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class Matrix:
 
     def at(self, i: int, j: int) -> Scalar:
         return self.data[i][j]
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.data[i][j] == self.data[j][i] for i in range(self.rows) for j in range(i))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

@@ -1,10 +1,12 @@
 """Systems of quadrics on the tangent space and their pointwise invariants.
 
 A QuadricSystem is the coordinate form of a second fundamental form: a
-symmetric matrices of size n, one per normal direction.  All the local
-projective invariants (tangential dimension, secant dimension, defects)
-are functions of this data evaluated at certified-generic tangent
-vectors.
+symmetric n x n matrices, one per normal direction, held as Gaussian
+integers over one common denominator.  `quadric_system` clears Scalar
+matrices into that form once, and `quadric_system_to_json` divides back
+once; nothing in between converts.  All the local projective
+invariants (tangential dimension, secant dimension, defects) are functions
+of this data evaluated at certified-generic tangent vectors.
 """
 
 from __future__ import annotations
@@ -14,72 +16,71 @@ from functools import cached_property
 from itertools import chain
 
 from .genericity import CertificationError, certified_value, nonzero_vector
-from .linalg import (IntegerSpan, Matrix, eliminate, integer_combination, integer_mul_vec,
+from .linalg import (IntegerSpan, eliminate, integer_combination, integer_mul_vec,
                      integer_values, scalar_values)
 from .scalars import scalar_from_json, scalar_to_json
 
 
 @dataclass(frozen=True)
 class QuadricSystem:
+    """The a quadrics on C^n, each flattened row by row into n * n Gaussian
+    integers in the format of `eliminate`: quadric mu is quadrics[mu] / den.
+    One scaling of the whole system moves no rank, image, kernel,
+    annihilator, singular locus or r."""
+
     n: int
     a: int
-    quadrics: tuple[Matrix, ...]
+    quadrics: tuple[list, ...]
+    den: int
 
     def __post_init__(self):
         if len(self.quadrics) != self.a:
             raise ValueError("quadric count != a")
-        for q in self.quadrics:
-            if q.rows != self.n or q.cols != self.n:
+        n = self.n
+        for qi, q in enumerate(self.quadrics):
+            if len(q) != n * n:
                 raise ValueError("quadric size != n")
-            if not q.is_symmetric():
-                raise ValueError("quadric matrix not symmetric")
-
-    @cached_property
-    def integer_form(self) -> tuple[tuple[list, ...], int]:
-        """(quadrics, D): each quadric times one common denominator D, its n
-        rows in a row as n * n Gaussian integers in the format of `eliminate`.
-        One scaling of the whole system moves no rank, image, kernel,
-        annihilator, singular locus or r."""
-        flat, den = integer_values([x for q in self.quadrics for r in q.data for x in r])
-        size = self.n * self.n
-        return tuple(flat[i:i + size] for i in range(0, len(flat), size)), den
+            if any(q[i * n + j] != q[j * n + i] for i in range(n) for j in range(i)):
+                raise ValueError("quadric %d is not symmetric" % qi)
 
     @cached_property
     def integer_rows(self) -> tuple[list, ...]:
-        """The n rows of each quadric of the integer form."""
-        return tuple(_square(q, self.n) for q in self.integer_form[0])
+        """The n rows of each quadric."""
+        return tuple(_square(q, self.n) for q in self.quadrics)
 
     def independent(self) -> bool:
         """Whether the a quadrics are linearly independent (II* injective)."""
-        return len(eliminate(list(self.integer_form[0]))[0]) == self.a
+        return len(eliminate(list(self.quadrics))[0]) == self.a
+
+
+def quadric_system(n: int, mats) -> QuadricSystem:
+    """The system of the n x n Scalar matrices `mats` (rows of Scalars),
+    cleared by the lcm of all their denominators."""
+    flat, den = integer_values([x for m in mats for r in m for x in r])
+    size = n * n
+    return QuadricSystem(n, len(mats), tuple(flat[i:i + size] for i in range(0, len(flat), size)),
+                         den)
 
 
 def _square(q, n: int) -> list:
-    """The n rows of a quadric on the integer form."""
+    """The n rows of a quadric."""
     return [q[i:i + n] for i in range(0, n * n, n)]
 
 
 def contract(s: QuadricSystem, w) -> list:
-    """D II_w as a x n Gaussian integers, for w itself on Gaussian integers
-    (either format): the contraction on the integer form."""
+    """den II_w as a x n Gaussian integers, for w itself on Gaussian
+    integers (either format)."""
     return [integer_mul_vec(rows, w) for rows in s.integer_rows]
 
 
 def integer_quadric(s: QuadricSystem, coeffs) -> list:
-    """sum_mu c_mu q^mu on the integer form, for Gaussian-integer
-    coefficients of either format."""
-    return integer_combination(list(zip(coeffs, s.integer_form[0])))
-
-
-def quadric_from_coefficients(s: QuadricSystem, coeffs) -> Matrix:
-    """sum_mu c_mu q^mu as a Scalar matrix, for Gaussian-integer
-    coefficients of either format: `integer_quadric` divided by D once."""
-    q = integer_quadric(s, coeffs)
-    return Matrix(s.n, s.n, _square(scalar_values(q, s.integer_form[1]), s.n))
+    """sum_mu c_mu q^mu times den, for Gaussian-integer coefficients of
+    either format."""
+    return integer_combination(list(zip(coeffs, s.quadrics)))
 
 
 def singular_locus(s: QuadricSystem, quads) -> IntegerSpan:
-    """Common kernel of quadrics on the integer form (`integer_quadric`): the
+    """Common kernel of quadrics in the format of `integer_quadric`: the
     kernel of their stacked rows; all of T for none."""
     return IntegerSpan(s.n, [r for q in quads for r in _square(q, s.n)]).perp()
 
@@ -103,8 +104,8 @@ class RankProfile:
 @dataclass(frozen=True)
 class GenericPoint:
     """A tangent vector v on Gaussian integers and everything read at it,
-    computed once on the integer form: the contraction D II_v (a x n
-    Gaussian integers, D the denominator of the integer form), the spans
+    computed once on Gaussian integers: the contraction den II_v (a x n
+    Gaussian integers, den the system's denominator), the spans
     of its image II_v(T) in N, of the annihilator Ann(v) in N* (the
     quadrics singular at v, as the kernel of c -> sum_mu c_mu q^mu v), and
     of the common kernel of Ann(v); the maximal annihilator rank r; and, on
@@ -265,8 +266,9 @@ def hypersurface_projection(s: QuadricSystem, profile: RankProfile, stream,
     When the centre of projection misses the embedded tangent space, the
     projected form is the original one followed by the induced quotient
     map of normal spaces (Griffiths-Harris 1979): a random full-rank
-    (a0 + 1) x a combination of the quadrics.  A generic projection keeps
-    dim II_v(T), which the certified a0 of the projected form confirms."""
+    (a0 + 1) x a combination of the quadrics, over the same den.  A
+    generic projection keeps dim II_v(T), which the certified a0 of the
+    projected form confirms."""
     rows = profile.a0 + 1
     for _ in range(10):
         m = [[stream.randint(-5, 5) for _ in range(s.a)] for _ in range(rows)]
@@ -274,7 +276,7 @@ def hypersurface_projection(s: QuadricSystem, profile: RankProfile, stream,
             break
     else:
         raise CertificationError("no full-rank projection of the normal space in 10 draws")
-    t = QuadricSystem(s.n, rows, tuple(quadric_from_coefficients(s, row) for row in m))
+    t = QuadricSystem(s.n, rows, tuple(integer_quadric(s, row) for row in m), s.den)
     prof = rank_profile(t, stream, trials)
     if prof.a0 != profile.a0:
         raise CertificationError("projection changed a0 from %d to %d"
@@ -287,8 +289,8 @@ def quadric_system_to_json(s: QuadricSystem) -> dict:
         "kind": "quadric_system",
         "n": s.n,
         "a": s.a,
-        "quadrics": [[[scalar_to_json(q.at(i, j)) for j in range(s.n)] for i in range(s.n)]
-                     for q in s.quadrics],
+        "quadrics": [[[scalar_to_json(x) for x in r]
+                      for r in _square(scalar_values(q, s.den), s.n)] for q in s.quadrics],
     }
 
 
@@ -304,12 +306,7 @@ def quadric_system_from_json(obj) -> QuadricSystem:
     rows = obj["quadrics"]
     if not isinstance(rows, list) or len(rows) != a:
         raise ValueError("quadrics must be a list of length a")
-    mats = []
     for qi, q in enumerate(rows):
         if not isinstance(q, list) or len(q) != n or any(not isinstance(r, list) or len(r) != n for r in q):
             raise ValueError("quadric %d is not an n x n matrix" % qi)
-        m = Matrix(n, n, [[scalar_from_json(x) for x in r] for r in q])
-        if not m.is_symmetric():
-            raise ValueError("quadric %d is not symmetric" % qi)
-        mats.append(m)
-    return QuadricSystem(n, a, tuple(mats))
+    return quadric_system(n, [[[scalar_from_json(x) for x in r] for r in q] for q in rows])

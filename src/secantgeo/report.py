@@ -8,7 +8,7 @@ byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .defects import (DefectError, DefectReport, annihilator_matches_image_perp,
                       defect_report, fiber_contains_singloc_products,
@@ -325,53 +325,27 @@ def _verdicts(s, profile, jet, f, defects: DefectReport,
 
 
 def _defects_to_json(d: DefectReport) -> dict:
-    cv = d.clifford_verdict
     return {
-        "profile": _profile_to_json(d.profile),
+        "profile": asdict(d.profile),
         "vertex_dim": d.vertex_dim,
         "fiber_dim": d.fiber_dim,
         "minimal_subsystem": {"dim": d.minimal_subsystem.dim},
-        "clifford_verdict": {
-            "applicable": cv.applicable,
-            "fiber_condition_ok": cv.fiber_condition_ok,
-            "proportionality_ok": cv.proportionality_ok,
-            "phi_v_is_identity": cv.phi_v_is_identity,
-            "relation_holds": cv.relation_holds,
-            "sign": cv.sign,
-            "kernel_orthogonal_to_v": cv.kernel_orthogonal_to_v,
-            "module_dim": cv.module_dim,
-            "kernel_dim": cv.kernel_dim,
-        },
+        "clifford_verdict": asdict(d.clifford_verdict),
         "so_membership": d.so_membership,
         "rank_restriction_ok": d.rank_restriction.holds if d.rank_restriction.applicable
         else None,
-        "rank_restriction": {
-            "applicable": d.rank_restriction.applicable,
-            "holds": d.rank_restriction.holds,
-            "r": d.rank_restriction.r,
-            "lower": d.rank_restriction.lower,
-        },
+        "rank_restriction": asdict(d.rank_restriction),
         "zak_bound_ok": d.zak_bound.holds if d.zak_bound.applicable else None,
-        "zak_bound": {
-            "applicable": d.zak_bound.applicable,
-            "holds": d.zak_bound.holds,
-            "equality": d.zak_bound.equality,
-        },
+        "zak_bound": asdict(d.zak_bound),
     }
-
-
-def _profile_to_json(p: RankProfile) -> dict:
-    return {"a0": p.a0, "r": p.r, "dim_ker": p.dim_ker, "dim_ann": p.dim_ann,
-            "dim_singloc": p.dim_singloc, "certified": p.certified}
 
 
 def report_to_json(rep: AnalysisReport) -> dict:
     return {
         "kind": "analysis_report",
         "input": {"descriptor": rep.descriptor, "type": rep.input_kind},
-        "options": {"seed": rep.options.seed, "trials": rep.options.trials,
-                    "order": rep.options.order, "k_max": rep.options.k_max},
-        "profile": _profile_to_json(rep.profile),
+        "options": asdict(rep.options),
+        "profile": asdict(rep.profile),
         "dims": rep.dims,
         "cross_checks": [
             {"quantity": c.quantity, "formula": c.formula, "oracle": c.oracle,

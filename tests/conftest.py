@@ -1,15 +1,29 @@
 """Shared fixtures.  The heavy zoo charts and full analyses are computed
-once per session; acceptance reuses them together with their wall times."""
+once per session; acceptance reuses them together with their wall times.
+
+The property tests draw the same examples on every run (hypothesis'
+`derandomize`), so the suite's outcome and wall time do not move with a
+fresh seed.  `--hypothesis-profile=default` runs them on random seeds
+again, and `--hypothesis-seed` then picks one."""
 
 import time
 
 import pytest
+from hypothesis import settings
 
 from secantgeo.genericity import derive_stream
 from secantgeo.jets import chart_at, second_fundamental_form
 from secantgeo.quadrics import rank_profile
 from secantgeo.report import AnalyzeOptions, analyze
 from secantgeo.zoo import catalog
+
+
+settings.register_profile("derandomized", derandomize=True)
+
+
+def pytest_configure(config):
+    if not config.getoption("--hypothesis-profile"):
+        settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,8 @@ from linalg_reference import (Subspace, _dot, add, col, complement_indices, cont
                               identity, inverse, is_zero, kernel, matmul, mul_vec, scale,
                               solve_left, span_sum, subspace, transpose)
 from linalg_reference import intersect_through_perps as intersect
-from quadrics_reference import ScalarPoint, contraction, quadric_from_coefficients, scalar_point
+from quadrics_reference import (ScalarPoint, contraction, quadric_from_coefficients, scalar_point,
+                                scalar_quadrics)
 from secantgeo.defects import DefectError
 from secantgeo.genericity import CertificationError
 from secantgeo.linalg import Matrix
@@ -75,7 +76,7 @@ def ii_pairing(s: QuadricSystem, w1, w2) -> list[Scalar]:
     """II(w1, w2) as a vector in N."""
     w1 = [_coerce(x) for x in w1]
     w2 = [_coerce(x) for x in w2]
-    return [_dot(mul_vec(q, w2), w1) for q in s.quadrics]
+    return [_dot(mul_vec(q, w2), w1) for q in scalar_quadrics(s)]
 
 
 def ii_second_fundamental_form(s: QuadricSystem, point: ScalarPoint, w1,

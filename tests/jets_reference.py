@@ -12,7 +12,7 @@ tangent inverse from `inverse` (`invert_map_series`), and
 
 from linalg_reference import Subspace, inverse, rref, solve_left, transpose
 from secantgeo.genericity import nonzero_vector
-from secantgeo.jets import JetChart, _pivot_score, _q_entry
+from secantgeo.jets import JetChart, _pivot_score
 from secantgeo.linalg import Matrix, _unit
 from secantgeo.polymaps import Poly, PolyMap
 from secantgeo.scalars import ZERO, Scalar, _coerce
@@ -52,16 +52,7 @@ def chart_roundtrip_check(f: PolyMap, j: JetChart, stream, samples: int = 10,
 
 
 def _graph_poly(j: JetChart, s: int) -> Poly:
-    g2 = Poly(j.n, {})
-    for i in range(j.n):
-        for k in range(i, j.n):
-            c = j.q[s].at(i, k)
-            if c:
-                e = [0] * j.n
-                e[i] += 1
-                e[k] += 1
-                g2 = g2 + Poly.monomial(j.n, e, c if i == k else c * Scalar(2))
-    g = g2 + j.c3[s]
+    g = j.c2[s] + j.c3[s]
     if j.c4 is not None:
         g = g + j.c4[s]
     return g
@@ -75,7 +66,7 @@ def refined_third_form_cube(j: JetChart, v, image: Subspace) -> tuple[list[Scala
 
 
 def chart_fields(f: PolyMap, u0, order: int) -> tuple:
-    """(normal_correction, q, c3, c4) of `secantgeo.jets.chart_at` at u0,
+    """(normal_correction, c2, c3, c4) of `secantgeo.jets.chart_at` at u0,
     by the Scalar solver route."""
     u0 = tuple(_coerce(x) for x in u0)
     n, lift = f.domain_dim, f.lift()
@@ -102,11 +93,10 @@ def chart_fields(f: PolyMap, u0, order: int) -> tuple:
                 p = p - y_tan[alpha].scale(c)
         y_nor.append(p)
     graphs = compose_each(y_nor, invert_map_series(y_tan, order), order)
-    q = tuple(Matrix(n, n, [[_q_entry(g.graded_part(2), i, j, n) for j in range(n)]
-                            for i in range(n)]) for g in graphs)
+    c2 = tuple(g.graded_part(2) for g in graphs)
     c3 = tuple(g.graded_part(3) for g in graphs)
     c4 = tuple(g.graded_part(4) for g in graphs) if order >= 4 else None
-    return corr, q, c3, c4
+    return corr, c2, c3, c4
 
 
 def invert_map_series(ys, order: int) -> list[Poly]:

@@ -7,7 +7,9 @@ Scalar subspaces.  Kept as the reference `_profile_at` and
 them `contraction`, `apply_ii` and `ii_image`, which left the package once
 only the tests used them: II_v taken on the integer form at v cleared of
 its denominators and converted to Scalars once, which `scalar_contraction`
-(II_v straight from the Scalar quadrics) checks."""
+(II_v straight from the Scalar quadrics) checks.  Every Scalar quadric of
+these routes comes from `scalar_quadrics`, the system's Gaussian integers
+divided by its denominator."""
 
 from dataclasses import dataclass
 
@@ -40,25 +42,31 @@ class ScalarPoint:
 
 def scalar_point(s: QuadricSystem, point: GenericPoint) -> ScalarPoint:
     """The integer point of s converted field by field: v as Scalars, the
-    contraction divided by the denominator of the integer form as a Scalar
-    matrix, each span as its canonical Scalar subspace."""
-    c, den = point.contraction, s.integer_form[1]
+    contraction divided by the system's den as a Scalar matrix, each span
+    as its canonical Scalar subspace."""
+    c, den = point.contraction, s.den
     return ScalarPoint(tuple(scalar_values(point.v, 1)),
                        Matrix(len(c), len(point.v), [scalar_values(r, den) for r in c]),
                        subspace(point.image), subspace(point.kernel),
                        subspace(point.annihilator), subspace(point.singloc), point.r)
 
 
+def scalar_quadrics(s: QuadricSystem) -> tuple[Matrix, ...]:
+    """The quadrics of s as Scalar matrices: each divided by s.den."""
+    return tuple(Matrix(s.n, s.n, [scalar_values(q[i:i + s.n], s.den)
+                                   for i in range(0, s.n * s.n, s.n)]) for q in s.quadrics)
+
+
 def scalar_contraction(s: QuadricSystem, v) -> Matrix:
     """II_v straight from the Scalar quadrics."""
-    return Matrix(s.a, s.n, [mul_vec(q, v) for q in s.quadrics])
+    return Matrix(s.a, s.n, [mul_vec(q, v) for q in scalar_quadrics(s)])
 
 
 def contraction(s: QuadricSystem, v) -> Matrix:
     """The linear map II_v = II(v, .) : T -> N as an a x n matrix, from
     the integer form at v cleared of its denominators."""
     vi, lam = integer_values([_coerce(x) for x in v])
-    return Matrix(s.a, s.n, [scalar_values(r, s.integer_form[1] * lam) for r in contract(s, vi)])
+    return Matrix(s.a, s.n, [scalar_values(r, s.den * lam) for r in contract(s, vi)])
 
 
 def apply_ii(s: QuadricSystem, v) -> list[Scalar]:
@@ -74,7 +82,7 @@ def ii_image(s: QuadricSystem, v) -> Subspace:
 def quadric_from_coefficients(s: QuadricSystem, coeffs) -> Matrix:
     """sum_mu c_mu q^mu, each entry summed once on the rational parts; the
     quadrics are symmetric, so only the lower triangle is summed."""
-    terms = [(c.re, c.im, q.data) for c, q in zip(coeffs, s.quadrics) if c]
+    terms = [(c.re, c.im, q.data) for c, q in zip(coeffs, scalar_quadrics(s)) if c]
     real = not any(ci for _, ci, _ in terms)
     data = [[None] * s.n for _ in range(s.n)]
     for i in range(s.n):

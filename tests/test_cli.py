@@ -151,6 +151,19 @@ def test_clifford_subcommand():
     assert cv["kernel_orthogonal_to_v"]
 
 
+def _cylinder() -> str:
+    """x1^2, x2^2, x1 x2 over C^3 as quadric_system JSON."""
+    z, one, half = sc("0"), sc("1"), sc("1/2")
+    return json.dumps({"kind": "quadric_system", "n": 3, "a": 3, "quadrics": [
+        [[one, z, z], [z, z, z], [z, z, z]],
+        [[z, z, z], [z, one, z], [z, z, z]],
+        [[z, half, z], [half, z, z], [z, z, z]]]})
+
+
+def _no_frames(s, point):
+    raise defects.DefectError("tangent quotient (dim 1) and image quotient (dim 0) disagree")
+
+
 def test_missing_quotient_frames_is_a_verdict_not_exit_3(monkeypatch):
     """When the quotient frames at v do not exist (ker II_v not inside
     singloc Ann(v), so the tangent and image quotients differ in dimension),
@@ -161,11 +174,7 @@ def test_missing_quotient_frames_is_a_verdict_not_exit_3(monkeypatch):
     ker II_v into singloc Ann(v).  So the failure is injected, on the
     cylinder x1^2, x2^2, x1 x2 over C^3, where a0 = a - 1 = 2 and ker II_v
     is a line."""
-    z, one, half = sc("0"), sc("1"), sc("1/2")
-    cylinder = json.dumps({"kind": "quadric_system", "n": 3, "a": 3, "quadrics": [
-        [[one, z, z], [z, z, z], [z, z, z]],
-        [[z, z, z], [z, one, z], [z, z, z]],
-        [[z, half, z], [half, z, z], [z, z, z]]]})
+    cylinder = _cylinder()
     names = ("clifford_fiber_condition", "clifford_proportionality", "clifford_identity",
              "clifford_relation", "so_membership")
 
@@ -179,10 +188,7 @@ def test_missing_quotient_frames_is_a_verdict_not_exit_3(monkeypatch):
     clean, by_name = verdicts()
     assert all(by_name[name]["status"] == "pass" for name in names)
 
-    def no_frames(s, point):
-        raise defects.DefectError("tangent quotient (dim 1) and image quotient (dim 0) disagree")
-
-    monkeypatch.setattr(defects, "quotient_frames", no_frames)
+    monkeypatch.setattr(defects, "quotient_frames", _no_frames)
     rep, by_name = verdicts()
     for name in names:
         assert by_name[name] == {
@@ -194,6 +200,24 @@ def test_missing_quotient_frames_is_a_verdict_not_exit_3(monkeypatch):
     assert by_name["kernel_in_singular_locus"]["status"] == "pass"
     assert [v for v in rep["verdicts"] if v["name"] not in names] == \
         [v for v in clean["verdicts"] if v["name"] not in names]
+
+
+def test_clifford_subcommand_is_the_analysis_verdict(monkeypatch):
+    """`clifford` prints the Clifford verdict of `analyze` at the same seed,
+    and without quotient frames (injected as above, on the cylinder) it is
+    not applicable, with exit 0 rather than exit 3."""
+    cylinder = _cylinder()
+    for broken in (False, True):
+        if broken:
+            monkeypatch.setattr(defects, "quotient_frames", _no_frames)
+        code, out, err = run(["clifford", "--seed", "2"], stdin_text=cylinder)
+        assert code == 0 and err == ""
+        cv = json.loads(out)
+        assert cv.pop("kind") == "clifford_verdict"
+        assert cv["applicable"] is not broken
+        code, out, _ = run(["analyze", "--format", "json", "--seed", "2"], stdin_text=cylinder)
+        assert code == 0
+        assert cv == json.loads(out)["defects"]["clifford_verdict"]
 
 
 def test_analyze_k_flag_limits_sigma_table():

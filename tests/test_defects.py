@@ -35,7 +35,7 @@ from secantgeo.genericity import CertificationError
 from secantgeo.jets import chart_at, second_fundamental_form
 from secantgeo.linalg import IntegerSpan, Matrix, scalar_values
 from secantgeo.quadrics import (QuadricSystem, _profile_at, generic_vector,
-                                higher_secant_dimension, rank_profile)
+                                higher_secant_dimension, quadric_system, rank_profile)
 from secantgeo.scalars import ONE, ZERO, Scalar
 from secantgeo.zoo import catalog
 from test_quadrics import systems
@@ -46,21 +46,21 @@ def sym(n, entries):
     for (i, j), val in entries.items():
         rows[i][j] = Scalar(val)
         rows[j][i] = Scalar(val)
-    return Matrix(n, n, rows)
+    return rows
 
 
 def pair_system():
     # x1 x3, x2 x3 on C^3
-    return QuadricSystem(3, 2, (sym(3, {(0, 2): "1/2"}), sym(3, {(1, 2): "1/2"})))
+    return quadric_system(3, [sym(3, {(0, 2): "1/2"}), sym(3, {(1, 2): "1/2"})])
 
 
 def cylinder_system():
     # x1^2, x2^2, x1 x2 on C^3: x3 never appears
-    return QuadricSystem(3, 3, (
+    return quadric_system(3, [
         sym(3, {(0, 0): 1}),
         sym(3, {(1, 1): 1}),
         sym(3, {(0, 1): "1/2"}),
-    ))
+    ])
 
 
 def test_vertex_of_pair_system():
@@ -76,7 +76,7 @@ def test_vertex_of_pair_system():
 
 
 def test_vertex_of_single_quadric():
-    s = QuadricSystem(3, 1, (sym(3, {(0, 0): 1, (1, 2): "1/2"}),))
+    s = quadric_system(3, [sym(3, {(0, 0): 1, (1, 2): "1/2"})])
     prof = rank_profile(s, derive_stream(0, "td", "sg"))
     vert = vertex(s, prof, derive_stream(0, "td", "sg", 1))
     assert vert.dim == 1
@@ -137,7 +137,7 @@ def test_clifford_on_division_algebra_systems(charted):
 
 def test_clifford_not_applicable_without_hypersurface_tau():
     # a0 = a: tau has the expected dimension, no forced representation
-    s = QuadricSystem(2, 1, (sym(2, {(0, 1): "1/2"}),))
+    s = quadric_system(2, [sym(2, {(0, 1): "1/2"})])
     prof = rank_profile(s, derive_stream(0, "td", "na"))
     stream = derive_stream(0, "td", "na", 1)
     point = generic_vector(s, prof, stream)
@@ -167,7 +167,7 @@ def test_so_membership(charted):
     for name in ("severi_R", "severi_C"):
         _, _, s, prof = charted[name]
         assert so_membership_check(s, generic_vector(s, prof, derive_stream(0, "td", "so", name)))
-    single = QuadricSystem(3, 1, (sym(3, {(0, 0): 1, (1, 2): "1/2"}),))
+    single = quadric_system(3, [sym(3, {(0, 0): 1, (1, 2): "1/2"})])
     prof = rank_profile(single, derive_stream(0, "td", "so1"))
     try:
         so_membership_check(single, generic_vector(single, prof, derive_stream(0, "td", "so2")))
@@ -304,14 +304,14 @@ def changed_systems(draw):
         return matmul(low, up)
 
     a, b = unimodular(s.n), unimodular(s.a)
-    moved = [matmul(transpose(a), matmul(q, a)) for q in s.quadrics]
+    moved = [matmul(transpose(a), matmul(q, a)) for q in quadrics_reference.scalar_quadrics(s)]
     quads = []
     for row in b.data:
         acc = zero(s.n, s.n)
         for c, q in zip(row, moved):
             acc = add(acc, scale(q, c))
         quads.append(acc)
-    return QuadricSystem(s.n, s.a, tuple(quads))
+    return quadric_system(s.n, [q.data for q in quads])
 
 
 def _outcome(fn, *args):
@@ -336,7 +336,7 @@ def _report_fields(s, rep):
     canonical Scalar subspace, each integer-form quadric to its Scalar matrix."""
     mini = rep.minimal_subsystem
     if isinstance(mini.coefficients, IntegerSpan):
-        last, den = mini.coefficients.last, s.integer_form[1]
+        last, den = mini.coefficients.last, s.den
         den = den * last if type(last) is int else (den * last[0], den * last[1])
         quads = tuple(Matrix(s.n, s.n, [scalar_values(q, den)[i:i + s.n]
                                         for i in range(0, s.n * s.n, s.n)])
@@ -408,7 +408,7 @@ def test_reference_comparison_reaches_the_clifford_branch():
     """The Gaussian severi_C system passes every Clifford check, on a kernel
     and in the pair format."""
     s = base_system("severi_C", True)
-    assert s.integer_form[0][0] and type(s.integer_form[0][0][0]) is tuple
+    assert s.quadrics[0] and type(s.quadrics[0][0]) is tuple
     rep = compare_with_reference(s)
     cv = rep.clifford_verdict
     assert cv.applicable and cv.proportionality_ok and cv.relation_holds

@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secantgeo.cli import main
-from secantgeo.linalg import Matrix
 from secantgeo.polymaps import Poly, PolyMap, polymap_base_point, polymap_from_json, \
     polymap_to_json
-from secantgeo.quadrics import QuadricSystem, quadric_system_from_json, quadric_system_to_json
+from secantgeo.quadrics import quadric_system, quadric_system_from_json, quadric_system_to_json
 from secantgeo.scalars import Rational, Scalar
 
 PROPERTY = settings(max_examples=100, deadline=None, database=None)
@@ -59,8 +58,8 @@ def quadric_system_objects(draw):
         for i in range(n):
             for j in range(i + 1):
                 data[i][j] = data[j][i] = draw(SCALARS)
-        mats.append(Matrix(n, n, data))
-    return quadric_system_to_json(QuadricSystem(n, len(mats), tuple(mats)))
+        mats.append(data)
+    return quadric_system_to_json(quadric_system(n, mats))
 
 
 INPUTS = st.one_of(poly_map_objects(), quadric_system_objects())

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import jets_reference as reference
 from linalg_reference import is_zero, rank
-from quadrics_reference import ii_image
+from quadrics_reference import ii_image, scalar_quadrics
 from secantgeo.genericity import derive_stream, nonzero_vector
 from secantgeo.jets import (ChartError, NotImmersiveError, chart_at, chart_roundtrip_check,
                             refined_third_form_cube, second_fundamental_form)
@@ -34,7 +34,7 @@ def test_chart_reads_off_graph_quadrics():
     jet = chart_at(f, [0, 0], 3)
     assert jet.n == 2 and jet.a == 2
     s = second_fundamental_form(jet)
-    m1, m2 = s.quadrics
+    m1, m2 = scalar_quadrics(s)
     assert m1.at(0, 0) == ONE and m1.at(1, 1) == ONE and m1.at(0, 1) == ZERO
     assert m2.at(0, 1) == Scalar(1, 0) / Scalar(2) and m2.at(0, 0) == ZERO
     for c in jet.c3:
@@ -49,15 +49,16 @@ def test_chart_away_from_origin_agrees():
     jet = chart_at(f, [3, -2], 3)
     s = second_fundamental_form(jet)
     assert s.a == 1
-    assert rank(s.quadrics[0]) == 2
+    assert rank(scalar_quadrics(s)[0]) == 2
 
 
 def test_cubic_coefficients():
-    # z = u^3: c3 carries it, q vanishes
+    # z = u^3: c3 carries it, c2 and the quadric vanish
     c = Poly.monomial(1, (3,), 1)
     f = graph_map(1, [Poly(1)], [c])
     jet = chart_at(f, [0], 4)
-    assert is_zero(jet.q[0])
+    assert jet.c2[0].is_zero()
+    assert is_zero(scalar_quadrics(second_fundamental_form(jet))[0])
     assert jet.c3_entry(0, 0, 0, 0) == ONE
     assert jet.c4 is not None
     assert jet.c4_entry(0, 0, 0, 0, 0) == ZERO
@@ -180,11 +181,13 @@ def graph_charts(draw):
 def test_roundtrip_matches_the_poly_reference(chart, seed):
     """Same draws, same exact answer as the Poly series route, on the chart
     and on each of its perturbations (`_perturbed`); the chart passes.  The
-    chart itself, its normal correction, q, c3 and c4, equals the one the
-    route through the Scalar RREF, `solve_left` and `inverse` gives."""
+    chart itself, its normal correction, c2, c3 and c4, equals the one the
+    route through the Scalar RREF, `solve_left` and `inverse` gives, and
+    the quadrics of its second fundamental form are the forms c2."""
     f, jet = chart
-    assert (jet.normal_correction, jet.q, jet.c3, jet.c4) == \
+    assert (jet.normal_correction, jet.c2, jet.c3, jet.c4) == \
         reference.chart_fields(f, jet.base_point, jet.order), "Scalar solver route"
+    assert _quadratic_forms(jet) == jet.c2
     assert chart_roundtrip_check(f, jet, derive_stream(seed, "rt"), samples=3)
     for name, j in [("chart", jet), *_perturbed(jet).items()]:
         got = chart_roundtrip_check(f, j, derive_stream(seed, "rt"), samples=3)
@@ -213,8 +216,9 @@ def test_catalog_charts_and_refined_cubes_match_the_references(charted):
              if name not in HEAVY] + [(f, base, chart_at(f, base, 3))]
     seen = set()
     for f, base, jet in cases:
-        assert (jet.normal_correction, jet.q, jet.c3, jet.c4) == \
+        assert (jet.normal_correction, jet.c2, jet.c3, jet.c4) == \
             reference.chart_fields(f, base, 3)
+        assert _quadratic_forms(jet) == jet.c2
         s = second_fundamental_form(jet)
         stream = derive_stream(0, "jets", "cube")
         for bound in (1, 2, 3):
@@ -225,22 +229,36 @@ def test_catalog_charts_and_refined_cubes_match_the_references(charted):
     assert seen == {True, False}
 
 
+def _quadratic_forms(jet):
+    """The quadratic forms u^T q u of the Scalar quadrics of the chart's
+    second fundamental form."""
+    n = jet.n
+    forms = []
+    for m in scalar_quadrics(second_fundamental_form(jet)):
+        form = Poly(n)
+        for i in range(n):
+            for k in range(n):
+                e = [0] * n
+                e[i] += 1
+                e[k] += 1
+                form = form + Poly.monomial(n, e, m.at(i, k))
+        forms.append(form)
+    return tuple(forms)
+
+
 def _perturbed(jet):
     """The chart with one entry moved by 1, for each field the round trip
     reads (c4 only at order 4)."""
     n, e = jet.n, [0] * jet.n
-    q = [m.data for m in jet.q]
-    q[0] = [[x + 1 if i == l == 0 else x for l, x in enumerate(r)] for i, r in enumerate(q[0])]
     corr = [list(r) for r in jet.normal_correction.data]
     corr[0][0] += 1
     center = list(jet.chart_center)
     center[jet.normal_rows[0]] += 1
-    out = {"q": replace(jet, q=tuple(Matrix(n, n, m) for m in q)),
-           "normal_correction": replace(jet, normal_correction=Matrix(jet.a, n, corr)),
+    out = {"normal_correction": replace(jet, normal_correction=Matrix(jet.a, n, corr)),
            "chart_center": replace(jet, chart_center=tuple(center))}
-    for name in ("c3", "c4")[:jet.order - 2]:
+    for name in ("c2", "c3", "c4")[:jet.order - 1]:
         polys = list(getattr(jet, name))
-        e[0] = 3 if name == "c3" else 4
+        e[0] = int(name[1])
         polys[0] = polys[0] + Poly.monomial(n, e, 1)
         out[name] = replace(jet, **{name: tuple(polys)})
     return out
@@ -248,7 +266,7 @@ def _perturbed(jet):
 
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_perturbed_chart_fails_both_routes(gaussian):
-    """Moving one entry of q, c3, c4, the center or the normal correction
+    """Moving one entry of c2, c3, c4, the center or the normal correction
     breaks the identity, on Z and on Z[i]."""
     c = Scalar(1, 2) if gaussian else Scalar(1)
     q1 = Poly.monomial(2, (2, 0), c) + Poly.monomial(2, (0, 2), 1)
@@ -282,4 +300,4 @@ def test_gaussian_map_roundtrip_in_the_report():
     rep = analyze(polymap_to_json(f, base_point=base))
     assert {v.name: v.status for v in rep.verdicts}["chart_roundtrip"] == "pass"
     jet = chart_at(f, base, 3)
-    assert not chart_roundtrip_check(f, _perturbed(jet)["q"], derive_stream(0, "jets", "zi"))
+    assert not chart_roundtrip_check(f, _perturbed(jet)["c2"], derive_stream(0, "jets", "zi"))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -16,37 +18,38 @@ from secantgeo.polymaps import Poly, PolyMap
 from secantgeo.quadrics import (QuadricSystem, _max_rank_in_span, _profile_at, contract,
                                 generic_vector, higher_secant_dimension,
                                 hypersurface_projection, integer_quadric,
-                                is_tangentially_degenerate,
-                                quadric_from_coefficients, quadric_system_from_json,
-                                quadric_system_to_json, rank_profile, secant_dimension,
-                                singular_locus, tangential_dimension)
+                                is_tangentially_degenerate, quadric_system,
+                                quadric_system_from_json, quadric_system_to_json, rank_profile,
+                                secant_dimension, singular_locus, tangential_dimension)
 from secantgeo.scalars import ZERO, Rational, Scalar
+from secantgeo.zoo import veronese
 
 
 def sym(n, entries):
-    """Symmetric matrix from an upper-triangular {(i, j): value} dict."""
+    """Rows of the symmetric matrix of an upper-triangular {(i, j): value}
+    dict."""
     rows = [[ZERO] * n for _ in range(n)]
     for (i, j), v in entries.items():
         rows[i][j] = rows[i][j] + Scalar(v)
         if i != j:
             rows[j][i] = rows[j][i] + Scalar(v)
-    return Matrix(n, n, rows)
+    return rows
 
 
 def severi_r_system():
     # u1^2, u2^2, u1 u2 on C^2
-    return QuadricSystem(2, 3, (
+    return quadric_system(2, [
         sym(2, {(0, 0): 1}),
         sym(2, {(1, 1): 1}),
         sym(2, {(0, 1): "1/2"}),
-    ))
+    ])
 
 
 def test_contraction_and_image():
     s = severi_r_system()
     v = [1, 2]
     c = contract(s, v)
-    assert [scalar_values(r, s.integer_form[1]) for r in c] == \
+    assert [scalar_values(r, s.den) for r in c] == \
         [list(r) for r in reference.scalar_contraction(s, v).data]
     assert reference.apply_ii(s, v) == [Scalar(1), Scalar(4), Scalar(2)]
     assert IntegerSpan(s.a, list(zip(*c))).dim == reference.ii_image(s, v).dim == 2
@@ -58,7 +61,7 @@ def test_annihilator_and_singular_locus():
     point = _profile_at(s, v, derive_stream(0, "tq", "an"), 5)
     ann = point.annihilator
     assert ann.dim == 1
-    q = quadric_from_coefficients(s, ann.rows[0])
+    q = reference.quadric_from_coefficients(s, scalar_values(ann.rows[0], 1))
     # the annihilator quadric is singular exactly at multiples of v
     assert not any(mul_vec(q, v))
     sl = singular_locus(s, [integer_quadric(s, ann.rows[0])])
@@ -83,7 +86,7 @@ def test_rank_profile_severi_r():
 
 def test_rank_profile_single_quadric():
     # one smooth quadric on C^3: a hypersurface, never counted degenerate
-    s = QuadricSystem(3, 1, (sym(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1}),))
+    s = quadric_system(3, [sym(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1})])
     prof = rank_profile(s, derive_stream(0, "tq", "single"))
     assert prof.a0 == 1
     assert prof.dim_ker == 2
@@ -95,10 +98,10 @@ def test_rank_profile_single_quadric():
 def test_degenerate_pair_system():
     # x1 x3, x2 x3: kernel dim 1 is exactly what a = 2 allows on C^3, so
     # the system is not counted tangentially degenerate
-    s = QuadricSystem(3, 2, (
+    s = quadric_system(3, [
         sym(3, {(0, 2): "1/2"}),
         sym(3, {(1, 2): "1/2"}),
-    ))
+    ])
     prof = rank_profile(s, derive_stream(0, "tq", "pair"))
     assert prof.a0 == 2
     assert prof.dim_ker == 1
@@ -108,11 +111,11 @@ def test_degenerate_pair_system():
 def test_cylinder_system_is_degenerate():
     # severi R quadrics viewed on C^3: the extra coordinate never appears,
     # so every contraction kills e3 and the kernel exceeds n - a
-    s = QuadricSystem(3, 3, (
+    s = quadric_system(3, [
         sym(3, {(0, 0): 1}),
         sym(3, {(1, 1): 1}),
         sym(3, {(0, 1): "1/2"}),
-    ))
+    ])
     prof = rank_profile(s, derive_stream(0, "tq", "cyl"))
     assert prof.a0 == 2
     assert prof.dim_ker == 1
@@ -157,7 +160,7 @@ def test_profile_and_vertex_draws_build_no_scalar(monkeypatch):
     vertex(s, prof, derive_stream(0, "tq", "noscalar", 1))
     assert built == []
     # the count sees a conversion where one is made
-    quadric_from_coefficients(s, [1, 0, 0])
+    quadric_system_to_json(s)
     assert built
 
 
@@ -228,8 +231,8 @@ def test_generic_vector_unmatchable_profile_is_certification_error():
 def test_hypersurface_projection_keeps_a0():
     # four quadrics with a0 = 2: a generic combination of three of them
     # makes tau a hypersurface
-    s = QuadricSystem(2, 4, (sym(2, {(0, 0): 1}), sym(2, {(1, 1): 1}),
-                             sym(2, {(0, 1): 1}), sym(2, {(0, 0): 1, (1, 1): 1})))
+    s = quadric_system(2, [sym(2, {(0, 0): 1}), sym(2, {(1, 1): 1}),
+                           sym(2, {(0, 1): 1}), sym(2, {(0, 0): 1, (1, 1): 1})])
     prof = rank_profile(s, derive_stream(0, "tq", "hp"))
     assert prof.a0 == 2
     t, tprof = hypersurface_projection(s, prof, derive_stream(0, "tq", "hp", 1))
@@ -238,6 +241,48 @@ def test_hypersurface_projection_keeps_a0():
     # a claimed a0 the projection cannot keep is a certification failure
     with pytest.raises(CertificationError):
         hypersurface_projection(s, replace(prof, a0=1), derive_stream(0, "tq", "hp", 2))
+
+
+def test_projected_quadrics_are_the_drawn_combinations():
+    """The projected quadrics over the parent's den are, by the Scalar
+    reference, the combinations of the parent's quadrics with the rows the
+    projection draws: the first full-rank (a0 + 1) x a draw from [-5, 5].
+    On a real system, on one with Gaussian entries, and on v2(P^4)."""
+    c, i = Scalar(1, 1), Scalar(0, 1)
+    ent = veronese(2, 4)
+    cases = [
+        quadric_system(2, [sym(2, {(0, 0): 1}), sym(2, {(1, 1): 1}),
+                           sym(2, {(0, 1): 1}), sym(2, {(0, 0): 1, (1, 1): 1})]),
+        quadric_system(2, [sym(2, {(0, 0): 1}), sym(2, {(1, 1): "1/3"}),
+                           [[ZERO, c], [c, ZERO]], [[Scalar(1), ZERO], [ZERO, i]]]),
+        second_fundamental_form(chart_at(ent.map, list(ent.base_point), 3)),
+    ]
+    for k, s in enumerate(cases):
+        prof = rank_profile(s, derive_stream(0, "tq", "hpref", k))
+        stream = derive_stream(0, "tq", "hpref", k, 1)
+        replay = random.Random()
+        replay.setstate(stream.getstate())
+        t, _ = hypersurface_projection(s, prof, stream)
+        rows = prof.a0 + 1
+        while True:
+            m = [[Scalar(replay.randint(-5, 5)) for _ in range(s.a)] for _ in range(rows)]
+            if rank(Matrix(rows, s.a, m)) == rows:
+                break
+        assert (t.n, t.a, t.den) == (s.n, rows, s.den)
+        assert reference.scalar_quadrics(t) == \
+            tuple(reference.quadric_from_coefficients(s, row) for row in m)
+
+
+def test_input_json_of_catalog_charts_is_pinned(charted):
+    """The bytes `quadric_system_to_json` writes for every catalog chart and
+    v2(P^4), the benchmark's quadric_system inputs among them."""
+    ent = veronese(2, 4)
+    systems = [(name, s) for name, (_, _, s, _) in sorted(charted.items())]
+    systems.append((ent.name, second_fundamental_form(chart_at(ent.map, list(ent.base_point), 3))))
+    h = hashlib.sha256()
+    for name, s in systems:
+        h.update(json.dumps([name, quadric_system_to_json(s)]).encode() + b"\n")
+    assert h.hexdigest() == "6b9eaa391884f67c960865f76cbbb30073e36b8f950fb929cfbe2dff03538935"
 
 
 def test_secant_dimension_branches():
@@ -286,7 +331,7 @@ def test_system_json_roundtrip():
     obj = quadric_system_to_json(s)
     t = quadric_system_from_json(obj)
     assert t.n == s.n and t.a == s.a
-    assert t.quadrics == s.quadrics
+    assert t.quadrics == s.quadrics and t.den == s.den
     try:
         quadric_system_from_json({"kind": "quadric_system", "n": 2, "a": 1,
                                   "quadrics": [[["1", "0"], ["1", "0"]]]})
@@ -295,10 +340,20 @@ def test_system_json_roundtrip():
         pass
 
 
+def test_asymmetric_quadric_is_rejected():
+    s = severi_r_system()
+    bad = list(s.quadrics[2])
+    bad[1] += 1
+    with pytest.raises(ValueError, match="quadric 1 is not symmetric"):
+        QuadricSystem(2, 2, (s.quadrics[0], bad), s.den)
+    with pytest.raises(ValueError, match="quadric size != n"):
+        QuadricSystem(2, 1, (s.quadrics[0][:3],), s.den)
+
+
 def test_independent_flag():
     s = severi_r_system()
     assert s.independent()
-    dup = QuadricSystem(2, 2, (s.quadrics[0], s.quadrics[0]))
+    dup = QuadricSystem(2, 2, (s.quadrics[0], s.quadrics[0]), s.den)
     assert not dup.independent()
 
 
@@ -339,7 +394,7 @@ def systems(draw):
                 for j in range(i + 1):
                     rows[i][j] = rows[j][i] = draw(entries(real))
             quads.append(Matrix(n, n, rows))
-    return QuadricSystem(n, a, tuple(quads))
+    return quadric_system(n, [q.data for q in quads])
 
 
 @PROPERTY
@@ -365,12 +420,14 @@ def test_combinations_match_scalar_reference(s, data):
                                 max_size=s.a))
     if s.a:
         ints = integer_values(coeffs)[0]
-        assert quadric_from_coefficients(s, ints) == \
+        combined = QuadricSystem(s.n, 1, (integer_quadric(s, ints),), s.den)
+        assert reference.scalar_quadrics(combined)[0] == \
             reference.quadric_from_coefficients(s, scalar_values(ints, 1))
     # v cleared to ints and to pairs, on real and Gaussian systems: every
     # format case of `contract`
     for real in (True, False):
         v = data.draw(st.lists(entries(real), min_size=s.n, max_size=s.n))
         assert reference.contraction(s, v) == reference.scalar_contraction(s, v)
-    flat = Matrix(s.a, s.n * s.n, [[x for r in q.data for x in r] for q in s.quadrics])
+    flat = Matrix(s.a, s.n * s.n, [[x for r in q.data for x in r]
+                                   for q in reference.scalar_quadrics(s)])
     assert s.independent() == (rank(flat) == s.a)

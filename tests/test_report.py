@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
-from secantgeo.quadrics import quadric_system_to_json
+from secantgeo.linalg import integer_combination
+from secantgeo.quadrics import (QuadricSystem, quadric_system, quadric_system_from_json,
+                                quadric_system_to_json)
 from secantgeo.report import AnalyzeOptions, analyze, load_input, render, report_to_json
-from secantgeo.linalg import Matrix
-from secantgeo.quadrics import QuadricSystem
 from secantgeo.scalars import Scalar
+from test_defects import base_system
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 VERDICT_NAMES = (
     "independent_system",
@@ -34,15 +38,15 @@ def sym(n, entries):
     for (i, j), val in entries.items():
         rows[i][j] = Scalar(val)
         rows[j][i] = Scalar(val)
-    return Matrix(n, n, rows)
+    return rows
 
 
 def severi_r_system():
-    return QuadricSystem(2, 3, (
+    return quadric_system(2, [
         sym(2, {(0, 0): 1}),
         sym(2, {(1, 1): 1}),
         sym(2, {(0, 1): "1/2"}),
-    ))
+    ])
 
 
 def test_verdict_names_and_order(analysis):
@@ -137,6 +141,27 @@ def test_reports_are_deterministic():
     assert a == b
     assert json.loads(a)["options"]["seed"] == 3
     assert json.loads(c)["options"]["seed"] == 4
+
+
+def test_scaled_systems_give_byte_identical_reports(tmp_path, monkeypatch):
+    """Scaling every quadric of a system by one nonzero Gaussian integer
+    changes no byte of its JSON report: by -3, and by 1 + 2i, which takes a
+    real system to the pair format.  On the quadric systems of the
+    catalog_small benchmark workload and on the three Gaussian systems of
+    scripts/regen_golden.py."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    systems = [quadric_system_from_json(json.loads(path.read_text(encoding="utf-8")))
+               for _, kind, path, _ in workloads.make_inputs("catalog_small", tmp_path)
+               if kind == "quadric_system"]
+    systems += [base_system(name, True) for name in ("severi_C", "severi_H", "segre_3_3")]
+    for s in systems:
+        want = render(analyze(quadric_system_to_json(s)), "json")
+        for c in (-3, (1, 2)):
+            scaled = QuadricSystem(s.n, s.a, tuple(integer_combination([(c, q)])
+                                                   for q in s.quadrics), s.den)
+            assert render(analyze(quadric_system_to_json(scaled)), "json") == want
 
 
 def test_load_input_rejects_malformed_objects():

@@ -104,7 +104,7 @@ def test_apply_ii_jacobian_is_twice_contraction(charted):
     for name in ("severi_C", "segre_3_3", "veronese_2_2"):
         _, _, s, _ = charted[name]
         v = [rng.randint(-3, 3) for _ in range(s.n)]
-        c = [scalar_values(r, s.integer_form[1]) for r in contract(s, v)]
+        c = [scalar_values(r, s.den) for r in contract(s, v)]
         for j in range(s.n):
             up = list(v)
             dn = list(v)
