@@ -18,7 +18,7 @@ from .genericity import CertificationError
 from .linalg import (IntegerSpan, _is_zero, _negate, _same_format, eliminate,
                      integer_combination, integer_mul_vec, solve)
 from .quadrics import (GenericPoint, QuadricSystem, RankProfile, _square, contract,
-                       generic_vector, integer_quadric)
+                       generic_image, generic_vector, integer_quadric)
 
 
 class DefectError(RuntimeError):
@@ -27,11 +27,15 @@ class DefectError(RuntimeError):
 
 def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> IntegerSpan:
     """Intersection of II_v(T) over certified-generic v, stabilized when
-    unchanged for 3 consecutive fresh samples."""
+    unchanged for 3 consecutive fresh samples.  Each v is accepted on
+    dim II_v(T) = a0 alone (`generic_image`): on the open set where rank
+    II_v = a0, "w lies in II_v(T)" is a rank condition, closed there, so a
+    w in II_v(T) at the dense full-profile points is in every accepted
+    image, and each one still contains the vertex."""
     w = None
     stable = 0
     for _ in range(60):
-        img = generic_vector(s, profile, stream, trials).image
+        img = generic_image(s, profile, stream, trials)[1]
         nxt = img if w is None else w.intersect(img)
         if w is not None and nxt == w:
             stable += 1

@@ -19,7 +19,7 @@ from .jets import JetChart, chart_at, chart_roundtrip_check, refined_third_form_
     second_fundamental_form
 from .oracles import join_dimension, tangent_join_dimension
 from .polymaps import polymap_base_point, polymap_from_json
-from .quadrics import (RankProfile, generic_vector, higher_secant_dimension,
+from .quadrics import (RankProfile, generic_image, generic_vector, higher_secant_dimension,
                        hypersurface_projection, is_tangentially_degenerate,
                        quadric_system_from_json, rank_profile, secant_dimension,
                        tangential_dimension)
@@ -304,11 +304,14 @@ def _verdicts(s, profile, jet, f, defects: DefectReport,
             out.append(Verdict(name, "fail", str(e)))
 
     if jet is not None and sigma_degenerate:
+        # each v accepted on a0 alone: where rank II_v = a0, "F3(v, v, v)
+        # lies in II_v(T)" is a rank condition, closed there, so it holds at
+        # every such v once it holds at the dense full-profile ones
         stream = derive_stream(options.seed, "third-form")
         ok = True
         for _ in range(5):
-            point = generic_vector(s, profile, stream, options.trials)
-            ok = ok and refined_third_form_cube(jet, point.v, point.image)
+            v, image = generic_image(s, profile, stream, options.trials)
+            ok = ok and refined_third_form_cube(jet, v, image)
         out.append(Verdict("third_form_vanishing", _status(ok),
                            "refined cubic form vanishes at 5 generic vectors"))
     else:

@@ -1,0 +1,157 @@
+"""3x3 Hermitian matrices over the complexified composition algebras: the
+determinant, the rank and the rank-one chart of the Severi varieties, with
+the orientation of the octonion lines and the algebra's zero and unit.
+They left `secantgeo.algebras` because only the tests use them."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from secantgeo.algebras import _FREE_LINES, _PINNED_LINES, AlgebraElement, AlgebraTag, \
+    _structure_table
+from secantgeo.scalars import ONE, Rational, Scalar, _coerce
+
+
+def octonion_orientations() -> tuple[tuple[int, int, int], ...]:
+    """The seven oriented lines actually in use."""
+    table = _structure_table(AlgebraTag.O)
+    out = [_PINNED_LINES[0], _PINNED_LINES[1], _PINNED_LINES[2]]
+    for a, b, c in _FREE_LINES:
+        idx, s = table[a][b]
+        assert idx == c
+        out.append((a, b, c) if s == 1 else (a, c, b))
+    return tuple(out)
+
+
+def algebra_zero(tag: AlgebraTag) -> AlgebraElement:
+    return AlgebraElement.from_scalar(tag, 0)
+
+
+def algebra_one(tag: AlgebraTag) -> AlgebraElement:
+    return AlgebraElement.from_scalar(tag, 1)
+
+
+@dataclass(frozen=True)
+class HermMatrix:
+    """3x3 Hermitian matrix over a composition algebra.
+
+    Layout: [[r1, conj(u1), conj(u2)],
+             [u1, r2,       conj(u3)],
+             [u2, u3,       r3      ]]
+    """
+
+    tag: AlgebraTag
+    r1: Scalar
+    r2: Scalar
+    r3: Scalar
+    u1: AlgebraElement
+    u2: AlgebraElement
+    u3: AlgebraElement
+
+    def entries(self) -> list[list[AlgebraElement]]:
+        s = lambda x: AlgebraElement.from_scalar(self.tag, x)
+        return [
+            [s(self.r1), self.u1.conj(), self.u2.conj()],
+            [self.u1, s(self.r2), self.u3.conj()],
+            [self.u2, self.u3, s(self.r3)],
+        ]
+
+    def coords(self) -> list[Scalar]:
+        """Flat coordinates (r1, r2, r3, u1.., u2.., u3..), length 3 + 3 dim."""
+        out = [self.r1, self.r2, self.r3]
+        for u in (self.u1, self.u2, self.u3):
+            out.extend(u.coeffs)
+        return out
+
+    def is_zero(self) -> bool:
+        return not (self.r1 or self.r2 or self.r3) and \
+            self.u1.is_zero() and self.u2.is_zero() and self.u3.is_zero()
+
+
+def herm_from_coords(tag: AlgebraTag, coords) -> HermMatrix:
+    d = tag.dim
+    if len(coords) != 3 + 3 * d:
+        raise ValueError("coordinate count mismatch")
+    c = [_coerce(x) for x in coords]
+    us = [AlgebraElement(tag, tuple(c[3 + i * d: 3 + (i + 1) * d])) for i in range(3)]
+    return HermMatrix(tag, c[0], c[1], c[2], us[0], us[1], us[2])
+
+
+def _mat_mul(a, b, tag):
+    z = algebra_zero(tag)
+    out = [[z] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            acc = z
+            for k in range(3):
+                acc = acc + a[i][k] * b[k][j]
+            out[i][j] = acc
+    return out
+
+
+def _trace(m) -> Scalar:
+    acc = m[0][0] + m[1][1] + m[2][2]
+    if not acc.is_scalar():
+        raise ArithmeticError("trace has a non-scalar part")
+    return acc.scalar_part()
+
+
+def herm_det(x: HermMatrix) -> Scalar:
+    """det x = (tr(x)^3 + 2 tr(x^3) - 3 tr(x) tr(x^2)) / 6 with Jordan
+    powers: x^2 = x x is Hermitian as is, the cube needs symmetrizing,
+    x^3 = (x x^2 + x^2 x) / 2."""
+    m = x.entries()
+    m2 = _mat_mul(m, m, x.tag)
+    left = _mat_mul(m, m2, x.tag)
+    right = _mat_mul(m2, m, x.tag)
+    half = Scalar(Rational(1, 2))
+    m3 = [[(left[i][j] + right[i][j]) * half for j in range(3)] for i in range(3)]
+    t1 = _trace(m)
+    t2 = _trace(m2)
+    t3 = _trace(m3)
+    six = Scalar(6)
+    return (t1 * t1 * t1 + Scalar(2) * t3 - Scalar(3) * t1 * t2) / six
+
+
+def _rank_one_conditions(x: HermMatrix) -> list:
+    """The six Hermitian 2x2 minor conditions; all zero iff rank <= 1."""
+    tag = x.tag
+    s = lambda v: AlgebraElement.from_scalar(tag, v)
+    diffs = [
+        s(x.r1 * x.r2 - (x.u1 * x.u1.conj()).scalar_part()),
+        s(x.r1 * x.r3 - (x.u2 * x.u2.conj()).scalar_part()),
+        s(x.r2 * x.r3 - (x.u3 * x.u3.conj()).scalar_part()),
+        x.u3 * x.r1 - x.u2 * x.u1.conj(),
+        x.u2 * x.r2 - x.u3 * x.u1,
+        x.u1 * x.r3 - x.u3.conj() * x.u2,
+    ]
+    return diffs
+
+
+def herm_rank(x: HermMatrix) -> int:
+    """0, 1, 2 or 3: zero matrix, all 2x2 minor conditions vanish, det zero,
+    det nonzero."""
+    if x.is_zero():
+        return 0
+    if all(d.is_zero() for d in _rank_one_conditions(x)):
+        return 1
+    if herm_det(x):
+        return 3
+    return 2
+
+
+def severi_chart(u1: AlgebraElement, u2: AlgebraElement) -> HermMatrix:
+    """Rank-one matrix w conj(w)^T for w = (1, u1, u2): the affine chart of
+    the rank-one locus over the r1 = 1 slice.  All entries are quadratic in
+    the coefficients of (u1, u2)."""
+    if u1.tag is not u2.tag:
+        raise TypeError("algebra mismatch")
+    return HermMatrix(
+        u1.tag,
+        ONE,
+        u1.norm(),
+        u2.norm(),
+        u1,
+        u2,
+        u2 * u1.conj(),
+    )

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 from linalg_reference import (Subspace, _dot, add, col, complement_indices, contains_subspace,
                               identity, inverse, is_zero, kernel, matmul, mul_vec, scale,
-                              solve_left, span_sum, subspace, transpose)
+                              solve_left, span_sum, transpose)
 from linalg_reference import intersect_through_perps as intersect
-from quadrics_reference import (ScalarPoint, contraction, quadric_from_coefficients, scalar_point,
-                                scalar_quadrics)
+from quadrics_reference import (ScalarPoint, contraction, generic_image, quadric_from_coefficients,
+                                scalar_point, scalar_quadrics)
 from secantgeo.defects import DefectError
 from secantgeo.genericity import CertificationError
 from secantgeo.linalg import Matrix
@@ -24,11 +24,12 @@ from secantgeo.scalars import ONE, ZERO, Scalar, _coerce
 
 def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> Subspace:
     """Intersection of II_v(T) over certified-generic v, stabilized when
-    unchanged for 3 consecutive fresh samples."""
+    unchanged for 3 consecutive fresh samples; each v accepted on a0 alone
+    (`quadrics_reference.generic_image`)."""
     w = None
     stable = 0
     for _ in range(60):
-        img = subspace(generic_vector(s, profile, stream, trials).image)
+        img = generic_image(s, profile, stream, trials)[1]
         nxt = img if w is None else intersect([w, img])
         if w is not None and nxt == w:
             stable += 1

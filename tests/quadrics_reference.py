@@ -2,8 +2,8 @@
 the integer form of a system: the contraction, the annihilator quadrics and
 the randomized annihilator-rank search all built as Scalar matrices, the
 point held as Scalar subspaces, and the higher secant spans summed as
-Scalar subspaces.  Kept as the reference `_profile_at` and
-`higher_secant_dimension` are checked against, at the same draws.  With
+Scalar subspaces.  Kept as the reference `_profile_at`, `generic_image`
+and `higher_secant_dimension` are checked against, at the same draws.  With
 them `contraction`, `apply_ii` and `ii_image`, which left the package once
 only the tests used them: II_v taken on the integer form at v cleared of
 its denominators and converted to Scalars once, which `scalar_contraction`
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from linalg_reference import (Subspace, _dot, identity, kernel, mul_vec, rank, span_sum,
                               stack_rows, subspace, transpose)
-from secantgeo.genericity import certified_value, nonzero_vector
+from secantgeo.genericity import CertificationError, certified_value, nonzero_vector
 from secantgeo.linalg import Matrix, integer_values, scalar_values
 from secantgeo.quadrics import (GenericPoint, HigherSecantDimension, QuadricSystem, RankProfile,
                                 contract)
@@ -115,6 +115,24 @@ def profile_at(s: QuadricSystem, v, inner_stream, inner_trials: int) -> ScalarPo
     singloc = singular_locus(s, [quadric_from_coefficients(s, row) for row in ann.basis])
     r = max_rank_in_span(s, ann, inner_stream, inner_trials)
     return ScalarPoint(tuple(v), c, image, kernel(c), ann, singloc, r)
+
+
+def generic_image(s: QuadricSystem, profile: RankProfile, stream,
+                  trials: int = 5) -> tuple[tuple, Subspace]:
+    """(v, II_v(T)) from the Scalar contraction, accepted on dim II_v(T) =
+    a0 alone, with the draws of `quadrics.generic_image`: up to 16 vectors
+    at bounds 1, 2, 4, ..., 64, each followed by the r search's `trials`
+    coefficient vectors for Ann(v), drawn and left unused."""
+    bound = 1
+    for _ in range(16):
+        v = nonzero_vector(s.n, bound, stream)
+        image = Subspace.from_vectors(s.a, transpose(scalar_contraction(s, v)).data)
+        for _ in range(trials if image.dim < s.a else 0):
+            nonzero_vector(s.a - image.dim, 4, stream)
+        if image.dim == profile.a0:
+            return tuple(v), image
+        bound = min(bound * 2, 64)
+    raise CertificationError("could not rediscover a vector matching the certified profile")
 
 
 def max_rank_in_span(s: QuadricSystem, ann: Subspace, stream, trials: int) -> int:

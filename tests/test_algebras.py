@@ -1,8 +1,8 @@
 import random
 
-from secantgeo.algebras import (AlgebraElement, AlgebraTag, algebra_one, herm_det,
-                                herm_from_coords, herm_rank, octonion_orientations,
-                                severi_chart)
+from algebras_reference import (algebra_one, herm_det, herm_from_coords, herm_rank,
+                                octonion_orientations, severi_chart)
+from secantgeo.algebras import AlgebraElement, AlgebraTag
 from secantgeo.scalars import ONE, ZERO, Scalar
 
 

@@ -3,6 +3,7 @@ import functools
 import importlib.util
 import random
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ import quadrics_reference
 from defects_reference import ii_second_fundamental_form
 from linalg_reference import add, identity, matmul, scale, subspace, transpose, zero
 from quadrics_reference import scalar_point
-from secantgeo import defects, derive_stream
+from secantgeo import defects, derive_stream, quadrics, report
 from secantgeo.defects import (
     DefectError,
     annihilator_matches_image_perp,
@@ -31,11 +32,12 @@ from secantgeo.defects import (
     vertex,
     zak_bound_check,
 )
-from secantgeo.genericity import CertificationError
+from secantgeo.genericity import CertificationError, nonzero_vector
 from secantgeo.jets import chart_at, second_fundamental_form
 from secantgeo.linalg import IntegerSpan, Matrix, scalar_values
-from secantgeo.quadrics import (QuadricSystem, _profile_at, generic_vector,
+from secantgeo.quadrics import (QuadricSystem, _profile_at, generic_image, generic_vector,
                                 higher_secant_dimension, quadric_system, rank_profile)
+from secantgeo.report import analyze
 from secantgeo.scalars import ONE, ZERO, Scalar
 from secantgeo.zoo import catalog
 from test_quadrics import systems
@@ -321,10 +323,10 @@ def _outcome(fn, *args):
         return "raises", type(e).__name__, str(e)
 
 
-def _same(ours, theirs, convert=lambda x: x):
+def _same(ours, theirs, convert=lambda x: x, seed=7):
     """Run both routes at equal fresh streams: equal outcomes, ours
     converted explicitly, and equal stream states after."""
-    s1, s2 = random.Random(7), random.Random(7)
+    s1, s2 = random.Random(seed), random.Random(seed)
     got, want = _outcome(ours, s1), _outcome(theirs, s2)
     assert (got[0], convert(got[1])) == want if got[0] == "value" else got == want
     assert s1.getstate() == s2.getstate()
@@ -414,3 +416,90 @@ def test_reference_comparison_reaches_the_clifford_branch():
     assert cv.applicable and cv.proportionality_ok and cv.relation_holds
     assert cv.kernel_dim == 1 and cv.module_dim == 2
     assert rep.so_membership is True
+
+
+# -- vertex draws accepted on a0 ---------------------------------------------
+
+def full_profile_vertex(s, prof, stream):
+    """`vertex` with each image taken at a point of the whole certified
+    profile, as `generic_vector` accepts it."""
+
+    def full(*args):
+        point = generic_vector(*args)
+        return point.v, point.image
+
+    with mock.patch.object(defects, "generic_image", full):
+        return vertex(s, prof, stream)
+
+
+# The first vector of Random(4), v = (-1, 0, -1), has dim II_v(T) = a0 = 3,
+# but its annihilator quadric has rank 1 and a 2-dimensional kernel, where
+# the certified profile has r = 2 and dim singloc = 1.
+DIVERGENT = QuadricSystem(3, 4, ([0, 0, 2, 0, 0, 0, 2, 0, 0], [0, 0, 0, 0, -1, 0, 0, 0, 0],
+                                 [0, 2, 0, 2, 0, 0, 0, 0, 1], [0, 0, 1, 0, 0, 2, 1, 2, 0]), 1)
+
+
+def test_draw_of_a0_without_the_full_profile():
+    """Both a0 routes accept the draw that the full-profile rule redraws,
+    end at equal stream states, and give the full-profile route's vertex."""
+    s = DIVERGENT
+    prof = rank_profile(s, random.Random(3))
+    assert (prof.a0, prof.r, prof.dim_ann, prof.dim_singloc) == (3, 2, 1, 1)
+    first = tuple(nonzero_vector(s.n, 1, random.Random(4)))
+    assert first == (-1, 0, -1)
+    assert _profile_at(s, first, random.Random(0), 5).profile == (3, 1, 0, 1, 2)
+    assert generic_image(s, prof, random.Random(4))[0] == first
+    assert quadrics_reference.generic_image(s, prof, random.Random(4))[0] == first
+    assert generic_vector(s, prof, random.Random(4)).v != first
+
+    got = _same(lambda st: vertex(s, prof, st), lambda st: defects_reference.vertex(s, prof, st),
+                subspace, seed=4)
+    assert full_profile_vertex(s, prof, random.Random(4)) == got[1]
+
+
+@REFERENCE
+@given(systems(), st.integers(0, 2**16))
+def test_vertex_is_the_full_profile_vertex(s, seed):
+    """Accepting images on a0 alone finds the vertex that images at points
+    of the whole profile find, as a span.  Both routes stop after 3
+    unchanged images, and each draw starts again at coordinate bound 1, so
+    on some streams either one stops early, at a span above the vertex;
+    none of the derandomized examples here does."""
+    try:
+        prof = rank_profile(s, random.Random(3))
+    except CertificationError:
+        return
+    got = _outcome(vertex, s, prof, random.Random(seed))
+    want = _outcome(full_profile_vertex, s, prof, random.Random(seed))
+    if got[0] == want[0] == "value":
+        assert got[1] == want[1]
+
+
+def test_vertex_and_third_form_draws_skip_the_annihilator(monkeypatch, entries):
+    """A vertex call and the five third-form draws build no Ann(v), singular
+    locus or r search: nothing but the contraction and its image."""
+    built = []
+    for name in ("_profile_at", "singular_locus", "_max_rank_in_span", "eliminate"):
+        orig = getattr(quadrics, name)
+        monkeypatch.setattr(quadrics, name, lambda *a, orig=orig, name=name, **k:
+                            built.append(name) or orig(*a, **k))
+    s = quadric_system(2, [sym(2, {(0, 0): 1}), sym(2, {(1, 1): 1}), sym(2, {(0, 1): "1/2"})])
+    prof = rank_profile(s, derive_stream(0, "td", "skip"))
+    built.clear()
+    vertex(s, prof, derive_stream(0, "td", "skip", 1))
+    assert built == []
+
+    draws, draw = [], quadrics.generic_image
+
+    def counted(*args):
+        mark = len(built)
+        out = draw(*args)
+        draws.append(built[mark:])
+        return out
+
+    monkeypatch.setattr(report, "generic_image", counted)
+    rep = analyze(None, entry=entries["severi_R"])
+    assert draws == [[]] * 5
+    assert {v.name: v.status for v in rep.verdicts}["third_form_vanishing"] == "pass"
+    # the count sees the full-profile draws of the other verdicts
+    assert {"_profile_at", "singular_locus", "_max_rank_in_span"} <= set(built)

@@ -16,7 +16,7 @@ from secantgeo.jets import chart_at, second_fundamental_form
 from secantgeo.linalg import IntegerSpan, Matrix, integer_values, random_vector, scalar_values
 from secantgeo.polymaps import Poly, PolyMap
 from secantgeo.quadrics import (QuadricSystem, _max_rank_in_span, _profile_at, contract,
-                                generic_vector, higher_secant_dimension,
+                                generic_image, generic_vector, higher_secant_dimension,
                                 hypersurface_projection, integer_quadric,
                                 is_tangentially_degenerate, quadric_system,
                                 quadric_system_from_json, quadric_system_to_json, rank_profile,
@@ -132,6 +132,20 @@ def test_generic_vector_certified():
     assert subspace(point.kernel) == kernel(c)
     assert subspace(point.annihilator) == kernel(transpose(c))
     assert point.profile == (prof.a0, prof.r, prof.dim_ker, prof.dim_ann, prof.dim_singloc)
+
+
+def test_generic_image_draws_as_generic_vector_on_full_profile_draws():
+    """Where every draw has the whole certified profile, both rules accept
+    the same v with the same image and leave the stream in the same state."""
+    s = severi_r_system()
+    prof = rank_profile(s, derive_stream(0, "tq", "gi"))
+    for label in range(6):
+        ours, theirs = derive_stream(0, "tq", "gi", label), derive_stream(0, "tq", "gi", label)
+        for _ in range(4):
+            v, image = generic_image(s, prof, ours)
+            point = generic_vector(s, prof, theirs)
+            assert (v, image) == (point.v, point.image)
+            assert ours.getstate() == theirs.getstate()
 
 
 def test_each_profile_draw_contracts_once(monkeypatch):
@@ -431,3 +445,18 @@ def test_combinations_match_scalar_reference(s, data):
     flat = Matrix(s.a, s.n * s.n, [[x for r in q.data for x in r]
                                    for q in reference.scalar_quadrics(s)])
     assert s.independent() == (rank(flat) == s.a)
+
+
+@PROPERTY
+@given(systems(), st.integers(0, 2**32))
+def test_generic_image_matches_scalar_reference(s, seed):
+    """The v, the image and the stream state after `generic_image` equal the
+    Scalar route's at the same draws."""
+    try:
+        prof = rank_profile(s, random.Random(seed))
+    except CertificationError:
+        return
+    ours, theirs = random.Random(seed), random.Random(seed)
+    v, image = generic_image(s, prof, ours)
+    assert (v, subspace(image)) == reference.generic_image(s, prof, theirs)
+    assert ours.getstate() == theirs.getstate()
