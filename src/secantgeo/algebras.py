@@ -13,7 +13,6 @@ the norm is multiplicative, checked exhaustively on basis elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -113,23 +112,22 @@ def _structure_table(tag: AlgebraTag):
     raise RuntimeError("no alternative orientation of the octonion lines found")
 
 
-@dataclass(frozen=True)
 class AlgebraElement:
-    tag: AlgebraTag
-    coeffs: tuple[Scalar, ...]
+    """An element of the algebra `tag`: its Scalar coefficients on the basis
+    units, index 0 the unit.  Two elements are equal when their tags and
+    coefficients are."""
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.tag.dim:
+    __slots__ = ("tag", "coeffs")
+
+    def __init__(self, tag: AlgebraTag, coeffs: tuple[Scalar, ...]):
+        if len(coeffs) != tag.dim:
             raise ValueError("coefficient count != algebra dimension")
+        self.tag, self.coeffs = tag, coeffs
 
-    @staticmethod
-    def from_coeffs(tag: AlgebraTag, coeffs) -> "AlgebraElement":
-        return AlgebraElement(tag, tuple(_coerce(c) for c in coeffs))
-
-    @staticmethod
-    def from_scalar(tag: AlgebraTag, value) -> "AlgebraElement":
-        c = [_coerce(value)] + [ZERO] * (tag.dim - 1)
-        return AlgebraElement(tag, tuple(c))
+    def __eq__(self, other):
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return self.tag is other.tag and self.coeffs == other.coeffs
 
     @staticmethod
     def unit(tag: AlgebraTag, k: int) -> "AlgebraElement":
@@ -170,23 +168,6 @@ class AlgebraElement:
 
     def conj(self) -> "AlgebraElement":
         return AlgebraElement(self.tag, (self.coeffs[0],) + tuple(-c for c in self.coeffs[1:]))
-
-    def norm(self) -> Scalar:
-        """x conj(x) as a scalar; over the complexification this is the sum
-        of squared coefficients and may vanish for nonzero x."""
-        acc = ZERO
-        for c in self.coeffs:
-            acc = acc + c * c
-        return acc
-
-    def scalar_part(self) -> Scalar:
-        return self.coeffs[0]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def is_scalar(self) -> bool:
-        return not any(self.coeffs[1:])
 
     def _check(self, other):
         if not isinstance(other, AlgebraElement) or other.tag is not self.tag:

@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 
 from .defects import defect_report
 from .genericity import CertificationError, derive_stream
@@ -20,7 +19,6 @@ from .polymaps import polymap_from_json, polymap_to_json
 from .quadrics import rank_profile
 from .report import AnalyzeOptions, analyze, load_input, render
 from .scalars import Scalar
-from .zoo import build
 
 
 class InputError(ValueError):
@@ -102,6 +100,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_zoo(args) -> int:
+    from .zoo import build
+
     params = {k: getattr(args, k) for k in ("k", "r", "d", "m", "l", "algebra", "of")
               if getattr(args, k, None) is not None}
     try:
@@ -147,7 +147,7 @@ def _cmd_clifford(args) -> int:
     # the verdict of the analysis, at its stream and draws
     cv = defect_report(s, profile, s.n + profile.a0, derive_stream(args.seed, "defects"),
                        args.trials).clifford_verdict
-    result = {"kind": "clifford_verdict", **asdict(cv)}
+    result = {"kind": "clifford_verdict", **cv._asdict()}
     sys.stdout.write(json.dumps(result, indent=2) + "\n")
     return 0
 

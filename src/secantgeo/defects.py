@@ -11,8 +11,8 @@ cross-multiplied, so nothing divides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .genericity import CertificationError
 from .linalg import (IntegerSpan, _is_zero, _negate, _same_format, eliminate,
@@ -47,8 +47,7 @@ def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> I
     raise CertificationError("vertex intersection did not stabilize")
 
 
-@dataclass(frozen=True)
-class MinimalSubsystem:
+class MinimalSubsystem(NamedTuple):
     """The subsystem II*(V^perp) cutting out the same tangential variety: its
     coefficient vectors in N*, and on demand the matching quadrics, in the
     format of `integer_quadric`."""
@@ -75,8 +74,7 @@ def ii_pairing(s: QuadricSystem, w1, w2) -> list:
     return integer_mul_vec(contract(s, w2), w1)
 
 
-@dataclass(frozen=True)
-class QuotientFrames:
+class QuotientFrames(NamedTuple):
     """Frames for T / singloc(Ann v) and II_v(T) / F_v, and the matrix of the
     isomorphism II_v induces between them.  T / singloc is spanned by the
     unit vectors at `tangent_reps`.  A vector of the image quotient is
@@ -141,8 +139,7 @@ def _vanishes(terms) -> bool:
                for rows in zip(*(m for _, m in terms)))
 
 
-@dataclass(frozen=True)
-class CliffordVerdict:
+class CliffordVerdict(NamedTuple):
     applicable: bool
     fiber_condition_ok: bool
     proportionality_ok: bool
@@ -245,8 +242,7 @@ def so_membership_check(s: QuadricSystem, point: GenericPoint,
     return True
 
 
-@dataclass(frozen=True)
-class RankRestriction:
+class RankRestriction(NamedTuple):
     applicable: bool
     holds: bool
     r: int
@@ -267,8 +263,7 @@ def _hypersurface_case(s: QuadricSystem, profile: RankProfile, sigma_dim: int) -
     return sigma_dim < min(2 * s.n + 1, s.n + s.a) and profile.a0 == s.a - 1
 
 
-@dataclass(frozen=True)
-class ZakBound:
+class ZakBound(NamedTuple):
     applicable: bool
     holds: bool
     equality: bool
@@ -282,8 +277,7 @@ def zak_bound_check(s: QuadricSystem, profile: RankProfile, sigma_dim: int,
     return ZakBound(_hypersurface_case(s, profile, sigma_dim), lhs >= rhs, lhs == rhs)
 
 
-@dataclass(frozen=True)
-class TauGaussBound:
+class TauGaussBound(NamedTuple):
     fiber_dim: int
     delta_tau: int
     weak_bound_holds: bool
@@ -302,8 +296,7 @@ def tau_gauss_bound_check(f, s: QuadricSystem, profile: RankProfile, stream,
     return TauGaussBound(fiber, delta, fiber >= delta + 1, fiber >= delta + 2)
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     profile: RankProfile
     vertex_dim: int
     fiber_dim: int

@@ -20,8 +20,7 @@ the reference in `tests/jets_reference.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import factorial
+from typing import NamedTuple
 
 from .genericity import nonzero_vector
 from .linalg import (IntegerSpan, Matrix, _integer_rows, _negate, _unit, eliminate,
@@ -40,8 +39,7 @@ class NotImmersiveError(ChartError):
     pass
 
 
-@dataclass(frozen=True)
-class JetChart:
+class JetChart(NamedTuple):
     base_point: tuple[Scalar, ...]
     c2: tuple[Poly, ...]
     c3: tuple[Poly, ...]
@@ -61,27 +59,6 @@ class JetChart:
     @property
     def a(self) -> int:
         return len(self.normal_rows)
-
-    def c3_entry(self, mu: int, alpha: int, beta: int, gamma: int) -> Scalar:
-        return _sym_entry(self.c3[mu], (alpha, beta, gamma))
-
-    def c4_entry(self, mu: int, i: int, j: int, k: int, l: int) -> Scalar:
-        if self.c4 is None:
-            raise ValueError("order-4 coefficients were not requested")
-        return _sym_entry(self.c4[mu], (i, j, k, l))
-
-
-def _sym_entry(p: Poly, idx) -> Scalar:
-    e = [0] * p.nvars
-    for i in idx:
-        e[i] += 1
-    coeff = p.terms.get(tuple(e))
-    if coeff is None:
-        return ZERO
-    mult = factorial(len(idx))
-    for k in e:
-        mult //= factorial(k)
-    return coeff / Scalar(mult)
 
 
 def _pivot_score(z: Scalar):

@@ -8,8 +8,6 @@ may be flagged projective; every projective map is conical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
@@ -158,43 +156,47 @@ def poly_sum(nvars: int, polys: Iterable[Poly]) -> Poly:
     return acc
 
 
-@dataclass(frozen=True)
 class PolyMap:
     """domain C^domain_dim -> C^codomain_dim given by components.
 
     conical: the image is a cone and the components are their own affine
     lift; automatically true for projective (homogeneous) maps.  For plain
-    affine charts the lift is (1, components...).
+    affine charts the lift is (1, components...).  Two maps are equal when
+    all but `conical` are.
+
+    jet_plans: order -> the integer term plan of `lift_jet` at that order,
+    each built on first use.
     """
 
-    domain_dim: int
-    codomain_dim: int
-    projective: bool
-    components: tuple[Poly, ...]
-    conical: bool = field(default=False, compare=False)
+    __slots__ = ("domain_dim", "codomain_dim", "projective", "components", "conical",
+                 "jet_plans")
 
-    def __post_init__(self):
-        if len(self.components) != self.codomain_dim:
+    def __init__(self, domain_dim: int, codomain_dim: int, projective: bool,
+                 components: tuple[Poly, ...], conical: bool = False):
+        if len(components) != codomain_dim:
             raise ValueError("component count != codomain_dim")
-        for p in self.components:
-            if p.nvars != self.domain_dim:
+        for p in components:
+            if p.nvars != domain_dim:
                 raise ValueError("component variable count != domain_dim")
-        if self.projective:
-            degs = {p.is_homogeneous() for p in self.components if not p.is_zero()}
+        if projective:
+            degs = {p.is_homogeneous() for p in components if not p.is_zero()}
             if None in degs or len(degs) > 1:
                 raise ValueError("projective map must have homogeneous components of one degree")
-            object.__setattr__(self, "conical", True)
+            conical = True
+        self.domain_dim, self.codomain_dim, self.projective = domain_dim, codomain_dim, projective
+        self.components, self.conical = components, conical
+        self.jet_plans = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, PolyMap):
+            return NotImplemented
+        return (self.domain_dim, self.codomain_dim, self.projective, self.components) == \
+            (other.domain_dim, other.codomain_dim, other.projective, other.components)
 
     @property
     def ambient_projective_dim(self) -> int:
         """Dimension of the projective space the image lives in."""
         return self.codomain_dim - 1 if self.conical else self.codomain_dim
-
-    @cached_property
-    def jet_plans(self) -> dict:
-        """order -> the integer term plan of `lift_jet` at that order, each
-        built on first use."""
-        return {}
 
     def lift(self) -> tuple[Poly, ...]:
         if self.conical:

@@ -11,9 +11,8 @@ of this data evaluated at certified-generic tangent vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 from .genericity import CertificationError, certified_value, nonzero_vector
 from .linalg import (IntegerSpan, eliminate, integer_combination, integer_mul_vec,
@@ -21,32 +20,31 @@ from .linalg import (IntegerSpan, eliminate, integer_combination, integer_mul_ve
 from .scalars import scalar_from_json, scalar_to_json
 
 
-@dataclass(frozen=True)
 class QuadricSystem:
     """The a quadrics on C^n, each flattened row by row into n * n Gaussian
     integers in the format of `eliminate`: quadric mu is quadrics[mu] / den.
     One scaling of the whole system moves no rank, image, kernel,
     annihilator, singular locus or r."""
 
-    n: int
-    a: int
-    quadrics: tuple[list, ...]
-    den: int
+    __slots__ = ("n", "a", "quadrics", "den", "_rows")
 
-    def __post_init__(self):
-        if len(self.quadrics) != self.a:
+    def __init__(self, n: int, a: int, quadrics: tuple[list, ...], den: int):
+        if len(quadrics) != a:
             raise ValueError("quadric count != a")
-        n = self.n
-        for qi, q in enumerate(self.quadrics):
+        for qi, q in enumerate(quadrics):
             if len(q) != n * n:
                 raise ValueError("quadric size != n")
             if any(q[i * n + j] != q[j * n + i] for i in range(n) for j in range(i)):
                 raise ValueError("quadric %d is not symmetric" % qi)
+        self.n, self.a, self.quadrics, self.den = n, a, quadrics, den
+        self._rows = None
 
-    @cached_property
+    @property
     def integer_rows(self) -> tuple[list, ...]:
-        """The n rows of each quadric."""
-        return tuple(_square(q, self.n) for q in self.quadrics)
+        """The n rows of each quadric, built on first use."""
+        if self._rows is None:
+            self._rows = tuple(_square(q, self.n) for q in self.quadrics)
+        return self._rows
 
     def independent(self) -> bool:
         """Whether the a quadrics are linearly independent (II* injective)."""
@@ -85,8 +83,7 @@ def singular_locus(s: QuadricSystem, quads) -> IntegerSpan:
     return IntegerSpan(s.n, [r for q in quads for r in _square(q, s.n)]).perp()
 
 
-@dataclass(frozen=True)
-class RankProfile:
+class RankProfile(NamedTuple):
     """Certified pointwise invariants of the system at a generic v.
 
     a0: rank of II_v; r: maximal rank of a quadric in the annihilator of v;
@@ -101,7 +98,6 @@ class RankProfile:
     certified: bool
 
 
-@dataclass(frozen=True)
 class GenericPoint:
     """A tangent vector v on Gaussian integers and everything read at it,
     computed once on Gaussian integers: the contraction den II_v (a x n
@@ -111,12 +107,14 @@ class GenericPoint:
     of the common kernel of Ann(v); the maximal annihilator rank r; and, on
     first use, ker II_v in T and the Gauss fiber directions F_v."""
 
-    v: tuple
-    contraction: list
-    image: IntegerSpan
-    annihilator: IntegerSpan
-    singloc: IntegerSpan
-    r: int
+    __slots__ = ("v", "contraction", "image", "annihilator", "singloc", "r", "_kernel",
+                 "_fiber")
+
+    def __init__(self, v: tuple, contraction: list, image: IntegerSpan,
+                 annihilator: IntegerSpan, singloc: IntegerSpan, r: int):
+        self.v, self.contraction, self.image = v, contraction, image
+        self.annihilator, self.singloc, self.r = annihilator, singloc, r
+        self._kernel = self._fiber = None
 
     @property
     def profile(self) -> tuple[int, int, int, int, int]:
@@ -125,17 +123,21 @@ class GenericPoint:
         return (self.image.dim, self.r, len(self.v) - self.image.dim, self.annihilator.dim,
                 self.singloc.dim)
 
-    @cached_property
+    @property
     def kernel(self) -> IntegerSpan:
         """ker II_v inside T."""
-        return IntegerSpan(len(self.v), self.contraction).perp()
+        if self._kernel is None:
+            self._kernel = IntegerSpan(len(self.v), self.contraction).perp()
+        return self._kernel
 
-    @cached_property
+    @property
     def fiber(self) -> IntegerSpan:
         """F_v = II_v(singloc Ann(v)) inside N: the affine direction space of
         the Gauss fiber of the tangentially swept variety through [II(v,v)]."""
-        c = self.contraction
-        return IntegerSpan(len(c), [integer_mul_vec(c, w) for w in self.singloc.rows])
+        if self._fiber is None:
+            c = self.contraction
+            self._fiber = IntegerSpan(len(c), [integer_mul_vec(c, w) for w in self.singloc.rows])
+        return self._fiber
 
 
 def _profile_at(s: QuadricSystem, v, inner_stream, inner_trials: int) -> GenericPoint:
@@ -246,8 +248,7 @@ def is_tangentially_degenerate(s: QuadricSystem, profile: RankProfile) -> bool:
     return profile.dim_ker > max(0, s.n - s.a)
 
 
-@dataclass(frozen=True)
-class SecantDimension:
+class SecantDimension(NamedTuple):
     dimension: int
     third_form_vanishes: bool
 
@@ -268,8 +269,7 @@ def secant_dimension(s: QuadricSystem, jet, profile: RankProfile, stream,
     return SecantDimension(dim, cube_zero)
 
 
-@dataclass(frozen=True)
-class HigherSecantDimension:
+class HigherSecantDimension(NamedTuple):
     k: int
     dimension: int
     bound: int

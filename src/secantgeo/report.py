@@ -8,7 +8,7 @@ byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .defects import (DefectError, DefectReport, annihilator_matches_image_perp,
                       defect_report, fiber_contains_singloc_products,
@@ -26,16 +26,14 @@ from .quadrics import (RankProfile, generic_image, generic_vector, higher_secant
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class AnalyzeOptions:
+class AnalyzeOptions(NamedTuple):
     seed: int = 0
     trials: int = 5
     order: int = 3
     k_max: int = 4
 
 
-@dataclass(frozen=True)
-class CrossCheck:
+class CrossCheck(NamedTuple):
     quantity: str
     formula: int | None
     oracle: int | None
@@ -47,15 +45,13 @@ class CrossCheck:
         return self.formula == self.oracle
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     name: str
     status: str  # pass | fail | not-applicable
     detail: str
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     descriptor: str
     input_kind: str
     options: AnalyzeOptions
@@ -329,17 +325,17 @@ def _verdicts(s, profile, jet, f, defects: DefectReport,
 
 def _defects_to_json(d: DefectReport) -> dict:
     return {
-        "profile": asdict(d.profile),
+        "profile": d.profile._asdict(),
         "vertex_dim": d.vertex_dim,
         "fiber_dim": d.fiber_dim,
         "minimal_subsystem": {"dim": d.minimal_subsystem.dim},
-        "clifford_verdict": asdict(d.clifford_verdict),
+        "clifford_verdict": d.clifford_verdict._asdict(),
         "so_membership": d.so_membership,
         "rank_restriction_ok": d.rank_restriction.holds if d.rank_restriction.applicable
         else None,
-        "rank_restriction": asdict(d.rank_restriction),
+        "rank_restriction": d.rank_restriction._asdict(),
         "zak_bound_ok": d.zak_bound.holds if d.zak_bound.applicable else None,
-        "zak_bound": asdict(d.zak_bound),
+        "zak_bound": d.zak_bound._asdict(),
     }
 
 
@@ -347,8 +343,8 @@ def report_to_json(rep: AnalysisReport) -> dict:
     return {
         "kind": "analysis_report",
         "input": {"descriptor": rep.descriptor, "type": rep.input_kind},
-        "options": asdict(rep.options),
-        "profile": asdict(rep.profile),
+        "options": rep.options._asdict(),
+        "profile": rep.profile._asdict(),
         "dims": rep.dims,
         "cross_checks": [
             {"quantity": c.quantity, "formula": c.formula, "oracle": c.oracle,

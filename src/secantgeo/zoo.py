@@ -6,17 +6,16 @@ singular cone, and determinantal varieties."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from itertools import product
+from typing import NamedTuple
 
 from .algebras import AlgebraElement, AlgebraTag
 from .polymaps import Poly, PolyMap, poly_sum
 from .scalars import ONE, Scalar
 
 
-@dataclass(frozen=True)
-class ZooEntry:
+class ZooEntry(NamedTuple):
     name: str
     map: PolyMap
     base_point: tuple[Scalar, ...]

@@ -1,7 +1,9 @@
 """3x3 Hermitian matrices over the complexified composition algebras: the
 determinant, the rank and the rank-one chart of the Severi varieties, with
-the orientation of the octonion lines and the algebra's zero and unit.
-They left `secantgeo.algebras` because only the tests use them."""
+the orientation of the octonion lines, the algebra's zero and unit, and the
+element constructors and readings (`from_coeffs`, `from_scalar`,
+`scalar_part`, `is_scalar`, `element_is_zero`, `norm`).  They left
+`secantgeo.algebras` because only the tests use them."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from dataclasses import dataclass
 
 from secantgeo.algebras import _FREE_LINES, _PINNED_LINES, AlgebraElement, AlgebraTag, \
     _structure_table
-from secantgeo.scalars import ONE, Rational, Scalar, _coerce
+from secantgeo.scalars import ONE, ZERO, Rational, Scalar, _coerce
 
 
 def octonion_orientations() -> tuple[tuple[int, int, int], ...]:
@@ -23,12 +25,41 @@ def octonion_orientations() -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+def from_coeffs(tag: AlgebraTag, coeffs) -> AlgebraElement:
+    return AlgebraElement(tag, tuple(_coerce(c) for c in coeffs))
+
+
+def from_scalar(tag: AlgebraTag, value) -> AlgebraElement:
+    return AlgebraElement(tag, (_coerce(value),) + (ZERO,) * (tag.dim - 1))
+
+
+def scalar_part(x: AlgebraElement) -> Scalar:
+    return x.coeffs[0]
+
+
+def is_scalar(x: AlgebraElement) -> bool:
+    return not any(x.coeffs[1:])
+
+
+def element_is_zero(x: AlgebraElement) -> bool:
+    return not any(x.coeffs)
+
+
+def norm(x: AlgebraElement) -> Scalar:
+    """x conj(x) as a scalar; over the complexification this is the sum of
+    squared coefficients and may vanish for nonzero x."""
+    acc = ZERO
+    for c in x.coeffs:
+        acc = acc + c * c
+    return acc
+
+
 def algebra_zero(tag: AlgebraTag) -> AlgebraElement:
-    return AlgebraElement.from_scalar(tag, 0)
+    return from_scalar(tag, 0)
 
 
 def algebra_one(tag: AlgebraTag) -> AlgebraElement:
-    return AlgebraElement.from_scalar(tag, 1)
+    return from_scalar(tag, 1)
 
 
 @dataclass(frozen=True)
@@ -49,7 +80,7 @@ class HermMatrix:
     u3: AlgebraElement
 
     def entries(self) -> list[list[AlgebraElement]]:
-        s = lambda x: AlgebraElement.from_scalar(self.tag, x)
+        s = lambda x: from_scalar(self.tag, x)
         return [
             [s(self.r1), self.u1.conj(), self.u2.conj()],
             [self.u1, s(self.r2), self.u3.conj()],
@@ -65,7 +96,7 @@ class HermMatrix:
 
     def is_zero(self) -> bool:
         return not (self.r1 or self.r2 or self.r3) and \
-            self.u1.is_zero() and self.u2.is_zero() and self.u3.is_zero()
+            element_is_zero(self.u1) and element_is_zero(self.u2) and element_is_zero(self.u3)
 
 
 def herm_from_coords(tag: AlgebraTag, coords) -> HermMatrix:
@@ -91,9 +122,9 @@ def _mat_mul(a, b, tag):
 
 def _trace(m) -> Scalar:
     acc = m[0][0] + m[1][1] + m[2][2]
-    if not acc.is_scalar():
+    if not is_scalar(acc):
         raise ArithmeticError("trace has a non-scalar part")
-    return acc.scalar_part()
+    return scalar_part(acc)
 
 
 def herm_det(x: HermMatrix) -> Scalar:
@@ -116,11 +147,11 @@ def herm_det(x: HermMatrix) -> Scalar:
 def _rank_one_conditions(x: HermMatrix) -> list:
     """The six Hermitian 2x2 minor conditions; all zero iff rank <= 1."""
     tag = x.tag
-    s = lambda v: AlgebraElement.from_scalar(tag, v)
+    s = lambda v: from_scalar(tag, v)
     diffs = [
-        s(x.r1 * x.r2 - (x.u1 * x.u1.conj()).scalar_part()),
-        s(x.r1 * x.r3 - (x.u2 * x.u2.conj()).scalar_part()),
-        s(x.r2 * x.r3 - (x.u3 * x.u3.conj()).scalar_part()),
+        s(x.r1 * x.r2 - scalar_part(x.u1 * x.u1.conj())),
+        s(x.r1 * x.r3 - scalar_part(x.u2 * x.u2.conj())),
+        s(x.r2 * x.r3 - scalar_part(x.u3 * x.u3.conj())),
         x.u3 * x.r1 - x.u2 * x.u1.conj(),
         x.u2 * x.r2 - x.u3 * x.u1,
         x.u1 * x.r3 - x.u3.conj() * x.u2,
@@ -133,7 +164,7 @@ def herm_rank(x: HermMatrix) -> int:
     det nonzero."""
     if x.is_zero():
         return 0
-    if all(d.is_zero() for d in _rank_one_conditions(x)):
+    if all(map(element_is_zero, _rank_one_conditions(x))):
         return 1
     if herm_det(x):
         return 3
@@ -149,8 +180,8 @@ def severi_chart(u1: AlgebraElement, u2: AlgebraElement) -> HermMatrix:
     return HermMatrix(
         u1.tag,
         ONE,
-        u1.norm(),
-        u2.norm(),
+        norm(u1),
+        norm(u2),
         u1,
         u2,
         u2 * u1.conj(),

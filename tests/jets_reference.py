@@ -8,7 +8,11 @@ With it, the chart's linear algebra and the refined cubic form as they were
 before they went to Gaussian integers: `chart_fields` takes the tangent
 rows from a Scalar RREF, the normal correction from `solve_left` and the
 tangent inverse from `inverse` (`invert_map_series`), and
-`refined_third_form_cube` reduces c3(v) modulo a Scalar `Subspace`."""
+`refined_third_form_cube` reduces c3(v) modulo a Scalar `Subspace`.
+`c3_entry` and `c4_entry` read single symmetric coefficients of a chart.
+"""
+
+from math import factorial
 
 from linalg_reference import Subspace, inverse, rref, solve_left, transpose
 from secantgeo.genericity import nonzero_vector
@@ -123,3 +127,28 @@ def invert_map_series(ys, order: int) -> list[Poly]:
         hx = compose_each(higher, phi, order)
         phi = apply_inv([ident[i] - hx[i] for i in range(n)])
     return [p.truncated(order) for p in phi]
+
+
+def c3_entry(j: JetChart, mu: int, alpha: int, beta: int, gamma: int) -> Scalar:
+    """The symmetric coefficient c3[mu]_(alpha, beta, gamma)."""
+    return _sym_entry(j.c3[mu], (alpha, beta, gamma))
+
+
+def c4_entry(j: JetChart, mu: int, i: int, k: int, l: int, m: int) -> Scalar:
+    """The symmetric coefficient c4[mu]_(i, k, l, m) of an order-4 chart."""
+    if j.c4 is None:
+        raise ValueError("order-4 coefficients were not requested")
+    return _sym_entry(j.c4[mu], (i, k, l, m))
+
+
+def _sym_entry(p: Poly, idx) -> Scalar:
+    e = [0] * p.nvars
+    for i in idx:
+        e[i] += 1
+    coeff = p.terms.get(tuple(e))
+    if coeff is None:
+        return ZERO
+    mult = factorial(len(idx))
+    for k in e:
+        mult //= factorial(k)
+    return coeff / Scalar(mult)

@@ -3,12 +3,14 @@
 import io
 import json
 import os
+import subprocess
 import sys
 
 from secantgeo import cli, defects
 from secantgeo.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(argv, stdin_text=""):
@@ -276,3 +278,16 @@ def test_shared_parser_carries_no_state_between_calls():
     for order in (calls, calls[::-1]):
         assert [run(argv, stdin_text) for argv, stdin_text in order] == \
             [first[calls.index(c)] for c in order]
+
+
+def test_cli_import_loads_no_generated_classes_and_no_catalog():
+    """`import secantgeo.cli` in a fresh interpreter, as every command
+    starts: no class is built by code generation (so neither `dataclasses`
+    nor the `inspect` it imports is loaded), and the example catalog and
+    its algebras load only for `zoo`."""
+    absent = ("dataclasses", "inspect", "secantgeo.zoo", "secantgeo.algebras")
+    code = ("import sys; sys.path.insert(0, %r); import secantgeo.cli; "
+            "print([m for m in %r if m in sys.modules])" % (SRC, absent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"

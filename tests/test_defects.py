@@ -35,8 +35,9 @@ from secantgeo.defects import (
 from secantgeo.genericity import CertificationError, nonzero_vector
 from secantgeo.jets import chart_at, second_fundamental_form
 from secantgeo.linalg import IntegerSpan, Matrix, scalar_values
-from secantgeo.quadrics import (QuadricSystem, _profile_at, generic_image, generic_vector,
-                                higher_secant_dimension, quadric_system, rank_profile)
+from secantgeo.quadrics import (GenericPoint, QuadricSystem, _profile_at, generic_image,
+                                generic_vector, higher_secant_dimension, quadric_system,
+                                rank_profile)
 from secantgeo.report import analyze
 from secantgeo.scalars import ONE, ZERO, Scalar
 from secantgeo.zoo import catalog
@@ -229,11 +230,16 @@ def test_annihilator_check_reads_the_quadrics(charted):
                     if not ann.contains(e))
         wrong = IntegerSpan(s.a, ann.rows[1:] + [unit])
         assert wrong.dim == ann.dim
-        bad = dataclasses.replace(point, annihilator=wrong)
+        bad = _with_annihilator(point, wrong)
         assert not annihilator_matches_image_perp(s, bad)
         assert not defects_reference.annihilator_matches_image_perp(s, scalar_point(s, bad))
-        part = dataclasses.replace(point, annihilator=IntegerSpan(s.a, ann.rows[1:]))
+        part = _with_annihilator(point, IntegerSpan(s.a, ann.rows[1:]))
         assert not annihilator_matches_image_perp(s, part)
+
+
+def _with_annihilator(point, ann):
+    """The point with Ann(v) replaced by `ann`."""
+    return GenericPoint(point.v, point.contraction, point.image, ann, point.singloc, point.r)
 
 
 def test_tau_gauss_bounds(charted):
@@ -323,14 +329,37 @@ def _outcome(fn, *args):
         return "raises", type(e).__name__, str(e)
 
 
+class LoggedRandom(random.Random):
+    """A stream that logs each getrandbits(k) it serves as (k, value).  Every
+    draw of the package (randint) goes through getrandbits, so two routes
+    made the same draws exactly when their logs are equal; equal states
+    count only the 32-bit words used, which draws at bound 1 and bound 2
+    can share."""
+
+    def __init__(self, seed):
+        self.log = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        x = super().getrandbits(k)
+        self.log.append((k, x))
+        return x
+
+
 def _same(ours, theirs, convert=lambda x: x, seed=7):
     """Run both routes at equal fresh streams: equal outcomes, ours
-    converted explicitly, and equal stream states after."""
-    s1, s2 = random.Random(seed), random.Random(seed)
+    converted explicitly, and the same draws."""
+    s1, s2 = LoggedRandom(seed), LoggedRandom(seed)
     got, want = _outcome(ours, s1), _outcome(theirs, s2)
     assert (got[0], convert(got[1])) == want if got[0] == "value" else got == want
-    assert s1.getstate() == s2.getstate()
+    assert s1.log == s2.log and s1.getstate() == s2.getstate()
     return got
+
+
+def _values(record) -> tuple:
+    """The field values of a package record (a NamedTuple) or of a reference
+    one (a dataclass)."""
+    return tuple(record) if isinstance(record, tuple) else dataclasses.astuple(record)
 
 
 def _report_fields(s, rep):
@@ -347,8 +376,8 @@ def _report_fields(s, rep):
     else:
         quads, coeffs = mini.quadrics, mini.coefficients
     return (rep.profile, rep.vertex_dim, rep.fiber_dim, coeffs, mini.dim, quads,
-            dataclasses.astuple(rep.clifford_verdict), rep.so_membership,
-            dataclasses.astuple(rep.rank_restriction), dataclasses.astuple(rep.zak_bound))
+            _values(rep.clifford_verdict), rep.so_membership,
+            _values(rep.rank_restriction), _values(rep.zak_bound))
 
 
 PROPERTY_CHECKS = ("kernel_in_singular_locus", "annihilator_matches_image_perp",
@@ -387,9 +416,9 @@ def compare_with_reference(s):
             ours, theirs = getattr(defects, name), getattr(defects_reference, name)
             assert _outcome(ours, s, point) == _outcome(theirs, s, ref_point), name
         if isinstance(vert, IntegerSpan):
-            assert _outcome(lambda: dataclasses.astuple(
+            assert _outcome(lambda: _values(
                 clifford_relation_check(s, prof, point, vert))) == _outcome(
-                lambda: dataclasses.astuple(defects_reference.clifford_relation_check(
+                lambda: _values(defects_reference.clifford_relation_check(
                     s, prof, ref_point, subspace(vert))))
     return got[1] if got[0] == "value" else None
 
@@ -455,6 +484,18 @@ def test_draw_of_a0_without_the_full_profile():
     got = _same(lambda st: vertex(s, prof, st), lambda st: defects_reference.vertex(s, prof, st),
                 subspace, seed=4)
     assert full_profile_vertex(s, prof, random.Random(4)) == got[1]
+
+
+def test_draw_logs_tell_the_acceptance_rules_apart():
+    """On DIVERGENT at Random(4) the full-profile and the a0 vertex calls
+    end at equal stream states and give the same vertex, but do not make
+    the same draws: the logs, unlike the states, tell them apart."""
+    s = DIVERGENT
+    prof = rank_profile(s, random.Random(3))
+    a0, full = LoggedRandom(4), LoggedRandom(4)
+    assert vertex(s, prof, a0) == full_profile_vertex(s, prof, full)
+    assert a0.getstate() == full.getstate()
+    assert a0.log != full.log
 
 
 @REFERENCE

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -59,9 +58,9 @@ def test_cubic_coefficients():
     jet = chart_at(f, [0], 4)
     assert jet.c2[0].is_zero()
     assert is_zero(scalar_quadrics(second_fundamental_form(jet))[0])
-    assert jet.c3_entry(0, 0, 0, 0) == ONE
+    assert reference.c3_entry(jet, 0, 0, 0, 0) == ONE
     assert jet.c4 is not None
-    assert jet.c4_entry(0, 0, 0, 0, 0) == ZERO
+    assert reference.c4_entry(jet, 0, 0, 0, 0, 0) == ZERO
 
 
 def test_not_immersive():
@@ -254,13 +253,13 @@ def _perturbed(jet):
     corr[0][0] += 1
     center = list(jet.chart_center)
     center[jet.normal_rows[0]] += 1
-    out = {"normal_correction": replace(jet, normal_correction=Matrix(jet.a, n, corr)),
-           "chart_center": replace(jet, chart_center=tuple(center))}
+    out = {"normal_correction": jet._replace(normal_correction=Matrix(jet.a, n, corr)),
+           "chart_center": jet._replace(chart_center=tuple(center))}
     for name in ("c2", "c3", "c4")[:jet.order - 1]:
         polys = list(getattr(jet, name))
         e[0] = int(name[1])
         polys[0] = polys[0] + Poly.monomial(n, e, 1)
-        out[name] = replace(jet, **{name: tuple(polys)})
+        out[name] = jet._replace(**{name: tuple(polys)})
     return out
 
 
@@ -287,7 +286,7 @@ def test_vanishing_pivot_is_never_accepted():
     f = graph_map(1, [Poly(1)])  # the line u -> (u, 0)
     jet = chart_at(f, [0], 3)
     assert chart_roundtrip_check(f, jet, derive_stream(0, "jets", "pivot"))
-    bad = replace(jet, pivot_index=1)  # u itself, zero at the base point
+    bad = jet._replace(pivot_index=1)  # u itself, zero at the base point
     assert not chart_roundtrip_check(f, bad, derive_stream(0, "jets", "pivot"))
     with pytest.raises(ZeroDivisionError):
         reference.chart_roundtrip_check(f, bad, derive_stream(0, "jets", "pivot"))

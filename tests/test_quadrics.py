@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -237,7 +236,7 @@ def test_generic_vector_unmatchable_profile_is_certification_error():
     s = severi_r_system()
     prof = rank_profile(s, derive_stream(0, "tq", "gv"))
     # II_v has rank at most a, so no vector realizes a0 = a + 1
-    impossible = replace(prof, a0=s.a + 1)
+    impossible = prof._replace(a0=s.a + 1)
     with pytest.raises(CertificationError):
         generic_vector(s, impossible, derive_stream(0, "tq", "gv", 2))
 
@@ -254,7 +253,7 @@ def test_hypersurface_projection_keeps_a0():
     assert tprof.a0 == t.a - 1
     # a claimed a0 the projection cannot keep is a certification failure
     with pytest.raises(CertificationError):
-        hypersurface_projection(s, replace(prof, a0=1), derive_stream(0, "tq", "hp", 2))
+        hypersurface_projection(s, prof._replace(a0=1), derive_stream(0, "tq", "hp", 2))
 
 
 def test_projected_quadrics_are_the_drawn_combinations():
