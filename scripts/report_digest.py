@@ -14,7 +14,11 @@ stderr:
   0-39;
 - `analyze --format json` of every light catalog entry (all but severi_O
   and grassmannian_2_7) as a poly_map, at seeds 0-1;
-- `clifford` of the same inputs at seeds 0-1.
+- `clifford` of the same inputs at seeds 0-1;
+- `analyze --format json` and `--format text` of the three Gaussian-rational
+  quadric systems of `scripts/regen_golden.py` (`complex_system`), the
+  inputs that run the report on Z[i], at seeds 0-39;
+- `clifford` of those three systems at seeds 0-1.
 
 The last line printed is the report count and the digest.  Two trees that
 print the same line give the same bytes on every one of these runs.
@@ -33,10 +37,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "scripts"))
 
 from secantgeo.cli import main  # noqa: E402
 from secantgeo.polymaps import polymap_to_json  # noqa: E402
+from secantgeo.quadrics import quadric_system_to_json  # noqa: E402
 from secantgeo.zoo import catalog  # noqa: E402
+from regen_golden import COMPLEX, complex_system  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
 
 HEAVY = {"severi_O", "grassmannian_2_7"}
@@ -74,6 +81,20 @@ def outputs(tmp: Path):
         for seed in CATALOG_SEEDS:
             for path in paths:
                 yield run(path, command + ["--seed", str(seed)])
+    gaussian = []
+    for ent in catalog():
+        if ent.name in COMPLEX:
+            path = tmp / ("%s_gaussian.json" % ent.name)
+            path.write_text(json.dumps(quadric_system_to_json(complex_system(ent))),
+                            encoding="utf-8")
+            gaussian.append(path)
+    for seed in WORKLOAD_SEEDS:
+        for path in gaussian:
+            for fmt in ("json", "text"):
+                yield run(path, ["analyze", "--format", fmt, "--seed", str(seed)])
+    for seed in CATALOG_SEEDS:
+        for path in gaussian:
+            yield run(path, ["clifford", "--seed", str(seed)])
 
 
 def main_digest() -> None:

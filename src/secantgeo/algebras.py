@@ -1,13 +1,15 @@
-"""Complexified composition algebras, for the Severi charts.
+"""Complexified composition algebras, for the Severi charts: the
+multiplication table of their basis units.
 
 The four algebras have real dimensions 1, 2, 4, 8 and are used here over
-the complex numbers (coefficients are Gaussian-rational Scalars, the
-imaginary basis units are formal).  Octonion multiplication is encoded by
-seven oriented lines on the points 1..7.  Three orientations are pinned
-by the products J1 J2 = J3, J1 J7 = J4 and J4 J2 = -J6; the remaining
-four lines {1,5,6}, {2,5,7}, {3,4,5}, {3,6,7} take the lexicographically
-first orientation assignment under which the algebra is alternative and
-the norm is multiplicative, checked exhaustively on basis elements.
+the complex numbers (the imaginary basis units are formal).  Octonion
+multiplication is encoded by seven oriented lines on the points 1..7.
+Three orientations are pinned by the products J1 J2 = J3, J1 J7 = J4 and
+J4 J2 = -J6; the remaining four lines {1,5,6}, {2,5,7}, {3,4,5},
+{3,6,7} take the lexicographically first orientation assignment under
+which the algebra is alternative and the norm is multiplicative, checked
+exhaustively on basis elements.  Elements and their arithmetic live in
+`tests/algebras_reference.py`, since only the tests compute with them.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from functools import lru_cache
-
-from .scalars import ONE, ZERO, Scalar, _coerce
 
 
 class AlgebraTag(Enum):
@@ -110,65 +110,3 @@ def _structure_table(tag: AlgebraTag):
         if _is_alternative(table, 8) and _norm_multiplicative(table, 8):
             return table
     raise RuntimeError("no alternative orientation of the octonion lines found")
-
-
-class AlgebraElement:
-    """An element of the algebra `tag`: its Scalar coefficients on the basis
-    units, index 0 the unit.  Two elements are equal when their tags and
-    coefficients are."""
-
-    __slots__ = ("tag", "coeffs")
-
-    def __init__(self, tag: AlgebraTag, coeffs: tuple[Scalar, ...]):
-        if len(coeffs) != tag.dim:
-            raise ValueError("coefficient count != algebra dimension")
-        self.tag, self.coeffs = tag, coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.tag is other.tag and self.coeffs == other.coeffs
-
-    @staticmethod
-    def unit(tag: AlgebraTag, k: int) -> "AlgebraElement":
-        c = [ZERO] * tag.dim
-        c[k] = ONE
-        return AlgebraElement(tag, tuple(c))
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgebraElement(self.tag, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgebraElement(self.tag, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return AlgebraElement(self.tag, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            c = _coerce(other)
-            return AlgebraElement(self.tag, tuple(c * a for a in self.coeffs))
-        self._check(other)
-        table = _structure_table(self.tag)
-        out = [ZERO] * self.tag.dim
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                k, s = table[i][j]
-                term = a * b
-                out[k] = out[k] + term if s == 1 else out[k] - term
-        return AlgebraElement(self.tag, tuple(out))
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "AlgebraElement":
-        return AlgebraElement(self.tag, (self.coeffs[0],) + tuple(-c for c in self.coeffs[1:]))
-
-    def _check(self, other):
-        if not isinstance(other, AlgebraElement) or other.tag is not self.tag:
-            raise TypeError("algebra mismatch")

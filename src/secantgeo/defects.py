@@ -15,8 +15,7 @@ from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .genericity import CertificationError
-from .linalg import (IntegerSpan, _is_zero, _negate, _same_format, eliminate,
-                     integer_combination, integer_mul_vec, solve)
+from .linalg import IntegerSpan, eliminate, integer_combination, integer_mul_vec, solve
 from .quadrics import (GenericPoint, QuadricSystem, RankProfile, _square, contract,
                        generic_image, generic_vector, integer_quadric)
 
@@ -123,11 +122,6 @@ def clifford_action(s: QuadricSystem, frames: QuotientFrames, w) -> tuple[list, 
     return solve(frames.iso, _coordinates(frames.fiber, frames.tangent_reps, frames.pivots, cols))
 
 
-def _mul(x, y):
-    """x y for Gaussian integers of either format."""
-    return integer_combination([(x, [y])])[0]
-
-
 def _matmul(a: list, b: list) -> list:
     return [integer_combination(list(zip(row, b))) for row in a]
 
@@ -135,7 +129,7 @@ def _matmul(a: list, b: list) -> list:
 def _vanishes(terms) -> bool:
     """Whether sum c m over the (c, m) pairs of scalars and matrices is zero."""
     coeffs = [c for c, _ in terms]
-    return all(_is_zero(integer_combination(list(zip(coeffs, _same_format(list(rows))))))
+    return all(not any(integer_combination(list(zip(coeffs, rows))))
                for rows in zip(*(m for _, m in terms)))
 
 
@@ -159,7 +153,7 @@ def _clifford_not_applicable(s: QuadricSystem, profile: RankProfile) -> Clifford
 def _restrict_quadric(n: int, q: list, basis) -> list:
     """The Gram matrix u^T q w over the basis, for q in the format of
     `integer_quadric`."""
-    qb = _same_format([integer_mul_vec(_square(q, n), w) for w in basis])
+    qb = [integer_mul_vec(_square(q, n), w) for w in basis]
     return [integer_mul_vec(qb, u) for u in basis]
 
 
@@ -185,22 +179,22 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Gener
 
     ker = point.kernel
     restrictions = [_restrict_quadric(s.n, q, [point.v, *ker.rows]) for q in mini.quadrics]
-    ref = next((m for m in restrictions if not all(map(_is_zero, m))), None)
+    ref = next((m for m in restrictions if any(map(any, m))), None)
     prop_ok = ref is not None
     if prop_ok:
         # m = lambda ref, cross-multiplied at the first nonzero entry of ref
         i0, j0 = next((i, j) for i, r in enumerate(ref) for j, x in enumerate(r)
-                      if not _is_zero([x]))
-        prop_ok = all(_vanishes([(ref[i0][j0], m), (_negate(m[i0][j0]), ref)])
+                      if x)
+        prop_ok = all(_vanishes([(ref[i0][j0], m), (-m[i0][j0], ref)])
                       for m in restrictions)
-    if not prop_ok or _is_zero([ref[0][0]]):
+    if not prop_ok or not ref[0][0]:
         return CliffordVerdict(True, fiber_ok, False, False, False, 0, False,
                                s.n - frames.singloc.dim, ker.dim)
     q00 = ref[0][0]
     ident = [[int(i == j) for j in range(len(frames.tangent_reps))]
              for i in range(len(frames.tangent_reps))]
     m_v, d_v = clifford_action(s, frames, point.v)
-    phi_v_ok = _vanishes([(1, m_v), (_negate(d_v), ident)])
+    phi_v_ok = _vanishes([(1, m_v), (-d_v, ident)])
     phis = [clifford_action(s, frames, row) for row in ker.rows]
 
     # with phi_i = m_i / d_i: q00 (m_i m_j + m_j m_i) + 2 sign ref_ij d_i d_j Id = 0;
@@ -209,15 +203,15 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Gener
     for i, j in combinations_with_replacement(range(k), 2):
         (mi, di), (mj, dj) = phis[i], phis[j]
         anti = [(q00, _matmul(mi, mj)), (q00, _matmul(mj, mi))]
-        rhs = _mul(ref[i + 1][j + 1], _mul(di, dj))
+        rhs = ref[i + 1][j + 1] * di * dj
         antis.append(anti)
         if sign:
-            relation = relation and _vanishes(anti + [(_mul(2 * sign, rhs), ident)])
-        elif not _is_zero([rhs]):
-            sign = next((c for c in (1, -1) if _vanishes(anti + [(_mul(2 * c, rhs), ident)])), 0)
+            relation = relation and _vanishes(anti + [(2 * sign * rhs, ident)])
+        elif rhs:
+            sign = next((c for c in (1, -1) if _vanishes(anti + [(2 * c * rhs, ident)])), 0)
     if not sign:
         sign, relation = 1, all(map(_vanishes, antis))
-    v_orth = all(_is_zero([ref[0][i + 1]]) for i in range(k))
+    v_orth = not any(ref[0][1:])
     return CliffordVerdict(True, fiber_ok, True, phi_v_ok, relation, sign, v_orth,
                            len(frames.tangent_reps), k)
 
@@ -319,7 +313,7 @@ def annihilator_matches_image_perp(s: QuadricSystem, point: GenericPoint) -> boo
     singular at v, so that Ann(v) kills II_v(T), and dim Ann(v) + dim
     II_v(T) = a."""
     return point.annihilator.dim + point.image.dim == s.a and all(
-        _is_zero(integer_mul_vec(_square(integer_quadric(s, row), s.n), point.v))
+        not any(integer_mul_vec(_square(integer_quadric(s, row), s.n), point.v))
         for row in point.annihilator.rows)
 
 
@@ -347,8 +341,7 @@ def quotient_singular_locus_match(s: QuadricSystem, point: GenericPoint) -> bool
     cols = [[x for t in reps for x in point.image.reduce([q[b * n + t] for q in quads])]
             for b in reps]
     null = IntegerSpan(len(reps), list(zip(*cols))).perp()
-    zero = 0 if type(null.last) is int else (0, 0)
-    lifted = [[dict(zip(reps, row)).get(j, zero) for j in range(n)] for row in null.rows]
+    lifted = [[dict(zip(reps, row)).get(j, 0) for j in range(n)] for row in null.rows]
     return IntegerSpan(n, k_sub.rows + lifted) == IntegerSpan(n, k_sub.rows + point.singloc.rows)
 
 

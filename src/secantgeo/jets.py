@@ -13,9 +13,8 @@ chart_roundtrip_check certifies a chart on Gaussian integers: the lift,
 base point, center, normal correction and graph are cleared of their
 denominators once, and along each random line the graph identity is
 checked multiplied through by the units it would divide by, as one
-identity between univariate integer series per normal row (ints for real
-data, (re, im) pairs otherwise).  The Scalar `Poly` route it replaced is
-the reference in `tests/jets_reference.py`.
+identity between univariate series over Z[i] per normal row.  The Scalar
+`Poly` route it replaced is the reference in `tests/jets_reference.py`.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .genericity import nonzero_vector
-from .linalg import (IntegerSpan, Matrix, _integer_rows, _negate, _unit, eliminate,
-                     integer_combination, integer_values, scalar_values, solve)
+from .linalg import (IntegerSpan, Matrix, _integer_rows, _unit, eliminate, integer_combination,
+                     integer_values, scalar_values, solve)
 from .polymaps import Poly, PolyMap
 from .quadrics import QuadricSystem, quadric_system
 from .scalars import ZERO, Scalar, _coerce
@@ -189,53 +188,48 @@ def chart_roundtrip_check(f: PolyMap, j: JetChart, stream, samples: int = 10,
     k, n = j.order, f.domain_dim
     lift = f.lift()
     graphs = [_graph_terms(j, s) for s in range(j.a)]
-    scalars = [*j.base_point, *j.chart_center, *(x for r in j.normal_correction.data for x in r),
-               *(c for q in lift for c in q.terms.values()), *(c for g in graphs for _, c in g)]
-    real = not any(x.im for x in scalars)
-    mul, zero, one = _SERIES[real]
-    zero, one = [zero] * (k + 1), [one] + [zero] * k
+    zero, one = [0] * (k + 1), [1] + [0] * k
 
-    u, d = integer_values(j.base_point, real)
+    u, d = integer_values(j.base_point)
     deg = max(q.degree() for q in lift)
-    coeffs = iter(integer_values([c for q in lift for c in q.terms.values()], real)[0])
-    lift_terms = [[(_times(next(coeffs), d ** (deg - sum(e))), e) for e in q.terms] for q in lift]
-    center, delta = integer_values(j.chart_center, real)
+    coeffs = iter(integer_values([c for q in lift for c in q.terms.values()])[0])
+    lift_terms = [[(next(coeffs) * d ** (deg - sum(e)), e) for e in q.terms] for q in lift]
+    center, delta = integer_values(j.chart_center)
     # per normal row: Z_s times omega as terms (coefficient, index into Y),
     # and kappa G_m as terms (coefficient, exponent) for m = 2, ..., k
     rows = []
     for s, i in enumerate(j.normal_rows):
-        kk, kappa = integer_values(j.normal_correction.data[s], real)
-        gg, omega = integer_values([c for _, c in graphs[s]], real)
-        z = [(omega * kappa, i)] + [(_times(_negate(c), omega), t)
-                                    for c, t in zip(kk, j.tangent_rows)]
-        g = [[(_times(c, kappa), e) for c, (e, _) in zip(gg, graphs[s]) if sum(e) == m]
+        kk, kappa = integer_values(j.normal_correction.data[s])
+        gg, omega = integer_values([c for _, c in graphs[s]])
+        z = [(omega * kappa, i)] + [(-c * omega, t) for c, t in zip(kk, j.tangent_rows)]
+        g = [[(c * kappa, e) for c, (e, _) in zip(gg, graphs[s]) if sum(e) == m]
              for m in range(2, k + 1)]
         rows.append((z, g))
 
     for _ in range(samples):
         h = nonzero_vector(n, bound, stream)
         # U_i + d h_i t, the line times d
-        line = [[x, _times(one[0], d * y)] + zero[2:] for x, y in zip(u, h)]
-        lmono = _monomials(line, mul, one)
+        line = [[x, d * y] + zero[2:] for x, y in zip(u, h)]
+        lmono = _monomials(line, one)
         big = [integer_combination([(c, lmono(e)) for c, e in terms]) if terms else zero
                for terms in lift_terms]
         p = big[j.pivot_index]
-        if p[0] == zero[0]:
+        if not p[0]:
             return False
         body = big[:j.pivot_index] + big[j.pivot_index + 1:]
-        y = [integer_combination([(delta, b), (_negate(c), p)]) for b, c in zip(body, center)]
-        ymono = _monomials([y[i] for i in j.tangent_rows], mul, one)
-        dp = integer_combination([(delta, p)])
+        y = [integer_combination([(delta, b), (-c, p)]) for b, c in zip(body, center)]
+        ymono = _monomials([y[i] for i in j.tangent_rows], one)
+        dp = [delta * x for x in p]
         dp_top = dp  # (delta P)^(k-1)
         for _ in range(k - 2):
-            dp_top = mul(dp_top, dp)
+            dp_top = _mul_series(dp_top, dp)
         for z, g in rows:
             rhs = zero  # sum_m (delta P)^(k-m) G_m by Horner's rule
             for gm in g:
-                rhs = mul(rhs, dp)
+                rhs = _mul_series(rhs, dp)
                 if gm:
                     rhs = integer_combination([(1, rhs)] + [(c, ymono(e)) for c, e in gm])
-            if mul(integer_combination([(c, y[t]) for c, t in z]), dp_top) != rhs:
+            if _mul_series(integer_combination([(c, y[t]) for c, t in z]), dp_top) != rhs:
                 return False
     return True
 
@@ -247,12 +241,7 @@ def _graph_terms(j: JetChart, s: int) -> list:
     return [t for c in parts for t in c[s].terms.items()]
 
 
-def _times(c, w: int):
-    """A Gaussian integer of either format times the int w."""
-    return c * w if type(c) is int else (c[0] * w, c[1] * w)
-
-
-def _monomials(xs: list, mul, one: list):
+def _monomials(xs: list, one: list):
     """e -> prod_i xs[i]^e_i, truncated, memoized: each monomial of degree
     two or more is one product with a monomial of one degree lower."""
     cache = {(0,) * len(xs): one}
@@ -262,14 +251,14 @@ def _monomials(xs: list, mul, one: list):
         m = cache.get(e)
         if m is None:
             i = next(i for i, x in enumerate(e) if x)
-            m = cache[e] = mul(xs[i], mono(e[:i] + (e[i] - 1,) + e[i + 1:]))
+            m = cache[e] = _mul_series(xs[i], mono(e[:i] + (e[i] - 1,) + e[i + 1:]))
         return m
 
     return mono
 
 
-def _mul_int(a: list, b: list) -> list:
-    """a b over Z, truncated to the length of a."""
+def _mul_series(a: list, b: list) -> list:
+    """a b over Z[i], truncated to the length of a."""
     k = len(a)
     out = [0] * k
     for i, x in enumerate(a):
@@ -277,19 +266,3 @@ def _mul_int(a: list, b: list) -> list:
             for l in range(k - i):
                 out[i + l] += x * b[l]
     return out
-
-
-def _mul_gauss(a: list, b: list) -> list:
-    """a b over Z[i] on (re, im) pairs, truncated to the length of a."""
-    k = len(a)
-    re, im = [0] * k, [0] * k
-    for i, (x, y) in enumerate(a):
-        if x or y:
-            for l, (v, w) in enumerate(b[:k - i]):
-                re[i + l] += x * v - y * w
-                im[i + l] += x * w + y * v
-    return list(zip(re, im))
-
-
-# (truncated product, zero, one) for int series and for (re, im) pair series
-_SERIES = {True: (_mul_int, 0, 1), False: (_mul_gauss, (0, 0), (1, 0))}

@@ -1,22 +1,23 @@
 """Exact linear algebra over Q(i), on Gaussian integers.
 
-Elimination runs on Gaussian integers: plain Python ints when every entry
-is real (every catalog chart and sample point is), (re, im) int pairs
-otherwise.  `eliminate` is Bareiss's fraction-free elimination, or its
-Gauss-Jordan form; the division by the previous pivot is exact in Z[i] by
-Sylvester's identity, and is checked.  On ints one comparison checks a
-whole row: the floor-division remainders all have the sign of the divisor
-or are zero, so the row's sum equals the divisor times the sum of its
-quotients only when every remainder is zero.  `IntegerSpan` is the one
-span type: it keeps the canonical basis of a span times one integer
-factor, and reduces, intersects and compares spans without dividing.  `solve` is the
-one solver.  The quadric systems, the generic point, the defect checks,
-the oracles, the chart's normal correction and the series inverse all work
-on these integers, and the random draws are ints.  Scalars stay at the
-edge (`Matrix` for the chart's normal correction and the Jacobian, `Poly`,
-chart coefficients, JSON): `integer_values` clears a Scalar row by the lcm
-of its denominators, which moves no rank or row space, and `scalar_values`
-divides on the way back.
+A Gaussian integer is a plain Python int when it is real (every catalog
+chart and sample point is) and a `Gaussian` otherwise; the two mix under
+the arithmetic operators, so every routine below is written once over Z[i].
+`eliminate` is Bareiss's fraction-free elimination, or its Gauss-Jordan
+form; the division by the previous pivot is exact in Z[i] by Sylvester's
+identity, and is checked.  One comparison checks a whole row: a `Gaussian`
+quotient is exact or raises, and the floor-division remainders of ints all
+have the sign of the divisor or are zero, so the row's sum equals the
+divisor times the sum of its quotients only when every remainder is zero.
+`IntegerSpan` is the one span type: it keeps the canonical basis of a span
+times one integer factor, and reduces, intersects and compares spans
+without dividing.  `solve` is the one solver.  The quadric systems, the
+generic point, the defect checks, the oracles, the chart's normal
+correction and the series inverse all work on these integers, and the
+random draws are ints.  Scalars stay at the edge (`Matrix` for the chart's
+normal correction and the Jacobian, `Poly`, chart coefficients, JSON):
+`integer_values` clears Scalars by the lcm of their denominators, which
+moves no rank or row space, and `scalar_values` divides on the way back.
 """
 
 from __future__ import annotations
@@ -26,6 +27,89 @@ from operator import mul
 from typing import Sequence
 
 from .scalars import ZERO, Rational, Scalar
+
+
+class Gaussian:
+    """A Gaussian integer real + imag i with imag != 0.  A Gaussian integer
+    with imag == 0 is a plain int (`gauss`), so each value has one form and
+    real data keeps int arithmetic.  Like an int it has `.real`, `.imag` and
+    `.conjugate()`, and it mixes with ints under + - * and ==; `//` is
+    exact division, which raises ArithmeticError when it does not divide."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real, self.imag = real, imag
+
+    def __repr__(self):
+        return "Gaussian(%d, %d)" % (self.real, self.imag)
+
+    def __eq__(self, other):
+        if type(other) is Gaussian:
+            return self.real == other.real and self.imag == other.imag
+        return False if isinstance(other, int) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.real, self.imag))
+
+    def __neg__(self):
+        return Gaussian(-self.real, -self.imag)
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return Gaussian(self.real + other, self.imag)
+        if type(other) is Gaussian:
+            return gauss(self.real + other.real, self.imag + other.imag)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, int):
+            return Gaussian(self.real - other, self.imag)
+        if type(other) is Gaussian:
+            return gauss(self.real - other.real, self.imag - other.imag)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return Gaussian(other - self.real, -self.imag) if isinstance(other, int) else NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Gaussian(self.real * other, self.imag * other) if other else 0
+        if type(other) is Gaussian:
+            a, b, c, d = self.real, self.imag, other.real, other.imag
+            return gauss(a * c - b * d, a * d + b * c)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        return _exact_quotient(self, other) if isinstance(other, (int, Gaussian)) \
+            else NotImplemented
+
+    def __rfloordiv__(self, other):
+        return _exact_quotient(other, self) if isinstance(other, int) else NotImplemented
+
+    def conjugate(self) -> "Gaussian":
+        return Gaussian(self.real, -self.imag)
+
+
+def gauss(real: int, imag: int):
+    """The Gaussian integer real + imag i: an int when imag is 0."""
+    return Gaussian(real, imag) if imag else real
+
+
+def _exact_quotient(x, y):
+    """x / y for Gaussian integers, when y divides x; raises ArithmeticError
+    otherwise."""
+    yr, yi = y.real, y.imag
+    norm = yr * yr + yi * yi
+    qr, rr = divmod(x.real * yr + x.imag * yi, norm)
+    qi, ri = divmod(x.imag * yr - x.real * yi, norm)
+    if rr or ri:
+        raise ArithmeticError("inexact division %r / %r" % (x, y))
+    return gauss(qr, qi)
 
 
 class Matrix:
@@ -63,70 +147,32 @@ def _unit(n: int, j: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def integer_values(values: Sequence[Scalar], real: bool | None = None) -> tuple[list, int]:
-    """(values times den, den), den the lcm of their denominators, as Gaussian
-    integers in the elimination format: ints when real (by default, when no
-    value is complex), else (re, im) int pairs.  No rank or RREF moves."""
-    if real is None:
-        real = not any(x.im for x in values)
-    if real:
-        parts = [x.re for x in values]
-        den = lcm(*[p.denominator for p in parts])
-        if den == 1:
-            return [p.numerator for p in parts], 1
-        return [p.numerator * (den // p.denominator) for p in parts], den
+def integer_values(values: Sequence[Scalar]) -> tuple[list, int]:
+    """(values times den, den) as Gaussian integers, den the lcm of the
+    denominators of their parts.  No rank or RREF moves."""
     den = lcm(*[p.denominator for x in values for p in (x.re, x.im)])
-    return [(x.re.numerator * (den // x.re.denominator),
-             x.im.numerator * (den // x.im.denominator)) for x in values], den
+    return [gauss(x.re.numerator * (den // x.re.denominator),
+                  x.im.numerator * (den // x.im.denominator)) for x in values], den
 
 
 def scalar_values(values, den) -> list[Scalar]:
-    """Gaussian integers of either format divided by den (an int, or an
-    (re, im) pair), as Scalars: the way back from the elimination format."""
-    if type(den) is int and _is_real([values]):
+    """Gaussian integers divided by the Gaussian integer den, as Scalars: the
+    way back from `integer_values`."""
+    if type(den) is int and Gaussian not in map(type, values):
         return [Scalar(Rational(x, den)) if x else ZERO for x in values]
-    pr, pi = (den, 0) if type(den) is int else den
+    pr, pi = den.real, den.imag
     norm = pr * pr + pi * pi
-    return [Scalar(Rational(xr * pr + xi * pi, norm), Rational(xi * pr - xr * pi, norm))
-            if xr or xi else ZERO for xr, xi in values]
+    return [Scalar(Rational(x.real * pr + x.imag * pi, norm),
+                   Rational(x.imag * pr - x.real * pi, norm)) if x else ZERO for x in values]
 
 
 def _integer_rows(rows) -> list[list]:
-    """Scalar rows, each cleared by `integer_values`, all in one format."""
-    real = not any(x.im for r in rows for x in r)
-    return [integer_values(r, real)[0] for r in rows]
+    """Scalar rows, each cleared by `integer_values`."""
+    return [integer_values(r)[0] for r in rows]
 
 
-def _is_real(rows) -> bool:
-    """Whether Gaussian-integer rows hold ints rather than (re, im) pairs,
-    read off the first entry; True when there is none."""
-    return not (rows and len(rows[0]) and type(rows[0][0]) is tuple)
-
-
-def _same_format(rows) -> list:
-    """Gaussian-integer rows in one format: int rows lifted to pairs when
-    some other row holds pairs."""
-    if len({type(r[0]) for r in rows if len(r)}) < 2:
-        return rows
-    return [_pairs(r) for r in rows]
-
-
-def _pairs(vec) -> list:
-    return [(x, 0) for x in vec] if _is_real([vec]) else vec
-
-
-def _is_zero(vec) -> bool:
-    """Whether a Gaussian-integer vector of either format vanishes."""
-    return not any(x[0] or x[1] if type(x) is tuple else x for x in vec)
-
-
-def _negate(x):
-    """-x for a Gaussian integer of either format."""
-    return -x if type(x) is int else (-x[0], -x[1])
-
-
-def _combine_int(lead, row, head, piv_row, prev):
-    """(lead * row - head * piv_row) / prev, entrywise on ints."""
+def _combine(lead, row, head, piv_row, prev):
+    """(lead * row - head * piv_row) / prev, entrywise."""
     if head:
         out = [lead * x - head * y for x, y in zip(row, piv_row)]
     else:
@@ -134,45 +180,18 @@ def _combine_int(lead, row, head, piv_row, prev):
     if prev == 1:
         return out
     quo = [x // prev for x in out]
-    # every remainder x - q * prev has the sign of prev or is 0, so they
-    # sum to 0 only when each of them is 0
+    # a Gaussian quotient is exact or raises; every int remainder x - q * prev
+    # has the sign of prev or is 0, so they sum to 0 only when each is 0
     if sum(out) != prev * sum(quo):
-        x = next(x for x in out if x % prev)
+        x = next(x for x, q in zip(out, quo) if x != q * prev)
         raise ArithmeticError("inexact Bareiss division %r / %r" % (x, prev))
     return quo
 
 
-def _combine_gauss(lead, row, head, piv_row, prev):
-    """(lead * row - head * piv_row) / prev, entrywise on Gaussian integers
-    held as (re, im) pairs."""
-    lr, li = lead
-    hr, hi = head
-    out = [(lr * xr - li * xi - hr * yr + hi * yi, lr * xi + li * xr - hr * yi - hi * yr)
-           for (xr, xi), (yr, yi) in zip(row, piv_row)]
-    pr, pi = prev
-    if (pr, pi) == (1, 0):
-        return out
-    norm = pr * pr + pi * pi
-    quo = []
-    for x in out:
-        # x * conj(prev) / |prev|^2
-        nr, ni = x[0] * pr + x[1] * pi, x[1] * pr - x[0] * pi
-        qr, rr = divmod(nr, norm)
-        qi, ri = divmod(ni, norm)
-        if rr or ri:
-            raise ArithmeticError("inexact Bareiss division %r / %r" % (x, prev))
-        quo.append((qr, qi))
-    return quo
-
-
-# (nonzero test, combine, one) for int rows and for (re, im) pair rows
-_ARITH = {True: (bool, _combine_int, 1), False: (any, _combine_gauss, (1, 0))}
-
-
 def eliminate(rows, reduce: bool = False):
-    """Fraction-free elimination of Gaussian-integer rows: lists of ints, or
-    of (re, im) int pairs (`integer_values`).  The rows themselves are left
-    as they are.
+    """Fraction-free elimination of Gaussian-integer rows (lists of ints and
+    `Gaussian`s, `integer_values`).  The rows themselves are left as they
+    are.
 
     Each step takes the first row at or below the next pivot position with a
     nonzero entry in the column as pivot row, and replaces every other row
@@ -180,19 +199,19 @@ def eliminate(rows, reduce: bool = False):
     Gauss-Jordan) by (lead * row - head * pivot row) / prev, where lead is
     the new pivot and prev the one before.  By Sylvester's identity the
     entries are then minors of the cleared input, so the division is exact
-    (Bareiss 1968); _combine_* raise if it is not.  Zero rows are dropped
+    (Bareiss 1968); `_combine` raises if it is not.  Zero rows are dropped
     first.  Returns (pivot columns, pivot rows, last pivot); the number of
     pivots is the rank."""
     ncols = len(rows[0]) if rows else 0
-    nonzero, combine, prev = _ARITH[_is_real(rows)]
-    rows = [r for r in rows if any(map(nonzero, r))]
+    rows = [r for r in rows if any(r)]
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
         if r == len(rows):
             break
         for i in range(r, len(rows)):
-            if nonzero(rows[i][c]):
+            if rows[i][c]:
                 break
         else:
             continue
@@ -202,7 +221,7 @@ def eliminate(rows, reduce: bool = False):
         for k in range(0 if reduce else r + 1, len(rows)):
             if k != r:
                 row = rows[k]
-                rows[k] = combine(lead, row, row[c], piv_row, prev)
+                rows[k] = _combine(lead, row, row[c], piv_row, prev)
         prev = lead
         pivots.append(c)
         r += 1
@@ -210,35 +229,20 @@ def eliminate(rows, reduce: bool = False):
 
 
 def integer_combination(terms) -> list:
-    """sum c * vec over the (c, vec) pairs, on Gaussian integers: vectors of
-    one format, coefficients of either, the sum in pairs when any of them
-    is.  Terms with a zero coefficient add nothing and are skipped."""
+    """sum c * vec over the (c, vec) pairs, on Gaussian integers.  Terms
+    after the first with a zero coefficient add nothing and are skipped."""
     (c, vec), *rest = terms
-    real = _is_real([vec])
-    if real and all(type(c) is int for c, _ in terms):
-        acc = [c * x for x in vec]
-        for c, vec in rest:
-            if c:
-                acc = [a + c * x for a, x in zip(acc, vec)]
-        return acc
-    acc = [(0, 0)] * len(vec)
-    for c, vec in terms:
-        cr, ci = (c, 0) if type(c) is int else c
-        if cr or ci:
-            acc = ([(a + cr * x, b + ci * x) for (a, b), x in zip(acc, vec)] if real else
-                   [(a + cr * x - ci * y, b + cr * y + ci * x) for (a, b), (x, y) in zip(acc, vec)])
+    acc = [c * x for x in vec]
+    for c, vec in rest:
+        if c:
+            acc = [a + c * x for a, x in zip(acc, vec)]
     return acc
 
 
 def integer_mul_vec(rows, vec) -> list:
-    """The matrix with these Gaussian-integer rows times vec, which may be
-    in either format: one dot product per row when both hold ints, else
-    the combination of the columns."""
-    if not rows:
-        return []
-    if _is_real(rows) and _is_real([vec]):
-        return [sum(map(mul, r, vec)) for r in rows]
-    return integer_combination(list(zip(vec, zip(*rows))))
+    """The matrix with these Gaussian-integer rows times vec: one dot product
+    per row."""
+    return [sum(map(mul, r, vec)) for r in rows]
 
 
 class IntegerSpan:
@@ -254,20 +258,13 @@ class IntegerSpan:
 
     def __init__(self, ambient_dim: int, rows):
         self.ambient_dim = ambient_dim
-        self.pivots, rows, last = eliminate(_same_format(rows), reduce=True)
-        if type(last) is int:
-            g = gcd(*[x for r in rows for x in r])
-            if g > 1:
-                rows, last = [[x // g for x in r] for r in rows], last // g
-        else:
-            if last[1]:
-                lr, li = last
-                rows = [[(x * lr + y * li, y * lr - x * li) for x, y in r] for r in rows]
-                last = (lr * lr + li * li, 0)
-            g = gcd(*[p for r in rows for x in r for p in x])
-            if g > 1:
-                rows = [[(x // g, y // g) for x, y in r] for r in rows]
-                last = (last[0] // g, 0)
+        self.pivots, rows, last = eliminate(rows, reduce=True)
+        if type(last) is not int:
+            c = last.conjugate()
+            rows, last = [[x * c for x in r] for r in rows], last.real ** 2 + last.imag ** 2
+        g = gcd(*[x if type(x) is int else gcd(x.real, x.imag) for r in rows for x in r])
+        if g > 1:
+            rows, last = [[x // g for x in r] for r in rows], last // g
         self.rows, self.last = rows, last
         self._free = None
 
@@ -287,39 +284,30 @@ class IntegerSpan:
     def reduce(self, vec) -> list:
         """last vec - sum vec[p] row_p on the free columns: vec modulo the
         span times `last`, zero exactly when vec lies in the span."""
-        free = self.free_columns()
-        rows, last = self._free_rows, self.last
-        if _is_real([vec]) != (type(last) is int):
-            if type(last) is int:
-                rows, last = [_pairs(r) for r in rows], (last, 0)
-            else:
-                vec = _pairs(vec)
-        nonzero, combine, one = _ARITH[type(last) is int]
-        out = [vec[j] for j in free]
-        for i, (p, row) in enumerate(zip(self.pivots, rows)):
-            if not i or nonzero(vec[p]):
-                out = combine(one if i else last, out, vec[p], row, one)
+        out = [vec[j] for j in self.free_columns()]
+        for i, (p, row) in enumerate(zip(self.pivots, self._free_rows)):
+            if not i or vec[p]:
+                out = _combine(1 if i else self.last, out, vec[p], row, 1)
         return out
 
     def contains(self, vec) -> bool:
-        return _is_zero(self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def intersect(self, other: "IntegerSpan") -> "IntegerSpan":
         """The intersection, by Zassenhaus: in an echelon form of the rows
         (u, u) for u in this span and (w, 0) for w in the other, the rows
         that vanish on the first half span it with their second half."""
         n, k = self.ambient_dim, self.dim
-        rows = [list(r) for r in _same_format(self.rows + other.rows)]
-        zero = [0 if _is_real(rows) else (0, 0)] * n
+        rows = [list(r) for r in self.rows + other.rows]
+        zero = [0] * n
         pivots, red, _ = eliminate([r + r for r in rows[:k]] + [r + zero for r in rows[k:]])
         return IntegerSpan(n, [r[n:] for p, r in zip(pivots, red) if p >= n])
 
     def perp(self) -> "IntegerSpan":
         """The annihilator under sum x_i y_i, spanned by one vector per free
         column j: -last at j and row_i[j] at the pivot of row_i."""
-        n, at = self.ambient_dim, dict(zip(self.pivots, self.rows))
-        neg, zero = _negate(self.last), 0 if type(self.last) is int else (0, 0)
-        return IntegerSpan(n, [[at[k][j] if k in at else neg if k == j else zero
+        n, at, neg = self.ambient_dim, dict(zip(self.pivots, self.rows)), -self.last
+        return IntegerSpan(n, [[at[k][j] if k in at else neg if k == j else 0
                                 for k in range(n)] for j in range(n) if j not in at])
 
     def __eq__(self, other):
@@ -329,19 +317,16 @@ class IntegerSpan:
             return NotImplemented
         if (self.ambient_dim, self.pivots) != (other.ambient_dim, other.pivots):
             return False
-        neg = _negate(self.last)
-        return all(_is_zero(integer_combination([(other.last, r), (neg, t)]))
-                   for r, t in (_same_format([r, t]) for r, t in zip(self.rows, other.rows)))
+        a, b = other.last, self.last
+        return all(a * x == b * y for r, t in zip(self.rows, other.rows) for x, y in zip(r, t))
 
 
 def solve(a, b) -> tuple[list, object]:
     """(x, last) with x / last = a^-1 b, for the square Gaussian-integer
-    rows a and as many rows b, of either format: fraction-free
-    Gauss-Jordan on [a | b] leaves last [Id | a^-1 b].  Raises ValueError
-    when a is singular."""
+    rows a and as many rows b: fraction-free Gauss-Jordan on [a | b] leaves
+    last [Id | a^-1 b].  Raises ValueError when a is singular."""
     k = len(a)
-    rows = _same_format(list(a) + list(b))
-    pivots, red, last = eliminate([[*x, *y] for x, y in zip(rows[:k], rows[k:])], reduce=True)
+    pivots, red, last = eliminate([[*x, *y] for x, y in zip(a, b)], reduce=True)
     if pivots != list(range(k)):
         raise ValueError("matrix is singular")
     return [r[k:] for r in red], last

@@ -74,7 +74,7 @@ def _tangent_cone(f: PolyMap, pt, order: int):
     p = f.domain_dim
     s, t = pt[0], pt[1 + p:]
     jet = lift_jet(f, pt[1:1 + p], order)
-    zero = integer_combination([(0, jet[()])])
+    zero = [0] * len(jet[()])
 
     def d(*idx):
         us = [i - 1 for i in idx if 0 < i <= p]

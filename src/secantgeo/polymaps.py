@@ -216,17 +216,16 @@ class PolyMap:
 
 
 def _jet_plan(f: PolyMap, order: int) -> tuple:
-    """What `lift_jet` reads at `order`, fixed for the map: (real, width,
-    keys, monomials, terms).  keys lists the derivative keys in order of
-    first appearance; monomials the distinct remaining exponents, sparse as
+    """What `lift_jet` reads at `order`, fixed for the map: (width, keys,
+    monomials, terms).  keys lists the derivative keys in order of first
+    appearance; monomials the distinct remaining exponents, sparse as
     (variable, power) pairs; each term (key, component, c, monomial) is a
     lift coefficient, cleared, times its falling factorial, whose partial
     at u is c times the monomial at u."""
     lift = f.lift()
-    real = all(not c.im for q in lift for c in q.terms.values())
     keys, monomials, terms = {(): 0}, {}, []
     for i, q in enumerate(lift):
-        for e, c in zip(q.terms, integer_values(list(q.terms.values()), real)[0]):
+        for e, c in zip(q.terms, integer_values(list(q.terms.values()))[0]):
             support = [j for j, k in enumerate(e) if k]
             for r in range(min(order, sum(e)) + 1):
                 for idx in combinations_with_replacement(support, r):
@@ -236,10 +235,9 @@ def _jet_plan(f: PolyMap, order: int) -> tuple:
                         rest[j] -= 1
                     if w:
                         mono = tuple((j, rest[j]) for j in support if rest[j])
-                        terms.append((keys.setdefault(idx, len(keys)), i,
-                                      c * w if real else (c[0] * w, c[1] * w),
+                        terms.append((keys.setdefault(idx, len(keys)), i, c * w,
                                       monomials.setdefault(mono, len(monomials))))
-    return real, len(lift), list(keys), list(monomials), terms
+    return len(lift), list(keys), list(monomials), terms
 
 
 def lift_jet(f: PolyMap, u: Sequence[int], order: int) -> dict:
@@ -247,27 +245,22 @@ def lift_jet(f: PolyMap, u: Sequence[int], order: int) -> dict:
     point u, each lift component scaled by the lcm of its coefficients'
     denominators (a diagonal change of coordinates, which moves no rank).
     Keys are sorted tuples of variable indices, () for the value, always
-    present; a missing key is zero.  Values are Gaussian-integer vectors in
-    the format of `linalg.eliminate`: ints for a real map, else (re, im)
-    int pairs.  The map's term plan at `order` is built on first use."""
+    present; a missing key is zero.  Values are vectors of Gaussian
+    integers: ints, and a `linalg.Gaussian` where the imaginary part is
+    nonzero.  The map's term plan at `order` is built on first use."""
     plan = f.jet_plans.get(order)
     if plan is None:
         plan = f.jet_plans[order] = _jet_plan(f, order)
-    real, width, keys, monomials, terms = plan
+    width, keys, monomials, terms = plan
     at = []
     for mono in monomials:
         x = 1
         for j, k in mono:
             x *= u[j] ** k
         at.append(x)
-    vecs = [[0 if real else (0, 0)] * width for _ in keys]
-    if real:
-        for key, i, c, m in terms:
-            vecs[key][i] += c * at[m]
-    else:
-        for key, i, (cr, ci), m in terms:
-            vec, x = vecs[key], at[m]
-            vec[i] = (vec[i][0] + cr * x, vec[i][1] + ci * x)
+    vecs = [[0] * width for _ in keys]
+    for key, i, c, m in terms:
+        vecs[key][i] += c * at[m]
     return dict(zip(keys, vecs))
 
 

@@ -22,7 +22,7 @@ from .scalars import scalar_from_json, scalar_to_json
 
 class QuadricSystem:
     """The a quadrics on C^n, each flattened row by row into n * n Gaussian
-    integers in the format of `eliminate`: quadric mu is quadrics[mu] / den.
+    integers: quadric mu is quadrics[mu] / den.
     One scaling of the whole system moves no rank, image, kernel,
     annihilator, singular locus or r."""
 
@@ -67,13 +67,12 @@ def _square(q, n: int) -> list:
 
 def contract(s: QuadricSystem, w) -> list:
     """den II_w as a x n Gaussian integers, for w itself on Gaussian
-    integers (either format)."""
+    integers."""
     return [integer_mul_vec(rows, w) for rows in s.integer_rows]
 
 
 def integer_quadric(s: QuadricSystem, coeffs) -> list:
-    """sum_mu c_mu q^mu times den, for Gaussian-integer coefficients of
-    either format."""
+    """sum_mu c_mu q^mu times den, for Gaussian-integer coefficients."""
     return integer_combination(list(zip(coeffs, s.quadrics)))
 
 

@@ -10,7 +10,7 @@ from importlib import resources
 from itertools import product
 from typing import NamedTuple
 
-from .algebras import AlgebraElement, AlgebraTag
+from .algebras import AlgebraTag, _structure_table
 from .polymaps import Poly, PolyMap, poly_sum
 from .scalars import ONE, Scalar
 
@@ -107,12 +107,12 @@ def severi(tag: AlgebraTag | str) -> ZooEntry:
     r2 = poly_sum(n, [p * p for p in u1])
     r3 = poly_sum(n, [p * p for p in u2])
     parts: list[list[Poly]] = [[] for _ in range(d)]
+    table = _structure_table(tag)
     for i in range(d):
         for j in range(d):
-            prod = AlgebraElement.unit(tag, i) * AlgebraElement.unit(tag, j).conj()
-            for kk, c in enumerate(prod.coeffs):
-                if c:
-                    parts[kk].append((u2[i] * u1[j]).scale(c))
+            # J_i conj(J_j) is J_i J_j for j = 0, and -J_i J_j otherwise
+            k, sign = table[i][j]
+            parts[k].append((u2[i] * u1[j]).scale(sign if j == 0 else -sign))
     u3 = [poly_sum(n, ps) for ps in parts]
     comps = (r2, r3, *u1, *u2, *u3)
     return ZooEntry("severi_%s" % tag.name, PolyMap(n, len(comps), False, comps),

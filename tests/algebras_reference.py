@@ -1,17 +1,80 @@
-"""3x3 Hermitian matrices over the complexified composition algebras: the
-determinant, the rank and the rank-one chart of the Severi varieties, with
-the orientation of the octonion lines, the algebra's zero and unit, and the
-element constructors and readings (`from_coeffs`, `from_scalar`,
-`scalar_part`, `is_scalar`, `element_is_zero`, `norm`).  They left
-`secantgeo.algebras` because only the tests use them."""
+"""Elements of the complexified composition algebras (`AlgebraElement`,
+on the structure table of `secantgeo.algebras`) and 3x3 Hermitian
+matrices over them: the determinant, the rank and the rank-one chart of
+the Severi varieties, with the orientation of the octonion lines, the
+algebra's zero and unit, and the element constructors and readings
+(`from_coeffs`, `from_scalar`, `scalar_part`, `is_scalar`,
+`element_is_zero`, `norm`).  They left `secantgeo.algebras` because only
+the tests use them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from secantgeo.algebras import _FREE_LINES, _PINNED_LINES, AlgebraElement, AlgebraTag, \
-    _structure_table
+from secantgeo.algebras import _FREE_LINES, _PINNED_LINES, AlgebraTag, _structure_table
 from secantgeo.scalars import ONE, ZERO, Rational, Scalar, _coerce
+
+
+class AlgebraElement:
+    """An element of the algebra `tag`: its Scalar coefficients on the basis
+    units, index 0 the unit.  Two elements are equal when their tags and
+    coefficients are."""
+
+    __slots__ = ("tag", "coeffs")
+
+    def __init__(self, tag: AlgebraTag, coeffs: tuple[Scalar, ...]):
+        if len(coeffs) != tag.dim:
+            raise ValueError("coefficient count != algebra dimension")
+        self.tag, self.coeffs = tag, coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return self.tag is other.tag and self.coeffs == other.coeffs
+
+    @staticmethod
+    def unit(tag: AlgebraTag, k: int) -> "AlgebraElement":
+        c = [ZERO] * tag.dim
+        c[k] = ONE
+        return AlgebraElement(tag, tuple(c))
+
+    def __add__(self, other):
+        self._check(other)
+        return AlgebraElement(self.tag, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        self._check(other)
+        return AlgebraElement(self.tag, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return AlgebraElement(self.tag, tuple(-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, (Scalar, int)):
+            c = _coerce(other)
+            return AlgebraElement(self.tag, tuple(c * a for a in self.coeffs))
+        self._check(other)
+        table = _structure_table(self.tag)
+        out = [ZERO] * self.tag.dim
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if not b:
+                    continue
+                k, s = table[i][j]
+                term = a * b
+                out[k] = out[k] + term if s == 1 else out[k] - term
+        return AlgebraElement(self.tag, tuple(out))
+
+    __rmul__ = __mul__
+
+    def conj(self) -> "AlgebraElement":
+        return AlgebraElement(self.tag, (self.coeffs[0],) + tuple(-c for c in self.coeffs[1:]))
+
+    def _check(self, other):
+        if not isinstance(other, AlgebraElement) or other.tag is not self.tag:
+            raise TypeError("algebra mismatch")
 
 
 def octonion_orientations() -> tuple[tuple[int, int, int], ...]:

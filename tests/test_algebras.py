@@ -1,8 +1,8 @@
 import random
 
-from algebras_reference import (algebra_one, from_coeffs, herm_det, herm_from_coords, herm_rank,
-                                is_scalar, norm, octonion_orientations, severi_chart)
-from secantgeo.algebras import AlgebraElement, AlgebraTag
+from algebras_reference import (AlgebraElement, algebra_one, from_coeffs, herm_det, herm_from_coords,
+                                herm_rank, is_scalar, norm, octonion_orientations, severi_chart)
+from secantgeo.algebras import AlgebraTag
 from secantgeo.scalars import ONE, ZERO, Scalar
 
 

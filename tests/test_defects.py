@@ -34,7 +34,7 @@ from secantgeo.defects import (
 )
 from secantgeo.genericity import CertificationError, nonzero_vector
 from secantgeo.jets import chart_at, second_fundamental_form
-from secantgeo.linalg import IntegerSpan, Matrix, scalar_values
+from secantgeo.linalg import Gaussian, IntegerSpan, Matrix, scalar_values
 from secantgeo.quadrics import (GenericPoint, QuadricSystem, _profile_at, generic_image,
                                 generic_vector, higher_secant_dimension, quadric_system,
                                 rank_profile)
@@ -437,9 +437,9 @@ def test_defect_route_matches_reference_on_changed_severi_systems(s):
 
 def test_reference_comparison_reaches_the_clifford_branch():
     """The Gaussian severi_C system passes every Clifford check, on a kernel
-    and in the pair format."""
+    and on Gaussian entries."""
     s = base_system("severi_C", True)
-    assert s.quadrics[0] and type(s.quadrics[0][0]) is tuple
+    assert any(type(x) is Gaussian for q in s.quadrics for x in q)
     rep = compare_with_reference(s)
     cv = rep.clifford_verdict
     assert cv.applicable and cv.proportionality_ok and cv.relation_holds

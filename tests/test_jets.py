@@ -294,7 +294,7 @@ def test_vanishing_pivot_is_never_accepted():
 
 def test_gaussian_map_roundtrip_in_the_report():
     """A poly_map with Gaussian-rational coefficients and base point: the
-    round trip runs on (re, im) pairs and the report's verdict passes."""
+    round trip runs on Gaussian integers and the report's verdict passes."""
     f, base = _gaussian_map()
     rep = analyze(polymap_to_json(f, base_point=base))
     assert {v.name: v.status for v in rep.verdicts}["chart_roundtrip"] == "pass"

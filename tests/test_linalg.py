@@ -8,9 +8,9 @@ import linalg_reference as reference
 from linalg_reference import (Subspace, complement_indices, contains_subspace, identity,
                               intersect, inverse, kernel, matmul, mul_vec, rank, rref, solve_left,
                               span_sum, stack_rows, subspace, transpose, zero)
-from secantgeo.linalg import (IntegerSpan, Matrix, _combine_gauss, _combine_int, _integer_rows,
-                              _negate, integer_combination, integer_mul_vec, integer_values,
-                              random_vector, scalar_values, solve)
+from secantgeo.linalg import (Gaussian, IntegerSpan, Matrix, _combine, _integer_rows, gauss,
+                              integer_combination, integer_mul_vec, integer_values, random_vector,
+                              scalar_values, solve)
 from secantgeo.scalars import ONE, ZERO, Rational, Scalar
 
 
@@ -248,17 +248,17 @@ def test_rank_of_product_bounded_by_factors(data):
 def test_integer_spans_match_scalar_reference(data):
     """An IntegerSpan holds its canonical basis times the least integer that
     clears it, up to sign, over Z and over Z[i]; and it intersects,
-    reduces and compares as the Scalar subspaces do, in either format."""
+    reduces and compares as the Scalar subspaces do."""
     m = data.draw(matrices())
     other = data.draw(matrices(cols=m.cols))
     span, other_span = (IntegerSpan(x.cols, _integer_rows(x.data)) for x in (m, other))
     basis = subspace(span).basis
     if basis:
-        ints, den = integer_values([x for r in basis for x in r], type(span.last) is int)
-        if span.last in (-den, (-den, 0)):
-            ints, den = [_negate(x) for x in ints], -den
+        ints, den = integer_values([x for r in basis for x in r])
+        if span.last == -den:
+            ints, den = [-x for x in ints], -den
         assert [x for r in span.rows for x in r] == ints
-        assert span.last in (den, (den, 0))
+        assert span.last == den
 
     def perp_rows(sub):
         return reference.scalar_kernel(Matrix(sub.dim, sub.ambient_dim, sub.basis))
@@ -275,29 +275,84 @@ def test_integer_spans_match_scalar_reference(data):
 
 def test_inexact_bareiss_division_raises():
     with pytest.raises(ArithmeticError):
-        _combine_int(3, [1, 2], 1, [1, 1], 2)  # (3*2 - 1*1) / 2
-    assert _combine_int(3, [1, 2], 1, [1, 0], 2) == [1, 3]
+        _combine(3, [1, 2], 1, [1, 1], 2)  # (3*2 - 1*1) / 2
+    assert _combine(3, [1, 2], 1, [1, 0], 2) == [1, 3]
     with pytest.raises(ArithmeticError):
-        _combine_gauss((1, 0), [(1, 0)], (0, 0), [(0, 0)], (1, 1))  # 1 / (1 + i)
+        _combine(1, [1], 0, [0], Gaussian(1, 1))  # 1 / (1 + i)
     # 2 / (1 + i) = 1 - i
-    assert _combine_gauss((2, 0), [(1, 0)], (0, 0), [(0, 0)], (1, 1)) == [(1, -1)]
+    assert _combine(2, [1], 0, [0], Gaussian(1, 1)) == [Gaussian(1, -1)]
+
+
+def gaussian_integers(bound):
+    """Gaussian integers with parts in [-bound, bound], real ones (plain ints)
+    included."""
+    part = st.integers(-bound, bound)
+    return st.one_of(part, st.builds(gauss, part, part))
+
+
+def quotient(x, y):
+    """x / y by the Scalar route: the Gaussian integer, or None when y does not
+    divide x."""
+    q = Scalar(x.real, x.imag) / Scalar(y.real, y.imag)
+    if q.re.denominator != 1 or q.im.denominator != 1:
+        return None
+    return gauss(q.re.numerator, q.im.numerator)
+
+
+@PROPERTY
+@given(gaussian_integers(30), gaussian_integers(30), st.booleans())
+def test_gaussian_arithmetic_matches_scalar(x, y, multiple):
+    """+, -, * and negation of Gaussian integers, mixed with ints, equal the
+    Scalar results, and a result with imaginary part 0 is an int; with a
+    Gaussian operand, x // y is the quotient when y divides x and raises
+    ArithmeticError otherwise (on two ints it is floor division); == and
+    hash agree."""
+    def scalar(z):
+        return Scalar(z.real, z.imag)
+
+    def canonical(z):
+        return type(z) is int or (type(z) is Gaussian and z.imag != 0)
+
+    for got, want in ((x + y, scalar(x) + scalar(y)), (x - y, scalar(x) - scalar(y)),
+                      (x * y, scalar(x) * scalar(y)), (-x, -scalar(x))):
+        assert canonical(got) and scalar(got) == want
+    if multiple:
+        x = x * y
+    if y and Gaussian in (type(x), type(y)):
+        want = quotient(x, y)
+        if want is None:
+            with pytest.raises(ArithmeticError):
+                x // y
+        else:
+            assert x // y == want and canonical(x // y)
+    assert (x == y) == (scalar(x) == scalar(y))
+    if x == y:
+        assert hash(x) == hash(y)
+    assert x == gauss(x.real, x.imag) and hash(x) == hash(gauss(x.real, x.imag))
+    assert x.conjugate() == gauss(x.real, -x.imag)
 
 
 @st.composite
 def bareiss_steps(draw):
-    """(lead, row, head, piv_row, prev) for `_combine_int`, prev of either
-    sign: random, or built so that lead * row - head * piv_row has chosen
+    """(lead, row, head, piv_row, prev) for `_combine`: prev an int of either
+    sign or a Gaussian, the rows mixing ints and Gaussians, or ints only.
+    Random, or built so that lead * row - head * piv_row has chosen
     remainders mod prev, in pairs r, -r that a check on the sum of the
     entries alone would let cancel."""
-    prev = draw(st.integers(-12, 12).filter(lambda p: p not in (0, 1)))
+    real = draw(st.booleans())
+    entry = st.integers(-60, 60) if real else gaussian_integers(60)
+    prev = draw(st.integers(-12, 12).filter(lambda p: p not in (0, 1)) if real else
+                gaussian_integers(6).filter(lambda p: p not in (0, 1)))
     size = draw(st.integers(1, 6))
-    ints = st.lists(st.integers(-60, 60), min_size=size, max_size=size)
-    head, piv_row = draw(st.integers(-9, 9)), draw(ints)
+    ints = st.lists(entry, min_size=size, max_size=size)
+    head, piv_row = draw(st.integers(-9, 9) if real else gaussian_integers(9)), draw(ints)
     if draw(st.booleans()):
-        return draw(st.integers(-9, 9).filter(bool)), draw(ints), head, piv_row, prev
+        lead = draw((st.integers(-9, 9) if real else gaussian_integers(9)).filter(bool))
+        return lead, draw(ints), head, piv_row, prev
+    bound = max(abs(prev.real), abs(prev.imag))
     rem = []
     while len(rem) < size:
-        r = draw(st.integers(-abs(prev) + 1, abs(prev) - 1))
+        r = draw(st.integers(-bound + 1, bound - 1) if real else gaussian_integers(bound))
         rem += [r, -r] if draw(st.booleans()) else [r]
     out = [q * prev + r for q, r in zip(draw(ints), rem)]
     lead = draw(st.sampled_from([1, -1]))
@@ -306,35 +361,35 @@ def bareiss_steps(draw):
 
 @PROPERTY
 @given(bareiss_steps())
-def test_combine_int_raises_exactly_on_inexact_division(step):
-    """One sum over the row checks every division by prev: _combine_int
-    raises when some entry of lead * row - head * piv_row is not a multiple
-    of prev, and returns the entrywise quotients otherwise."""
+def test_combine_raises_exactly_on_inexact_division(step):
+    """One sum over the row checks every division by prev: _combine raises
+    when some entry of lead * row - head * piv_row is not a multiple of
+    prev, and returns the entrywise quotients otherwise, on int rows and on
+    rows and pivots that mix ints and Gaussians."""
     lead, row, head, piv_row, prev = step
     out = [lead * x - head * y for x, y in zip(row, piv_row)]
-    if any(x % prev for x in out):
+    want = [quotient(x, prev) for x in out]
+    if None in want:
         with pytest.raises(ArithmeticError):
-            _combine_int(lead, row, head, piv_row, prev)
+            _combine(lead, row, head, piv_row, prev)
     else:
-        assert _combine_int(lead, row, head, piv_row, prev) == [x // prev for x in out]
+        assert _combine(lead, row, head, piv_row, prev) == want
 
 
-def gaussian_rows(real, rows, cols):
-    entry = (st.integers(-9, 9) if real else
-             st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
-    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows,
-                    max_size=rows)
+def gaussian_rows(rows, cols):
+    return st.lists(st.lists(gaussian_integers(9), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
 
 
 @PROPERTY
 @given(st.data())
 def test_mul_vec_matches_column_combination(data):
-    """integer_mul_vec, row dot products on ints, is the combination of the
-    columns by vec for rows and vec of every format, and [] for no rows."""
-    rows_real, vec_real = data.draw(st.booleans()), data.draw(st.booleans())
+    """integer_mul_vec, one dot product per row, is the combination of the
+    columns by vec, for rows and vec mixing ints and Gaussians, and [] for
+    no rows."""
     k, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 5))
-    rows = data.draw(gaussian_rows(rows_real, k, cols))
-    vec = data.draw(gaussian_rows(vec_real, 1, cols))[0]
+    rows = data.draw(gaussian_rows(k, cols))
+    vec = data.draw(gaussian_rows(1, cols))[0]
     want = integer_combination(list(zip(vec, zip(*rows)))) if rows else []
     assert integer_mul_vec(rows, vec) == want
 

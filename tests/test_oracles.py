@@ -10,6 +10,7 @@ import oracle_reference as reference
 from oracle_reference import build_join_map, build_tangent_map, terracini_consistency_check
 from secantgeo import derive_stream, oracles
 from secantgeo.genericity import CertificationError
+from secantgeo.linalg import Gaussian
 from secantgeo.oracles import gauss_fiber_dimension, join_dimension, tangent_join_dimension
 from secantgeo.polymaps import Poly, PolyMap, lift_jet
 from secantgeo.scalars import Rational, Scalar
@@ -198,20 +199,19 @@ def test_lift_jet_is_the_scaled_derivatives(f, point):
     p = f.domain_dim
     u = point[:p]
     lift = f.lift()
-    real = all(not c.im for q in lift for c in q.terms.values())
     jet = lift_jet(f, u, 3)
     scales = [lcm(*[x.denominator for c in q.terms.values() for x in (c.re, c.im)])
               for q in lift]
     for r in range(4):
         for idx in combinations_with_replacement(range(p), r):
             vec = jet.get(idx, [0] * len(lift))
-            # the format of linalg.eliminate: ints, or (re, im) pairs throughout
-            assert idx not in jet or all(isinstance(x, tuple) != real for x in vec)
+            # Gaussian integers: an int whenever the imaginary part is 0
+            assert all(type(x) is int or (type(x) is Gaussian and x.imag) for x in vec)
             for i, q in enumerate(lift):
                 for j in idx:
                     q = q.diff(j)
                 want = Scalar(scales[i]) * q.evaluate([Scalar(x) for x in u])
-                got = Scalar(*vec[i]) if isinstance(vec[i], tuple) else Scalar(vec[i])
+                got = Scalar(vec[i].real, vec[i].imag)
                 assert got == want, (idx, i)
 
 
@@ -223,13 +223,13 @@ def test_lift_jet_keeps_one_plan_per_order():
                                  y.scale(Scalar("-5/2"))))
     gaussian = PolyMap(2, 3, True, ((x * x).scale(Scalar(1, "1/2")), x * y,
                                     (y * y).scale(Scalar(0, 3))))
-    for f, entry in ((real, int), (gaussian, tuple)):
+    for f, types in ((real, {int}), (gaussian, {int, Gaussian})):
         for u in ([1, 2], [0, -3], [2, 5]):
             for order in (3, 1, 2):
                 got = lift_jet(f, u, order)
                 fresh = PolyMap(f.domain_dim, f.codomain_dim, f.projective, f.components)
                 assert list(got.items()) == list(lift_jet(fresh, u, order).items())
-                assert all(type(x) is entry for vec in got.values() for x in vec)
+                assert {type(x) for vec in got.values() for x in vec} == types
         assert sorted(f.jet_plans) == [1, 2, 3]
 
 

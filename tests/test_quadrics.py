@@ -12,7 +12,7 @@ from secantgeo import linalg, quadrics
 from secantgeo.defects import vertex
 from secantgeo.genericity import CertificationError, derive_stream, nonzero_vector
 from secantgeo.jets import chart_at, second_fundamental_form
-from secantgeo.linalg import IntegerSpan, Matrix, integer_values, random_vector, scalar_values
+from secantgeo.linalg import IntegerSpan, Matrix, gauss, integer_values, random_vector, scalar_values
 from secantgeo.polymaps import Poly, PolyMap
 from secantgeo.quadrics import (QuadricSystem, _max_rank_in_span, _profile_at, contract,
                                 generic_image, generic_vector, higher_secant_dimension,
@@ -418,7 +418,7 @@ def test_profile_matches_scalar_reference(s, seed, bound, gaussian):
     draws = random.Random(seed)
     v = nonzero_vector(s.n, bound, draws)
     if gaussian:
-        v = list(zip(v, random_vector(s.n, bound, draws)))
+        v = [gauss(x, y) for x, y in zip(v, random_vector(s.n, bound, draws))]
     ours, theirs = random.Random(seed), random.Random(seed)
     point = _profile_at(s, v, ours, 3)
     want = reference.profile_at(s, scalar_values(v, 1), theirs, 3)
@@ -436,8 +436,8 @@ def test_combinations_match_scalar_reference(s, data):
         combined = QuadricSystem(s.n, 1, (integer_quadric(s, ints),), s.den)
         assert reference.scalar_quadrics(combined)[0] == \
             reference.quadric_from_coefficients(s, scalar_values(ints, 1))
-    # v cleared to ints and to pairs, on real and Gaussian systems: every
-    # format case of `contract`
+    # v real and complex, on real and Gaussian systems: ints and Gaussians
+    # in both factors of `contract`
     for real in (True, False):
         v = data.draw(st.lists(entries(real), min_size=s.n, max_size=s.n))
         assert reference.contraction(s, v) == reference.scalar_contraction(s, v)

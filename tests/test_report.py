@@ -1,7 +1,9 @@
 import json
 from pathlib import Path
 
-from secantgeo.linalg import integer_combination
+import pytest
+
+from secantgeo.linalg import Gaussian, gauss, integer_combination
 from secantgeo.quadrics import (QuadricSystem, quadric_system, quadric_system_from_json,
                                 quadric_system_to_json)
 from secantgeo.report import AnalyzeOptions, analyze, load_input, render, report_to_json
@@ -146,7 +148,7 @@ def test_reports_are_deterministic():
 def test_scaled_systems_give_byte_identical_reports(tmp_path, monkeypatch):
     """Scaling every quadric of a system by one nonzero Gaussian integer
     changes no byte of its JSON report: by -3, and by 1 + 2i, which takes a
-    real system to the pair format.  On the quadric systems of the
+    real system into Z[i].  On the quadric systems of the
     catalog_small benchmark workload and on the three Gaussian systems of
     scripts/regen_golden.py."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -158,10 +160,36 @@ def test_scaled_systems_give_byte_identical_reports(tmp_path, monkeypatch):
     systems += [base_system(name, True) for name in ("severi_C", "severi_H", "segre_3_3")]
     for s in systems:
         want = render(analyze(quadric_system_to_json(s)), "json")
-        for c in (-3, (1, 2)):
+        for c in (-3, gauss(1, 2)):
             scaled = QuadricSystem(s.n, s.a, tuple(integer_combination([(c, q)])
                                                    for q in s.quadrics), s.den)
             assert render(analyze(quadric_system_to_json(scaled)), "json") == want
+
+
+def test_real_inputs_build_no_gaussian(tmp_path, monkeypatch):
+    """Real data stays on ints: with `Gaussian.__init__` made to raise,
+    `analyze` runs through every input of the catalog_small benchmark
+    workload (poly_maps and quadric systems) at seed 0, and it does raise on
+    a Gaussian system of scripts/regen_golden.py."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    inputs = [json.loads(path.read_text(encoding="utf-8"))
+              for _, _, path, _ in workloads.make_inputs("catalog_small", tmp_path)]
+    gaussian = quadric_system_to_json(base_system("severi_C", True))
+
+    class Built(Exception):
+        pass
+
+    def refuse(self, real, imag):
+        raise Built(real, imag)
+
+    monkeypatch.setattr(Gaussian, "__init__", refuse)
+    assert {obj["kind"] for obj in inputs} == {"poly_map", "quadric_system"}
+    for obj in inputs:
+        analyze(obj, AnalyzeOptions(seed=0))
+    with pytest.raises(Built):
+        analyze(gaussian, AnalyzeOptions(seed=0))
 
 
 def test_load_input_rejects_malformed_objects():

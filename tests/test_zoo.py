@@ -4,11 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from algebras_reference import element_is_zero, from_coeffs, norm
+from algebras_reference import AlgebraElement, element_is_zero, from_coeffs, norm
 from linalg_reference import kernel
 from quadrics_reference import apply_ii
 from secantgeo import derive_stream
-from secantgeo.algebras import AlgebraElement, AlgebraTag
+from secantgeo.algebras import AlgebraTag
 from secantgeo.jets import chart_at, chart_roundtrip_check, refined_third_form_cube, second_fundamental_form
 from secantgeo.linalg import IntegerSpan, Matrix, scalar_values
 from secantgeo.oracles import gauss_fiber_dimension, join_dimension
