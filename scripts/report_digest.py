@@ -21,7 +21,12 @@ stderr:
 - `clifford` of those three systems at seeds 0-1.
 
 The last line printed is the report count and the digest.  Two trees that
-print the same line give the same bytes on every one of these runs.
+print the same line give the same bytes on every one of these runs.  The
+line before it pins the charts themselves: one sha256 over the
+`quadric_system_to_json` of the second fundamental form of `chart_at` at
+orders 3 and 4, for every light catalog entry at its base point and for a
+graph map with Gaussian-rational coefficients and base point
+(`gaussian_map`, the one `tests/test_jets.py` charts).
 """
 
 from __future__ import annotations
@@ -40,8 +45,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "scripts"))
 
 from secantgeo.cli import main  # noqa: E402
-from secantgeo.polymaps import polymap_to_json  # noqa: E402
+from secantgeo.jets import chart_at, second_fundamental_form  # noqa: E402
+from secantgeo.polymaps import Poly, PolyMap, polymap_to_json  # noqa: E402
 from secantgeo.quadrics import quadric_system_to_json  # noqa: E402
+from secantgeo.scalars import Scalar  # noqa: E402
 from secantgeo.zoo import catalog  # noqa: E402
 from regen_golden import COMPLEX, complex_system  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
@@ -97,7 +104,34 @@ def outputs(tmp: Path):
             yield run(path, ["clifford", "--seed", str(seed)])
 
 
+def gaussian_map():
+    """(u1, u2) -> (u1, u2, i u1^2 + u2^2, (1 + i/2) u1 u2 + u2^3) and the base
+    point (1/2, i)."""
+    i = Scalar(0, 1)
+    q1 = Poly.monomial(2, (2, 0), i) + Poly.monomial(2, (0, 2), 1)
+    q2 = Poly.monomial(2, (1, 1), Scalar(1, "1/2")) + Poly.monomial(2, (0, 3), 1)
+    comps = (Poly.variable(2, 0), Poly.variable(2, 1), q1, q2)
+    return PolyMap(2, 4, False, comps), [Scalar("1/2"), i]
+
+
+def chart_systems():
+    """One JSON line per chart the module docstring lists: its name, order
+    and quadric system."""
+    charts = [(ent.name, ent.map, list(ent.base_point)) for ent in catalog()
+              if ent.name not in HEAVY]
+    charts.append(("gaussian_map",) + gaussian_map())
+    for name, f, base in charts:
+        for order in (3, 4):
+            s = second_fundamental_form(chart_at(f, base, order))
+            yield json.dumps([name, order, quadric_system_to_json(s)]).encode() + b"\n"
+
+
 def main_digest() -> None:
+    h = hashlib.sha256()
+    lines = list(chart_systems())
+    for line in lines:
+        h.update(line)
+    print("%d chart quadric systems sha256 %s" % (len(lines), h.hexdigest()))
     h, count = hashlib.sha256(), 0
     with tempfile.TemporaryDirectory() as tmp:
         for line in outputs(Path(tmp)):

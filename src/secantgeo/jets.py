@@ -1,33 +1,47 @@
 """Adapted jet charts: the quadratic and cubic graph of a variety over its
-tangent space at a point.
+tangent space at a point, on Gaussian integers.
 
-chart_at picks an affine chart of the target, recenters the image at the
-origin, moves the tangent space onto the first n coordinates by an exact
-linear change, inverts the tangent projection as a truncated series and
-reads off the graph coefficients: its graded parts c2, c3 (and c4) as
-`Poly`s.  Everything is exact; the truncation order (3 or 4) only limits
-which coefficients exist.  `second_fundamental_form` reads the quadrics
-off c2, halving each off-diagonal entry once.
+chart_at clears the lift once, over one common denominator (which cancels
+in the chart), and the base point u0 = U / d, and expands the lift at u0
+in t = d h as integer series (`series`).  It divides by the lift
+coordinate chosen as pivot, whose series is c0 + w, through
+sum_k (-w)^k c0^(order-k) over c0^(order+1), and recenters the others at
+the origin.  One `solve` on the linear part gives the tangent rows, the
+normal correction, and M and L with A M = L Id, A the linear part of the
+tangent rows.  Substituting t = L M s and writing the tangent coordinates
+as L^2 z (over the pivot's denominator) makes the tangent map unipotent
+with integer coefficients: the part of degree k carries L^(k-2).  So its
+inverse is integral too, and the normal coordinates composed with it give
+each graded part c_k of the graph as integer forms over one denominator.
+Everything is exact; the truncation order (3 or 4) only limits which
+coefficients exist.
 
-chart_roundtrip_check certifies a chart on Gaussian integers: the lift,
-base point, center, normal correction and graph are cleared of their
-denominators once, and along each random line the graph identity is
-checked multiplied through by the units it would divide by, as one
-identity between univariate series over Z[i] per normal row.  The Scalar
-`Poly` route it replaced is the reference in `tests/jets_reference.py`.
+A chart holds every value cleared: Gaussian integers over one positive
+integer denominator, reduced as `integer_values` would reduce them.
+`second_fundamental_form` reads the quadrics off c2, halving each
+off-diagonal entry once, and `refined_third_form_cube` evaluates c3.
+
+chart_roundtrip_check certifies a chart on Gaussian integers: along each
+random line the graph identity is checked multiplied through by the units
+it would divide by, as one identity between univariate series over Z[i]
+per normal row.  The Scalar `Poly` routes of the chart and of the round
+trip are the reference in `tests/jets_reference.py`.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+from operator import index
 from typing import NamedTuple
 
 from .genericity import nonzero_vector
-from .linalg import (IntegerSpan, Matrix, _integer_rows, _unit, eliminate, integer_combination,
-                     integer_values, scalar_values, solve)
-from .polymaps import Poly, PolyMap
-from .quadrics import QuadricSystem, quadric_system
-from .scalars import ZERO, Scalar, _coerce
-from .series import compose_each, invert_map_series, mul_trunc, reciprocal_trunc, shift_poly
+from .linalg import (IntegerSpan, _reduced, _unit, eliminate, gauss, integer_combination,
+                     integer_values, solve)
+from .polymaps import PolyMap
+from .quadrics import QuadricSystem
+from .scalars import Scalar
+from .series import (_combination, _evaluate, _monomials, _mul_series, _reduced_series,
+                     compose_each, invert_map_series, mul_trunc)
 
 
 class ChartError(ValueError):
@@ -39,17 +53,25 @@ class NotImmersiveError(ChartError):
 
 
 class JetChart(NamedTuple):
-    base_point: tuple[Scalar, ...]
-    c2: tuple[Poly, ...]
-    c3: tuple[Poly, ...]
-    c4: tuple[Poly, ...] | None
+    """An adapted chart.  Each cleared value is a pair (numerators, den): den
+    a positive int with no factor common to every numerator, which are
+    Gaussian integers.  They are the base point (U, d), the center of the
+    chart's other coordinates, the normal correction (a row of n per normal
+    row) and the graded parts c2, c3 (c4 at order 4) of the graph, whose
+    numerators are one series per normal row (exponent -> coefficient, in
+    the n tangent coordinates)."""
+
+    base_point: tuple
+    c2: tuple
+    c3: tuple
+    c4: tuple | None
     order: int
     # chart bookkeeping, needed to replay the coordinate changes
     pivot_index: int
-    chart_center: tuple[Scalar, ...]
+    chart_center: tuple
     tangent_rows: tuple[int, ...]
     normal_rows: tuple[int, ...]
-    normal_correction: Matrix
+    normal_correction: tuple
 
     @property
     def n(self) -> int:
@@ -60,46 +82,85 @@ class JetChart(NamedTuple):
         return len(self.normal_rows)
 
 
-def _pivot_score(z: Scalar):
-    n = z.norm_sq()
-    return int(n.numerator) * int(n.denominator)
+def _cleared_point(u0) -> tuple[list, int]:
+    """(U, d) with u0 = U / d: U Gaussian integers and d the lcm of the
+    denominators of the parts of u0's entries, which are ints or Scalars."""
+    parts = [(x.re, x.im) if isinstance(x, Scalar) else (index(x), 0) for x in u0]
+    d = lcm(*[p.denominator for xy in parts for p in xy])
+    return [gauss(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
+            for re, im in parts], d
+
+
+def _cleared_lift(f: PolyMap, d: int) -> tuple[list, int, int]:
+    """The lift as series over Z[i], times one common denominator (which
+    cancels in the chart) and with each term of degree j times d^(deg - j):
+    d^deg lift(x / d).  Returns them with that denominator and deg, the
+    lift's degree."""
+    lift = f.lift()
+    coeffs, den = integer_values([c for q in lift for c in q.terms.values()])
+    deg = max(q.degree() for q in lift)
+    it = iter(coeffs)
+    return [{e: next(it) * d ** (deg - sum(e)) for e in q.terms} for q in lift], den, deg
+
+
+def _pivot_score(p, m2: int) -> int:
+    """numerator * denominator of |p|^2 / m2 in lowest terms: the score of
+    the lift value p / m of the pivot rule, m2 = m^2."""
+    norm = p.real ** 2 + p.imag ** 2
+    g = gcd(norm, m2)
+    return (norm // g) * (m2 // g)
 
 
 def chart_at(f: PolyMap, u0, order: int = 3) -> JetChart:
-    """Adapted chart of the image of f at f(u0).
+    """Adapted chart of the image of f at f(u0), u0 of ints or Scalars.
 
     The affine target chart divides by the nonvanishing lift coordinate of
-    maximal |numerator * denominator|; ties pick the lowest index.  Raises
-    NotImmersiveError when the differential drops rank at u0 and ChartError
-    when every lift coordinate vanishes there.
+    maximal numerator * denominator of its |value|^2; ties pick the lowest
+    index.  Raises NotImmersiveError when the differential drops rank at u0
+    and ChartError when every lift coordinate vanishes there.
     """
     if order not in (3, 4):
         raise ValueError("order must be 3 or 4")
-    u0 = tuple(_coerce(x) for x in u0)
     if len(u0) != f.domain_dim:
         raise ValueError("base point length != domain_dim")
-    lift = f.lift()
-    values = [p.evaluate(u0) for p in lift]
+    n, k = f.domain_dim, order
+    u, d = _cleared_point(u0)
+    cleared, den, deg = _cleared_lift(f, d)
+    # d^deg lift(u0 + t / d), the cleared lift at u + t
+    zero = (0,) * n
+    units = [_unit(n, j) for j in range(n)]
+    lift = compose_each(cleared, [{zero: x, e: 1} if x else {e: 1} for x, e in zip(u, units)],
+                        n, k)
+    values = [q.get(zero, 0) for q in lift]
     if not any(values):
         raise ChartError("every lift coordinate vanishes at the base point")
+    m2 = (den * d ** deg) ** 2
     pivot = max((i for i, v in enumerate(values) if v),
-                key=lambda i: (_pivot_score(values[i]), -i))
+                key=lambda i: (_pivot_score(values[i], m2), -i))
 
-    shifted = [shift_poly(p, u0).truncated(order) for p in lift]
-    inv_piv = reciprocal_trunc(shifted[pivot], order)
+    # 1 / (c0 + w) = sum_j (-w)^j c0^(k-j) / c0^(k+1), so each other
+    # coordinate, recentered, is its series times that sum over E = c0^(k+1)
+    c0 = values[pivot]
+    neg_w = {e: -c for e, c in lift[pivot].items() if e != zero}
+    inv, power = {zero: c0 ** k}, {zero: 1}
+    for j in range(1, k + 1):
+        power = mul_trunc(power, neg_w, k)
+        if not power:
+            break
+        inv = _combination([(1, inv), (c0 ** (k - j), power)])
     body = [i for i in range(len(lift)) if i != pivot]
-    coords = [mul_trunc(shifted[b], inv_piv, order) for b in body]
-    center = [p.terms.get((0,) * f.domain_dim, ZERO) for p in coords]
-    centered = [p - Poly.constant(f.domain_dim, c) for p, c in zip(coords, center)]
+    coords = []
+    for b in body:
+        x = mul_trunc(lift[b], inv, k)
+        x.pop(zero, None)
+        coords.append(x)
 
     m = len(body)
-    n = f.domain_dim
-    # the rows of diff^T, each cleared once: the pivot columns of its row
-    # space are the tangent rows, and the normal correction corr = ms mr^-1
-    # (ms, mr the normal and tangent rows of diff) is read off its columns
-    # as corr^T = solve(mr^T, ms^T)
-    diff_t = _integer_rows([[p.graded_part(1).terms.get(_unit(n, j), ZERO) for p in centered]
-                            for j in range(n)])
+    # the rows of the linear part's transpose: the pivot columns of its row
+    # space are the tangent rows, and one solve gives the normal correction
+    # corr = ms mr^-1 (ms, mr the normal and tangent rows) as corr^T =
+    # solve(mr^T, ms^T) next to M = L mr^-1 as M^T = solve(mr^T, L Id)
+    diff_t = [[x.get(e, 0) for x in coords] for e in units]
     tangent_pivots = eliminate(diff_t)[0]
     if len(tangent_pivots) < n:
         raise NotImmersiveError("differential has rank %d < %d at the base point"
@@ -107,65 +168,79 @@ def chart_at(f: PolyMap, u0, order: int = 3) -> JetChart:
     trows = tuple(tangent_pivots)
     nrows = tuple(i for i in range(m) if i not in set(trows))
     a = len(nrows)
-    x, last = solve([[r[i] for i in trows] for r in diff_t],
-                    [[r[i] for i in nrows] for r in diff_t])
-    corr = Matrix(a, n, [scalar_values(col, last) for col in zip(*x)])
+    x, big_l = solve([[r[i] for i in trows] for r in diff_t],
+                     [[r[i] for i in nrows] + list(e) for e, r in zip(units, diff_t)])
+    flat, kappa = _reduced([x[alpha][s] for s in range(a) for alpha in range(n)], big_l)
+    corr = tuple(flat[s * n:(s + 1) * n] for s in range(a))
+    mmat = [[x[l][a + j] for l in range(n)] for j in range(n)]
+    subst = [{e: c for e, c in zip(units, row) if c} for row in mmat]
 
-    y_tan = [centered[i] for i in trows]
+    # the normal coordinates times kappa E
+    y_tan = [coords[i] for i in trows]
     y_nor = []
     for s, i in enumerate(nrows):
-        p = centered[i]
-        for alpha in range(n):
-            c = corr.at(s, alpha)
-            if c:
-                p = p - y_tan[alpha].scale(c)
-        if not p.graded_part(1).is_zero():
+        z = _combination([(kappa, coords[i])] + [(-c, y) for c, y in zip(corr[s], y_tan)])
+        if any(sum(e) == 1 for e in z):
             raise AssertionError("normal coordinate kept a linear part")
-        y_nor.append(p)
+        y_nor.append(z)
 
-    phi = invert_map_series(y_tan, order)
-    graphs = compose_each(y_nor, phi, order)
+    # E y_tan(L M s) / L^2 is s plus terms of degree j >= 2 carrying L^(j-2)
+    powers = [big_l ** j for j in range(k + 1)]
+    unipotent = []
+    for alpha, w in enumerate(compose_each(y_tan, subst, n, k)):
+        if {e: c for e, c in w.items() if sum(e) == 1} != {units[alpha]: big_l}:
+            raise AssertionError("tangent coordinate kept a linear part off L Id")
+        unipotent.append({e: c * powers[sum(e) - 2] if sum(e) > 1 else 1 for e, c in w.items()})
+    phi = invert_map_series(unipotent, k)
+    t = [_combination(list(zip(row, phi))) for row in mmat]
+    graphs = compose_each([{e: c * powers[sum(e)] for e, c in z.items()} for z in y_nor], t, n, k)
     for g in graphs:
-        if not g.truncated(1).is_zero():
+        if any(sum(e) < 2 for e in g):
             raise AssertionError("graph coordinate kept terms below order 2")
 
+    # graded part j in z = E y / L^2 over kappa E is E^(j-1) / (kappa L^(2j))
+    # times the same part in y
+    e_pow = c0 ** (k + 1)
+    parts = [_reduced_series([{e: c * e_pow ** (j - 1) for e, c in g.items() if sum(e) == j}
+                              for g in graphs], kappa * powers[j] ** 2)
+             for j in range(2, k + 1)]
     return JetChart(
-        base_point=u0,
-        c2=tuple(g.graded_part(2) for g in graphs),
-        c3=tuple(g.graded_part(3) for g in graphs),
-        c4=tuple(g.graded_part(4) for g in graphs) if order >= 4 else None,
-        order=order,
+        base_point=(tuple(u), d),
+        c2=parts[0],
+        c3=parts[1],
+        c4=parts[2] if k >= 4 else None,
+        order=k,
         pivot_index=pivot,
-        chart_center=tuple(center),
+        chart_center=_reduced([values[b] for b in body], c0),
         tangent_rows=trows,
         normal_rows=nrows,
-        normal_correction=corr,
+        normal_correction=(corr, kappa),
     )
-
-
-def _q_entry(g2: Poly, i: int, j: int, n: int) -> Scalar:
-    e = [0] * n
-    e[i] += 1
-    e[j] += 1
-    c = g2.terms.get(tuple(e))
-    if c is None:
-        return ZERO
-    return c if i == j else c / Scalar(2)
 
 
 def second_fundamental_form(j: JetChart) -> QuadricSystem:
     """The quadrics of c2: its square terms on the diagonal, half of each
-    cross term off it."""
+    cross term off it, over the least common denominator."""
     n = j.n
-    return quadric_system(n, [[[_q_entry(g2, i, k, n) for k in range(n)] for i in range(n)]
-                              for g2 in j.c2])
+    forms, den = j.c2
+    quads = []
+    for form in forms:
+        q = [0] * (n * n)
+        for e, c in form.items():
+            r, t = (i for i, x in enumerate(e) for _ in range(x))  # its two variables
+            if r == t:
+                q[r * n + r] = 2 * c
+            else:
+                q[r * n + t] = q[t * n + r] = c
+        quads.append(q)
+    g = gcd(2 * den, *[p for q in quads for x in q for p in (x.real, x.imag)])
+    return QuadricSystem(n, len(forms), tuple([x // g for x in q] for q in quads), 2 * den // g)
 
 
 def refined_third_form_cube(j: JetChart, v, image: IntegerSpan) -> bool:
-    """Whether the cubic form contracted three times with v, cleared to
-    Gaussian integers, lies in image = II_v(T): the refined cubic form
-    vanishes at v."""
-    return image.contains(integer_values([p.evaluate(v) for p in j.c3])[0])
+    """Whether the cubic form contracted three times with v, the cleared c3
+    at v, lies in image = II_v(T): the refined cubic form vanishes at v."""
+    return image.contains([_evaluate(p, v) for p in j.c3[0]])
 
 
 def chart_roundtrip_check(f: PolyMap, j: JetChart, stream, samples: int = 10,
@@ -174,10 +249,10 @@ def chart_roundtrip_check(f: PolyMap, j: JetChart, stream, samples: int = 10,
     one-variable Taylor expansions of the normal coordinates against the
     graph, exactly modulo t^(k+1), k the chart order.
 
-    Everything is cleared to Gaussian integers first: the lift (one common
-    denominator, which cancels in the chart), the base point u0 = U / d (the
-    lift scaled by d^deg), the center C / delta, each correction row K /
-    kappa and each graph row G_2 + ... + G_k over omega.  Along a line the
+    The chart holds its values cleared: the base point u0 = U / d (the
+    lift, cleared once, is scaled by d^deg), the center C / delta, the
+    correction rows K / kappa, and the graph rows G_2 + ... + G_k over
+    omega, the lcm of the graded parts' denominators.  Along a line the
     lift gives integer series, P the pivot's, and with Y = delta L - C P and
     Z_s = kappa Y_s - K Y_tan the test y_s = g_s(y_tan) reads, times the
     unit kappa omega (delta P)^k,
@@ -186,24 +261,18 @@ def chart_roundtrip_check(f: PolyMap, j: JetChart, stream, samples: int = 10,
 
     so nothing divides.  A pivot vanishing at t = 0 is no unit and fails."""
     k, n = j.order, f.domain_dim
-    lift = f.lift()
-    graphs = [_graph_terms(j, s) for s in range(j.a)]
     zero, one = [0] * (k + 1), [1] + [0] * k
-
-    u, d = integer_values(j.base_point)
-    deg = max(q.degree() for q in lift)
-    coeffs = iter(integer_values([c for q in lift for c in q.terms.values()])[0])
-    lift_terms = [[(next(coeffs) * d ** (deg - sum(e)), e) for e in q.terms] for q in lift]
-    center, delta = integer_values(j.chart_center)
+    (u, d), (center, delta), (corr, kappa) = j.base_point, j.chart_center, j.normal_correction
+    lift = _cleared_lift(f, d)[0]
+    parts = (j.c2, j.c3) if j.c4 is None else (j.c2, j.c3, j.c4)
+    omega = lcm(*[den for _, den in parts])
     # per normal row: Z_s times omega as terms (coefficient, index into Y),
     # and kappa G_m as terms (coefficient, exponent) for m = 2, ..., k
     rows = []
     for s, i in enumerate(j.normal_rows):
-        kk, kappa = integer_values(j.normal_correction.data[s])
-        gg, omega = integer_values([c for _, c in graphs[s]])
-        z = [(omega * kappa, i)] + [(-c * omega, t) for c, t in zip(kk, j.tangent_rows)]
-        g = [[(c * kappa, e) for c, (e, _) in zip(gg, graphs[s]) if sum(e) == m]
-             for m in range(2, k + 1)]
+        z = [(omega * kappa, i)] + [(-c * omega, t) for c, t in zip(corr[s], j.tangent_rows)]
+        g = [[(c * kappa * (omega // den), e) for e, c in forms[s].items()]
+             for forms, den in parts]
         rows.append((z, g))
 
     for _ in range(samples):
@@ -211,8 +280,8 @@ def chart_roundtrip_check(f: PolyMap, j: JetChart, stream, samples: int = 10,
         # U_i + d h_i t, the line times d
         line = [[x, d * y] + zero[2:] for x, y in zip(u, h)]
         lmono = _monomials(line, one)
-        big = [integer_combination([(c, lmono(e)) for c, e in terms]) if terms else zero
-               for terms in lift_terms]
+        big = [integer_combination([(c, lmono(e)) for e, c in q.items()]) if q else zero
+               for q in lift]
         p = big[j.pivot_index]
         if not p[0]:
             return False
@@ -232,37 +301,3 @@ def chart_roundtrip_check(f: PolyMap, j: JetChart, stream, samples: int = 10,
             if _mul_series(integer_combination([(c, y[t]) for c, t in z]), dp_top) != rhs:
                 return False
     return True
-
-
-def _graph_terms(j: JetChart, s: int) -> list:
-    """The graph of normal row s as (exponent, coefficient) pairs: c2, c3,
-    then c4."""
-    parts = (j.c2, j.c3) if j.c4 is None else (j.c2, j.c3, j.c4)
-    return [t for c in parts for t in c[s].terms.items()]
-
-
-def _monomials(xs: list, one: list):
-    """e -> prod_i xs[i]^e_i, truncated, memoized: each monomial of degree
-    two or more is one product with a monomial of one degree lower."""
-    cache = {(0,) * len(xs): one}
-    cache.update((_unit(len(xs), i), x) for i, x in enumerate(xs))
-
-    def mono(e):
-        m = cache.get(e)
-        if m is None:
-            i = next(i for i, x in enumerate(e) if x)
-            m = cache[e] = _mul_series(xs[i], mono(e[:i] + (e[i] - 1,) + e[i + 1:]))
-        return m
-
-    return mono
-
-
-def _mul_series(a: list, b: list) -> list:
-    """a b over Z[i], truncated to the length of a."""
-    k = len(a)
-    out = [0] * k
-    for i, x in enumerate(a):
-        if x:
-            for l in range(k - i):
-                out[i + l] += x * b[l]
-    return out

@@ -12,12 +12,12 @@ divisor times the sum of its quotients only when every remainder is zero.
 `IntegerSpan` is the one span type: it keeps the canonical basis of a span
 times one integer factor, and reduces, intersects and compares spans
 without dividing.  `solve` is the one solver.  The quadric systems, the
-generic point, the defect checks, the oracles, the chart's normal
-correction and the series inverse all work on these integers, and the
-random draws are ints.  Scalars stay at the edge (`Matrix` for the chart's
-normal correction and the Jacobian, `Poly`, chart coefficients, JSON):
-`integer_values` clears Scalars by the lcm of their denominators, which
-moves no rank or row space, and `scalar_values` divides on the way back.
+generic point, the defect checks, the oracles, the chart and its series
+all work on these integers, and the random draws are ints.  Scalars stay
+at the edge (JSON, the zoo's `Poly` coefficients, and `Matrix` only for
+`PolyMap.jacobian_at`): `integer_values` clears Scalars by the lcm of
+their denominators, which moves no rank or row space, and `scalar_values`
+divides on the way back.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ class Gaussian:
     """A Gaussian integer real + imag i with imag != 0.  A Gaussian integer
     with imag == 0 is a plain int (`gauss`), so each value has one form and
     real data keeps int arithmetic.  Like an int it has `.real`, `.imag` and
-    `.conjugate()`, and it mixes with ints under + - * and ==; `//` is
-    exact division, which raises ArithmeticError when it does not divide."""
+    `.conjugate()`, and it mixes with ints under + - * and ==; `**` takes a
+    nonnegative int exponent, and `//` is exact division, which raises
+    ArithmeticError when it does not divide."""
 
     __slots__ = ("real", "imag")
 
@@ -83,6 +84,12 @@ class Gaussian:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        out = 1
+        for _ in range(k):
+            out = self * out
+        return out
 
     def __floordiv__(self, other):
         return _exact_quotient(self, other) if isinstance(other, (int, Gaussian)) \
@@ -155,6 +162,18 @@ def integer_values(values: Sequence[Scalar]) -> tuple[list, int]:
                   x.im.numerator * (den // x.im.denominator)) for x in values], den
 
 
+def _reduced(values, den) -> tuple[tuple, int]:
+    """values / den as (numerators, den), den a positive int with no factor
+    common to every numerator: `integer_values` of those quotients."""
+    if type(den) is not int:
+        c = den.conjugate()
+        values, den = [x * c for x in values], den.real ** 2 + den.imag ** 2
+    elif den < 0:
+        values, den = [-x for x in values], -den
+    g = gcd(den, *[p for x in values for p in (x.real, x.imag)])
+    return (tuple(x // g for x in values), den // g) if g > 1 else (tuple(values), den)
+
+
 def scalar_values(values, den) -> list[Scalar]:
     """Gaussian integers divided by the Gaussian integer den, as Scalars: the
     way back from `integer_values`."""
@@ -164,11 +183,6 @@ def scalar_values(values, den) -> list[Scalar]:
     norm = pr * pr + pi * pi
     return [Scalar(Rational(x.real * pr + x.imag * pi, norm),
                    Rational(x.imag * pr - x.real * pi, norm)) if x else ZERO for x in values]
-
-
-def _integer_rows(rows) -> list[list]:
-    """Scalar rows, each cleared by `integer_values`."""
-    return [integer_values(r)[0] for r in rows]
 
 
 def _combine(lead, row, head, piv_row, prev):

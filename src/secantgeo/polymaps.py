@@ -122,12 +122,6 @@ class Poly:
             acc = acc + term
         return acc
 
-    def graded_part(self, d: int) -> "Poly":
-        return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def truncated(self, order: int) -> "Poly":
-        return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= order})
-
     def is_homogeneous(self) -> int | None:
         """Shared total degree, or None; the zero polynomial reports 0."""
         degs = {sum(e) for e in self.terms}
@@ -201,7 +195,7 @@ class PolyMap:
     def lift(self) -> tuple[Poly, ...]:
         if self.conical:
             return self.components
-        return (Poly.constant(self.domain_dim, 1),) + self.components
+        return (Poly(self.domain_dim, {(0,) * self.domain_dim: ONE}),) + self.components
 
     def evaluate(self, point: Sequence[Scalar]) -> list[Scalar]:
         return [p.evaluate(point) for p in self.components]

@@ -3,8 +3,9 @@
 A QuadricSystem is the coordinate form of a second fundamental form: a
 symmetric n x n matrices, one per normal direction, held as Gaussian
 integers over one common denominator.  `quadric_system` clears Scalar
-matrices into that form once, and `quadric_system_to_json` divides back
-once; nothing in between converts.  All the local projective
+matrices into that form once (`jets.second_fundamental_form` builds it
+from the chart's cleared c2 directly), and `quadric_system_to_json`
+divides back once; nothing in between converts.  All the local projective
 invariants (tangential dimension, secant dimension, defects) are functions
 of this data evaluated at certified-generic tangent vectors.
 """

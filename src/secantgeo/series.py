@@ -1,154 +1,150 @@
-"""Truncated power series utilities on top of Poly.
+"""Truncated power series over the Gaussian integers.
 
-A series of order k is a Poly with all terms of total degree <= k;
-products and compositions drop everything beyond the order.
+A series is a dict from exponent tuples to nonzero Gaussian integers (ints,
+and `linalg.Gaussian` where the imaginary part is nonzero).  A series of
+order k has no term of total degree above k; products and compositions
+drop everything beyond the order.  Nothing here divides, except
+`_reduced_series` by a common factor: `jets.chart_at` carries one
+denominator beside each series it builds.  The chart round trip's series
+in one variable are lists of coefficients (`_mul_series`, `_monomials`).
+The Scalar `Poly` routines these replaced are the reference in
+`tests/jets_reference.py`.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Sequence
 
-from .linalg import _integer_rows, _unit, scalar_values, solve
-from .polymaps import Poly
-from .scalars import ONE, ZERO, Scalar
+from .linalg import _reduced, _unit
 
 
-def _degree_buckets(p: Poly, order: int) -> list[list[tuple[tuple[int, ...], Scalar]]]:
+def _graded(p: dict, order: int) -> list[list]:
+    """The terms of p as (exponent, coefficient) pairs, bucketed by degree
+    up to order."""
     buckets: list[list] = [[] for _ in range(order + 1)]
-    for e, c in p.terms.items():
+    for e, c in p.items():
         d = sum(e)
         if d <= order:
             buckets[d].append((e, c))
     return buckets
 
 
-def mul_trunc(p: Poly, q: Poly, order: int) -> Poly:
-    # bucket q by degree so only pairs below the cutoff are ever touched
-    qb = _degree_buckets(q, order)
+def mul_trunc(p: dict, q: dict, order: int) -> dict:
+    """p q truncated to order."""
+    qb = _graded(q, order)
     out: dict = {}
-    for e1, c1 in p.terms.items():
-        d1 = sum(e1)
-        if d1 > order:
-            continue
-        for d2 in range(order - d1 + 1):
-            for e2, c2 in qb[d2]:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                if s is None:
-                    out[e] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-    return Poly(p.nvars, out)
+    get = out.get
+    for d1, part in enumerate(_graded(p, order)):
+        for e1, c1 in part:
+            for d2 in range(order - d1 + 1):
+                for e2, c2 in qb[d2]:
+                    e = tuple(map(add, e1, e2))
+                    out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
-def compose_trunc(f: Poly, gs: Sequence[Poly], order: int) -> Poly:
-    """f(g_1, ..., g_k) truncated; each g in a common variable space."""
-    return compose_each((f,), gs, order)[0]
+def compose_each(fs: Sequence[dict], gs: Sequence[dict], nvars: int, order: int) -> list[dict]:
+    """f(g_1, ..., g_k) truncated to order for each f of fs, the g_i series
+    in nvars variables.  The monomials in the g_i are memoized across all
+    of fs: each one of degree two or more is one product with a monomial of
+    one degree lower."""
+    k = len(gs)
+    mono = {(0,) * k: {(0,) * nvars: 1}}
+    mono.update((_unit(k, i), {e: c for e, c in g.items() if sum(e) <= order})
+                for i, g in enumerate(gs))
 
-
-def compose_each(fs: Sequence[Poly], gs: Sequence[Poly], order: int) -> list[Poly]:
-    """Substitute one tuple gs into several polynomials, sharing the caches
-    of truncated powers and monomial products of the g_i across all of them."""
-    nvars = gs[0].nvars if gs else 0
-    powers: list[list[Poly]] = [[Poly.constant(nvars, 1)] for _ in gs]
-    mono: dict[tuple[int, ...], Poly] = {}
-
-    def power(i: int, k: int) -> Poly:
-        p = powers[i]
-        while len(p) <= k:
-            p.append(mul_trunc(p[-1], gs[i], order))
-        return p[k]
-
-    def monomial(e: tuple[int, ...]) -> Poly:
-        term = mono.get(e)
-        if term is None:
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                term = power(i, k) if term is None else mul_trunc(term, power(i, k), order)
-            mono[e] = term
-        return term
+    def monomial(e):
+        m = mono.get(e)
+        if m is None:
+            i = next(i for i, x in enumerate(e) if x)
+            m = mono[e] = mul_trunc(mono[_unit(k, i)], monomial(e[:i] + (e[i] - 1,) + e[i + 1:]),
+                                    order)
+        return m
 
     outs = []
     for f in fs:
-        if len(gs) != f.nvars:
-            raise ValueError("substitution arity mismatch")
         acc: dict = {}
-        for e, c in f.terms.items():
-            if any(e):
-                pieces = [(e2, c * c2) for e2, c2 in monomial(e).terms.items()]
-            else:
-                pieces = [((0,) * nvars, c)]
-            for e2, c2 in pieces:
-                s = acc.get(e2)
-                if s is None:
-                    acc[e2] = c2
-                else:
-                    s = s + c2
-                    if s:
-                        acc[e2] = s
-                    else:
-                        del acc[e2]
-        outs.append(Poly(nvars, acc))
+        get = acc.get
+        for e, c in f.items():
+            for e2, c2 in monomial(e).items():
+                acc[e2] = get(e2, 0) + c * c2
+        outs.append({e: c for e, c in acc.items() if c})
     return outs
 
 
-def shift_poly(p: Poly, point: Sequence[Scalar]) -> Poly:
-    """p(point + h) as an exact polynomial in h."""
-    gs = [Poly.constant(p.nvars, point[i]) + Poly.variable(p.nvars, i) for i in range(p.nvars)]
-    return compose_trunc(p, gs, p.degree())
-
-
-def reciprocal_trunc(p: Poly, order: int) -> Poly:
-    """1/p as a series; requires a nonzero constant term."""
-    c0 = p.terms.get((0,) * p.nvars)
-    if not c0:
-        raise ZeroDivisionError("series has no constant term")
-    inv0 = ONE / c0
-    w = (p - Poly.constant(p.nvars, c0)).scale(inv0)  # p = c0 (1 + w)
-    acc = Poly.constant(p.nvars, 1)
-    pw = Poly.constant(p.nvars, 1)
-    sign = False
-    for _ in range(order):
-        pw = mul_trunc(pw, w, order)
-        if pw.is_zero():
-            break
-        sign = not sign
-        acc = acc - pw if sign else acc + pw
-    return acc.scale(inv0)
-
-
-def invert_map_series(ys: Sequence[Poly], order: int) -> list[Poly]:
-    """Inverse of h -> (y_1(h), ..., y_n(h)) with zero constant terms and
-    invertible linear part, following successive substitution: each pass
-    gains one order of accuracy."""
+def invert_map_series(ys: Sequence[dict], order: int) -> list[dict]:
+    """Inverse of the unipotent map x -> (y_1(x), ..., y_n(x)), y_i = x_i +
+    terms of degree two or more, truncated to order; its coefficients are
+    integers too.  Successive substitution phi = x - h(phi), h the terms of
+    degree two or more: each pass gains one degree, so pass p is truncated
+    at degree p + 1.  Raises ValueError when the map is not unipotent."""
     n = len(ys)
-    # lin^-1 = solve(lin, Id), each row of [lin | Id] cleared once
-    aug = _integer_rows([[y.graded_part(1).terms.get(_unit(n, j), ZERO) for j in range(n)]
-                         + [ONE if j == i else ZERO for j in range(n)] for i, y in enumerate(ys)])
-    x, last = solve([r[:n] for r in aug], [r[n:] for r in aug])
-    lin_inv = [scalar_values(r, last) for r in x]
-    higher = [Poly(n, {e: c for e, c in y.terms.items() if sum(e) >= 2}) for y in ys]
-    ident = [Poly.variable(n, i) for i in range(n)]
+    ident = [{_unit(n, i): 1} for i in range(n)]
+    higher = []
+    for i, y in enumerate(ys):
+        low = {e: c for e, c in y.items() if sum(e) < 2}
+        if low != ident[i]:
+            raise ValueError("map is not unipotent")
+        higher.append({e: c for e, c in y.items() if sum(e) >= 2})
+    phi = ident
+    for p in range(1, order):
+        phi = [{**x, **{e: -c for e, c in h.items()}}
+               for x, h in zip(ident, compose_each(higher, phi, n, p + 1))]
+    return phi
 
-    def apply_inv(vec: list[Poly]) -> list[Poly]:
-        out = []
-        for i in range(n):
-            acc = Poly(n)
-            for j in range(n):
-                c = lin_inv[i][j]
-                if c:
-                    acc = acc + vec[j].scale(c)
-            out.append(acc)
-        return out
 
-    phi = apply_inv(ident)
-    for _ in range(order - 1):
-        hx = compose_each(higher, phi, order)
-        phi = apply_inv([ident[i] - hx[i] for i in range(n)])
-    return [p.truncated(order) for p in phi]
+def _combination(terms) -> dict:
+    """sum c p over the (c, p) pairs of Gaussian integers and series."""
+    out: dict = {}
+    get = out.get
+    for c, p in terms:
+        if c:
+            for e, x in p.items():
+                out[e] = get(e, 0) + c * x
+    return {e: x for e, x in out.items() if x}
+
+
+def _evaluate(p: dict, v):
+    """The series p at the Gaussian-integer point v."""
+    acc = 0
+    for e, c in p.items():
+        for x, k in zip(v, e):
+            if k:
+                c = c * x ** k
+        acc += c
+    return acc
+
+
+def _reduced_series(series, den) -> tuple[tuple, int]:
+    """`_reduced` over all coefficients of the series at once."""
+    flat, den = _reduced([c for p in series for c in p.values()], den)
+    it = iter(flat)
+    return tuple({e: next(it) for e in p} for p in series), den
+
+
+def _monomials(xs: list, one: list):
+    """e -> prod_i xs[i]^e_i, truncated, memoized: each monomial of degree
+    two or more is one product with a monomial of one degree lower."""
+    cache = {(0,) * len(xs): one}
+    cache.update((_unit(len(xs), i), x) for i, x in enumerate(xs))
+
+    def mono(e):
+        m = cache.get(e)
+        if m is None:
+            i = next(i for i, x in enumerate(e) if x)
+            m = cache[e] = _mul_series(xs[i], mono(e[:i] + (e[i] - 1,) + e[i + 1:]))
+        return m
+
+    return mono
+
+
+def _mul_series(a: list, b: list) -> list:
+    """a b over Z[i], truncated to the length of a."""
+    k = len(a)
+    out = [0] * k
+    for i, x in enumerate(a):
+        if x:
+            for l in range(k - i):
+                out[i + l] += x * b[l]
+    return out

@@ -5,13 +5,17 @@ the Severi varieties, with the orientation of the octonion lines, the
 algebra's zero and unit, and the element constructors and readings
 (`from_coeffs`, `from_scalar`, `scalar_part`, `is_scalar`,
 `element_is_zero`, `norm`).  They left `secantgeo.algebras` because only
-the tests use them."""
+the tests use them.  So did the exhaustive search that picks the octonion
+lines `secantgeo.algebras` writes out (`searched_octonion_table`), with
+its two checks on basis elements, `is_alternative` and
+`norm_multiplicative`."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from secantgeo.algebras import _FREE_LINES, _PINNED_LINES, AlgebraTag, _structure_table
+from secantgeo.algebras import AlgebraTag, _structure_table, _table_from_lines
 from secantgeo.scalars import ONE, ZERO, Rational, Scalar, _coerce
 
 
@@ -75,6 +79,68 @@ class AlgebraElement:
     def _check(self, other):
         if not isinstance(other, AlgebraElement) or other.tag is not self.tag:
             raise TypeError("algebra mismatch")
+
+
+_PINNED_LINES = ((1, 2, 3), (1, 7, 4), (2, 4, 6))
+_FREE_LINES = ((1, 5, 6), (2, 5, 7), (3, 4, 5), (3, 6, 7))
+
+
+def _associator_coords(table, i, j, k):
+    # (J_i J_j) J_k - J_i (J_j J_k), as (index, coefficient) pairs
+    p, s1 = table[i][j]
+    q, s2 = table[p][k]
+    u, t1 = table[j][k]
+    v, t2 = table[i][u]
+    out = {}
+    out[q] = out.get(q, 0) + s1 * s2
+    out[v] = out.get(v, 0) - t1 * t2
+    return {idx: c for idx, c in out.items() if c}
+
+
+def is_alternative(table, dim) -> bool:
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                a = _associator_coords(table, i, j, k)
+                b = _associator_coords(table, j, i, k)
+                c = _associator_coords(table, i, k, j)
+                neg_a = {idx: -v for idx, v in a.items()}
+                if b != neg_a or c != neg_a:
+                    return False
+    return True
+
+
+def norm_multiplicative(table, dim) -> bool:
+    # N(x y) = N(x) N(y) for x, y running over sums of two basis units;
+    # by polarization this pins the quadratic identity on the basis span
+    units = list(range(dim))
+    pairs = [(i, j) for i in units for j in units if i <= j]
+    for (i, j) in pairs:
+        for (k, l) in pairs:
+            prod = {}
+            for a, b in ((i, k), (i, l), (j, k), (j, l)):
+                idx, s = table[a][b]
+                prod[idx] = prod.get(idx, 0) + s
+            n = sum(c * c for c in prod.values())
+            nx = 2 if i != j else 4
+            ny = 2 if k != l else 4
+            if n != nx * ny:
+                return False
+    return True
+
+
+def searched_octonion_table():
+    """The octonion table of the first orientation of the four free lines,
+    in lexicographic order of the reversal bits, under which the algebra
+    is alternative and the norm is multiplicative."""
+    for bits in itertools.product((0, 1), repeat=len(_FREE_LINES)):
+        lines = list(_PINNED_LINES)
+        for line, bit in zip(_FREE_LINES, bits):
+            lines.append(tuple(reversed(line)) if bit else line)
+        table = _table_from_lines(8, lines)
+        if is_alternative(table, 8) and norm_multiplicative(table, 8):
+            return table
+    raise RuntimeError("no alternative orientation of the octonion lines found")
 
 
 def octonion_orientations() -> tuple[tuple[int, int, int], ...]:

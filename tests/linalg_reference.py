@@ -15,14 +15,20 @@ speed; `solve` is checked against `solve_left` and `inverse`.  With them
 the Scalar matrix helpers only the references and the tests use
 (`transpose`, `col`, `mul_vec`, `is_zero`, `identity`, `zero`, `stack_rows`, `matmul`, `add`,
 `scale`, `contains_subspace`, `complement_indices`), and `is_real`, which
-left `Scalar` for the same reason."""
+left `Scalar` for the same reason, as did `_integer_rows`, which left
+`secantgeo.linalg` once the chart stopped clearing Scalar rows."""
 
 import functools
 from math import lcm
 from typing import Iterable, Sequence
 
-from secantgeo.linalg import IntegerSpan, Matrix, _integer_rows, eliminate, scalar_values
+from secantgeo.linalg import IntegerSpan, Matrix, eliminate, integer_values, scalar_values
 from secantgeo.scalars import ONE, ZERO, Scalar, _coerce
+
+
+def _integer_rows(rows) -> list[list]:
+    """Scalar rows, each cleared by `integer_values`."""
+    return [integer_values(r)[0] for r in rows]
 
 
 def _cleared_rows(m: Matrix) -> list[list[Scalar]]:

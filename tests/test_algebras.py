@@ -1,8 +1,9 @@
 import random
 
 from algebras_reference import (AlgebraElement, algebra_one, from_coeffs, herm_det, herm_from_coords,
-                                herm_rank, is_scalar, norm, octonion_orientations, severi_chart)
-from secantgeo.algebras import AlgebraTag
+                                herm_rank, is_alternative, is_scalar, norm, norm_multiplicative,
+                                octonion_orientations, searched_octonion_table, severi_chart)
+from secantgeo.algebras import AlgebraTag, _structure_table
 from secantgeo.scalars import ONE, ZERO, Scalar
 
 
@@ -71,6 +72,16 @@ def test_octonions_alternative():
         assert (x * x) * y == x * (x * y)
         assert (y * x) * x == y * (x * x)
         assert (x * y) * x == x * (y * x)
+
+
+def test_literal_tables_pass_both_checks_and_match_the_search():
+    """The octonion lines written out as data give the table the exhaustive
+    orientation search picks; every table is alternative with a
+    multiplicative norm."""
+    assert _structure_table(AlgebraTag.O) == searched_octonion_table()
+    for tag in AlgebraTag:
+        table = _structure_table(tag)
+        assert is_alternative(table, tag.dim) and norm_multiplicative(table, tag.dim)
 
 
 def test_octonion_orientations_span_all_units():

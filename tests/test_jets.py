@@ -10,7 +10,7 @@ from quadrics_reference import ii_image, scalar_quadrics
 from secantgeo.genericity import derive_stream, nonzero_vector
 from secantgeo.jets import (ChartError, NotImmersiveError, chart_at, chart_roundtrip_check,
                             refined_third_form_cube, second_fundamental_form)
-from secantgeo.linalg import IntegerSpan, Matrix
+from secantgeo.linalg import IntegerSpan
 from secantgeo.polymaps import Poly, PolyMap, polymap_to_json
 from secantgeo.quadrics import contract
 from secantgeo.report import analyze
@@ -36,8 +36,7 @@ def test_chart_reads_off_graph_quadrics():
     m1, m2 = scalar_quadrics(s)
     assert m1.at(0, 0) == ONE and m1.at(1, 1) == ONE and m1.at(0, 1) == ZERO
     assert m2.at(0, 1) == Scalar(1, 0) / Scalar(2) and m2.at(0, 0) == ZERO
-    for c in jet.c3:
-        assert c.is_zero()
+    assert jet.c3 == (({}, {}), 1)
 
 
 def test_chart_away_from_origin_agrees():
@@ -56,11 +55,58 @@ def test_cubic_coefficients():
     c = Poly.monomial(1, (3,), 1)
     f = graph_map(1, [Poly(1)], [c])
     jet = chart_at(f, [0], 4)
-    assert jet.c2[0].is_zero()
+    assert jet.c2 == (({},), 1)
     assert is_zero(scalar_quadrics(second_fundamental_form(jet))[0])
     assert reference.c3_entry(jet, 0, 0, 0, 0) == ONE
     assert jet.c4 is not None
     assert reference.c4_entry(jet, 0, 0, 0, 0, 0) == ZERO
+
+
+def test_chart_builds_no_scalar(monkeypatch, entries):
+    """`chart_at` runs on Gaussian integers: with `Scalar.__init__` counting,
+    charting the light catalog entries and the Gaussian map at order 3 and
+    4, from Scalar and from int base points, builds no Scalar; the Scalar
+    reference route builds many."""
+    f, base = _gaussian_map()
+    cases = [(e.map, list(e.base_point)) for name, e in sorted(entries.items())
+             if name not in HEAVY] + [(f, base), (f, [1, -2]), (f, [Scalar(0, 1), 2])]
+    built = [0]
+    init = Scalar.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    for g, u in cases:
+        for order in (3, 4):
+            chart_at(g, u, order)
+    assert built[0] == 0
+    reference.chart_fields(f, base, 3)
+    assert built[0] > 0
+
+
+def test_pivot_rule_matches_the_scalar_rule():
+    """On a graph whose components take values of every size at random
+    Gaussian-rational points, with repeated components for ties, the chart
+    divides by the coordinate the Scalar pivot rule picks."""
+    rng = random.Random(52)
+
+    def part():
+        return Rational(rng.randint(-4, 4), rng.randint(1, 4))
+
+    quads = []
+    for _ in range(3):
+        terms = {e: Scalar(part(), part()) for e in ((2, 0), (1, 1), (0, 2))}
+        quads.append(Poly(2, {e: c for e, c in terms.items() if c}))
+    f = graph_map(2, quads + quads[:1] + [Poly.monomial(2, (2, 0), 1)] * 2)
+    picked = set()
+    for _ in range(40):
+        base = [Scalar(part(), part() if rng.random() < 0.5 else 0) for _ in range(2)]
+        jet = chart_at(f, base, 3)
+        assert jet.pivot_index == reference.pivot_index(f, base)
+        picked.add(jet.pivot_index)
+    assert len(picked) > 2
 
 
 def test_not_immersive():
@@ -184,9 +230,11 @@ def test_roundtrip_matches_the_poly_reference(chart, seed):
     route through the Scalar RREF, `solve_left` and `inverse` gives, and
     the quadrics of its second fundamental form are the forms c2."""
     f, jet = chart
-    assert (jet.normal_correction, jet.c2, jet.c3, jet.c4) == \
-        reference.chart_fields(f, jet.base_point, jet.order), "Scalar solver route"
-    assert _quadratic_forms(jet) == jet.c2
+    fields = reference.scalar_fields(jet)
+    base = reference.scalar_chart(jet).base_point
+    assert fields == reference.chart_fields(f, base, jet.order), "Scalar solver route"
+    assert jet.pivot_index == reference.pivot_index(f, base)
+    assert _quadratic_forms(jet) == fields[1]
     assert chart_roundtrip_check(f, jet, derive_stream(seed, "rt"), samples=3)
     for name, j in [("chart", jet), *_perturbed(jet).items()]:
         got = chart_roundtrip_check(f, j, derive_stream(seed, "rt"), samples=3)
@@ -215,9 +263,10 @@ def test_catalog_charts_and_refined_cubes_match_the_references(charted):
              if name not in HEAVY] + [(f, base, chart_at(f, base, 3))]
     seen = set()
     for f, base, jet in cases:
-        assert (jet.normal_correction, jet.c2, jet.c3, jet.c4) == \
-            reference.chart_fields(f, base, 3)
-        assert _quadratic_forms(jet) == jet.c2
+        fields = reference.scalar_fields(jet)
+        assert fields == reference.chart_fields(f, base, 3)
+        assert jet.pivot_index == reference.pivot_index(f, base)
+        assert _quadratic_forms(jet) == fields[1]
         s = second_fundamental_form(jet)
         stream = derive_stream(0, "jets", "cube")
         for bound in (1, 2, 3):
@@ -246,20 +295,22 @@ def _quadratic_forms(jet):
 
 
 def _perturbed(jet):
-    """The chart with one entry moved by 1, for each field the round trip
-    reads (c4 only at order 4)."""
-    n, e = jet.n, [0] * jet.n
-    corr = [list(r) for r in jet.normal_correction.data]
+    """The chart with one numerator of its cleared values moved by 1, for
+    each field the round trip reads (c4 only at order 4)."""
+    (corr, kappa), (center, delta) = jet.normal_correction, jet.chart_center
+    corr = [list(r) for r in corr]
     corr[0][0] += 1
-    center = list(jet.chart_center)
+    center = list(center)
     center[jet.normal_rows[0]] += 1
-    out = {"normal_correction": jet._replace(normal_correction=Matrix(jet.a, n, corr)),
-           "chart_center": jet._replace(chart_center=tuple(center))}
+    out = {"normal_correction": jet._replace(normal_correction=(corr, kappa)),
+           "chart_center": jet._replace(chart_center=(center, delta))}
+    e = [0] * jet.n
     for name in ("c2", "c3", "c4")[:jet.order - 1]:
-        polys = list(getattr(jet, name))
+        forms, den = getattr(jet, name)
         e[0] = int(name[1])
-        polys[0] = polys[0] + Poly.monomial(n, e, 1)
-        out[name] = jet._replace(**{name: tuple(polys)})
+        first = dict(forms[0])
+        first[tuple(e)] = first.get(tuple(e), 0) + 1
+        out[name] = jet._replace(**{name: ((first,) + forms[1:], den)})
     return out
 
 

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_reference as reference
-from linalg_reference import (Subspace, complement_indices, contains_subspace, identity,
-                              intersect, inverse, kernel, matmul, mul_vec, rank, rref, solve_left,
-                              span_sum, stack_rows, subspace, transpose, zero)
-from secantgeo.linalg import (Gaussian, IntegerSpan, Matrix, _combine, _integer_rows, gauss,
+from linalg_reference import (Subspace, _integer_rows, complement_indices, contains_subspace,
+                              identity, intersect, inverse, kernel, matmul, mul_vec, rank, rref,
+                              solve_left, span_sum, stack_rows, subspace, transpose, zero)
+from secantgeo.linalg import (Gaussian, IntegerSpan, Matrix, _combine, gauss,
                               integer_combination, integer_mul_vec, integer_values, random_vector,
                               scalar_values, solve)
 from secantgeo.scalars import ONE, ZERO, Rational, Scalar

@@ -1,12 +1,18 @@
+"""The integer series routines of `secantgeo.series` against the Scalar
+`Poly` routines of `jets_reference`, on random series over Z and Z[i]; and
+the reference routines that only the references use (`shift_poly`,
+`reciprocal_trunc`) on their own."""
+
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jets_reference as reference
+from secantgeo.linalg import _unit, gauss
 from secantgeo.polymaps import Poly
-from secantgeo.series import (compose_each, compose_trunc, invert_map_series, mul_trunc,
-                              reciprocal_trunc, shift_poly)
-from secantgeo.scalars import ONE, Rational, Scalar
+from secantgeo.scalars import Scalar
+from secantgeo.series import compose_each, invert_map_series, mul_trunc
 
 
 def rand_poly(rng, nvars, degree, bound=4):
@@ -19,14 +25,35 @@ def rand_poly(rng, nvars, degree, bound=4):
     return p
 
 
+def rand_series(rng, nvars, degree, gaussian, low=0, bound=4):
+    """A dict series with up to 8 terms of degree low..degree, Gaussian
+    integer coefficients when gaussian is set."""
+    out = {}
+    for _ in range(rng.randint(1, 8)):
+        e = [0] * nvars
+        for _ in range(rng.randint(low, max(low, degree))):
+            e[rng.randrange(nvars)] += 1
+        c = gauss(rng.randint(-bound, bound), rng.randint(-bound, bound) if gaussian else 0)
+        if c:
+            out[tuple(e)] = c
+    return out
+
+
+def poly(p: dict, nvars: int) -> Poly:
+    """The dict series as a Scalar Poly."""
+    return Poly(nvars, {e: Scalar(c.real, c.imag) for e, c in p.items()})
+
+
 def test_mul_trunc_matches_full_product():
     rng = random.Random(31)
-    for _ in range(40):
+    for trial in range(60):
         nvars = rng.randint(1, 4)
-        p = rand_poly(rng, nvars, 3)
-        q = rand_poly(rng, nvars, 3)
+        p = rand_series(rng, nvars, 3, trial % 2)
+        q = rand_series(rng, nvars, 3, trial % 3 == 0)
         order = rng.randint(0, 6)
-        assert mul_trunc(p, q, order) == (p * q).truncated(order)
+        got = poly(mul_trunc(p, q, order), nvars)
+        assert got == reference.truncated(poly(p, nvars) * poly(q, nvars), order)
+        assert got == reference.mul_trunc(poly(p, nvars), poly(q, nvars), order)
 
 
 def test_compose_trunc_linear_substitution():
@@ -34,33 +61,36 @@ def test_compose_trunc_linear_substitution():
     f = Poly.monomial(2, (2, 0), 1) + Poly.variable(2, 1)
     gs = [Poly.variable(2, 0) + Poly.variable(2, 1),
           Poly.monomial(2, (1, 1), 1)]
-    out = compose_trunc(f, gs, 4)
     expect = (gs[0] * gs[0]) + gs[1]
-    assert out == expect
+    assert reference.compose_trunc(f, gs, 4) == expect
+    out = compose_each([{(2, 0): 1, (0, 1): 1}], [{(1, 0): 1, (0, 1): 1}, {(1, 1): 1}], 2, 4)
+    assert out == [{(2, 0): 1, (1, 1): 3, (0, 2): 1}]
+    assert poly(out[0], 2) == expect
 
 
 def test_compose_each_matches_individual_composition():
     rng = random.Random(32)
-    for _ in range(15):
+    for trial in range(30):
         nvars = rng.randint(1, 3)
         inner = rng.randint(1, 3)
-        fs = [rand_poly(rng, nvars, 3) for _ in range(3)]
-        gs = [rand_poly(rng, inner, 2) for _ in range(nvars)]
+        fs = [rand_series(rng, nvars, 3, trial % 2) for _ in range(3)]
+        gs = [rand_series(rng, inner, 2, trial % 3 == 0) for _ in range(nvars)]
         order = rng.randint(1, 5)
-        whole = compose_each(fs, gs, order)
+        whole = compose_each(fs, gs, inner, order)
         for f, w in zip(fs, whole):
-            assert w == compose_trunc(f, gs, order)
+            assert poly(w, inner) == reference.compose_trunc(
+                poly(f, nvars), [poly(g, inner) for g in gs], order)
 
 
 def test_compose_truncation_consistency():
     rng = random.Random(33)
-    for _ in range(15):
+    for trial in range(15):
         nvars = rng.randint(1, 3)
-        f = rand_poly(rng, nvars, 3)
-        gs = [rand_poly(rng, 2, 2) for _ in range(nvars)]
-        hi = compose_trunc(f, gs, 6)
-        lo = compose_trunc(f, gs, 3)
-        assert hi.truncated(3) == lo
+        f = rand_series(rng, nvars, 3, trial % 2)
+        gs = [rand_series(rng, 2, 2, trial % 2) for _ in range(nvars)]
+        hi = compose_each([f], gs, 2, 6)[0]
+        lo = compose_each([f], gs, 2, 3)[0]
+        assert {e: c for e, c in hi.items() if sum(e) <= 3} == lo
 
 
 def test_shift_poly_exact():
@@ -69,7 +99,7 @@ def test_shift_poly_exact():
         nvars = rng.randint(1, 3)
         p = rand_poly(rng, nvars, 3)
         point = [Scalar(rng.randint(-3, 3)) for _ in range(nvars)]
-        sh = shift_poly(p, point)
+        sh = reference.shift_poly(p, point)
         for _ in range(5):
             h = [Scalar(rng.randint(-2, 2)) for _ in range(nvars)]
             assert sh.evaluate(h) == p.evaluate([a + b for a, b in zip(point, h)])
@@ -80,94 +110,105 @@ def test_reciprocal():
     for _ in range(20):
         nvars = rng.randint(1, 3)
         p = rand_poly(rng, nvars, 2)
-        p = p - p.graded_part(0) + Poly.constant(nvars, rng.randint(1, 4))
+        p = p - reference.graded_part(p, 0) + Poly.constant(nvars, rng.randint(1, 4))
         order = rng.randint(1, 4)
-        r = reciprocal_trunc(p, order)
-        assert mul_trunc(p, r, order) == Poly.constant(nvars, 1)
+        r = reference.reciprocal_trunc(p, order)
+        assert reference.mul_trunc(p, r, order) == Poly.constant(nvars, 1)
     try:
-        reciprocal_trunc(Poly.variable(2, 0), 3)
+        reference.reciprocal_trunc(Poly.variable(2, 0), 3)
         assert False
     except ZeroDivisionError:
         pass
 
 
+def _unipotent(rng, n, order, gaussian):
+    """x + random terms of degree 2..order, over Z or Z[i]."""
+    ys = []
+    for i in range(n):
+        y = rand_series(rng, n, order, gaussian, low=2)
+        y = {e: c for e, c in y.items() if 2 <= sum(e) <= order}
+        y[_unit(n, i)] = 1
+        ys.append(y)
+    return ys
+
+
 def test_invert_map_series_roundtrip():
     rng = random.Random(36)
-    for _ in range(12):
+    for trial in range(16):
         n = rng.randint(1, 3)
         order = rng.randint(2, 4)
-        # linear part: identity plus a strictly triangular tweak keeps it invertible
-        ys = []
-        for i in range(n):
-            p = Poly.variable(n, i)
-            for j in range(i):
-                p = p + Poly.variable(n, j, rng.randint(-2, 2))
-            q = rand_poly(rng, n, order)
-            # drop constant and linear pieces of the perturbation
-            q = q - q.truncated(1)
-            ys.append((p + q).truncated(order))
+        ys = _unipotent(rng, n, order, trial % 2)
         phi = invert_map_series(ys, order)
-        back = compose_each(ys, phi, order)
-        for i, b in enumerate(back):
-            assert b == Poly.variable(n, i)
+        ident = [{_unit(n, i): 1} for i in range(n)]
+        assert compose_each(ys, phi, n, order) == ident
+        assert compose_each(phi, ys, n, order) == ident
+    try:
+        invert_map_series([{(1,): 2}], 3)
+        assert False
+    except ValueError:
+        pass
 
 
 def test_degenerate_orders():
-    p = Poly.variable(2, 0) + Poly.monomial(2, (1, 1), 2)
-    assert mul_trunc(p, p, 0).is_zero()
-    one = Poly.constant(2, 3)
-    assert mul_trunc(p, one, 2) == p.scale(3)
+    p = {(1, 0): 1, (1, 1): 2}
+    assert mul_trunc(p, p, 0) == {}
+    assert mul_trunc(p, {(0, 0): 3}, 2) == {(1, 0): 3, (1, 1): 6}
+    assert compose_each([{(0,): 5}], [{}], 2, 3) == [{(0, 0): 5}]
 
 
-# -- properties on random maps over Q and Q(i) ------------------------------
+# -- properties on random maps over Z and Z[i] -----------------------------
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
 
-def coefficients(real):
-    part = st.builds(Rational, st.integers(-5, 5), st.integers(1, 4))
-    return st.builds(Scalar, part) if real else st.builds(Scalar, part, part)
+def gaussian_integers(gaussian):
+    part = st.integers(-5, 5)
+    return st.builds(gauss, part, part) if gaussian else part
 
 
 @st.composite
 def series_maps(draw, nonlinear_from=0):
-    """(n, order, ys): n polynomials in n variables over Q or Q(i), each with
-    p/q coefficients on monomials of degree nonlinear_from..order."""
-    real = draw(st.booleans())
+    """(n, order, ys): n dict series in n variables over Z or Z[i],
+    each with terms of degree nonlinear_from..order."""
+    gaussian = draw(st.booleans())
     n, order = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     ys = []
     for _ in range(n):
-        p = Poly(n)
+        p = {}
         for _ in range(draw(st.integers(0, 4))):
-            e = draw(st.lists(st.integers(0, order), min_size=n, max_size=n))
-            if nonlinear_from <= sum(e) <= order:
-                p = p + Poly.monomial(n, e, draw(coefficients(real)))
+            e = tuple(draw(st.lists(st.integers(0, order), min_size=n, max_size=n)))
+            c = draw(gaussian_integers(gaussian))
+            if nonlinear_from <= sum(e) <= order and c:
+                p[e] = c
         ys.append(p)
     return n, order, ys
 
 
 @PROPERTY
-@given(series_maps(nonlinear_from=2), st.data())
-def test_invert_map_series_roundtrips_on_random_invertible_maps(m, data):
-    """y(h) = L h + higher terms, L lower triangular with a nonzero
-    diagonal: the truncated inverse is a two-sided inverse up to order."""
+@given(series_maps(nonlinear_from=2))
+def test_invert_map_series_roundtrips_on_random_invertible_maps(m):
+    """y(h) = h + higher terms over Z or Z[i]: the truncated inverse is a
+    two-sided inverse up to order, and it is the inverse the Scalar
+    reference finds."""
     n, order, higher = m
-    real = data.draw(st.booleans())
-    ys = []
-    for i, q in enumerate(higher):
-        lin = Poly.variable(n, i, data.draw(coefficients(real).filter(bool)))
-        for j in range(i):
-            lin = lin + Poly.variable(n, j, data.draw(coefficients(real)))
-        ys.append(lin + q)
+    ident = [{_unit(n, i): 1} for i in range(n)]
+    ys = [{**x, **h} for x, h in zip(ident, higher)]
     phi = invert_map_series(ys, order)
-    ident = [Poly.variable(n, i) for i in range(n)]
-    assert compose_each(ys, phi, order) == ident
-    assert compose_each(phi, ys, order) == ident
+    assert compose_each(ys, phi, n, order) == ident
+    assert compose_each(phi, ys, n, order) == ident
+    assert [poly(p, n) for p in phi] == \
+        reference.invert_map_series([poly(y, n) for y in ys], order)
 
 
 @PROPERTY
 @given(series_maps())
 def test_compose_each_with_identity_substitution_is_identity(m):
+    """Substituting the identity truncates; substituting the map into
+    itself gives what the Scalar reference gives."""
     n, order, fs = m
-    ident = [Poly.variable(n, i) for i in range(n)]
-    assert compose_each(fs, ident, order) == [f.truncated(order) for f in fs]
+    ident = [{_unit(n, i): 1} for i in range(n)]
+    assert compose_each(fs, ident, n, order) == \
+        [{e: c for e, c in f.items() if sum(e) <= order} for f in fs]
+    polys = [poly(f, n) for f in fs]
+    assert [poly(p, n) for p in compose_each(fs, fs, n, order)] == \
+        reference.compose_each(polys, polys, order)
