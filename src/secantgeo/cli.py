@@ -18,7 +18,6 @@ from .oracles import join_dimension, tangent_join_dimension
 from .polymaps import polymap_from_json, polymap_to_json
 from .quadrics import rank_profile
 from .report import AnalyzeOptions, analyze, load_input, render
-from .scalars import Scalar
 
 
 class InputError(ValueError):
@@ -139,7 +138,7 @@ def _cmd_clifford(args) -> int:
         kind, f, base, s = load_input(obj)
         if f is not None:
             if base is None:
-                base = [Scalar(0)] * f.domain_dim
+                base = [0] * f.domain_dim
             s = second_fundamental_form(chart_at(f, base, args.order))
     except (ValueError, ChartError) as e:
         raise InputError(str(e)) from None

@@ -21,11 +21,13 @@ integer denominator, reduced as `integer_values` would reduce them.
 `second_fundamental_form` reads the quadrics off c2, halving each
 off-diagonal entry once, and `refined_third_form_cube` evaluates c3.
 
-chart_roundtrip_check certifies a chart on Gaussian integers: along each
-random line the graph identity is checked multiplied through by the units
-it would divide by, as one identity between univariate series over Z[i]
-per normal row.  The Scalar `Poly` routes of the chart and of the round
-trip are the reference in `tests/jets_reference.py`.
+chart_roundtrip_check certifies a chart on Gaussian integers: the graph
+identity, multiplied through by the units it would divide by, is checked
+once per normal row as an identity between series in all n variables,
+expanded like the chart's own lift.  It holds along every line exactly
+when it holds in n variables, so no line is sampled.  The Scalar `Poly`
+routes of the chart and of a round trip along random lines are the
+reference in `tests/jets_reference.py`.
 """
 
 from __future__ import annotations
@@ -34,14 +36,12 @@ from math import gcd, lcm
 from operator import index
 from typing import NamedTuple
 
-from .genericity import nonzero_vector
-from .linalg import (IntegerSpan, _reduced, _unit, eliminate, gauss, integer_combination,
-                     integer_values, solve)
+from .linalg import IntegerSpan, _reduced, _unit, eliminate, gauss, integer_values, solve
 from .polymaps import PolyMap
 from .quadrics import QuadricSystem
 from .scalars import Scalar
-from .series import (_combination, _evaluate, _monomials, _mul_series, _reduced_series,
-                     compose_each, invert_map_series, mul_trunc)
+from .series import (_combination, _evaluate, _reduced_series, compose_each, invert_map_series,
+                     mul_trunc)
 
 
 class ChartError(ValueError):
@@ -91,16 +91,19 @@ def _cleared_point(u0) -> tuple[list, int]:
             for re, im in parts], d
 
 
-def _cleared_lift(f: PolyMap, d: int) -> tuple[list, int, int]:
-    """The lift as series over Z[i], times one common denominator (which
-    cancels in the chart) and with each term of degree j times d^(deg - j):
-    d^deg lift(x / d).  Returns them with that denominator and deg, the
+def _lift_at(f: PolyMap, u, d: int, order: int) -> tuple[list, int, int]:
+    """The lift at u0 = U / d in t = d h, as series over Z[i] truncated to
+    order: d^deg lift(u0 + t / d), times one common denominator (which
+    cancels in the chart).  Returns them with that denominator and deg, the
     lift's degree."""
-    lift = f.lift()
+    n, lift = f.domain_dim, f.lift()
     coeffs, den = integer_values([c for q in lift for c in q.terms.values()])
     deg = max(q.degree() for q in lift)
     it = iter(coeffs)
-    return [{e: next(it) * d ** (deg - sum(e)) for e in q.terms} for q in lift], den, deg
+    # d^deg lift(x / d) has each term of degree j times d^(deg - j); take it at x = U + t
+    cleared = [{e: next(it) * d ** (deg - sum(e)) for e in q.terms} for q in lift]
+    shift = [{(0,) * n: x, _unit(n, i): 1} if x else {_unit(n, i): 1} for i, x in enumerate(u)]
+    return compose_each(cleared, shift, n, order), den, deg
 
 
 def _pivot_score(p, m2: int) -> int:
@@ -125,12 +128,9 @@ def chart_at(f: PolyMap, u0, order: int = 3) -> JetChart:
         raise ValueError("base point length != domain_dim")
     n, k = f.domain_dim, order
     u, d = _cleared_point(u0)
-    cleared, den, deg = _cleared_lift(f, d)
-    # d^deg lift(u0 + t / d), the cleared lift at u + t
+    lift, den, deg = _lift_at(f, u, d, k)
     zero = (0,) * n
     units = [_unit(n, j) for j in range(n)]
-    lift = compose_each(cleared, [{zero: x, e: 1} if x else {e: 1} for x, e in zip(u, units)],
-                        n, k)
     values = [q.get(zero, 0) for q in lift]
     if not any(values):
         raise ChartError("every lift coordinate vanishes at the base point")
@@ -243,61 +243,53 @@ def refined_third_form_cube(j: JetChart, v, image: IntegerSpan) -> bool:
     return image.contains([_evaluate(p, v) for p in j.c3[0]])
 
 
-def chart_roundtrip_check(f: PolyMap, j: JetChart, stream, samples: int = 10,
-                          bound: int = 3) -> bool:
-    """Replay the recorded chart along random lines u0 + t h and compare the
-    one-variable Taylor expansions of the normal coordinates against the
-    graph, exactly modulo t^(k+1), k the chart order.
+def chart_roundtrip_check(f: PolyMap, j: JetChart) -> bool:
+    """Replay the recorded chart at its base point and compare the Taylor
+    expansions of the normal coordinates against the graph, exactly modulo
+    degree k + 1, k the chart order, as series in the n variables t.
 
-    The chart holds its values cleared: the base point u0 = U / d (the
-    lift, cleared once, is scaled by d^deg), the center C / delta, the
-    correction rows K / kappa, and the graph rows G_2 + ... + G_k over
-    omega, the lcm of the graded parts' denominators.  Along a line the
-    lift gives integer series, P the pivot's, and with Y = delta L - C P and
+    The chart holds its values cleared: the base point u0 = U / d, at which
+    the lift, cleared once, is expanded in t = d h (`_lift_at`), the center
+    C / delta, the correction rows K / kappa, and the graph rows G_2 + ...
+    + G_k over omega, the lcm of the graded parts' denominators.  The lift
+    gives integer series, P the pivot's, and with Y = delta L - C P and
     Z_s = kappa Y_s - K Y_tan the test y_s = g_s(y_tan) reads, times the
     unit kappa omega (delta P)^k,
 
         omega (delta P)^(k-1) Z_s = kappa sum_m (delta P)^(k-m) G_m(Y_tan),
 
-    so nothing divides.  A pivot vanishing at t = 0 is no unit and fails."""
+    so nothing divides.  A pivot vanishing at t = 0 is no unit and fails.
+
+    One identity is enough.  Restricting to a line t = s w is a ring map
+    modulo degree k + 1, so the identity in n variables gives the identity
+    along every line, which is what a sample of random lines would check;
+    and a series of degree at most k that vanishes on every line is zero.
+    So the check is exact, not probabilistic."""
     k, n = j.order, f.domain_dim
-    zero, one = [0] * (k + 1), [1] + [0] * k
     (u, d), (center, delta), (corr, kappa) = j.base_point, j.chart_center, j.normal_correction
-    lift = _cleared_lift(f, d)[0]
+    lift = _lift_at(f, u, d, k)[0]
+    p = lift[j.pivot_index]
+    if not p.get((0,) * n):
+        return False
     parts = (j.c2, j.c3) if j.c4 is None else (j.c2, j.c3, j.c4)
     omega = lcm(*[den for _, den in parts])
-    # per normal row: Z_s times omega as terms (coefficient, index into Y),
-    # and kappa G_m as terms (coefficient, exponent) for m = 2, ..., k
-    rows = []
+    body = lift[:j.pivot_index] + lift[j.pivot_index + 1:]
+    y = [_combination([(delta, b), (-c, p)]) for b, c in zip(body, center)]
+    y_tan = [y[t] for t in j.tangent_rows]
+    # every row of every graded part at Y_tan, sharing its monomials
+    a = len(j.normal_rows)
+    graphs = compose_each([g for forms, _ in parts for g in forms], y_tan, n, k)
+    dp = {e: delta * c for e, c in p.items()}
+    dp_top = dp  # (delta P)^(k-1)
+    for _ in range(k - 2):
+        dp_top = mul_trunc(dp_top, dp, k)
     for s, i in enumerate(j.normal_rows):
-        z = [(omega * kappa, i)] + [(-c * omega, t) for c, t in zip(corr[s], j.tangent_rows)]
-        g = [[(c * kappa * (omega // den), e) for e, c in forms[s].items()]
-             for forms, den in parts]
-        rows.append((z, g))
-
-    for _ in range(samples):
-        h = nonzero_vector(n, bound, stream)
-        # U_i + d h_i t, the line times d
-        line = [[x, d * y] + zero[2:] for x, y in zip(u, h)]
-        lmono = _monomials(line, one)
-        big = [integer_combination([(c, lmono(e)) for e, c in q.items()]) if q else zero
-               for q in lift]
-        p = big[j.pivot_index]
-        if not p[0]:
+        rhs: dict = {}  # sum_m (delta P)^(k-m) G_m by Horner's rule
+        for m, (_, den) in enumerate(parts):
+            rhs = _combination([(1, mul_trunc(rhs, dp, k)),
+                                (kappa * (omega // den), graphs[m * a + s])])
+        z = _combination([(omega * kappa, y[i])]
+                         + [(-c * omega, yt) for c, yt in zip(corr[s], y_tan)])
+        if mul_trunc(z, dp_top, k) != rhs:
             return False
-        body = big[:j.pivot_index] + big[j.pivot_index + 1:]
-        y = [integer_combination([(delta, b), (-c, p)]) for b, c in zip(body, center)]
-        ymono = _monomials([y[i] for i in j.tangent_rows], one)
-        dp = [delta * x for x in p]
-        dp_top = dp  # (delta P)^(k-1)
-        for _ in range(k - 2):
-            dp_top = _mul_series(dp_top, dp)
-        for z, g in rows:
-            rhs = zero  # sum_m (delta P)^(k-m) G_m by Horner's rule
-            for gm in g:
-                rhs = _mul_series(rhs, dp)
-                if gm:
-                    rhs = integer_combination([(1, rhs)] + [(c, ymono(e)) for c, e in gm])
-            if _mul_series(integer_combination([(c, y[t]) for c, t in z]), dp_top) != rhs:
-                return False
     return True

@@ -23,7 +23,6 @@ from .quadrics import (RankProfile, generic_image, generic_vector, higher_secant
                        hypersurface_projection, is_tangentially_degenerate,
                        quadric_system_from_json, rank_profile, secant_dimension,
                        tangential_dimension)
-from .scalars import Scalar
 
 
 class AnalyzeOptions(NamedTuple):
@@ -99,7 +98,7 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions(), descriptor: str | N
     jet: JetChart | None = None
     if f is not None:
         if base is None:
-            base = [Scalar(0)] * f.domain_dim
+            base = [0] * f.domain_dim
         jet = chart_at(f, base, options.order)
         s = second_fundamental_form(jet)
     assert s is not None
@@ -315,7 +314,7 @@ def _verdicts(s, profile, jet, f, defects: DefectReport,
                            "applies to charts with degenerate secant variety"))
 
     if jet is not None and f is not None:
-        ok = chart_roundtrip_check(f, jet, derive_stream(options.seed, "roundtrip"))
+        ok = chart_roundtrip_check(f, jet)
         out.append(Verdict("chart_roundtrip", _status(ok),
                            "graph reproduces the chart along random curves"))
     else:

@@ -5,10 +5,9 @@ and `linalg.Gaussian` where the imaginary part is nonzero).  A series of
 order k has no term of total degree above k; products and compositions
 drop everything beyond the order.  Nothing here divides, except
 `_reduced_series` by a common factor: `jets.chart_at` carries one
-denominator beside each series it builds.  The chart round trip's series
-in one variable are lists of coefficients (`_mul_series`, `_monomials`).
-The Scalar `Poly` routines these replaced are the reference in
-`tests/jets_reference.py`.
+denominator beside each series it builds, and the chart round trip checks
+its identity on these same series in all n variables.  The Scalar `Poly`
+routines these replaced are the reference in `tests/jets_reference.py`.
 """
 
 from __future__ import annotations
@@ -122,29 +121,3 @@ def _reduced_series(series, den) -> tuple[tuple, int]:
     it = iter(flat)
     return tuple({e: next(it) for e in p} for p in series), den
 
-
-def _monomials(xs: list, one: list):
-    """e -> prod_i xs[i]^e_i, truncated, memoized: each monomial of degree
-    two or more is one product with a monomial of one degree lower."""
-    cache = {(0,) * len(xs): one}
-    cache.update((_unit(len(xs), i), x) for i, x in enumerate(xs))
-
-    def mono(e):
-        m = cache.get(e)
-        if m is None:
-            i = next(i for i, x in enumerate(e) if x)
-            m = cache[e] = _mul_series(xs[i], mono(e[:i] + (e[i] - 1,) + e[i + 1:]))
-        return m
-
-    return mono
-
-
-def _mul_series(a: list, b: list) -> list:
-    """a b over Z[i], truncated to the length of a."""
-    k = len(a)
-    out = [0] * k
-    for i, x in enumerate(a):
-        if x:
-            for l in range(k - i):
-                out[i + l] += x * b[l]
-    return out

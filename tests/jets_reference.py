@@ -2,10 +2,10 @@
 they went to Gaussian integers, on Scalar `Poly` series, kept as the
 references the integer routes are checked against.
 
-`chart_roundtrip_check` replays the chart along each line with Scalar
+`chart_roundtrip_check` replays the chart along random lines with Scalar
 series, dividing by the pivot series, and composes the graph with the
-tangent coordinates: same draws, same exact answer as the integer
-identity.  `chart_fields` computes the chart's normal correction, c2, c3
+tangent coordinates.  The integer identity, checked once in all n
+variables, holds exactly where this holds along every line.  `chart_fields` computes the chart's normal correction, c2, c3
 and c4 by shifting the lift (`shift_poly`), dividing by the pivot series
 (`reciprocal_trunc`), taking the tangent rows from a Scalar RREF, the
 correction from `solve_left` and the tangent inverse from `inverse`

@@ -15,6 +15,7 @@ from secantgeo.polymaps import Poly, PolyMap, polymap_to_json
 from secantgeo.quadrics import contract
 from secantgeo.report import analyze
 from secantgeo.scalars import ONE, ZERO, Rational, Scalar
+from secantgeo.zoo import veronese
 
 
 def graph_map(n, quad_polys, cubic_polys=None):
@@ -132,7 +133,7 @@ def test_conical_chart_needs_nonvanishing_lift():
 
 def test_roundtrip_random_graphs():
     rng = random.Random(51)
-    for trial in range(6):
+    for _ in range(6):
         n = rng.randint(1, 3)
         a = rng.randint(1, 2)
         quads = []
@@ -152,7 +153,7 @@ def test_roundtrip_random_graphs():
         f = graph_map(n, quads, cubes)
         base = [rng.randint(-2, 2) for _ in range(n)]
         jet = chart_at(f, base, 3)
-        assert chart_roundtrip_check(f, jet, derive_stream(0, "jets", trial), samples=4)
+        assert chart_roundtrip_check(f, jet)
 
 
 def _image(jet, v) -> IntegerSpan:
@@ -224,20 +225,21 @@ def graph_charts(draw):
 @PROPERTY
 @given(graph_charts(), st.integers(0, 10 ** 6))
 def test_roundtrip_matches_the_poly_reference(chart, seed):
-    """Same draws, same exact answer as the Poly series route, on the chart
-    and on each of its perturbations (`_perturbed`); the chart passes.  The
-    chart itself, its normal correction, c2, c3 and c4, equals the one the
-    route through the Scalar RREF, `solve_left` and `inverse` gives, and
-    the quadrics of its second fundamental form are the forms c2."""
+    """The exact check passes exactly where the Poly series route along
+    random lines passes: on the chart, and on none of its perturbations
+    (`_perturbed`).  The chart itself, its normal correction, c2, c3 and
+    c4, equals the one the route through the Scalar RREF, `solve_left` and
+    `inverse` gives, and the quadrics of its second fundamental form are
+    the forms c2."""
     f, jet = chart
     fields = reference.scalar_fields(jet)
     base = reference.scalar_chart(jet).base_point
     assert fields == reference.chart_fields(f, base, jet.order), "Scalar solver route"
     assert jet.pivot_index == reference.pivot_index(f, base)
     assert _quadratic_forms(jet) == fields[1]
-    assert chart_roundtrip_check(f, jet, derive_stream(seed, "rt"), samples=3)
     for name, j in [("chart", jet), *_perturbed(jet).items()]:
-        got = chart_roundtrip_check(f, j, derive_stream(seed, "rt"), samples=3)
+        got = chart_roundtrip_check(f, j)
+        assert got == (name == "chart"), name
         assert got == reference.chart_roundtrip_check(f, j, derive_stream(seed, "rt"), samples=3), name
 
 
@@ -315,18 +317,29 @@ def _perturbed(jet):
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
-def test_perturbed_chart_fails_both_routes(gaussian):
+def test_perturbed_chart_fails_both_routes(gaussian, entries):
     """Moving one entry of c2, c3, c4, the center or the normal correction
-    breaks the identity, on Z and on Z[i]."""
+    breaks the identity, on Z and on Z[i].  On Z also for every light
+    catalog chart at orders 3 and 4, each at its base point, where the
+    pivot is the constant coordinate 0, and for v2(P^4) at an integer base
+    point, where the pivot is another coordinate, whose series is not
+    constant."""
     c = Scalar(1, 2) if gaussian else Scalar(1)
     q1 = Poly.monomial(2, (2, 0), c) + Poly.monomial(2, (0, 2), 1)
     q2 = Poly.monomial(2, (1, 1), 1) + Poly.monomial(2, (0, 3), c)
     f = graph_map(2, [q1, q2])
-    for base in ([0, 0], [Scalar("1/2"), Scalar(-1, 1)]):
-        jet = chart_at(f, base, 4)
-        assert chart_roundtrip_check(f, jet, derive_stream(0, "jets", "rt"))
+    cases = [(f, base, 4) for base in ([0, 0], [Scalar("1/2"), Scalar(-1, 1)])]
+    if not gaussian:
+        cases += [(e.map, list(e.base_point), order) for name, e in sorted(entries.items())
+                  if name not in HEAVY for order in (3, 4)]
+        v2 = veronese(2, 4).map
+        assert chart_at(v2, [1, -2, 1, 3], 3).pivot_index != 0
+        cases += [(v2, [1, -2, 1, 3], order) for order in (3, 4)]
+    for f, base, order in cases:
+        jet = chart_at(f, base, order)
+        assert chart_roundtrip_check(f, jet)
         for name, bad in _perturbed(jet).items():
-            assert not chart_roundtrip_check(f, bad, derive_stream(0, "jets", "rt")), name
+            assert not chart_roundtrip_check(f, bad), name
             assert not reference.chart_roundtrip_check(f, bad, derive_stream(0, "jets", "rt")), name
 
 
@@ -336,9 +349,9 @@ def test_vanishing_pivot_is_never_accepted():
     reference cannot divide at all."""
     f = graph_map(1, [Poly(1)])  # the line u -> (u, 0)
     jet = chart_at(f, [0], 3)
-    assert chart_roundtrip_check(f, jet, derive_stream(0, "jets", "pivot"))
+    assert chart_roundtrip_check(f, jet)
     bad = jet._replace(pivot_index=1)  # u itself, zero at the base point
-    assert not chart_roundtrip_check(f, bad, derive_stream(0, "jets", "pivot"))
+    assert not chart_roundtrip_check(f, bad)
     with pytest.raises(ZeroDivisionError):
         reference.chart_roundtrip_check(f, bad, derive_stream(0, "jets", "pivot"))
 
@@ -350,4 +363,4 @@ def test_gaussian_map_roundtrip_in_the_report():
     rep = analyze(polymap_to_json(f, base_point=base))
     assert {v.name: v.status for v in rep.verdicts}["chart_roundtrip"] == "pass"
     jet = chart_at(f, base, 3)
-    assert not chart_roundtrip_check(f, _perturbed(jet)["c2"], derive_stream(0, "jets", "zi"))
+    assert not chart_roundtrip_check(f, _perturbed(jet)["c2"])
