@@ -18,7 +18,11 @@ stderr:
 - `analyze --format json` and `--format text` of the three Gaussian-rational
   quadric systems of `scripts/regen_golden.py` (`complex_system`), the
   inputs that run the report on Z[i], at seeds 0-39;
-- `clifford` of those three systems at seeds 0-1.
+- `clifford` of those three systems at seeds 0-1;
+- `analyze --format json` of the v3 re-embeddings of veronese_2_2 and
+  severi_C (`zoo.veronese_of`) as poly_maps, at seeds 0-1: wide systems
+  (a = 53 and 160 against n = 2 and 4), where `IntegerSpan.perp` takes
+  d << a.
 
 The last line printed is the report count and the digest.  Two trees that
 print the same line give the same bytes on every one of these runs.  The
@@ -49,11 +53,12 @@ from secantgeo.jets import chart_at, second_fundamental_form  # noqa: E402
 from secantgeo.polymaps import Poly, PolyMap, polymap_to_json  # noqa: E402
 from secantgeo.quadrics import quadric_system_to_json  # noqa: E402
 from secantgeo.scalars import Scalar  # noqa: E402
-from secantgeo.zoo import catalog  # noqa: E402
+from secantgeo.zoo import catalog, veronese_of  # noqa: E402
 from regen_golden import COMPLEX, complex_system  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
 
 HEAVY = {"severi_O", "grassmannian_2_7"}
+WIDE = ("veronese_2_2", "severi_C")
 WORKLOAD_SEEDS = range(40)
 CATALOG_SEEDS = range(2)
 
@@ -102,6 +107,17 @@ def outputs(tmp: Path):
     for seed in CATALOG_SEEDS:
         for path in gaussian:
             yield run(path, ["clifford", "--seed", str(seed)])
+    wide = []
+    for ent in catalog():
+        if ent.name in WIDE:
+            v3 = veronese_of(ent, 3)
+            path = tmp / ("%s.wide.json" % v3.name)
+            path.write_text(json.dumps(polymap_to_json(v3.map, base_point=v3.base_point)),
+                            encoding="utf-8")
+            wide.append(path)
+    for seed in CATALOG_SEEDS:
+        for path in wide:
+            yield run(path, ["analyze", "--format", "json", "--seed", str(seed)])
 
 
 def gaussian_map():

@@ -4,8 +4,8 @@ Clifford algebra structure forced on degenerate tangential hypersurfaces.
 """
 
 from .scalars import Scalar
-from .linalg import Matrix, random_vector
-from .genericity import CertificationError, certified_value, derive_stream
+from .linalg import Matrix
+from .genericity import CertificationError, certified_value, derive_stream, random_vector
 
 __all__ = [
     "CertificationError",

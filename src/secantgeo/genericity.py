@@ -5,14 +5,15 @@ whole batch of `trials` independent samples agrees.  On any disagreement
 the coordinate bound doubles (the sampled locus grows, special loci thin
 out) and a fresh batch is drawn; after 3 doublings the computation fails
 loudly instead of returning a silently non-generic answer.
+
+Random vectors are drawn from `stream.getrandbits` as `randint` draws
+them, so each stream gives the same values and ends in the same state.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Callable
-
-from .linalg import random_vector
 
 BASE_BOUND = 1
 ESCALATIONS = 3
@@ -50,6 +51,22 @@ def certified_value(sample: Callable[[int, random.Random], object], stream,
         % (what, trials, top, seen[-1][1]))
 
 
+def random_vector(dim: int, bound: int, stream) -> list[int]:
+    """Entries uniform on the integers in [-bound, bound]: those of
+    `stream.randint(-bound, bound)`, whose k = width.bit_length() random
+    bits are drawn again while they are not below the width."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    width = 2 * bound + 1
+    k, bits = width.bit_length(), stream.getrandbits
+    out = []
+    for _ in range(dim):
+        while (x := bits(k)) >= width:
+            pass
+        out.append(x - bound)
+    return out
+
+
 def nonzero_vector(dim: int, bound: int, stream) -> list[int]:
     """Random vector of Python ints, resampled until nonzero."""
     while True:
@@ -61,11 +78,17 @@ def nonzero_vector(dim: int, bound: int, stream) -> list[int]:
 def fully_nonzero_vector(dim: int, bound: int, stream) -> list[int]:
     """Random vector of Python ints with every coordinate nonzero.  Used for
     the oracles' sample points, where individual zero parameters (scalings
-    of a join, coincident points) are systematically non-generic."""
+    of a join, coincident points) are systematically non-generic.  Each
+    coordinate is `stream.randint(1, bound)`, negated when the following
+    `stream.randint(0, 1)` is 1."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    k, bits = bound.bit_length(), stream.getrandbits
     out = []
     for _ in range(dim):
-        x = stream.randint(1, bound)
-        if stream.randint(0, 1):
-            x = -x
-        out.append(x)
+        while (x := bits(k)) >= bound:
+            pass
+        while (sign := bits(2)) >= 2:
+            pass
+        out.append(-1 - x if sign else 1 + x)
     return out

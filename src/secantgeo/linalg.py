@@ -10,14 +10,14 @@ quotient is exact or raises, and the floor-division remainders of ints all
 have the sign of the divisor or are zero, so the row's sum equals the
 divisor times the sum of its quotients only when every remainder is zero.
 `IntegerSpan` is the one span type: it keeps the canonical basis of a span
-times one integer factor, and reduces, intersects and compares spans
-without dividing.  `solve` is the one solver.  The quadric systems, the
-generic point, the defect checks, the oracles, the chart and its series
-all work on these integers, and the random draws are ints.  Scalars stay
-at the edge (JSON, the zoo's `Poly` coefficients, and `Matrix` only for
-`PolyMap.jacobian_at`): `integer_values` clears Scalars by the lcm of
-their denominators, which moves no rank or row space, and `scalar_values`
-divides on the way back.
+times one integer factor, and reduces, intersects, compares and takes
+annihilators (from the smaller side) without dividing.  `solve` is the one
+solver.  The quadric systems, the generic point, the defect checks, the
+oracles, the chart and its series all work on these integers, and the
+random draws are ints.  Scalars stay at the edge (JSON, the zoo's `Poly`
+coefficients, and `Matrix` only for `PolyMap.jacobian_at`):
+`integer_values` clears Scalars by the lcm of their denominators, which
+moves no rank or row space, and `scalar_values` divides on the way back.
 """
 
 from __future__ import annotations
@@ -272,14 +272,18 @@ class IntegerSpan:
 
     def __init__(self, ambient_dim: int, rows):
         self.ambient_dim = ambient_dim
-        self.pivots, rows, last = eliminate(rows, reduce=True)
+        self._set(*eliminate(rows, reduce=True))
+
+    def _set(self, pivots, rows, last):
+        """Keeps canonical rows times last, times conj(last) when last is
+        not real and over the gcd of their integer parts."""
         if type(last) is not int:
             c = last.conjugate()
             rows, last = [[x * c for x in r] for r in rows], last.real ** 2 + last.imag ** 2
         g = gcd(*[x if type(x) is int else gcd(x.real, x.imag) for r in rows for x in r])
         if g > 1:
             rows, last = [[x // g for x in r] for r in rows], last // g
-        self.rows, self.last = rows, last
+        self.pivots, self.rows, self.last = pivots, rows, last
         self._free = None
 
     @property
@@ -318,11 +322,26 @@ class IntegerSpan:
         return IntegerSpan(n, [r[n:] for p, r in zip(pivots, red) if p >= n])
 
     def perp(self) -> "IntegerSpan":
-        """The annihilator under sum x_i y_i, spanned by one vector per free
-        column j: -last at j and row_i[j] at the pivot of row_i."""
-        n, at, neg = self.ambient_dim, dict(zip(self.pivots, self.rows)), -self.last
-        return IntegerSpan(n, [[at[k][j] if k in at else neg if k == j else 0
-                                for k in range(n)] for j in range(n) if j not in at])
+        """The annihilator under sum x_i y_i: one vector per free column j,
+        -last at j and R_i[j] at each pivot p_i of the rows R.  One
+        elimination makes these canonical when d > a - d.  Otherwise R is
+        taken with its columns reversed, eliminated once (d x a), and the
+        vectors are read back in the standard order, where R vanishes right
+        of each pivot: so they are already the canonical basis times -last."""
+        n, pivots, rows, last = self.ambient_dim, self.pivots, self.rows, self.last
+        small = 2 * len(rows) <= n
+        if small:
+            pivots, rows, last = eliminate([r[::-1] for r in rows], reduce=True)
+        at = dict(zip(pivots, rows))
+        vecs = [[at[k][j] if k in at else -last if k == j else 0 for k in range(n)]
+                for j in range(n) if j not in at]
+        if not small:
+            return IntegerSpan(n, vecs)
+        span = IntegerSpan.__new__(IntegerSpan)
+        span.ambient_dim = n
+        span._set([n - 1 - j for j in reversed(range(n)) if j not in at],
+                  [v[::-1] for v in reversed(vecs)], -last)
+        return span
 
     def __eq__(self, other):
         """Equal spans: equal pivots, and rows equal after cross-multiplying
@@ -346,8 +365,9 @@ def solve(a, b) -> tuple[list, object]:
     return [r[k:] for r in red], last
 
 
-def random_vector(dim: int, bound: int, stream) -> list[int]:
-    """Entries uniform on the integers in [-bound, bound]."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    return [stream.randint(-bound, bound) for _ in range(dim)]
+def _rank(rows) -> int:
+    """The rank of Gaussian-integer rows, eliminated on the shorter side: a
+    matrix with more rows than columns is transposed first."""
+    if rows and len(rows) > len(rows[0]):
+        rows = list(zip(*rows))
+    return len(eliminate(rows)[0])

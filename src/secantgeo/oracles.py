@@ -4,19 +4,16 @@ These never look at fundamental forms.  By Terracini's lemma the Jacobian
 rank of a join or tangent map at a point is the dimension of a span of lift
 values and derivatives, so each oracle reads a low-order jet of the lift
 (`polymaps.lift_jet`) at certified-generic integer points and eliminates
-on its integer values; no join or tangent map is built.  Formula-based
-dimensions are always cross-checked against these.
+on its integer values, a rank on the shorter side; no join or tangent
+map is built.  Formula-based dimensions are always cross-checked against
+these.
 """
 
 from __future__ import annotations
 
 from .genericity import certified_value, fully_nonzero_vector
-from .linalg import IntegerSpan, eliminate, integer_combination
+from .linalg import IntegerSpan, _rank, eliminate, integer_combination
 from .polymaps import PolyMap, lift_jet
-
-
-def _rank(vecs) -> int:
-    return len(eliminate(vecs)[0])
 
 
 def _blocks_collide(blocks, projective: bool) -> bool:

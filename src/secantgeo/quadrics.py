@@ -7,7 +7,8 @@ matrices into that form once (`jets.second_fundamental_form` builds it
 from the chart's cleared c2 directly), and `quadric_system_to_json`
 divides back once; nothing in between converts.  All the local projective
 invariants (tangential dimension, secant dimension, defects) are functions
-of this data evaluated at certified-generic tangent vectors.
+of this data evaluated at certified-generic tangent vectors; for wide
+systems (a >> n) every perp and rank is taken on the smaller side.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .genericity import CertificationError, certified_value, nonzero_vector
-from .linalg import (IntegerSpan, eliminate, integer_combination, integer_mul_vec,
+from .linalg import (IntegerSpan, _rank, eliminate, integer_combination, integer_mul_vec,
                      integer_values, scalar_values)
 from .scalars import scalar_from_json, scalar_to_json
 
@@ -284,12 +285,10 @@ def higher_secant_dimension(s: QuadricSystem, k: int, profile: RankProfile, stre
         raise ValueError("k must be >= 2")
 
     def sample(bound, strm):
-        # the span of the images is the row space of the stacked transposed
-        # contractions
-        rows = []
-        for _ in range(k - 1):
-            rows.extend(zip(*contract(s, nonzero_vector(s.n, bound, strm))))
-        return len(eliminate(rows)[0])
+        # the span of the images is the column space of the contractions
+        # side by side, an a x (k-1)n matrix
+        cs = [contract(s, nonzero_vector(s.n, bound, strm)) for _ in range(k - 1)]
+        return _rank([list(chain(*r)) for r in zip(*cs)])
 
     span_dim = certified_value(sample, stream, trials, what="secant span dimension")
     dim = s.n + span_dim

@@ -2,9 +2,10 @@
 
 The elimination it used before its integer kernel: rank, RREF and kernel
 computed directly on Scalars (`scalar_rank`, `scalar_rref`,
-`scalar_kernel`), and `intersect_through_perps`, the intersection as it was
-before it ran by Zassenhaus on integer spans.  The integer kernel is
-checked against these.
+`scalar_kernel`), `intersect_through_perps`, the intersection as it was
+before it ran by Zassenhaus on integer spans, and `perp_by_free_columns`,
+the annihilator as it was before it eliminated on the smaller side.  The
+integer kernel is checked against these.
 
 The Scalar span API it kept until `IntegerSpan` and `solve` became its one
 span type and one solver: `Subspace`, `rank`, `rref`, `kernel`,
@@ -196,6 +197,15 @@ def intersect_through_perps(spaces) -> "Subspace":
     amb = spaces[0].ambient_dim
     ann = [row for u in spaces for row in scalar_kernel(Matrix(u.dim, amb, u.basis))]
     return Subspace.from_vectors(amb, scalar_kernel(Matrix(len(ann), amb, ann)))
+
+
+def perp_by_free_columns(span: IntegerSpan) -> IntegerSpan:
+    """`IntegerSpan.perp` as it was before it worked from the smaller side:
+    one vector per free column j (-last at j and row_i[j] at the pivot of
+    row_i), made canonical by one elimination of all a - d of them."""
+    n, at, neg = span.ambient_dim, dict(zip(span.pivots, span.rows)), -span.last
+    return IntegerSpan(n, [[at[k][j] if k in at else neg if k == j else 0
+                            for k in range(n)] for j in range(n) if j not in at])
 
 
 # -- the Scalar span API, on the integer kernel ------------------------------

@@ -331,10 +331,10 @@ def _outcome(fn, *args):
 
 class LoggedRandom(random.Random):
     """A stream that logs each getrandbits(k) it serves as (k, value).  Every
-    draw of the package (randint) goes through getrandbits, so two routes
-    made the same draws exactly when their logs are equal; equal states
-    count only the 32-bit words used, which draws at bound 1 and bound 2
-    can share."""
+    draw of the package calls getrandbits, directly or through randint, so
+    two routes made the same draws exactly when their logs are equal; equal
+    states count only the 32-bit words used, which draws at bound 1 and
+    bound 2 can share."""
 
     def __init__(self, seed):
         self.log = []

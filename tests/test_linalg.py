@@ -8,9 +8,11 @@ import linalg_reference as reference
 from linalg_reference import (Subspace, _integer_rows, complement_indices, contains_subspace,
                               identity, intersect, inverse, kernel, matmul, mul_vec, rank, rref,
                               solve_left, span_sum, stack_rows, subspace, transpose, zero)
+from secantgeo.genericity import fully_nonzero_vector, random_vector
 from secantgeo.linalg import (Gaussian, IntegerSpan, Matrix, _combine, gauss,
-                              integer_combination, integer_mul_vec, integer_values, random_vector,
+                              integer_combination, integer_mul_vec, integer_values,
                               scalar_values, solve)
+from secantgeo.oracles import _rank as oracle_rank
 from secantgeo.scalars import ONE, ZERO, Rational, Scalar
 
 
@@ -421,3 +423,78 @@ def test_solve_matches_solve_left_and_inverse(data):
         return
     assert _solved(a, identity(n)) == inverse(a)
     assert _solved(transpose(a), transpose(b)) == transpose(solve_left(a, b))
+
+
+# -- the short-side kernels against the routes they replaced ----------------
+
+def _random_span_rows(rng, a, gaussian):
+    """Up to a rows of length a over Z or Z[i], small entries, zero often,
+    with some rows combinations of earlier ones and some zero columns."""
+    def entry():
+        x = rng.randint(-3, 3) if rng.random() < 0.7 else 0
+        return gauss(x, rng.randint(-2, 2)) if gaussian and x else x
+
+    rows = []
+    for _ in range(rng.randint(0, a)):
+        if rows and rng.random() < 0.3:
+            rows.append(integer_combination([(rng.randint(-2, 2), r) for r in rows]))
+        else:
+            rows.append([entry() for _ in range(a)])
+    for j in rng.sample(range(a), rng.randint(0, min(2, a))):
+        for r in rows:
+            r[j] = 0
+    return rows
+
+
+def test_perp_matches_the_free_column_route():
+    """perp from the smaller side gives the old route's canonical rows and
+    last, up to one overall sign, on 3000 spans over Z and Z[i] with a <= 8,
+    d = 0 and d = a among them."""
+    rng = random.Random(18)
+    signs, dims = {1: 0, -1: 0}, set()
+    for trial in range(3000):
+        a = rng.randint(1, 8)
+        span = IntegerSpan(a, _random_span_rows(rng, a, trial % 2 == 1))
+        got, want = span.perp(), reference.perp_by_free_columns(span)
+        assert (got.ambient_dim, got.pivots) == (want.ambient_dim, want.pivots)
+        sign = 1 if got.last == want.last else -1
+        assert got.last == sign * want.last
+        assert [[sign * x for x in r] for r in got.rows] == [list(r) for r in want.rows]
+        signs[sign] += 1
+        dims.add("zero" if span.dim == 0 else "full" if span.dim == a else
+                 "small" if 2 * span.dim <= a else "large")
+    assert dims == {"zero", "full", "small", "large"}
+    assert signs[1] and signs[-1]
+
+
+def test_draws_are_the_randint_draws():
+    """random_vector and fully_nonzero_vector draw from getrandbits what
+    randint(-b, b), and randint(1, b) with a randint(0, 1) sign, draw: the
+    same values, and the same stream state after them."""
+    for bound in range(1, 65):
+        ours, theirs = random.Random(bound), random.Random(bound)
+        assert random_vector(9, bound, ours) == [theirs.randint(-bound, bound) for _ in range(9)]
+        assert ours.getstate() == theirs.getstate()
+        want = []
+        for _ in range(9):
+            x = theirs.randint(1, bound)
+            want.append(-x if theirs.randint(0, 1) else x)
+        assert fully_nonzero_vector(9, bound, ours) == want
+        assert ours.getstate() == theirs.getstate()
+    for draw in (random_vector, fully_nonzero_vector):
+        with pytest.raises(ValueError):
+            draw(3, 0, random.Random(0))
+
+
+@PROPERTY
+@given(st.data())
+def test_short_side_rank_matches_scalar_reference(data):
+    """oracles._rank eliminates the transpose of a tall matrix; tall, wide
+    and square matrices over Q(i) give the Scalar reference rank."""
+    m = data.draw(matrices(rows=data.draw(st.integers(1, 7)), cols=data.draw(st.integers(1, 7))))
+    assert oracle_rank(_integer_rows(m.data)) == reference.scalar_rank(m)
+
+
+def test_short_side_rank_of_empty_rows():
+    assert oracle_rank([]) == 0
+    assert oracle_rank([[], [], []]) == 0

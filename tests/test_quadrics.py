@@ -10,9 +10,9 @@ import quadrics_reference as reference
 from linalg_reference import add, kernel, mul_vec, rank, scale, subspace, transpose, zero
 from secantgeo import linalg, quadrics
 from secantgeo.defects import vertex
-from secantgeo.genericity import CertificationError, derive_stream, nonzero_vector
+from secantgeo.genericity import CertificationError, derive_stream, nonzero_vector, random_vector
 from secantgeo.jets import chart_at, second_fundamental_form
-from secantgeo.linalg import IntegerSpan, Matrix, gauss, integer_values, random_vector, scalar_values
+from secantgeo.linalg import IntegerSpan, Matrix, gauss, integer_values, scalar_values
 from secantgeo.polymaps import Poly, PolyMap
 from secantgeo.quadrics import (QuadricSystem, _max_rank_in_span, _profile_at, contract,
                                 generic_image, generic_vector, higher_secant_dimension,

@@ -13,6 +13,7 @@ from secantgeo.jets import chart_at, chart_roundtrip_check, refined_third_form_c
 from secantgeo.linalg import IntegerSpan, Matrix, scalar_values
 from secantgeo.oracles import gauss_fiber_dimension, join_dimension
 from secantgeo.quadrics import contract, higher_secant_dimension, rank_profile
+from secantgeo.report import AnalyzeOptions, analyze
 from secantgeo.scalars import Scalar
 from secantgeo.zoo import build, catalog, expected, rank_variety, segre, severi, veronese, veronese_of
 
@@ -204,6 +205,50 @@ def test_reports_match_committed_digests():
     systems (tests/data/report_digests.json, written by scripts/regen_golden.py)."""
     regen = _regen_golden()
     assert regen.digest_text().encode("utf-8") == regen.DIGESTS.read_bytes()
+
+
+@pytest.mark.slow
+def test_reports_do_not_read_the_sign_of_perp(monkeypatch):
+    """perp's rows and last are the canonical basis times the least integer
+    that clears it, up to one overall sign that depends on the route
+    (`tests/linalg_reference.perp_by_free_columns` gives the other sign on
+    about a third of random spans).  With the rows and last of every perp
+    negated, every report the digest file pins stays byte-identical."""
+    perp, calls = IntegerSpan.perp, []
+
+    def negated(span):
+        out = perp(span)
+        out.rows, out.last = [[-x for x in r] for r in out.rows], -out.last
+        calls.append(out.dim)
+        return out
+
+    monkeypatch.setattr(IntegerSpan, "perp", negated)
+    regen = _regen_golden()
+    assert regen.digest_text().encode("utf-8") == regen.DIGESTS.read_bytes()
+    assert any(calls)
+
+
+# v3 re-embeddings: wide systems (a >> n) whose perps run from the small side
+WIDE_SEED0 = {
+    "veronese_2_2": (2, 53, 2, {"dim_x": (2, 2), "dim_tau": (4, 4), "dim_sigma_2": (5, 5),
+                                "dim_sigma_3": (None, 8), "dim_sigma_4": (None, 11)}),
+    "severi_C": (4, 160, 4, {"dim_x": (4, 4), "dim_tau": (8, 8), "dim_sigma_2": (9, 9),
+                             "dim_sigma_3": (None, 14), "dim_sigma_4": (None, 19)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_SEED0))
+def test_wide_reembeddings_at_seed_0(entries, name):
+    """v3 of veronese_2_2 and severi_C at seed 0: n, a, a0 and the cross
+    checks as the report gave them before perp worked from the smaller side.
+    sigma_2 = 2n + 1 from both columns and the refined cubic form does not
+    vanish, as the abstract's extension of Roberts' theorem predicts."""
+    n, a, a0, checks = WIDE_SEED0[name]
+    rep = analyze(None, AnalyzeOptions(seed=0), entry=veronese_of(entries[name], 3))
+    assert (rep.dims["n"], rep.dims["a"], rep.profile.a0) == (n, a, a0)
+    assert {c.quantity: (c.formula, c.oracle) for c in rep.cross_checks} == checks
+    assert checks["dim_sigma_2"] == (2 * n + 1, 2 * n + 1)
+    assert rep.dims["third_form_vanishes"] is False
 
 
 def test_analyses_reproduce_every_golden_number(entries, analysis):
