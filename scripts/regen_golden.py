@@ -47,16 +47,18 @@ def entry_record(ent) -> dict:
     jet = chart_at(f, list(ent.base_point), 3)
     s = second_fundamental_form(jet)
     prof = rank_profile(s, derive_stream(0, ent.name, "golden", "profile"))
+    # dim X, dim sigma and, where pinned, dim sigma_3: one certified tuple
+    dim_x, sigma, *sigma3 = join_dimension(f, 3 if ent.name in WANT_SIGMA3 else 2,
+                                           derive_stream(0, ent.name, "golden", "join"))
     rec = {
         "n": ent.n,
         "ambient": ent.ambient,
         "a": s.a,
         "a0": prof.a0,
         "r": prof.r,
-        "dim_x": join_dimension(f, 1, derive_stream(0, ent.name, "golden", "x")),
+        "dim_x": dim_x,
     }
     tau = tangent_join_dimension(f, derive_stream(0, ent.name, "golden", "tau"))
-    sigma = join_dimension(f, 2, derive_stream(0, ent.name, "golden", "sigma"))
     if ent.name == "cone_twisted_cubic":
         # the cone is singular at its vertex; the chart only sees the smooth
         # locus, so the oracle dimensions are those of tau(X_sm), sigma(X_sm)
@@ -65,8 +67,8 @@ def entry_record(ent) -> dict:
     else:
         rec["dim_tau"] = tau
         rec["dim_sigma"] = sigma
-    if ent.name in WANT_SIGMA3:
-        rec["sigma3"] = join_dimension(f, 3, derive_stream(0, ent.name, "golden", "sigma3"))
+    if sigma3:
+        rec["sigma3"] = sigma3[0]
     rec["tau_gauss_fiber"] = gauss_fiber_dimension(f, derive_stream(0, ent.name, "golden", "gauss"))
     return rec
 

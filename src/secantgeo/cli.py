@@ -122,7 +122,7 @@ def _cmd_oracle(args) -> int:
     if args.which == "join":
         if args.k < 1:
             raise InputError("--k must be >= 1")
-        dim = join_dimension(f, args.k, stream, args.trials)
+        dim = join_dimension(f, args.k, stream, args.trials)[-1]
         result = {"kind": "oracle_result", "quantity": "join", "k": args.k,
                   "dimension": dim}
     else:

@@ -242,6 +242,13 @@ def eliminate(rows, reduce: bool = False):
     return pivots, rows[:r], prev
 
 
+def prefix_ranks(rows, width: int, blocks: int) -> tuple[int, ...]:
+    """The ranks of the first 1, 2, ..., `blocks` blocks of `width` columns:
+    pivot columns are taken in column order, so each is a count of pivots."""
+    pivots = eliminate(rows)[0]
+    return tuple(sum(c < j * width for c in pivots) for j in range(1, blocks + 1))
+
+
 def integer_combination(terms) -> list:
     """sum c * vec over the (c, vec) pairs, on Gaussian integers.  Terms
     after the first with a zero coefficient add nothing and are skipped."""

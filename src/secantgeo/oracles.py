@@ -4,15 +4,15 @@ These never look at fundamental forms.  By Terracini's lemma the Jacobian
 rank of a join or tangent map at a point is the dimension of a span of lift
 values and derivatives, so each oracle reads a low-order jet of the lift
 (`polymaps.lift_jet`) at certified-generic integer points and eliminates
-on its integer values, a rank on the shorter side; no join or tangent
-map is built.  Formula-based dimensions are always cross-checked against
-these.
+on its integer values; no join or tangent map is built.  One k-point join
+sample gives every dim sigma_j, j <= k, by its jets' prefix ranks (dim X at
+j = 1).  Formula-based dimensions are always cross-checked against these.
 """
 
 from __future__ import annotations
 
 from .genericity import certified_value, fully_nonzero_vector
-from .linalg import IntegerSpan, _rank, eliminate, integer_combination
+from .linalg import IntegerSpan, _rank, eliminate, integer_combination, prefix_ranks
 from .polymaps import PolyMap, lift_jet
 
 
@@ -46,22 +46,21 @@ def _join_point(f: PolyMap, k: int, bound: int, stream):
     return pt
 
 
-def _join_rank(f: PolyMap, k: int, pt) -> int:
-    """Rank of the join Jacobian at pt: as every scaling is nonzero, the
-    dimension of the span of lift(u_i) and its first partials."""
+def _join_ranks(f: PolyMap, k: int, pt) -> tuple[int, ...]:
+    """Join Jacobian ranks at the first j blocks of pt, j = 1..k: as every
+    scaling is nonzero, those of lift(u_i) and its first partials, i <= j."""
     p = f.domain_dim
-    jets = [lift_jet(f, pt[i * p:(i + 1) * p], 1) for i in range(k)]
-    return _rank([vec for jet in jets for vec in jet.values()])
+    cols = [vec for i in range(k) for vec in lift_jet(f, pt[i * p:(i + 1) * p], 1).values()]
+    return prefix_ranks(list(zip(*cols)), len(cols) // k, k)
 
 
-def join_dimension(f: PolyMap, k: int, stream, trials: int = 5) -> int:
-    """Projective dimension of the k-th secant variety (k = 1: of the
-    variety itself), certified across trials."""
-    if k < 1:
+def join_dimension(f: PolyMap, k_max: int, stream, trials: int = 5) -> tuple[int, ...]:
+    """Projective (dim X, dim sigma_2, ..., dim sigma_k_max), certified as one tuple."""
+    if k_max < 1:
         raise ValueError("k must be >= 1")
-    val = certified_value(lambda b, s: _join_rank(f, k, _join_point(f, k, b, s)),
-                          stream, trials, what="join rank (k=%d)" % k)
-    return val - 1
+    ranks = certified_value(lambda b, s: _join_ranks(f, k_max, _join_point(f, k_max, b, s)),
+                            stream, trials, what="join ranks (k <= %d)" % k_max)
+    return tuple(r - 1 for r in ranks)
 
 
 def _tangent_cone(f: PolyMap, pt, order: int):

@@ -8,7 +8,7 @@ from the chart's cleared c2 directly), and `quadric_system_to_json`
 divides back once; nothing in between converts.  All the local projective
 invariants (tangential dimension, secant dimension, defects) are functions
 of this data evaluated at certified-generic tangent vectors; for wide
-systems (a >> n) every perp and rank is taken on the smaller side.
+systems (a >> n) every perp is taken on the smaller side.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from itertools import chain
 from typing import NamedTuple
 
 from .genericity import CertificationError, certified_value, nonzero_vector
-from .linalg import (IntegerSpan, _rank, eliminate, integer_combination, integer_mul_vec,
-                     integer_values, scalar_values)
+from .linalg import (IntegerSpan, eliminate, integer_combination, integer_mul_vec,
+                     integer_values, prefix_ranks, scalar_values)
 from .scalars import scalar_from_json, scalar_to_json
 
 
@@ -276,23 +276,24 @@ class HigherSecantDimension(NamedTuple):
     bound: int
 
 
-def higher_secant_dimension(s: QuadricSystem, k: int, profile: RankProfile, stream,
-                            trials: int = 5) -> HigherSecantDimension:
-    """dim sigma_k(X) = n + dim span(II_{v_1}(T), ..., II_{v_{k-1}}(T)) at
-    k-1 certified-generic vectors; valid when the refined cubic form
-    vanishes identically.  Also reports the bound n + (k-1) a0."""
-    if k < 2:
+def higher_secant_dimension(s: QuadricSystem, k_max: int, profile: RankProfile, stream,
+                            trials: int = 5) -> tuple[HigherSecantDimension, ...]:
+    """dim sigma_k(X) = n + dim span(II_{v_1}(T), ..., II_{v_{k-1}}(T)) and its
+    bound n + (k-1) a0, k = 2..k_max, valid when the refined cubic form
+    vanishes identically: a0 at k = 2 (certified already, so a v special for
+    II_v alone blocks nothing), then the ranks of the leading (k-1)n columns
+    of k_max - 1 generic contractions side by side, certified together."""
+    if k_max < 2:
         raise ValueError("k must be >= 2")
 
     def sample(bound, strm):
-        # the span of the images is the column space of the contractions
-        # side by side, an a x (k-1)n matrix
-        cs = [contract(s, nonzero_vector(s.n, bound, strm)) for _ in range(k - 1)]
-        return _rank([list(chain(*r)) for r in zip(*cs)])
+        cs = [contract(s, nonzero_vector(s.n, bound, strm)) for _ in range(k_max - 1)]
+        return prefix_ranks([list(chain(*r)) for r in zip(*cs)], s.n, k_max - 1)[1:]
 
-    span_dim = certified_value(sample, stream, trials, what="secant span dimension")
-    dim = s.n + span_dim
-    return HigherSecantDimension(k, dim, s.n + (k - 1) * profile.a0)
+    spans = (profile.a0,) + (certified_value(sample, stream, trials, what="secant span dimensions")
+                             if k_max > 2 else ())
+    return tuple(HigherSecantDimension(k, s.n + d, s.n + (k - 1) * profile.a0)
+                 for k, d in enumerate(spans, 2))
 
 
 def hypersurface_projection(s: QuadricSystem, profile: RankProfile, stream,

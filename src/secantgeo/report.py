@@ -118,28 +118,21 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions(), descriptor: str | N
     # sigma_k table: formula column is the span rule, which needs the cubic
     # form to vanish; with no chart the branch is unknown and the span value
     # is reported as-is
-    sigma_rows = []
-    for k in range(2, max(2, options.k_max) + 1):
-        if k == 2:
-            formula = dim_sigma_formula
-            bound = n + profile.a0
-        else:
-            hk = higher_secant_dimension(s, k, profile, derive_stream(seed, "higher", k),
-                                         trials)
-            formula = hk.dimension if (third_vanishes is None or third_vanishes) else None
-            bound = hk.bound
-        sigma_rows.append({"k": k, "formula": formula, "bound": bound})
+    k_max = max(2, options.k_max)
+    sigma_rows = [{"k": 2, "formula": dim_sigma_formula, "bound": n + profile.a0}]
+    for hk in higher_secant_dimension(s, k_max, profile, derive_stream(seed, "higher"),
+                                      trials)[1:]:
+        formula = hk.dimension if third_vanishes is None or third_vanishes else None
+        sigma_rows.append({"k": hk.k, "formula": formula, "bound": hk.bound})
 
-    # oracle columns
+    # oracle columns: dim X and every sigma_k from one certified join tuple
     oracle_x = oracle_tau = None
     oracle_sigma: dict[int, int] = {}
     tau_gauss = None
     if f is not None:
-        oracle_x = join_dimension(f, 1, derive_stream(seed, "oracle", "x"), trials)
+        oracle_x, *sigmas = join_dimension(f, k_max, derive_stream(seed, "oracle", "join"), trials)
+        oracle_sigma = dict(enumerate(sigmas, 2))
         oracle_tau = tangent_join_dimension(f, derive_stream(seed, "oracle", "tau"), trials)
-        for k in range(2, max(2, options.k_max) + 1):
-            oracle_sigma[k] = join_dimension(f, k, derive_stream(seed, "oracle", "join", k),
-                                             trials)
         if tau_degenerate:
             tau_gauss = tau_gauss_bound_check(f, s, profile,
                                               derive_stream(seed, "oracle", "gauss"), trials)

@@ -127,13 +127,13 @@ I = Scalar(0, 1)
 def _parse_rat(text):
     if not isinstance(text, str):
         raise ValueError("rational must be a string, got %r" % (text,))
-    body = text[1:] if text.startswith("-") else text
-    num, sep, den = body.partition("/")
-    if not num.isdigit() or (sep and not den.isdigit()):
+    neg = text.startswith("-")
+    num, sep, den = text[neg:].partition("/")
+    if not num.isdecimal() or (sep and not den.isdecimal()):  # isdigit passes "²"
         raise ValueError("malformed rational %r" % text)
-    if sep and int(den) == 0:
+    if not (den := int(den or 1)):
         raise ValueError("zero denominator in %r" % text)
-    return Rational(text)
+    return Rational(-int(num) if neg else int(num), den)
 
 
 def scalar_to_json(z: Scalar) -> dict:

@@ -8,7 +8,7 @@ them `embed`, which left `Poly` once only these maps used it."""
 from secantgeo.genericity import certified_value, fully_nonzero_vector
 from linalg_reference import Subspace, col, rank
 from secantgeo.linalg import Matrix
-from secantgeo.oracles import _join_point, _join_rank
+from secantgeo.oracles import _join_point, _join_ranks
 from secantgeo.polymaps import Poly, PolyMap, poly_sum
 from secantgeo.scalars import Scalar
 
@@ -105,12 +105,21 @@ def _gauss_sample(f: PolyMap, bound: int, stream) -> tuple[int, int]:
     return d_hat, gauss_rank
 
 
-def join_dimension(f: PolyMap, k: int, stream, trials: int = 5) -> int:
-    g = build_join_map(f, k)
+def _prefix_join_ranks(maps: list, p: int, pt) -> tuple[int, ...]:
+    """The rank of the j-point join Jacobian maps[j - 1] at the first j
+    source blocks and the first j scalings of the k-point sample pt, for
+    each j = 1..k, k = len(maps) and p the source dimension."""
+    k = len(maps)
+    return tuple(rank(g.jacobian_at(_scalars(pt[:j * p] + pt[k * p:k * p + j])))
+                 for j, g in enumerate(maps, 1))
+
+
+def join_dimension(f: PolyMap, k_max: int, stream, trials: int = 5) -> tuple[int, ...]:
+    maps = [build_join_map(f, j) for j in range(1, k_max + 1)]
     val = certified_value(
-        lambda b, s: rank(g.jacobian_at(_scalars(_join_point(f, k, b, s)))),
-        stream, trials, what="join rank (k=%d)" % k)
-    return val - 1
+        lambda b, s: _prefix_join_ranks(maps, f.domain_dim, _join_point(f, k_max, b, s)),
+        stream, trials, what="join ranks (k <= %d)" % k_max)
+    return tuple(r - 1 for r in val)
 
 
 def tangent_join_dimension(f: PolyMap, stream, trials: int = 5) -> int:
@@ -132,13 +141,13 @@ def gauss_fiber_dimension(f: PolyMap, stream, trials: int = 5) -> int:
 
 def terracini_consistency_check(f: PolyMap, stream, samples: int = 5,
                                 bound: int = 3) -> bool:
-    """At `samples` random join points (x, y, s, t), the rank of the
-    symbolic k = 2 join Jacobian must equal the package's rank from point
-    jets: the dimension of the span of the two affine tangent spaces
-    (Terracini's lemma)."""
-    g = build_join_map(f, 2)
+    """At `samples` random join points (x, y, s, t), the ranks of the
+    symbolic join Jacobians of x and of (x, y) must equal the package's
+    prefix ranks from point jets: the dimensions of the affine tangent
+    space at x and of the span of the two (Terracini's lemma)."""
+    maps = [build_join_map(f, 1), build_join_map(f, 2)]
     for _ in range(samples):
         pt = _join_point(f, 2, bound, stream)
-        if rank(g.jacobian_at(_scalars(pt))) != _join_rank(f, 2, pt):
+        if _prefix_join_ranks(maps, f.domain_dim, pt) != _join_ranks(f, 2, pt):
             return False
     return True

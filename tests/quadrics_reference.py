@@ -157,14 +157,16 @@ def max_rank_in_span(s: QuadricSystem, ann: Subspace, stream, trials: int) -> in
     return best
 
 
-def higher_secant_dimension(s: QuadricSystem, k: int, profile: RankProfile, stream,
-                            trials: int = 5) -> HigherSecantDimension:
-    if k < 2:
+def higher_secant_dimension(s: QuadricSystem, k_max: int, profile: RankProfile, stream,
+                            trials: int = 5) -> tuple[HigherSecantDimension, ...]:
+    if k_max < 2:
         raise ValueError("k must be >= 2")
 
     def sample(bound, strm):
-        spans = [ii_image(s, nonzero_vector(s.n, bound, strm)) for _ in range(k - 1)]
-        return span_sum(spans).dim
+        spans = [ii_image(s, nonzero_vector(s.n, bound, strm)) for _ in range(k_max - 1)]
+        return tuple(span_sum(spans[:k - 1]).dim for k in range(3, k_max + 1))
 
-    span_dim = certified_value(sample, stream, trials, what="secant span dimension")
-    return HigherSecantDimension(k, s.n + span_dim, s.n + (k - 1) * profile.a0)
+    dims = (profile.a0,) + (certified_value(sample, stream, trials, what="secant span dimensions")
+                            if k_max > 2 else ())
+    return tuple(HigherSecantDimension(k, s.n + d, s.n + (k - 1) * profile.a0)
+                 for k, d in enumerate(dims, 2))

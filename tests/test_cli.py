@@ -256,6 +256,14 @@ def test_json_booleans_are_not_integers():
     assert code == 0
 
 
+def test_rationals_of_non_decimal_digits_exit_one():
+    """"\u00b2" and "1/\u00b2" pass str.isdigit, but make no rational."""
+    for text in ("\u00b2", "1/\u00b2"):
+        system = {"kind": "quadric_system", "n": 1, "a": 1, "quadrics": [[[sc(text)]]]}
+        code, out, err = run(["analyze"], stdin_text=json.dumps(system))
+        assert code == 1 and out == "" and err.startswith("error: "), text
+
+
 def test_shared_parser_carries_no_state_between_calls():
     """Each command gives the same result after other commands and flags
     have run through the one parser as on a freshly built parser; a flag

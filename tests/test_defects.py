@@ -401,9 +401,9 @@ def compare_with_reference(s):
                 lambda rep: _report_fields(s, rep))
     vert = _same(lambda st: vertex(s, prof, st), lambda st: defects_reference.vertex(s, prof, st),
                  subspace)[1]
-    for k in (2, 3):
-        _same(lambda st: higher_secant_dimension(s, k, prof, st),
-              lambda st: quadrics_reference.higher_secant_dimension(s, k, prof, st))
+    for k_max in (3, 4):
+        _same(lambda st: higher_secant_dimension(s, k_max, prof, st),
+              lambda st: quadrics_reference.higher_secant_dimension(s, k_max, prof, st))
     stream, points = random.Random(11), []
     try:
         points += [generic_vector(s, prof, stream) for _ in range(2)]

@@ -70,8 +70,8 @@ def test_join_k_validation():
 def test_twisted_cubic_dimensions():
     """Curve of degree 3 in P^3: secants fill, tangents give a surface."""
     f = twisted_cubic()
-    assert join_dimension(f, 1, derive_stream(0, "to", "x")) == 1
-    assert join_dimension(f, 2, derive_stream(0, "to", "s2")) == 3
+    assert join_dimension(f, 1, derive_stream(0, "to", "x")) == (1,)
+    assert join_dimension(f, 2, derive_stream(0, "to", "s2")) == (1, 3)
     assert tangent_join_dimension(f, derive_stream(0, "to", "t")) == 2
     # a curve carries no Gauss fiber (the reference's Gauss map of X), its
     # tangent developable a 1-dim one
@@ -83,9 +83,9 @@ def test_line_has_degenerate_secants():
     # image is a line in P^3, so every join of points stays on it
     comps = tuple(Poly.monomial(1, (1,), c) for c in (1, 2, 3))
     f = PolyMap(1, 3, False, comps)
-    assert join_dimension(f, 1, derive_stream(0, "to", "l1")) == 1
-    assert join_dimension(f, 2, derive_stream(0, "to", "l2")) == 1
-    assert join_dimension(f, 3, derive_stream(0, "to", "l3")) == 1
+    assert join_dimension(f, 1, derive_stream(0, "to", "l1")) == (1,)
+    assert join_dimension(f, 2, derive_stream(0, "to", "l2")) == (1, 1)
+    assert join_dimension(f, 3, derive_stream(0, "to", "l3")) == (1, 1, 1)
 
 
 def test_plane_gauss_fiber_is_full():
@@ -101,7 +101,7 @@ def test_double_point_rejection_on_small_domains():
     bounds keep redrawing coincident source points."""
     ents = {e.name: e for e in catalog()}
     f = ents["veronese_conic"].map
-    assert join_dimension(f, 2, derive_stream(0, "to", "cc")) == 3
+    assert join_dimension(f, 2, derive_stream(0, "to", "cc")) == (1, 3)
 
 
 def test_double_cover_never_certifies_wrong():
@@ -113,7 +113,7 @@ def test_double_cover_never_certifies_wrong():
     failures = 0
     for seed in range(30):
         try:
-            assert join_dimension(f, 2, derive_stream(seed, "to", "dbl"), trials=5) == 2
+            assert join_dimension(f, 2, derive_stream(seed, "to", "dbl"), trials=5) == (1, 2)
         except CertificationError:
             failures += 1
     # seed 22 lands every staggered draw on a collapsed pair
@@ -133,7 +133,7 @@ def test_immersed_graph_dimension_random():
             comps.append(Poly.monomial(n, e, rng.randint(1, 3)))
         f = PolyMap(n, n + extra, False, tuple(comps))
         stream = derive_stream(0, "to", "im", n, extra, _)
-        assert join_dimension(f, 1, stream) == n
+        assert join_dimension(f, 1, stream) == (n,)
 
 
 def test_terracini_consistency_on_small_charts():

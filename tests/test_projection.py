@@ -19,8 +19,8 @@ def test_linear_project_preserves_secant_dimension():
     assert proj.domain_dim == f.domain_dim
     assert proj.codomain_dim == 6
     assert proj.conical
-    assert join_dimension(proj, 1, derive_stream(0, "to", "pr1")) == 2
-    assert join_dimension(proj, 2, derive_stream(0, "to", "pr2")) == 5
+    assert join_dimension(proj, 1, derive_stream(0, "to", "pr1")) == (2,)
+    assert join_dimension(proj, 2, derive_stream(0, "to", "pr2")) == (2, 5)
     try:
         linear_project(f, f.codomain_dim, derive_stream(0, "to", "pr3"))
         assert False

@@ -330,10 +330,18 @@ def test_higher_secant_dimension():
     jet = chart_at(f, [0, 0], 3)
     s = second_fundamental_form(jet)
     prof = rank_profile(s, derive_stream(0, "tq", "hs"))
-    h2 = higher_secant_dimension(s, 2, prof, derive_stream(0, "tq", "hs", 2))
+    stream = derive_stream(0, "tq", "hs", 2)
+    state = stream.getstate()
+    # sigma_2's span is the certified a0: nothing is drawn for it
+    (h2,) = higher_secant_dimension(s, 2, prof, stream)
+    assert stream.getstate() == state
+    assert h2.k == 2
     assert h2.dimension == 2 + prof.a0
     assert h2.bound == 2 + prof.a0
-    h3 = higher_secant_dimension(s, 3, prof, derive_stream(0, "tq", "hs", 3))
+    hs = higher_secant_dimension(s, 3, prof, derive_stream(0, "tq", "hs", 3))
+    assert hs[0] == h2
+    h3 = hs[1]
+    assert h3.k == 3
     assert h3.dimension == 5
     assert h3.bound == 2 + 2 * prof.a0
     assert h3.dimension <= h3.bound

@@ -3,11 +3,14 @@ from pathlib import Path
 
 import pytest
 
+from secantgeo import genericity, oracles, quadrics
 from secantgeo.linalg import Gaussian, gauss, integer_combination
+from secantgeo.polymaps import polymap_to_json
 from secantgeo.quadrics import (QuadricSystem, quadric_system, quadric_system_from_json,
                                 quadric_system_to_json)
 from secantgeo.report import AnalyzeOptions, analyze, load_input, render, report_to_json
 from secantgeo.scalars import Scalar
+from secantgeo.zoo import veronese
 from test_defects import base_system
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -117,6 +120,25 @@ def test_quadric_system_input_has_no_oracle_columns():
     rows = {r["k"]: r for r in rep.dims["sigma_k"]}
     assert rows[2]["formula"] is None
     assert rows[3]["formula"] is not None
+
+
+def test_one_join_and_one_span_certification_per_analysis(monkeypatch):
+    """dim X and every sigma_k of the oracle column come from one certified
+    join tuple, and the k >= 3 rows of the formula column from one certified
+    span tuple: a certification per k would add labels here."""
+    whats = []
+
+    def counting(sample, stream, trials, what="value"):
+        whats.append(what)
+        return genericity.certified_value(sample, stream, trials, what)
+
+    for module in (oracles, quadrics):
+        monkeypatch.setattr(module, "certified_value", counting)
+    ent = veronese(2, 4)
+    rep = analyze(polymap_to_json(ent.map, base_point=ent.base_point), AnalyzeOptions(k_max=4))
+    assert [r["k"] for r in rep.dims["sigma_k"]] == [2, 3, 4]
+    assert [w for w in whats if "join" in w or "span" in w] == \
+        ["secant span dimensions", "join ranks (k <= 4)"]
 
 
 def test_render_json_matches_report_dict():

@@ -82,6 +82,22 @@ def test_json_roundtrip():
     assert scalar_from_json(obj) == Scalar("1/3", "-2/7")
 
 
+def test_json_rationals_are_decimal_strings():
+    """An optional minus, decimal digits, and an optional nonzero
+    denominator; anything else raises ValueError.  "\u00b2" passes
+    str.isdigit but is no decimal digit."""
+    for text, want in (("0", 0), ("-7", -7), ("007", 7), ("3/6", Rational(1, 2)),
+                       ("-10/4", Rational(-5, 2)), ("-0/5", 0)):
+        assert scalar_from_json({"re": text, "im": "0"}) == Scalar(want)
+        assert scalar_from_json({"re": "0", "im": text}) == Scalar(0, want)
+    for bad in ("\u00b2", "1/\u00b2", "", "-", "1/", "/2", "1/0", "-1/0", "--1", "+1", " 1",
+                "1 ", "1.5", "1e3", "1_0", "1/-2", "1/2/3", 3, None):
+        with pytest.raises(ValueError):
+            scalar_from_json({"re": bad, "im": "0"})
+        with pytest.raises(ValueError):
+            scalar_from_json({"re": "1", "im": bad})
+
+
 def test_is_real():
     assert is_real(Scalar(2))
     assert not is_real(Scalar(2, 1))

@@ -119,13 +119,14 @@ def test_higher_secants_respect_span_bound(charted):
     the span formula on entries whose refined cubic vanishes."""
     for name in ("severi_R", "segre_2_2", "segre_3_3"):
         ent, jet, s, prof = charted[name]
-        for k in (2, 3, 4):
-            h = higher_secant_dimension(s, k, prof, derive_stream(0, "tz", "hs", name, k))
-            assert h.bound == s.n + (k - 1) * prof.a0
-            ambient = ent.ambient
-            assert h.dimension <= min(ambient, h.bound)
-        h2 = higher_secant_dimension(s, 2, prof, derive_stream(0, "tz", "hs2", name))
-        assert h2.dimension == join_dimension(ent.map, 2, derive_stream(0, "tz", "j2", name))
+        hs = higher_secant_dimension(s, 4, prof, derive_stream(0, "tz", "hs", name))
+        assert [h.k for h in hs] == [2, 3, 4]
+        for h in hs:
+            assert h.bound == s.n + (h.k - 1) * prof.a0
+            assert h.dimension <= min(ent.ambient, h.bound)
+        dim_x, sigma = join_dimension(ent.map, 2, derive_stream(0, "tz", "j2", name))
+        assert dim_x == s.n
+        assert hs[0].dimension == sigma
 
 
 def test_build_dispatcher():
