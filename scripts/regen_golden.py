@@ -46,7 +46,7 @@ def entry_record(ent) -> dict:
     f = ent.map
     jet = chart_at(f, list(ent.base_point), 3)
     s = second_fundamental_form(jet)
-    prof = rank_profile(s, derive_stream(0, ent.name, "golden", "profile"))
+    prof = rank_profile(s, derive_stream(0, ent.name, "golden", "profile"))[0]
     # dim X, dim sigma and, where pinned, dim sigma_3: one certified tuple
     dim_x, sigma, *sigma3 = join_dimension(f, 3 if ent.name in WANT_SIGMA3 else 2,
                                            derive_stream(0, ent.name, "golden", "join"))

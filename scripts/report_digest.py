@@ -12,6 +12,9 @@ stderr:
 - `analyze --format json` and `--format text` of every input of both
   benchmark workloads (`perfbench/workloads.py`, read as it is) at seeds
   0-39;
+- `analyze --format json --trials T` of the same inputs for T = 1, 2, 3, at
+  seeds 0-9: the runs whose certified profile rests on fewer samples than
+  the 3 points the structural checks read;
 - `analyze --format json` of every light catalog entry (all but severi_O
   and grassmannian_2_7) as a poly_map, at seeds 0-1;
 - `clifford` of the same inputs at seeds 0-1;
@@ -60,6 +63,7 @@ from workloads import WORKLOADS, make_inputs  # noqa: E402
 HEAVY = {"severi_O", "grassmannian_2_7"}
 WIDE = ("veronese_2_2", "severi_C")
 WORKLOAD_SEEDS = range(40)
+FEW_TRIALS, FEW_TRIALS_SEEDS = (1, 2, 3), range(10)
 CATALOG_SEEDS = range(2)
 
 
@@ -76,12 +80,19 @@ def run(path: Path, argv) -> bytes:
 def outputs(tmp: Path):
     """One record per run, in the order the module docstring lists; the
     input files are written to tmp."""
+    bench = []
     for workload in WORKLOADS:
-        inputs = make_inputs(workload, tmp)
+        inputs = [path for _name, _kind, path, _gold in make_inputs(workload, tmp)]
+        bench += inputs
         for seed in WORKLOAD_SEEDS:
-            for _name, _kind, path, _gold in inputs:
+            for path in inputs:
                 for fmt in ("json", "text"):
                     yield run(path, ["analyze", "--format", fmt, "--seed", str(seed)])
+    for trials in FEW_TRIALS:
+        for seed in FEW_TRIALS_SEEDS:
+            for path in bench:
+                yield run(path, ["analyze", "--format", "json", "--seed", str(seed),
+                                 "--trials", str(trials)])
     paths = []
     for ent in catalog():
         if ent.name not in HEAVY:

@@ -142,7 +142,7 @@ def _cmd_clifford(args) -> int:
             s = second_fundamental_form(chart_at(f, base, args.order))
     except (ValueError, ChartError) as e:
         raise InputError(str(e)) from None
-    profile = rank_profile(s, derive_stream(args.seed, "profile"), args.trials)
+    profile = rank_profile(s, derive_stream(args.seed, "profile"), args.trials)[0]
     # the verdict of the analysis, at its stream and draws
     cv = defect_report(s, profile, s.n + profile.a0, derive_stream(args.seed, "defects"),
                        args.trials).clifford_verdict

@@ -27,10 +27,8 @@ class DefectError(RuntimeError):
 def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> IntegerSpan:
     """Intersection of II_v(T) over certified-generic v, stabilized when
     unchanged for 3 consecutive fresh samples.  Each v is accepted on
-    dim II_v(T) = a0 alone (`generic_image`): on the open set where rank
-    II_v = a0, "w lies in II_v(T)" is a rank condition, closed there, so a
-    w in II_v(T) at the dense full-profile points is in every accepted
-    image, and each one still contains the vertex."""
+    dim II_v(T) = a0 alone, which is sound for "w lies in II_v(T)"
+    (`generic_image`), so each image still contains the vertex."""
     w = None
     stable = 0
     for _ in range(60):
@@ -65,12 +63,6 @@ class MinimalSubsystem(NamedTuple):
 
 def minimal_subsystem(s: QuadricSystem, vert: IntegerSpan) -> MinimalSubsystem:
     return MinimalSubsystem(s, vert.perp())
-
-
-def ii_pairing(s: QuadricSystem, w1, w2) -> list:
-    """den II(w1, w2) as a vector in N, for w1, w2 on Gaussian integers and
-    den the system's denominator."""
-    return integer_mul_vec(contract(s, w2), w1)
 
 
 class QuotientFrames(NamedTuple):
@@ -158,10 +150,11 @@ def _restrict_quadric(n: int, q: list, basis) -> list:
 
 
 def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: GenericPoint,
-                            vert: IntegerSpan,
+                            mini: MinimalSubsystem,
                             frames: QuotientFrames | None = None) -> CliffordVerdict:
     """At a certified-generic point v of a degenerate tangential
-    hypersurface, with the vertex `vert`, verify the anticommutation relation
+    hypersurface, with the minimal subsystem `mini` of the vertex, verify
+    the anticommutation relation
 
         phi_w1 phi_w2 + phi_w2 phi_w1 + 2 sign Q_v(w1, w2) Id = 0
 
@@ -174,8 +167,7 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Gener
         return _clifford_not_applicable(s, profile)
     if frames is None:
         frames = quotient_frames(s, point)
-    fiber_ok = frames.fiber.dim == vert.dim + 1
-    mini = minimal_subsystem(s, vert)
+    fiber_ok = frames.fiber.dim == s.a - mini.dim + 1
 
     ker = point.kernel
     restrictions = [_restrict_quadric(s.n, q, [point.v, *ker.rows]) for q in mini.quadrics]
@@ -318,10 +310,11 @@ def annihilator_matches_image_perp(s: QuadricSystem, point: GenericPoint) -> boo
 
 
 def fiber_contains_singloc_products(s: QuadricSystem, point: GenericPoint) -> bool:
-    """II(w1, w2) lies in F_v for all w1, w2 in singloc(Ann(v))."""
+    """II(w1, w2) lies in F_v for all w1, w2 in singloc(Ann(v)); one
+    contraction per row."""
     rows = point.singloc.rows
-    return all(point.fiber.contains(ii_pairing(s, w1, w2))
-               for i, w1 in enumerate(rows) for w2 in rows[i:])
+    return all(point.fiber.contains(integer_mul_vec(c, w1))
+               for i, c in enumerate(contract(s, w2) for w2 in rows) for w1 in rows[:i + 1])
 
 
 def fiber_dimension_identity(s: QuadricSystem, point: GenericPoint) -> bool:
@@ -336,9 +329,10 @@ def quotient_singular_locus_match(s: QuadricSystem, point: GenericPoint) -> bool
     n, quads = s.n, s.quadrics
     k_sub = IntegerSpan(n, [point.v, *point.kernel.rows])
     reps = k_sub.free_columns()
-    # stacked conditions, one column per b: for x = sum_b x_b e_{reps[b]}, the
-    # reduced value of II(x, e_{reps[t]}) must vanish for every t
-    cols = [[x for t in reps for x in point.image.reduce([q[b * n + t] for q in quads])]
+    # stacked conditions, one column per b: for x = sum_b x_b e_{reps[b]},
+    # II(x, e_{reps[t]}) must pair to 0 with Ann(v) = II_v(T)^perp for every t
+    ann = point.annihilator.rows
+    cols = [[x for t in reps for x in integer_mul_vec(ann, [q[b * n + t] for q in quads])]
             for b in reps]
     null = IntegerSpan(len(reps), list(zip(*cols))).perp()
     lifted = [[dict(zip(reps, row)).get(j, 0) for j in range(n)] for row in null.rows]
@@ -349,6 +343,7 @@ def defect_report(s: QuadricSystem, profile: RankProfile, sigma_dim: int, stream
                   trials: int = 5) -> DefectReport:
     point = generic_vector(s, profile, stream, trials)
     vert = vertex(s, profile, stream, trials)
+    mini = minimal_subsystem(s, vert)
     # the quotient frames at v, built once for both Clifford checks; without
     # them neither check has its hypothesis
     frames = unmet = None
@@ -358,7 +353,7 @@ def defect_report(s: QuadricSystem, profile: RankProfile, sigma_dim: int, stream
         except DefectError as e:
             unmet = "needs ker II_v inside singloc Ann(v); %s" % e
     clifford = _clifford_not_applicable(s, profile) if unmet else \
-        clifford_relation_check(s, profile, point, vert, frames)
+        clifford_relation_check(s, profile, point, mini, frames)
     so_ok = None
     if profile.dim_ann == 1 and clifford.applicable:
         try:
@@ -370,7 +365,7 @@ def defect_report(s: QuadricSystem, profile: RankProfile, sigma_dim: int, stream
         profile=profile,
         vertex_dim=vert.dim,
         fiber_dim=fiber_dim,
-        minimal_subsystem=minimal_subsystem(s, vert),
+        minimal_subsystem=mini,
         clifford_verdict=clifford,
         so_membership=so_ok,
         rank_restriction=rank_restriction_check(s, profile, sigma_dim),

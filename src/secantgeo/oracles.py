@@ -12,7 +12,7 @@ j = 1).  Formula-based dimensions are always cross-checked against these.
 from __future__ import annotations
 
 from .genericity import certified_value, fully_nonzero_vector
-from .linalg import IntegerSpan, _rank, eliminate, integer_combination, prefix_ranks
+from .linalg import _rank, eliminate, integer_combination, integer_mul_vec, prefix_ranks
 from .polymaps import PolyMap, lift_jet
 
 
@@ -63,13 +63,12 @@ def join_dimension(f: PolyMap, k_max: int, stream, trials: int = 5) -> tuple[int
     return tuple(r - 1 for r in ranks)
 
 
-def _tangent_cone(f: PolyMap, pt, order: int):
-    """d(*idx): a derivative of order < `order` at pt = (s, u, t) of g = s (lift(u)
-    + t^alpha d_alpha lift(u)), the cone over the tangential variety, in the
-    variables idx (s is 0, u_beta is 1 + beta, t_alpha is 1 + p + alpha)."""
-    p = f.domain_dim
+def _cone_derivatives(jet: dict, pt, p: int):
+    """d(*idx): a derivative of order < the jet's at pt = (s, u, t) of g = s (lift(u)
+    + t^alpha d_alpha lift(u)), the cone over the tangential variety, from the
+    lift's jet at u or a linear image of it, in the variables idx (s is 0,
+    u_beta is 1 + beta, t_alpha is 1 + p + alpha)."""
     s, t = pt[0], pt[1 + p:]
-    jet = lift_jet(f, pt[1:1 + p], order)
     zero = [0] * len(jet[()])
 
     def d(*idx):
@@ -91,41 +90,49 @@ def _tangent_cone(f: PolyMap, pt, order: int):
 
 def tangent_join_dimension(f: PolyMap, stream, trials: int = 5) -> int:
     """Projective dimension of the tangential variety of the smooth locus."""
-    nv = 1 + 2 * f.domain_dim
+    p = f.domain_dim
+    nv = 1 + 2 * p
 
     def sample(bound, strm):
-        d = _tangent_cone(f, fully_nonzero_vector(nv, bound, strm), 2)
+        pt = fully_nonzero_vector(nv, bound, strm)
+        d = _cone_derivatives(lift_jet(f, pt[1:1 + p], 2), pt, p)
         return _rank([d(k) for k in range(nv)])
 
     return certified_value(sample, stream, trials, what="tangential rank") - 1
 
 
-def _gauss_sample(d, nv: int) -> tuple[int, int]:
-    """(dim of the affine tangent space, rank of the Gauss differential) of a
-    cone parametrized by nv variables with derivatives d(*idx) at a point."""
-    gens = [d(*idx) for idx in [()] + [(k,) for k in range(nv)]]
-    # the generators that give a pointwise basis of the tangent space T,
-    # greedily in order: the pivot columns of the m x (1 + nv) frame
-    basis = eliminate(list(zip(*gens)))[0]
-    # the Gauss differential, in Hom(T, C^m / T): each basis generator's
-    # derivatives modulo T.  The value's derivatives lie in T: its block is 0.
-    span = IntegerSpan(len(gens[0]), gens)
-    reduced = {key: span.reduce(d(*key))
-               for key in {tuple(sorted((c - 1, k))) for c in basis if c for k in range(nv)}}
-    diff_rows = [[x for c in basis if c for x in reduced[tuple(sorted((c - 1, k)))]]
-                 for k in range(nv)]
-    return span.dim, _rank(diff_rows)
+def _frame(gens) -> tuple[list, list]:
+    """(basis, ann) from one elimination of [F | Id], F the m x g frame of the
+    generators: its pivots below g are F's, a basis of their span T greedily
+    in order, and its other rows' identity parts span T's annihilator."""
+    g, m = len(gens), len(gens[0])
+    pivots, rows, _ = eliminate([[*r, *(int(i == j) for j in range(m))]
+                                 for i, r in enumerate(zip(*gens))])
+    return [c for c in pivots if c < g], [r[g:] for c, r in zip(pivots, rows) if c >= g]
+
+
+def _gauss_sample(f: PolyMap, pt) -> tuple[int, int]:
+    """(dim T, rank of the Gauss differential in Hom(T, C^m / T)) at pt: each
+    basis generator's derivatives, on the jet paired with ann.  The value's
+    derivatives lie in T: its block is 0."""
+    p = f.domain_dim
+    nv = 1 + 2 * p
+    jet = lift_jet(f, pt[1:1 + p], 3)
+    d = _cone_derivatives(jet, pt, p)
+    basis, ann = _frame([d(), *map(d, range(nv))])
+    paired = _cone_derivatives({k: integer_mul_vec(ann, vec) for k, vec in jet.items()}, pt, p)
+    return len(basis), _rank([[x for c in basis if c for x in paired(c - 1, k)]
+                              for k in range(nv)])
 
 
 def gauss_fiber_dimension(f: PolyMap, stream, trials: int = 5) -> int:
     """General fiber dimension of the Gauss map of the tangential variety of
     the image of f: dim(tau) - rank of the differential of the tangent-space
     assignment, from the 2-jet of the cone g over tau, read off the 3-jet of
-    the lift of f."""
+    the lift of f paired with the annihilator of the tangent space T, which
+    keeps every rank modulo T, at special points too."""
     nv = 1 + 2 * f.domain_dim
-
-    def sample(bound, strm):
-        return _gauss_sample(_tangent_cone(f, fully_nonzero_vector(nv, bound, strm), 3), nv)
-
-    d_hat, gauss_rank = certified_value(sample, stream, trials, what="Gauss map rank")
+    d_hat, gauss_rank = certified_value(
+        lambda b, strm: _gauss_sample(f, fully_nonzero_vector(nv, b, strm)), stream, trials,
+        what="Gauss map rank")
     return (d_hat - 1) - gauss_rank

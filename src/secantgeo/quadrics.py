@@ -179,16 +179,18 @@ def _coefficient_draws(dim: int, stream, trials: int) -> list:
     return [nonzero_vector(dim, 4, stream) for _ in range(trials if dim else 0)]
 
 
-def rank_profile(s: QuadricSystem, stream, trials: int = 5) -> RankProfile:
-    """Profile at a certified-generic v: the whole tuple must be identical
-    across `trials` independent samples (bound escalation on disagreement)."""
+def rank_profile(s: QuadricSystem, stream, trials: int = 5) -> tuple[RankProfile, list]:
+    """The profile at a certified-generic v, identical across `trials`
+    samples (bound escalation on disagreement), and the points of that
+    unanimous batch: each realizes the profile, as `generic_vector`'s do."""
+    points = []
 
     def sample(bound, strm):
-        v = nonzero_vector(s.n, bound, strm)
-        return _profile_at(s, v, strm, trials).profile
+        points.append(_profile_at(s, nonzero_vector(s.n, bound, strm), strm, trials))
+        return points[-1].profile
 
     tup = certified_value(sample, stream, trials, what="rank profile")
-    return RankProfile(*tup, certified=True)
+    return RankProfile(*tup, certified=True), points[-trials:]
 
 
 def _redraw(n: int, stream, accept):
@@ -316,7 +318,7 @@ def hypersurface_projection(s: QuadricSystem, profile: RankProfile, stream,
     else:
         raise CertificationError("no full-rank projection of the normal space in 10 draws")
     t = QuadricSystem(s.n, rows, tuple(integer_quadric(s, row) for row in m), s.den)
-    prof = rank_profile(t, stream, trials)
+    prof = rank_profile(t, stream, trials)[0]
     if prof.a0 != profile.a0:
         raise CertificationError("projection changed a0 from %d to %d"
                                  % (profile.a0, prof.a0))

@@ -69,18 +69,14 @@ def load_input(obj):
         raise ValueError("input must be a JSON object with a 'kind' key")
     kind = obj["kind"]
     if kind == "poly_map":
-        f = polymap_from_json(obj)
-        base = polymap_base_point(obj)
-        return "poly_map", f, base, None
+        return "poly_map", polymap_from_json(obj), polymap_base_point(obj), None
     if kind == "quadric_system":
         return "quadric_system", None, None, quadric_system_from_json(obj)
     raise ValueError("unsupported input kind %r" % (kind,))
 
 
 def _status(flag: bool | None) -> str:
-    if flag is None:
-        return "not-applicable"
-    return "pass" if flag else "fail"
+    return "not-applicable" if flag is None else "pass" if flag else "fail"
 
 
 def analyze(obj, options: AnalyzeOptions = AnalyzeOptions(), descriptor: str | None = None,
@@ -105,15 +101,12 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions(), descriptor: str | N
     n, a = s.n, s.a
     ambient = n + a
 
-    profile = rank_profile(s, derive_stream(seed, "profile"), trials)
+    profile, points = rank_profile(s, derive_stream(seed, "profile"), trials)
     dim_tau = tangential_dimension(s, profile)
     tau_degenerate = is_tangentially_degenerate(s, profile)
 
-    sec = None
-    if jet is not None:
-        sec = secant_dimension(s, jet, profile, derive_stream(seed, "secant"), trials)
-    dim_sigma_formula = sec.dimension if sec is not None else None
-    third_vanishes = sec.third_form_vanishes if sec is not None else None
+    dim_sigma_formula, third_vanishes = (None, None) if jet is None else \
+        secant_dimension(s, jet, profile, derive_stream(seed, "secant"), trials)
 
     # sigma_k table: formula column is the span rule, which needs the cubic
     # form to vanish; with no chart the branch is unknown and the span value
@@ -126,9 +119,8 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions(), descriptor: str | N
         sigma_rows.append({"k": hk.k, "formula": formula, "bound": hk.bound})
 
     # oracle columns: dim X and every sigma_k from one certified join tuple
-    oracle_x = oracle_tau = None
+    oracle_x = oracle_tau = tau_gauss = None
     oracle_sigma: dict[int, int] = {}
-    tau_gauss = None
     if f is not None:
         oracle_x, *sigmas = join_dimension(f, k_max, derive_stream(seed, "oracle", "join"), trials)
         oracle_sigma = dict(enumerate(sigmas, 2))
@@ -142,10 +134,10 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions(), descriptor: str | N
         row["within_bound"] = (max(have) <= row["bound"]) if have else None
 
     dim_sigma_best = oracle_sigma.get(2, dim_sigma_formula)
-    sigma_degenerate = None
+    sigma_degenerate = delta = None
     if dim_sigma_best is not None:
         sigma_degenerate = dim_sigma_best < min(2 * n + 1, ambient)
-    delta = (2 * n + 1 - dim_sigma_best) if dim_sigma_best is not None else None
+        delta = 2 * n + 1 - dim_sigma_best
 
     sigma_for_defects = dim_sigma_best if dim_sigma_best is not None else n + profile.a0
     defects = defect_report(s, profile, sigma_for_defects, derive_stream(seed, "defects"),
@@ -182,14 +174,13 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions(), descriptor: str | N
         "tau_gauss_fiber": tau_gauss.fiber_dim if tau_gauss else None,
     }
 
-    verdicts = _verdicts(s, profile, jet, f, defects, projected, cross_checks,
-                         sigma_rows, tau_gauss, sigma_degenerate, third_vanishes,
-                         options)
+    verdicts = _verdicts(s, profile, points, jet, f, defects, projected, cross_checks,
+                         sigma_rows, tau_gauss, sigma_degenerate, third_vanishes, options)
     return AnalysisReport(descriptor, kind, options, profile, dims, defects, projected,
                           cross_checks, verdicts)
 
 
-def _verdicts(s, profile, jet, f, defects: DefectReport,
+def _verdicts(s, profile, points, jet, f, defects: DefectReport,
               projected: DefectReport | None, cross_checks, sigma_rows, tau_gauss,
               sigma_degenerate, third_vanishes, options) -> tuple[Verdict, ...]:
     independent = s.independent()
@@ -274,7 +265,7 @@ def _verdicts(s, profile, jet, f, defects: DefectReport,
                        if defects.so_membership is not None else defects.clifford_unmet or
                        "needs a one-dimensional annihilator in the hypersurface case"))
 
-    # structural properties at 3 certified-generic vectors
+    # structural properties at 3 certified-generic vectors, the profile's own
     checks = (
         ("kernel_in_singular_locus", kernel_in_singular_locus),
         ("annihilator_matches_image_perp", annihilator_matches_image_perp),
@@ -283,7 +274,8 @@ def _verdicts(s, profile, jet, f, defects: DefectReport,
         ("quotient_singular_locus_match", quotient_singular_locus_match),
     )
     stream = derive_stream(options.seed, "properties")
-    points = [generic_vector(s, profile, stream, options.trials) for _ in range(3)]
+    points = points[:3] + [generic_vector(s, profile, stream, options.trials)
+                           for _ in range(3 - len(points))]
     for name, fn in checks:
         try:
             ok = all(fn(s, point) for point in points)
@@ -292,9 +284,7 @@ def _verdicts(s, profile, jet, f, defects: DefectReport,
             out.append(Verdict(name, "fail", str(e)))
 
     if jet is not None and sigma_degenerate:
-        # each v accepted on a0 alone: where rank II_v = a0, "F3(v, v, v)
-        # lies in II_v(T)" is a rank condition, closed there, so it holds at
-        # every such v once it holds at the dense full-profile ones
+        # each v accepted on a0 alone, which is sound here (`generic_image`)
         stream = derive_stream(options.seed, "third-form")
         ok = True
         for _ in range(5):

@@ -38,7 +38,7 @@ def charted(entries):
     for name, ent in entries.items():
         jet = chart_at(ent.map, list(ent.base_point), 3)
         s = second_fundamental_form(jet)
-        prof = rank_profile(s, derive_stream(0, name, "profile"))
+        prof = rank_profile(s, derive_stream(0, name, "profile"))[0]
         out[name] = (ent, jet, s, prof)
     return out
 

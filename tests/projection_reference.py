@@ -46,7 +46,7 @@ def projected_defects(f: PolyMap, base, n: int, a0: int, seed: int,
     proj = linear_project(f, n + a0 + 1, derive_stream(seed, "projection"))
     jet = chart_at(proj, base, 3)
     s = second_fundamental_form(jet)
-    prof = rank_profile(s, derive_stream(seed, "projection", "profile"), trials)
+    prof = rank_profile(s, derive_stream(seed, "projection", "profile"), trials)[0]
     sec = secant_dimension(s, jet, prof, derive_stream(seed, "projection", "secant"), trials)
     return defect_report(s, prof, sec.dimension, derive_stream(seed, "projection", "defects"),
                          trials)

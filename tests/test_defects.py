@@ -70,7 +70,7 @@ def test_vertex_of_pair_system():
     # II_v(T) is all of C^2 at generic v, so the swept variety has a full
     # vertex and no quadric is needed to cut it out
     s = pair_system()
-    prof = rank_profile(s, derive_stream(0, "td", "pv"))
+    prof = rank_profile(s, derive_stream(0, "td", "pv"))[0]
     vert = vertex(s, prof, derive_stream(0, "td", "pv", 1))
     assert vert.dim == 2
     mini = minimal_subsystem(s, vert)
@@ -80,7 +80,7 @@ def test_vertex_of_pair_system():
 
 def test_vertex_of_single_quadric():
     s = quadric_system(3, [sym(3, {(0, 0): 1, (1, 2): "1/2"})])
-    prof = rank_profile(s, derive_stream(0, "td", "sg"))
+    prof = rank_profile(s, derive_stream(0, "td", "sg"))[0]
     vert = vertex(s, prof, derive_stream(0, "td", "sg", 1))
     assert vert.dim == 1
 
@@ -95,7 +95,7 @@ def test_vertex_of_severi_system(charted):
 
 def test_gauss_fiber_of_cylinder():
     s = cylinder_system()
-    prof = rank_profile(s, derive_stream(0, "td", "cy"))
+    prof = rank_profile(s, derive_stream(0, "td", "cy"))[0]
     point = generic_vector(s, prof, derive_stream(0, "td", "cy", 1))
     fib = point.fiber
     assert fib.dim == 1
@@ -124,7 +124,8 @@ def test_clifford_on_division_algebra_systems(charted):
         _, _, s, prof = charted[name]
         stream = derive_stream(0, "td", "cl", name)
         point = generic_vector(s, prof, stream)
-        verdict = clifford_relation_check(s, prof, point, vertex(s, prof, stream))
+        mini = minimal_subsystem(s, vertex(s, prof, stream))
+        verdict = clifford_relation_check(s, prof, point, mini)
         assert verdict.applicable
         assert verdict.fiber_condition_ok
         assert verdict.proportionality_ok
@@ -141,10 +142,11 @@ def test_clifford_on_division_algebra_systems(charted):
 def test_clifford_not_applicable_without_hypersurface_tau():
     # a0 = a: tau has the expected dimension, no forced representation
     s = quadric_system(2, [sym(2, {(0, 1): "1/2"})])
-    prof = rank_profile(s, derive_stream(0, "td", "na"))
+    prof = rank_profile(s, derive_stream(0, "td", "na"))[0]
     stream = derive_stream(0, "td", "na", 1)
     point = generic_vector(s, prof, stream)
-    verdict = clifford_relation_check(s, prof, point, vertex(s, prof, stream))
+    mini = minimal_subsystem(s, vertex(s, prof, stream))
+    verdict = clifford_relation_check(s, prof, point, mini)
     assert not verdict.applicable
 
 
@@ -171,7 +173,7 @@ def test_so_membership(charted):
         _, _, s, prof = charted[name]
         assert so_membership_check(s, generic_vector(s, prof, derive_stream(0, "td", "so", name)))
     single = quadric_system(3, [sym(3, {(0, 0): 1, (1, 2): "1/2"})])
-    prof = rank_profile(single, derive_stream(0, "td", "so1"))
+    prof = rank_profile(single, derive_stream(0, "td", "so1"))[0]
     try:
         so_membership_check(single, generic_vector(single, prof, derive_stream(0, "td", "so2")))
         assert False
@@ -196,7 +198,7 @@ def test_rank_restriction_and_zak_on_severi(charted):
 
 def test_rank_restriction_not_applicable_when_sigma_fills():
     s = cylinder_system()
-    prof = rank_profile(s, derive_stream(0, "td", "rn"))
+    prof = rank_profile(s, derive_stream(0, "td", "rn"))[0]
     # sigma filling its ambient space leaves nothing to restrict
     rr = rank_restriction_check(s, prof, min(2 * s.n + 1, s.n + s.a))
     assert not rr.applicable
@@ -209,7 +211,7 @@ def test_structural_identities_at_generic_points(charted):
     for name in ("severi_R", "severi_C"):
         systems.append(charted[name][2])
     for idx, s in enumerate(systems):
-        prof = rank_profile(s, derive_stream(0, "td", "st", idx))
+        prof = rank_profile(s, derive_stream(0, "td", "st", idx))[0]
         point = generic_vector(s, prof, derive_stream(0, "td", "st", idx, 1))
         assert kernel_in_singular_locus(s, point)
         assert annihilator_matches_image_perp(s, point)
@@ -222,7 +224,7 @@ def test_annihilator_check_reads_the_quadrics(charted):
     """A span of the dimension of Ann(v) holding a quadric not singular at v
     fails the check, on both routes, and so does a proper part of Ann(v)."""
     for idx, s in enumerate((cylinder_system(), charted["severi_R"][2])):
-        prof = rank_profile(s, derive_stream(0, "td", "ann", idx))
+        prof = rank_profile(s, derive_stream(0, "td", "ann", idx))[0]
         point = generic_vector(s, prof, derive_stream(0, "td", "ann", idx, 1))
         ann = point.annihilator
         assert ann.dim >= 1 and annihilator_matches_image_perp(s, point)
@@ -392,7 +394,7 @@ def compare_with_reference(s):
     the Scalar route.  Returns our defect report, or None when the profile
     does not certify."""
     try:
-        prof = rank_profile(s, random.Random(3))
+        prof = rank_profile(s, random.Random(3))[0]
     except CertificationError:
         return None
     sigma = s.n + prof.a0
@@ -417,7 +419,7 @@ def compare_with_reference(s):
             assert _outcome(ours, s, point) == _outcome(theirs, s, ref_point), name
         if isinstance(vert, IntegerSpan):
             assert _outcome(lambda: _values(
-                clifford_relation_check(s, prof, point, vert))) == _outcome(
+                clifford_relation_check(s, prof, point, minimal_subsystem(s, vert)))) == _outcome(
                 lambda: _values(defects_reference.clifford_relation_check(
                     s, prof, ref_point, subspace(vert))))
     return got[1] if got[0] == "value" else None
@@ -472,7 +474,7 @@ def test_draw_of_a0_without_the_full_profile():
     """Both a0 routes accept the draw that the full-profile rule redraws,
     end at equal stream states, and give the full-profile route's vertex."""
     s = DIVERGENT
-    prof = rank_profile(s, random.Random(3))
+    prof = rank_profile(s, random.Random(3))[0]
     assert (prof.a0, prof.r, prof.dim_ann, prof.dim_singloc) == (3, 2, 1, 1)
     first = tuple(nonzero_vector(s.n, 1, random.Random(4)))
     assert first == (-1, 0, -1)
@@ -491,7 +493,7 @@ def test_draw_logs_tell_the_acceptance_rules_apart():
     end at equal stream states and give the same vertex, but do not make
     the same draws: the logs, unlike the states, tell them apart."""
     s = DIVERGENT
-    prof = rank_profile(s, random.Random(3))
+    prof = rank_profile(s, random.Random(3))[0]
     a0, full = LoggedRandom(4), LoggedRandom(4)
     assert vertex(s, prof, a0) == full_profile_vertex(s, prof, full)
     assert a0.getstate() == full.getstate()
@@ -507,7 +509,7 @@ def test_vertex_is_the_full_profile_vertex(s, seed):
     on some streams either one stops early, at a span above the vertex;
     none of the derandomized examples here does."""
     try:
-        prof = rank_profile(s, random.Random(3))
+        prof = rank_profile(s, random.Random(3))[0]
     except CertificationError:
         return
     got = _outcome(vertex, s, prof, random.Random(seed))
@@ -525,7 +527,7 @@ def test_vertex_and_third_form_draws_skip_the_annihilator(monkeypatch, entries):
         monkeypatch.setattr(quadrics, name, lambda *a, orig=orig, name=name, **k:
                             built.append(name) or orig(*a, **k))
     s = quadric_system(2, [sym(2, {(0, 0): 1}), sym(2, {(1, 1): 1}), sym(2, {(0, 1): "1/2"})])
-    prof = rank_profile(s, derive_stream(0, "td", "skip"))
+    prof = rank_profile(s, derive_stream(0, "td", "skip"))[0]
     built.clear()
     vertex(s, prof, derive_stream(0, "td", "skip", 1))
     assert built == []

@@ -10,7 +10,7 @@ import oracle_reference as reference
 from oracle_reference import build_join_map, build_tangent_map, terracini_consistency_check
 from secantgeo import derive_stream, oracles
 from secantgeo.genericity import CertificationError
-from secantgeo.linalg import Gaussian
+from secantgeo.linalg import Gaussian, IntegerSpan, eliminate, gauss, integer_combination
 from secantgeo.oracles import gauss_fiber_dimension, join_dimension, tangent_join_dimension
 from secantgeo.polymaps import Poly, PolyMap, lift_jet
 from secantgeo.scalars import Rational, Scalar
@@ -248,3 +248,28 @@ def test_jet_oracles_match_the_symbolic_reference(f, seed):
         both("join_dimension", k)
     both("tangent_join_dimension")
     both("gauss_fiber_dimension", ref_map=build_tangent_map(f))
+
+
+@st.composite
+def frames(draw):
+    """Generators of a span in C^m on Z or Z[i], each a combination of at most
+    m random vectors, so that dependent, repeated and zero generators are
+    common."""
+    m, g = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    part = st.integers(-3, 3)
+    entry = st.builds(gauss, part, part) if draw(st.booleans()) else part
+    basis = [draw(st.lists(entry, min_size=m, max_size=m))
+             for _ in range(draw(st.integers(1, m)))]
+    return [integer_combination([(draw(entry), vec) for vec in basis]) for _ in range(g)]
+
+
+@PROPERTY
+@given(frames())
+def test_frame_elimination_gives_the_basis_and_the_annihilator(gens):
+    """One elimination of [F | Id]: its pivots below g are F's own, and its
+    other rows' identity parts span the annihilator of the generators."""
+    m = len(gens[0])
+    basis, ann = oracles._frame(gens)
+    assert basis == eliminate(list(zip(*gens)))[0]
+    assert len(ann) == m - len(basis)
+    assert IntegerSpan(m, ann) == IntegerSpan(m, gens).perp()

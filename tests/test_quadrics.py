@@ -72,7 +72,7 @@ def test_annihilator_and_singular_locus():
 
 def test_rank_profile_severi_r():
     s = severi_r_system()
-    prof = rank_profile(s, derive_stream(0, "tq", "profile"))
+    prof = rank_profile(s, derive_stream(0, "tq", "profile"))[0]
     assert prof.certified
     assert prof.a0 == 2
     assert prof.r == 1
@@ -86,7 +86,7 @@ def test_rank_profile_severi_r():
 def test_rank_profile_single_quadric():
     # one smooth quadric on C^3: a hypersurface, never counted degenerate
     s = quadric_system(3, [sym(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1})])
-    prof = rank_profile(s, derive_stream(0, "tq", "single"))
+    prof = rank_profile(s, derive_stream(0, "tq", "single"))[0]
     assert prof.a0 == 1
     assert prof.dim_ker == 2
     assert prof.dim_ann == 0
@@ -101,7 +101,7 @@ def test_degenerate_pair_system():
         sym(3, {(0, 2): "1/2"}),
         sym(3, {(1, 2): "1/2"}),
     ])
-    prof = rank_profile(s, derive_stream(0, "tq", "pair"))
+    prof = rank_profile(s, derive_stream(0, "tq", "pair"))[0]
     assert prof.a0 == 2
     assert prof.dim_ker == 1
     assert not is_tangentially_degenerate(s, prof)
@@ -115,7 +115,7 @@ def test_cylinder_system_is_degenerate():
         sym(3, {(1, 1): 1}),
         sym(3, {(0, 1): "1/2"}),
     ])
-    prof = rank_profile(s, derive_stream(0, "tq", "cyl"))
+    prof = rank_profile(s, derive_stream(0, "tq", "cyl"))[0]
     assert prof.a0 == 2
     assert prof.dim_ker == 1
     assert prof.dim_ker > max(0, s.n - s.a)
@@ -124,7 +124,7 @@ def test_cylinder_system_is_degenerate():
 
 def test_generic_vector_certified():
     s = severi_r_system()
-    prof = rank_profile(s, derive_stream(0, "tq", "gv"))
+    prof = rank_profile(s, derive_stream(0, "tq", "gv"))[0]
     point = generic_vector(s, prof, derive_stream(0, "tq", "gv", 1))
     c = reference.contraction(s, point.v)
     assert subspace(point.image) == reference.ii_image(s, point.v)
@@ -137,7 +137,7 @@ def test_generic_image_draws_as_generic_vector_on_full_profile_draws():
     """Where every draw has the whole certified profile, both rules accept
     the same v with the same image and leave the stream in the same state."""
     s = severi_r_system()
-    prof = rank_profile(s, derive_stream(0, "tq", "gi"))
+    prof = rank_profile(s, derive_stream(0, "tq", "gi"))[0]
     for label in range(6):
         ours, theirs = derive_stream(0, "tq", "gi", label), derive_stream(0, "tq", "gi", label)
         for _ in range(4):
@@ -154,7 +154,7 @@ def test_each_profile_draw_contracts_once(monkeypatch):
     monkeypatch.setattr(quadrics, "contract",
                         lambda *a: contractions.append(1) or contract_once(*a))
     s = severi_r_system()
-    prof = rank_profile(s, derive_stream(0, "tq", "once"))
+    prof = rank_profile(s, derive_stream(0, "tq", "once"))[0]
     generic_vector(s, prof, derive_stream(0, "tq", "once", 1))
     assert len(draws) >= 6
     assert len(contractions) == len(draws)
@@ -169,7 +169,7 @@ def test_profile_and_vertex_draws_build_no_scalar(monkeypatch):
         monkeypatch.setattr(mod, "scalar_values",
                             lambda *a, convert=convert: built.append(a) or convert(*a))
     s = severi_r_system()
-    prof = rank_profile(s, derive_stream(0, "tq", "noscalar"))
+    prof = rank_profile(s, derive_stream(0, "tq", "noscalar"))[0]
     vertex(s, prof, derive_stream(0, "tq", "noscalar", 1))
     assert built == []
     # the count sees a conversion where one is made
@@ -234,7 +234,7 @@ def test_annihilator_rank_search_stops_at_its_ceiling(monkeypatch):
 
 def test_generic_vector_unmatchable_profile_is_certification_error():
     s = severi_r_system()
-    prof = rank_profile(s, derive_stream(0, "tq", "gv"))
+    prof = rank_profile(s, derive_stream(0, "tq", "gv"))[0]
     # II_v has rank at most a, so no vector realizes a0 = a + 1
     impossible = prof._replace(a0=s.a + 1)
     with pytest.raises(CertificationError):
@@ -246,7 +246,7 @@ def test_hypersurface_projection_keeps_a0():
     # makes tau a hypersurface
     s = quadric_system(2, [sym(2, {(0, 0): 1}), sym(2, {(1, 1): 1}),
                            sym(2, {(0, 1): 1}), sym(2, {(0, 0): 1, (1, 1): 1})])
-    prof = rank_profile(s, derive_stream(0, "tq", "hp"))
+    prof = rank_profile(s, derive_stream(0, "tq", "hp"))[0]
     assert prof.a0 == 2
     t, tprof = hypersurface_projection(s, prof, derive_stream(0, "tq", "hp", 1))
     assert (t.n, t.a) == (2, 3)
@@ -271,7 +271,7 @@ def test_projected_quadrics_are_the_drawn_combinations():
         second_fundamental_form(chart_at(ent.map, list(ent.base_point), 3)),
     ]
     for k, s in enumerate(cases):
-        prof = rank_profile(s, derive_stream(0, "tq", "hpref", k))
+        prof = rank_profile(s, derive_stream(0, "tq", "hpref", k))[0]
         stream = derive_stream(0, "tq", "hpref", k, 1)
         replay = random.Random()
         replay.setstate(stream.getstate())
@@ -307,7 +307,7 @@ def test_secant_dimension_branches():
     f = PolyMap(2, 4, False, tuple(comps))
     jet = chart_at(f, [0, 0], 3)
     s = second_fundamental_form(jet)
-    prof = rank_profile(s, derive_stream(0, "tq", "sd"))
+    prof = rank_profile(s, derive_stream(0, "tq", "sd"))[0]
     sd = secant_dimension(s, jet, prof, derive_stream(0, "tq", "sd", 1))
     assert sd.third_form_vanishes
     assert sd.dimension == 2 + prof.a0
@@ -316,7 +316,7 @@ def test_secant_dimension_branches():
     g = PolyMap(1, 3, False, tuple(comps3))
     jg = chart_at(g, [0], 3)
     sg = second_fundamental_form(jg)
-    pg = rank_profile(sg, derive_stream(0, "tq", "sd3"))
+    pg = rank_profile(sg, derive_stream(0, "tq", "sd3"))[0]
     sd3 = secant_dimension(sg, jg, pg, derive_stream(0, "tq", "sd3", 1))
     assert not sd3.third_form_vanishes
     assert sd3.dimension == 1 + pg.a0 + 1
@@ -329,7 +329,7 @@ def test_higher_secant_dimension():
     f = PolyMap(2, 5, False, tuple(comps))
     jet = chart_at(f, [0, 0], 3)
     s = second_fundamental_form(jet)
-    prof = rank_profile(s, derive_stream(0, "tq", "hs"))
+    prof = rank_profile(s, derive_stream(0, "tq", "hs"))[0]
     stream = derive_stream(0, "tq", "hs", 2)
     state = stream.getstate()
     # sigma_2's span is the certified a0: nothing is drawn for it
@@ -460,7 +460,7 @@ def test_generic_image_matches_scalar_reference(s, seed):
     """The v, the image and the stream state after `generic_image` equal the
     Scalar route's at the same draws."""
     try:
-        prof = rank_profile(s, random.Random(seed))
+        prof = rank_profile(s, random.Random(seed))[0]
     except CertificationError:
         return
     ours, theirs = random.Random(seed), random.Random(seed)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from secantgeo import genericity, oracles, quadrics
+from secantgeo import defects, genericity, oracles, quadrics, report
 from secantgeo.linalg import Gaussian, gauss, integer_combination
 from secantgeo.polymaps import polymap_to_json
 from secantgeo.quadrics import (QuadricSystem, quadric_system, quadric_system_from_json,
@@ -139,6 +139,50 @@ def test_one_join_and_one_span_certification_per_analysis(monkeypatch):
     assert [r["k"] for r in rep.dims["sigma_k"]] == [2, 3, 4]
     assert [w for w in whats if "join" in w or "span" in w] == \
         ["secant span dimensions", "join ranks (k <= 4)"]
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 5])
+def test_property_checks_read_the_certified_batch(monkeypatch, trials):
+    """The five structural checks run at the first 3 points of the batch that
+    certified the profile; only at trials < 3 are the missing points drawn
+    (on the "properties" stream), and each check still runs at 3 points.
+    Besides those, `generic_vector` is called once per defect report:
+    v2(P^4) has two, its own and its projection's."""
+    draws = {"report": 0, "defects": 0}
+    batches, checked = [], []
+
+    def count_draws(module, label):
+        def drawn(*args):
+            draws[label] += 1
+            return quadrics.generic_vector(*args)
+        monkeypatch.setattr(module, "generic_vector", drawn)
+
+    count_draws(report, "report")
+    count_draws(defects, "defects")
+
+    def profiled(*args):
+        out = quadrics.rank_profile(*args)
+        batches.append(out[1])
+        return out
+
+    def checking(s, point):
+        checked.append(point)
+        return defects.kernel_in_singular_locus(s, point)
+
+    monkeypatch.setattr(report, "rank_profile", profiled)
+    monkeypatch.setattr(report, "kernel_in_singular_locus", checking)
+    ent = veronese(2, 4)
+    rep = analyze(polymap_to_json(ent.map, base_point=ent.base_point),
+                  AnalyzeOptions(trials=trials))
+    assert rep.defects_projected is not None
+    assert len(batches) == 1 and len(batches[0]) == trials
+    assert len(checked) == 3
+    assert all(p is q for p, q in zip(checked, batches[0][:3]))
+    assert all(p.profile == rep.profile[:5] for p in checked)
+    assert draws == {"report": max(0, 3 - trials), "defects": 2}
+    by_name = {v.name: v for v in rep.verdicts}
+    for name in VERDICT_NAMES[12:17]:
+        assert by_name[name] == (name, "pass", "checked at 3 certified-generic vectors")
 
 
 def test_render_json_matches_report_dict():

@@ -287,5 +287,5 @@ def test_rank_variety_base_point_is_regular():
     jet = chart_at(ent.map, list(ent.base_point), 3)
     s = second_fundamental_form(jet)
     assert s.n == ent.n
-    prof = rank_profile(s, derive_stream(0, "tz", "rk"))
+    prof = rank_profile(s, derive_stream(0, "tz", "rk"))[0]
     assert prof.a0 == s.a  # no tangential defect for this stratum
