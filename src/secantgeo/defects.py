@@ -26,7 +26,7 @@ class DefectError(RuntimeError):
 
 def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> IntegerSpan:
     """Intersection of II_v(T) over certified-generic v, stabilized when
-    unchanged for 3 consecutive fresh samples.  Each v is accepted on
+    unchanged for 3 consecutive fresh samples, or at 0.  Each v is accepted on
     dim II_v(T) = a0 alone, which is sound for "w lies in II_v(T)"
     (`generic_image`), so each image still contains the vertex."""
     w = None
@@ -34,6 +34,8 @@ def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> I
     for _ in range(60):
         img = generic_image(s, profile, stream, trials)[1]
         nxt = img if w is None else w.intersect(img)
+        if not nxt.dim:
+            return nxt
         if w is not None and nxt == w:
             stable += 1
         else:
@@ -330,10 +332,11 @@ def quotient_singular_locus_match(s: QuadricSystem, point: GenericPoint) -> bool
     k_sub = IntegerSpan(n, [point.v, *point.kernel.rows])
     reps = k_sub.free_columns()
     # stacked conditions, one column per b: for x = sum_b x_b e_{reps[b]},
-    # II(x, e_{reps[t]}) must pair to 0 with Ann(v) = II_v(T)^perp for every t
+    # II(x, e_{reps[t]}) must vanish modulo II_v(T) for every t: reduced by
+    # its a0 rows, or paired with Ann(v)'s a - a0 if fewer
     ann = point.annihilator.rows
-    cols = [[x for t in reps for x in integer_mul_vec(ann, [q[b * n + t] for q in quads])]
-            for b in reps]
+    modulo = point.image.reduce if s.a > 2 * point.image.dim else lambda w: integer_mul_vec(ann, w)
+    cols = [[x for t in reps for x in modulo([q[b * n + t] for q in quads])] for b in reps]
     null = IntegerSpan(len(reps), list(zip(*cols))).perp()
     lifted = [[dict(zip(reps, row)).get(j, 0) for j in range(n)] for row in null.rows]
     return IntegerSpan(n, k_sub.rows + lifted) == IntegerSpan(n, k_sub.rows + point.singloc.rows)

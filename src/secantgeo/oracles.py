@@ -16,34 +16,24 @@ from .linalg import _rank, eliminate, integer_combination, integer_mul_vec, pref
 from .polymaps import PolyMap, lift_jet
 
 
-def _blocks_collide(blocks, projective: bool) -> bool:
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if blocks[i] == blocks[j]:
-                return True
-            if projective:
-                # for a homogeneous map, proportional parameters hit the
-                # same projective point; coordinates are all nonzero here
-                w1, w2 = blocks[i], blocks[j]
-                if all(w1[t] * w2[0] == w2[t] * w1[0] for t in range(len(w1))):
-                    return True
-    return False
-
-
 def _join_point(f: PolyMap, k: int, bound: int, stream):
     """Sample parameters for the join (u_1, ..., u_k, s_1, ..., s_k) ->
-    sum s_i lift(u_i): k source points plus k scalings.  Source blocks that
-    name the same point of the variety never see the generic join rank, so
-    exact duplicates are redrawn."""
-    p = f.domain_dim
-    blocks = [fully_nonzero_vector(p, bound, stream) for _ in range(k)]
-    for _ in range(16):
-        if not _blocks_collide(blocks, f.projective):
-            break
-        blocks = [fully_nonzero_vector(p, bound, stream) for _ in range(k)]
-    pt = [x for b in blocks for x in b]
-    pt.extend(fully_nonzero_vector(k, bound, stream))
-    return pt
+    sum s_i lift(u_i).  A source block naming the point of an earlier one
+    (equal, or proportional for a homogeneous map) never sees the generic
+    rank: it alone is redrawn, at most 16 times, its box doubled each time.
+    The scalings stay at the bound."""
+    blocks = []
+    for _ in range(k):
+        box = bound
+        w = fully_nonzero_vector(f.domain_dim, box, stream)
+        for _ in range(16):
+            if not any(all(x * b[0] == y * w[0] for x, y in zip(w, b)) if f.projective
+                       else w == b for b in blocks):
+                break
+            box *= 2
+            w = fully_nonzero_vector(f.domain_dim, box, stream)
+        blocks.append(w)
+    return [x for b in blocks for x in b] + fully_nonzero_vector(k, bound, stream)
 
 
 def _join_ranks(f: PolyMap, k: int, pt) -> tuple[int, ...]:
@@ -63,42 +53,33 @@ def join_dimension(f: PolyMap, k_max: int, stream, trials: int = 5) -> tuple[int
     return tuple(r - 1 for r in ranks)
 
 
-def _cone_derivatives(jet: dict, pt, p: int):
-    """d(*idx): a derivative of order < the jet's at pt = (s, u, t) of g = s (lift(u)
-    + t^alpha d_alpha lift(u)), the cone over the tangential variety, from the
-    lift's jet at u or a linear image of it, in the variables idx (s is 0,
-    u_beta is 1 + beta, t_alpha is 1 + p + alpha)."""
-    s, t = pt[0], pt[1 + p:]
-    zero = [0] * len(jet[()])
+def _along_t(jet: dict, t, r: int) -> dict:
+    """{key: jet[key] + sum_a t_a jet[key + a]} over the keys of length r - 1,
+    sorted index tuples as in the jet, where a missing key is zero."""
+    terms = {key: [(1, vec)] for key, vec in jet.items() if len(key) == r - 1}
+    for key, vec in jet.items():
+        if len(key) == r:
+            for a in set(key):
+                i = key.index(a)
+                terms.setdefault(key[:i] + key[i + 1:], []).append((t[a], vec))
+    return {key: integer_combination(ts) for key, ts in terms.items()}
 
-    def d(*idx):
-        us = [i - 1 for i in idx if 0 < i <= p]
-        ts = [i - 1 - p for i in idx if i > p]
-        if idx.count(0) > 1 or len(ts) > 1:  # g is linear in s and in t
-            return zero
-        if ts:
-            terms = [(1, jet.get(tuple(sorted(us + ts))))]
-        else:
-            terms = [(1, jet.get(tuple(sorted(us))))] + [(t[a], jet.get(tuple(sorted(us + [a]))))
-                                                          for a in range(p)]
-        c = 1 if 0 in idx else s
-        terms = [(c * x, vec) for x, vec in terms if vec is not None]
-        return integer_combination(terms) if terms else zero
 
-    return d
+def _tangent_rank(f: PolyMap, pt) -> int:
+    """The rank of the cone g = s (L + t_a L_a) over the tangential variety at
+    pt = (s, u, t), L the lift at u: that of the rows L, L_a and L_b + t_a
+    L_ab, which span g's differential when s != 0."""
+    p = f.domain_dim
+    jet = lift_jet(f, pt[1:1 + p], 2)
+    rows = [vec for key, vec in jet.items() if len(key) < 2]
+    return _rank(rows + list(_along_t(jet, pt[1 + p:], 2).values()))
 
 
 def tangent_join_dimension(f: PolyMap, stream, trials: int = 5) -> int:
     """Projective dimension of the tangential variety of the smooth locus."""
-    p = f.domain_dim
-    nv = 1 + 2 * p
-
-    def sample(bound, strm):
-        pt = fully_nonzero_vector(nv, bound, strm)
-        d = _cone_derivatives(lift_jet(f, pt[1:1 + p], 2), pt, p)
-        return _rank([d(k) for k in range(nv)])
-
-    return certified_value(sample, stream, trials, what="tangential rank") - 1
+    nv = 1 + 2 * f.domain_dim
+    return certified_value(lambda b, strm: _tangent_rank(f, fully_nonzero_vector(nv, b, strm)),
+                           stream, trials, what="tangential rank") - 1
 
 
 def _frame(gens) -> tuple[list, list]:
@@ -112,17 +93,28 @@ def _frame(gens) -> tuple[list, list]:
 
 
 def _gauss_sample(f: PolyMap, pt) -> tuple[int, int]:
-    """(dim T, rank of the Gauss differential in Hom(T, C^m / T)) at pt: each
-    basis generator's derivatives, on the jet paired with ann.  The value's
-    derivatives lie in T: its block is 0."""
+    """(dim T, rank of the Gauss differential in Hom(T, C^m / T)) at pt, g as
+    in `_tangent_rank`.  Over s, T is spanned by v = L + t_a L_a (g, d_s g),
+    L_b + t_a L_ab (d_u_b) and L_a (d_t_a).  Paired with T's annihilator (P
+    of the jet), d_u_b's derivatives are P_bc + t_a P_abc along u_c and P_ab
+    along t_a, d_t_a's P_ab along u_b; the others lie in T."""
     p = f.domain_dim
-    nv = 1 + 2 * p
+    t = pt[1 + p:]
     jet = lift_jet(f, pt[1:1 + p], 3)
-    d = _cone_derivatives(jet, pt, p)
-    basis, ann = _frame([d(), *map(d, range(nv))])
-    paired = _cone_derivatives({k: integer_mul_vec(ann, vec) for k, vec in jet.items()}, pt, p)
-    return len(basis), _rank([[x for c in basis if c for x in paired(c - 1, k)]
-                              for k in range(nv)])
+    zero = [0] * len(jet[()])
+    v, turned = _along_t(jet, t, 1)[()], _along_t(jet, t, 2)
+    basis, ann = _frame([v, v, *[turned.get((b,), zero) for b in range(p)],
+                         *[jet.get((a,), zero) for a in range(p)]])
+    zero = [0] * len(ann)
+    paired = {key: integer_mul_vec(ann, vec) for key, vec in jet.items() if len(key) > 1}
+    hess = _along_t(paired, t, 3)
+
+    def h(x, y):  # x stands for u_x if x < p, else for t_(x - p)
+        table = hess if x < p and y < p else paired if x < p or y < p else {}
+        return table.get(tuple(sorted((x % p, y % p))), zero)
+
+    gens = [c - 2 for c in basis if c > 1]
+    return len(basis), _rank([[e for x in gens for e in h(x, y)] for y in range(2 * p)])
 
 
 def gauss_fiber_dimension(f: PolyMap, stream, trials: int = 5) -> int:

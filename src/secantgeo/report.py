@@ -7,7 +7,7 @@ byte-identical JSON.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .defects import (DefectError, DefectReport, annihilator_matches_image_perp,
@@ -342,9 +342,26 @@ def report_to_json(rep: AnalysisReport) -> dict:
     }
 
 
+def _json(x, nl: str) -> str:
+    """json.dumps(x, indent=2) for the types a report holds, else TypeError;
+    nl is the line break and indent before x."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or type(x) in (int, bool):
+        return "null" if x is None else str(x).lower()
+    inner = nl + "  "
+    if isinstance(x, dict):
+        items, ends = [encode_basestring_ascii(k) + ": " + _json(x[k], inner) for k in x], "{}"
+    elif isinstance(x, list):
+        items, ends = [_json(v, inner) for v in x], "[]"
+    else:
+        raise TypeError("a report holds no %s" % type(x).__name__)
+    return ends[0] + inner + ("," + inner).join(items) + nl + ends[1] if items else ends
+
+
 def render(rep: AnalysisReport, fmt: str = "text") -> str:
     if fmt == "json":
-        return json.dumps(report_to_json(rep), indent=2) + "\n"
+        return _json(report_to_json(rep), "\n") + "\n"
     if fmt != "text":
         raise ValueError("format must be text or json")
     lines = []

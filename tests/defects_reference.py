@@ -24,13 +24,15 @@ from secantgeo.scalars import ONE, ZERO, Scalar, _coerce
 
 def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> Subspace:
     """Intersection of II_v(T) over certified-generic v, stabilized when
-    unchanged for 3 consecutive fresh samples; each v accepted on a0 alone
-    (`quadrics_reference.generic_image`)."""
+    unchanged for 3 consecutive fresh samples, or final as soon as it is 0;
+    each v accepted on a0 alone (`quadrics_reference.generic_image`)."""
     w = None
     stable = 0
     for _ in range(60):
         img = generic_image(s, profile, stream, trials)[1]
         nxt = img if w is None else intersect([w, img])
+        if not nxt.dim:
+            return nxt
         if w is not None and nxt == w:
             stable += 1
         else:

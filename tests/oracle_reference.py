@@ -3,13 +3,17 @@ the join and tangent maps built as PolyMaps, their Jacobians differentiated
 at each sample, and the Gauss differential taken from symbolic second
 derivatives.  Kept as the reference the jet-based oracles of
 `secantgeo.oracles` are checked against, at the same sample points.  With
-them `embed`, which left `Poly` once only these maps used it."""
+them `embed`, which left `Poly` once only these maps used it.  Also kept:
+the closure kernels the tangent and Gauss oracles used on point jets before
+they read their frames off the jet's keys, `closure_tangent_rank` and
+`closure_gauss_sample`, at the same points as `oracles._tangent_rank` and
+`oracles._gauss_sample`."""
 
 from secantgeo.genericity import certified_value, fully_nonzero_vector
 from linalg_reference import Subspace, col, rank
-from secantgeo.linalg import Matrix
-from secantgeo.oracles import _join_point, _join_ranks
-from secantgeo.polymaps import Poly, PolyMap, poly_sum
+from secantgeo.linalg import Matrix, _rank, integer_combination, integer_mul_vec
+from secantgeo.oracles import _frame, _join_point, _join_ranks
+from secantgeo.polymaps import Poly, PolyMap, lift_jet, poly_sum
 from secantgeo.scalars import Scalar
 
 
@@ -151,3 +155,50 @@ def terracini_consistency_check(f: PolyMap, stream, samples: int = 5,
         if _prefix_join_ranks(maps, f.domain_dim, pt) != _join_ranks(f, 2, pt):
             return False
     return True
+
+
+def _cone_derivatives(jet: dict, pt, p: int):
+    """d(*idx): a derivative of order < the jet's at pt = (s, u, t) of g = s (lift(u)
+    + t^alpha d_alpha lift(u)), the cone over the tangential variety, from the
+    lift's jet at u or a linear image of it, in the variables idx (s is 0,
+    u_beta is 1 + beta, t_alpha is 1 + p + alpha)."""
+    s, t = pt[0], pt[1 + p:]
+    zero = [0] * len(jet[()])
+
+    def d(*idx):
+        us = [i - 1 for i in idx if 0 < i <= p]
+        ts = [i - 1 - p for i in idx if i > p]
+        if idx.count(0) > 1 or len(ts) > 1:  # g is linear in s and in t
+            return zero
+        if ts:
+            terms = [(1, jet.get(tuple(sorted(us + ts))))]
+        else:
+            terms = [(1, jet.get(tuple(sorted(us))))] + [(t[a], jet.get(tuple(sorted(us + [a]))))
+                                                          for a in range(p)]
+        c = 1 if 0 in idx else s
+        terms = [(c * x, vec) for x, vec in terms if vec is not None]
+        return integer_combination(terms) if terms else zero
+
+    return d
+
+
+def closure_tangent_rank(f: PolyMap, pt) -> int:
+    """The rank of the cone's differential at pt = (s, u, t): its first
+    partials in every variable, each from the closure."""
+    p = f.domain_dim
+    d = _cone_derivatives(lift_jet(f, pt[1:1 + p], 2), pt, p)
+    return _rank([d(k) for k in range(1 + 2 * p)])
+
+
+def closure_gauss_sample(f: PolyMap, pt) -> tuple[int, int]:
+    """(dim T, rank of the Gauss differential) at pt: the cone's value and
+    first partials as the frame, and every second partial of each basis
+    generator, all from the closure, on the jet paired with ann."""
+    p = f.domain_dim
+    nv = 1 + 2 * p
+    jet = lift_jet(f, pt[1:1 + p], 3)
+    d = _cone_derivatives(jet, pt, p)
+    basis, ann = _frame([d(), *map(d, range(nv))])
+    paired = _cone_derivatives({k: integer_mul_vec(ann, vec) for k, vec in jet.items()}, pt, p)
+    return len(basis), _rank([[x for c in basis if c for x in paired(c - 1, k)]
+                              for k in range(nv)])

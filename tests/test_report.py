@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secantgeo import defects, genericity, oracles, quadrics, report
 from secantgeo.linalg import Gaussian, gauss, integer_combination
@@ -199,6 +201,50 @@ def test_render_json_matches_report_dict():
         assert False
     except ValueError:
         pass
+
+
+def test_render_json_is_the_indented_dump(analysis):
+    """render(rep, "json") writes the bytes of json.dumps(..., indent=2): on a
+    chart whose report has a projected defect block and on a quadric system."""
+    for rep in (analysis("veronese_conic")[0], analysis("severi_C")[0],
+                analyze(quadric_system_to_json(severi_r_system()), AnalyzeOptions())):
+        assert render(rep, "json") == json.dumps(report_to_json(rep), indent=2) + "\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() |
+    st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "\"\\/\b\f\n\r\t"]),
+    lambda kids: st.lists(kids, max_size=4) |
+    st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(JSON_VALUES)
+def test_json_writer_is_json_dumps(x):
+    """Nested dicts and lists (empty ones too) of strs with non-ASCII and
+    control characters, ints, bools and None."""
+    assert report._json(x, "\n") == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize("bad", [1.5, {1: 2}, {"a": {(1,): 2}}, [set()], (1, 2), b"x",
+                                 Scalar(1), gauss(1, 2)])
+def test_json_writer_rejects_types_a_report_does_not_hold(bad):
+    with pytest.raises(TypeError):
+        report._json(bad, "\n")
+
+
+@pytest.mark.parametrize("name", ["veronese_3_1", "veronese_conic", "segre_2_2"])
+def test_one_trial_joins_give_the_default_values(entries, name):
+    """A single join sample has distinct sources, so at seeds 0-9 `--trials
+    1` gives the dims and cross-checks of the default 5 trials; with
+    coinciding sources it gave, say, dim sigma_2 = 1 for the twisted cubic
+    (veronese_3_1 at seed 1)."""
+    ent = entries[name]
+    obj = polymap_to_json(ent.map, base_point=ent.base_point)
+    for seed in range(10):
+        one, five = (analyze(obj, AnalyzeOptions(seed=seed, trials=t)) for t in (1, 5))
+        assert (one.dims, one.cross_checks) == (five.dims, five.cross_checks)
 
 
 def test_reports_are_deterministic():
