@@ -17,7 +17,7 @@ from .jets import ChartError, chart_at, second_fundamental_form
 from .oracles import join_dimension, tangent_join_dimension
 from .polymaps import polymap_from_json, polymap_to_json
 from .quadrics import rank_profile
-from .report import AnalyzeOptions, analyze, load_input, render
+from .report import AnalyzeOptions, analyze, dumps, load_input, render
 
 
 class InputError(ValueError):
@@ -108,7 +108,7 @@ def _cmd_zoo(args) -> int:
     except ValueError as e:
         raise InputError(str(e)) from None
     out = polymap_to_json(entry.map, base_point=entry.base_point)
-    sys.stdout.write(json.dumps(out, indent=2) + "\n")
+    sys.stdout.write(dumps(out) + "\n")
     return 0
 
 
@@ -128,7 +128,7 @@ def _cmd_oracle(args) -> int:
     else:
         dim = tangent_join_dimension(f, stream, args.trials)
         result = {"kind": "oracle_result", "quantity": "tangent", "dimension": dim}
-    sys.stdout.write(json.dumps(result, indent=2) + "\n")
+    sys.stdout.write(dumps(result) + "\n")
     return 0
 
 
@@ -147,7 +147,7 @@ def _cmd_clifford(args) -> int:
     cv = defect_report(s, profile, s.n + profile.a0, derive_stream(args.seed, "defects"),
                        args.trials).clifford_verdict
     result = {"kind": "clifford_verdict", **cv._asdict()}
-    sys.stdout.write(json.dumps(result, indent=2) + "\n")
+    sys.stdout.write(dumps(result) + "\n")
     return 0
 
 

@@ -331,12 +331,10 @@ def quotient_singular_locus_match(s: QuadricSystem, point: GenericPoint) -> bool
     n, quads = s.n, s.quadrics
     k_sub = IntegerSpan(n, [point.v, *point.kernel.rows])
     reps = k_sub.free_columns()
-    # stacked conditions, one column per b: for x = sum_b x_b e_{reps[b]},
-    # II(x, e_{reps[t]}) must vanish modulo II_v(T) for every t: reduced by
-    # its a0 rows, or paired with Ann(v)'s a - a0 if fewer
-    ann = point.annihilator.rows
-    modulo = point.image.reduce if s.a > 2 * point.image.dim else lambda w: integer_mul_vec(ann, w)
-    cols = [[x for t in reps for x in modulo([q[b * n + t] for q in quads])] for b in reps]
+    # stacked conditions, one column per b: for x = sum_b x_b e_{reps[b]}, the
+    # reduced value of II(x, e_{reps[t]}) modulo II_v(T) must vanish for every t
+    cols = [[x for t in reps for x in point.image.reduce([q[b * n + t] for q in quads])]
+            for b in reps]
     null = IntegerSpan(len(reps), list(zip(*cols))).perp()
     lifted = [[dict(zip(reps, row)).get(j, 0) for j in range(n)] for row in null.rows]
     return IntegerSpan(n, k_sub.rows + lifted) == IntegerSpan(n, k_sub.rows + point.singloc.rows)

@@ -342,18 +342,18 @@ def report_to_json(rep: AnalysisReport) -> dict:
     }
 
 
-def _json(x, nl: str) -> str:
-    """json.dumps(x, indent=2) for the types a report holds, else TypeError;
-    nl is the line break and indent before x."""
+def dumps(x, nl: str = "\n") -> str:
+    """json.dumps(x, indent=2) for the types a report or a CLI result holds,
+    else TypeError; nl is the line break and indent before x."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if x is None or type(x) in (int, bool):
         return "null" if x is None else str(x).lower()
     inner = nl + "  "
     if isinstance(x, dict):
-        items, ends = [encode_basestring_ascii(k) + ": " + _json(x[k], inner) for k in x], "{}"
+        items, ends = [encode_basestring_ascii(k) + ": " + dumps(x[k], inner) for k in x], "{}"
     elif isinstance(x, list):
-        items, ends = [_json(v, inner) for v in x], "[]"
+        items, ends = [dumps(v, inner) for v in x], "[]"
     else:
         raise TypeError("a report holds no %s" % type(x).__name__)
     return ends[0] + inner + ("," + inner).join(items) + nl + ends[1] if items else ends
@@ -361,7 +361,7 @@ def _json(x, nl: str) -> str:
 
 def render(rep: AnalysisReport, fmt: str = "text") -> str:
     if fmt == "json":
-        return _json(report_to_json(rep), "\n") + "\n"
+        return dumps(report_to_json(rep)) + "\n"
     if fmt != "text":
         raise ValueError("format must be text or json")
     lines = []
