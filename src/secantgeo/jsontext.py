@@ -1,16 +1,12 @@
-"""The indented JSON text of every report and CLI result, without the
-pure-Python encoder that an indent sends `json.dumps` to.  It lives apart
-from `report` because each fresh import compiles `report`, the largest
-module, and that compile is the peak of a set-up's memory."""
-
-from __future__ import annotations
+"""The indented JSON text of reports and CLI results, kept out of `report`:
+each set-up compiles that largest module, and the compile is its memory peak."""
 
 from json.encoder import encode_basestring_ascii
 
 
 def dumps(x, nl: str = "\n") -> str:
-    """json.dumps(x, indent=2) for the types a report or a CLI result holds,
-    else TypeError; nl is the line break and indent before x."""
+    """json.dumps(x, indent=2) for the types a report holds, else TypeError;
+    nl is the line break and indent before x."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if x is None or type(x) in (int, bool):
