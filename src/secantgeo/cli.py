@@ -14,11 +14,10 @@ import sys
 from .defects import defect_report
 from .genericity import CertificationError, derive_stream
 from .jets import ChartError, chart_at, second_fundamental_form
-from .jsontext import dumps
 from .oracles import join_dimension, tangent_join_dimension
 from .polymaps import polymap_from_json, polymap_to_json
 from .quadrics import rank_profile
-from .report import AnalyzeOptions, analyze, load_input, render
+from .report import AnalyzeOptions, analyze, dumps, load_input, render
 
 
 class InputError(ValueError):

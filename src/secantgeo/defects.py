@@ -332,7 +332,7 @@ def quotient_singular_locus_match(s: QuadricSystem, point: GenericPoint) -> bool
     k_sub = IntegerSpan(n, [point.v, *point.kernel.rows])
     reps = k_sub.free_columns()
     # stacked conditions, one column per b: for x = sum_b x_b e_{reps[b]}, the
-    # reduced value of II(x, e_{reps[t]}) must vanish for every t
+    # reduced value of II(x, e_{reps[t]}) modulo II_v(T) must vanish for every t
     cols = [[x for t in reps for x in point.image.reduce([q[b * n + t] for q in quads])]
             for b in reps]
     null = IntegerSpan(len(reps), list(zip(*cols))).perp()

@@ -7,6 +7,7 @@ byte-identical JSON.
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .defects import (DefectError, DefectReport, annihilator_matches_image_perp,
@@ -16,7 +17,6 @@ from .defects import (DefectError, DefectReport, annihilator_matches_image_perp,
 from .genericity import derive_stream
 from .jets import JetChart, chart_at, chart_roundtrip_check, refined_third_form_cube, \
     second_fundamental_form
-from .jsontext import dumps
 from .oracles import join_dimension, tangent_join_dimension
 from .polymaps import polymap_base_point, polymap_from_json
 from .quadrics import (RankProfile, generic_image, generic_vector, higher_secant_dimension,
@@ -340,6 +340,23 @@ def report_to_json(rep: AnalysisReport) -> dict:
             for v in rep.verdicts
         ],
     }
+
+
+def dumps(x, nl: str = "\n") -> str:
+    """json.dumps(x, indent=2) for the types a report or a CLI result holds,
+    else TypeError; nl is the line break and indent before x."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or type(x) in (int, bool):
+        return "null" if x is None else str(x).lower()
+    inner = nl + "  "
+    if isinstance(x, dict):
+        items, ends = [encode_basestring_ascii(k) + ": " + dumps(x[k], inner) for k in x], "{}"
+    elif isinstance(x, list):
+        items, ends = [dumps(v, inner) for v in x], "[]"
+    else:
+        raise TypeError("a report holds no %s" % type(x).__name__)
+    return ends[0] + inner + ("," + inner).join(items) + nl + ends[1] if items else ends
 
 
 def render(rep: AnalysisReport, fmt: str = "text") -> str:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secantgeo import defects, genericity, oracles, quadrics, report
-from secantgeo.jsontext import dumps
 from secantgeo.linalg import Gaussian, gauss, integer_combination
 from secantgeo.polymaps import polymap_to_json
 from secantgeo.quadrics import (QuadricSystem, quadric_system, quadric_system_from_json,
@@ -225,14 +224,14 @@ JSON_VALUES = st.recursive(
 def test_json_writer_is_json_dumps(x):
     """Nested dicts and lists (empty ones too) of strs with non-ASCII and
     control characters, ints, bools and None."""
-    assert dumps(x) == json.dumps(x, indent=2)
+    assert report.dumps(x) == json.dumps(x, indent=2)
 
 
 @pytest.mark.parametrize("bad", [1.5, {1: 2}, {"a": {(1,): 2}}, [set()], (1, 2), b"x",
                                  Scalar(1), gauss(1, 2)])
 def test_json_writer_rejects_types_a_report_does_not_hold(bad):
     with pytest.raises(TypeError):
-        dumps(bad)
+        report.dumps(bad)
 
 
 @pytest.mark.parametrize("name", ["veronese_3_1", "veronese_conic", "segre_2_2"])
