@@ -1,7 +1,9 @@
 """Command-line front door.
 
 Exit codes: 0 all requested verdicts computed (even when some fail),
-1 input error, 2 certification failure, 3 internal error.
+1 input error (bad flags and `--trials` below 1 included),
+2 certification failure, 3 internal error: any other exception, such as
+a ValueError raised after the input has loaded.
 """
 
 from __future__ import annotations
@@ -13,15 +15,17 @@ import sys
 
 from .defects import defect_report
 from .genericity import CertificationError, derive_stream
-from .jets import ChartError, chart_at, second_fundamental_form
 from .oracles import join_dimension, tangent_join_dimension
 from .polymaps import polymap_from_json, polymap_to_json
 from .quadrics import rank_profile
-from .report import AnalyzeOptions, analyze, dumps, load_input, render
+from .report import AnalyzeOptions, InputError, analyze, dumps, load_input, render
 
 
-class InputError(ValueError):
-    pass
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is an input error, not argparse's exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def _read_json(path: str | None):
@@ -54,9 +58,9 @@ def _common_flags(p: argparse.ArgumentParser, order=True):
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared by every later `main` call:
     parse_args keeps no state between calls."""
-    ap = argparse.ArgumentParser(prog="secantgeo",
-                                 description="dimension and defect analysis of secant and "
-                                             "tangential varieties from exact chart data")
+    ap = _Parser(prog="secantgeo",
+                 description="dimension and defect analysis of secant and tangential "
+                             "varieties from exact chart data")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full report for a poly_map or quadric_system")
@@ -90,11 +94,7 @@ def _cmd_analyze(args) -> int:
     obj = _read_json(args.input)
     options = AnalyzeOptions(seed=args.seed, trials=args.trials, order=args.order,
                              k_max=args.k_max)
-    try:
-        rep = analyze(obj, options)
-    except (ValueError, ChartError) as e:
-        raise InputError(str(e)) from None
-    sys.stdout.write(render(rep, args.format))
+    sys.stdout.write(render(analyze(obj, options), args.format))
     return 0
 
 
@@ -133,15 +133,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_clifford(args) -> int:
-    obj = _read_json(args.input)
-    try:
-        kind, f, base, s = load_input(obj)
-        if f is not None:
-            if base is None:
-                base = [0] * f.domain_dim
-            s = second_fundamental_form(chart_at(f, base, args.order))
-    except (ValueError, ChartError) as e:
-        raise InputError(str(e)) from None
+    s = load_input(_read_json(args.input), args.order)[3]
     profile = rank_profile(s, derive_stream(args.seed, "profile"), args.trials)[0]
     # the verdict of the analysis, at its stream and draws
     cv = defect_report(s, profile, s.n + profile.a0, derive_stream(args.seed, "defects"),
@@ -152,10 +144,12 @@ def _cmd_clifford(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {"analyze": _cmd_analyze, "zoo": _cmd_zoo, "oracle": _cmd_oracle,
                 "clifford": _cmd_clifford}
     try:
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "trials", 1) < 1:
+            raise InputError("trials must be >= 1")
         return handlers[args.command](args)
     except InputError as e:
         sys.stderr.write("error: %s\n" % e)
@@ -163,7 +157,7 @@ def main(argv=None) -> int:
     except CertificationError as e:
         sys.stderr.write("certification failure: %s\n" % e)
         return 2
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:
         sys.stderr.write("internal error: %s: %s\n" % (type(e).__name__, e))
         return 3
 

@@ -152,8 +152,7 @@ def _restrict_quadric(n: int, q: list, basis) -> list:
 
 
 def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: GenericPoint,
-                            mini: MinimalSubsystem,
-                            frames: QuotientFrames | None = None) -> CliffordVerdict:
+                            mini: MinimalSubsystem, frames: QuotientFrames) -> CliffordVerdict:
     """At a certified-generic point v of a degenerate tangential
     hypersurface, with the minimal subsystem `mini` of the vertex, verify
     the anticommutation relation
@@ -164,11 +163,9 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Gener
     restriction of the minimal-subsystem quadrics to span{v} + ker II_v,
     normalized so Q_v(v, v) = 1.  phi_v must be the identity, and v must be
     Q_v-orthogonal to the kernel directions.  `frames` are the point's
-    quotient frames, when already built."""
+    quotient frames (`quotient_frames`)."""
     if profile.a0 != s.a - 1:
         return _clifford_not_applicable(s, profile)
-    if frames is None:
-        frames = quotient_frames(s, point)
     fiber_ok = frames.fiber.dim == s.a - mini.dim + 1
 
     ker = point.kernel
@@ -211,15 +208,13 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Gener
 
 
 def so_membership_check(s: QuadricSystem, point: GenericPoint,
-                        frames: QuotientFrames | None = None) -> bool:
+                        frames: QuotientFrames) -> bool:
     """Each phi_w for w in ker II_v is skew for the quotient descent of the
-    annihilator generator: P(phi_w x, y) + P(x, phi_w y) = 0.  Requires
-    dim Ann(v) = 1."""
+    annihilator generator: P(phi_w x, y) + P(x, phi_w y) = 0, `frames` the
+    point's quotient frames.  Requires dim Ann(v) = 1."""
     ann = point.annihilator
     if ann.dim != 1:
         raise DefectError("so membership needs a one-dimensional annihilator")
-    if frames is None:
-        frames = quotient_frames(s, point)
     p, t = integer_quadric(s, ann.rows[0]), frames.tangent_reps
     pbar = [[p[i * s.n + j] for j in t] for i in t]
     for row in point.kernel.rows:
@@ -353,7 +348,7 @@ def defect_report(s: QuadricSystem, profile: RankProfile, sigma_dim: int, stream
             frames = quotient_frames(s, point)
         except DefectError as e:
             unmet = "needs ker II_v inside singloc Ann(v); %s" % e
-    clifford = _clifford_not_applicable(s, profile) if unmet else \
+    clifford = _clifford_not_applicable(s, profile) if frames is None else \
         clifford_relation_check(s, profile, point, mini, frames)
     so_ok = None
     if profile.dim_ann == 1 and clifford.applicable:

@@ -15,7 +15,7 @@ from .defects import (DefectError, DefectReport, annihilator_matches_image_perp,
                       fiber_dimension_identity, kernel_in_singular_locus,
                       quotient_singular_locus_match, tau_gauss_bound_check)
 from .genericity import derive_stream
-from .jets import JetChart, chart_at, chart_roundtrip_check, refined_third_form_cube, \
+from .jets import chart_at, chart_roundtrip_check, refined_third_form_cube, \
     second_fundamental_form
 from .oracles import join_dimension, tangent_join_dimension
 from .polymaps import polymap_base_point, polymap_from_json
@@ -51,7 +51,6 @@ class Verdict(NamedTuple):
 
 
 class AnalysisReport(NamedTuple):
-    descriptor: str
     input_kind: str
     options: AnalyzeOptions
     profile: RankProfile
@@ -62,42 +61,37 @@ class AnalysisReport(NamedTuple):
     verdicts: tuple[Verdict, ...]
 
 
-def load_input(obj):
-    """Parse an input JSON object into (kind, map or None, base point or
-    None, quadric system or None)."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("input must be a JSON object with a 'kind' key")
-    kind = obj["kind"]
-    if kind == "poly_map":
-        return "poly_map", polymap_from_json(obj), polymap_base_point(obj), None
-    if kind == "quadric_system":
-        return "quadric_system", None, None, quadric_system_from_json(obj)
-    raise ValueError("unsupported input kind %r" % (kind,))
+class InputError(ValueError):
+    """An input the pipeline cannot use: the command line exits 1 on it."""
+
+
+def load_input(obj, order: int = 3):
+    """Parse an input JSON object into (kind, map or None, chart or None,
+    quadric system).  A poly_map is charted at its base point, or at the
+    origin when it has none.  Raises InputError on anything it cannot use."""
+    try:
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ValueError("input must be a JSON object with a 'kind' key")
+        kind = obj["kind"]
+        if kind == "quadric_system":
+            return kind, None, None, quadric_system_from_json(obj)
+        if kind != "poly_map":
+            raise ValueError("unsupported input kind %r" % (kind,))
+        f = polymap_from_json(obj)
+        jet = chart_at(f, polymap_base_point(obj) or [0] * f.domain_dim, order)
+        return kind, f, jet, second_fundamental_form(jet)
+    except ValueError as e:
+        raise InputError(str(e)) from None
 
 
 def _status(flag: bool | None) -> str:
     return "not-applicable" if flag is None else "pass" if flag else "fail"
 
 
-def analyze(obj, options: AnalyzeOptions = AnalyzeOptions(), descriptor: str | None = None,
-            entry=None) -> AnalysisReport:
-    """Run the full pipeline.  `obj` is a parsed input JSON object; a zoo
-    entry may be passed directly instead."""
-    if entry is not None:
-        kind, f, base, s = "poly_map", entry.map, list(entry.base_point), None
-        descriptor = descriptor or entry.name
-    else:
-        kind, f, base, s = load_input(obj)
-        descriptor = descriptor or kind
-
+def analyze(obj, options: AnalyzeOptions = AnalyzeOptions()) -> AnalysisReport:
+    """Run the full pipeline on a parsed input JSON object."""
+    kind, f, jet, s = load_input(obj, options.order)
     seed, trials = options.seed, options.trials
-    jet: JetChart | None = None
-    if f is not None:
-        if base is None:
-            base = [0] * f.domain_dim
-        jet = chart_at(f, base, options.order)
-        s = second_fundamental_form(jet)
-    assert s is not None
     n, a = s.n, s.a
     ambient = n + a
 
@@ -174,15 +168,16 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions(), descriptor: str | N
         "tau_gauss_fiber": tau_gauss.fiber_dim if tau_gauss else None,
     }
 
-    verdicts = _verdicts(s, profile, points, jet, f, defects, projected, cross_checks,
-                         sigma_rows, tau_gauss, sigma_degenerate, third_vanishes, options)
-    return AnalysisReport(descriptor, kind, options, profile, dims, defects, projected,
-                          cross_checks, verdicts)
+    roundtrip = None if f is None else chart_roundtrip_check(f, jet)
+    verdicts = _verdicts(s, profile, points, jet, defects, projected, cross_checks,
+                         sigma_rows, tau_gauss, sigma_degenerate, roundtrip, options)
+    return AnalysisReport(kind, options, profile, dims, defects, projected, cross_checks,
+                          verdicts)
 
 
-def _verdicts(s, profile, points, jet, f, defects: DefectReport,
+def _verdicts(s, profile, points, jet, defects: DefectReport,
               projected: DefectReport | None, cross_checks, sigma_rows, tau_gauss,
-              sigma_degenerate, third_vanishes, options) -> tuple[Verdict, ...]:
+              sigma_degenerate, roundtrip, options) -> tuple[Verdict, ...]:
     independent = s.independent()
     out = [Verdict("independent_system", _status(independent),
                    "the quadrics are linearly independent" if independent
@@ -214,7 +209,7 @@ def _verdicts(s, profile, points, jet, f, defects: DefectReport,
                            "fiber %d vs delta_tau + 2 = %d (needs a smooth source)" %
                            (tau_gauss.fiber_dim, tau_gauss.delta_tau + 2)))
     else:
-        detail = "tau is not degenerate" if f is not None else "needs a chart input"
+        detail = "tau is not degenerate" if jet is not None else "needs a chart input"
         out.append(Verdict("tau_gauss_lower_bound", "not-applicable", detail))
         out.append(Verdict("tau_gauss_smooth_bound", "not-applicable", detail))
 
@@ -296,12 +291,9 @@ def _verdicts(s, profile, points, jet, f, defects: DefectReport,
         out.append(Verdict("third_form_vanishing", "not-applicable",
                            "applies to charts with degenerate secant variety"))
 
-    if jet is not None and f is not None:
-        ok = chart_roundtrip_check(f, jet)
-        out.append(Verdict("chart_roundtrip", _status(ok),
-                           "graph reproduces the chart along random curves"))
-    else:
-        out.append(Verdict("chart_roundtrip", "not-applicable", "needs a chart input"))
+    out.append(Verdict("chart_roundtrip", _status(roundtrip),
+                       "graph reproduces the chart along random curves"
+                       if roundtrip is not None else "needs a chart input"))
     return tuple(out)
 
 
@@ -324,7 +316,7 @@ def _defects_to_json(d: DefectReport) -> dict:
 def report_to_json(rep: AnalysisReport) -> dict:
     return {
         "kind": "analysis_report",
-        "input": {"descriptor": rep.descriptor, "type": rep.input_kind},
+        "input": {"descriptor": rep.input_kind, "type": rep.input_kind},
         "options": rep.options._asdict(),
         "profile": rep.profile._asdict(),
         "dims": rep.dims,
@@ -366,7 +358,7 @@ def render(rep: AnalysisReport, fmt: str = "text") -> str:
         raise ValueError("format must be text or json")
     lines = []
     d = rep.dims
-    lines.append("analysis of %s (%s)" % (rep.descriptor, rep.input_kind))
+    lines.append("analysis of %s (%s)" % (rep.input_kind, rep.input_kind))
     lines.append("  n = %d  a = %d  ambient = %d" % (d["n"], d["a"], d["ambient"]))
     p = rep.profile
     lines.append("  profile: a0 = %d  r = %d  dim_ker = %d  dim_ann = %d  dim_singloc = %d"

@@ -229,25 +229,21 @@ def _need(params: dict, key: str) -> int:
     return int(val)
 
 
+# the named parameters of `build` that an inner family's positional ones fill
+_OF_PARAMS = {"segre": ("k", "r"), "veronese": ("d", "m"), "severi": ("algebra",),
+              "grassmannian": ("m",), "cone": ()}
+
+
 def _parse_of(text) -> ZooEntry:
     """Inner-entry descriptor for re-embeddings: 'family:p1,p2' with
     positional parameters in the family's natural order, e.g. veronese:2,1."""
     if not text:
         raise ValueError("veronese_of needs --of family:params")
     head, _, rest = str(text).partition(":")
-    args = [p for p in rest.split(",") if p]
     fam = head.replace("-", "_")
-    if fam == "segre":
-        return segre(int(args[0]), int(args[1]))
-    if fam == "veronese":
-        return veronese(int(args[0]), int(args[1]))
-    if fam == "severi":
-        return severi(args[0])
-    if fam == "grassmannian":
-        return grassmannian(2, int(args[0]))
-    if fam == "cone":
-        return cone_over_twisted_cubic()
-    raise ValueError("unknown inner family %r" % head)
+    if fam not in _OF_PARAMS:
+        raise ValueError("unknown inner family %r" % head)
+    return build(fam, dict(zip(_OF_PARAMS[fam], (p for p in rest.split(",") if p))))
 
 
 def expected(entry: ZooEntry) -> dict | None:

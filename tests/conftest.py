@@ -13,6 +13,7 @@ from hypothesis import settings
 
 from secantgeo.genericity import derive_stream
 from secantgeo.jets import chart_at, second_fundamental_form
+from secantgeo.polymaps import polymap_to_json
 from secantgeo.quadrics import rank_profile
 from secantgeo.report import AnalyzeOptions, analyze
 from secantgeo.zoo import catalog
@@ -54,8 +55,8 @@ def analysis(entries):
         if name not in _ANALYSES:
             ent = entries[name]
             t0 = time.time()
-            rep = analyze({"kind": "zoo", "name": name}, AnalyzeOptions(),
-                          descriptor=name, entry=ent)
+            rep = analyze(polymap_to_json(ent.map, base_point=ent.base_point),
+                          AnalyzeOptions())
             _ANALYSES[name] = (rep, time.time() - t0)
         return _ANALYSES[name]
 

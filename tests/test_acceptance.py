@@ -10,6 +10,7 @@ from oracle_reference import terracini_consistency_check
 from secantgeo.cli import main
 from secantgeo.defects import tau_gauss_bound_check
 from secantgeo.genericity import derive_stream
+from secantgeo.polymaps import polymap_to_json
 from secantgeo.report import AnalyzeOptions, analyze, render
 from secantgeo.zoo import catalog
 
@@ -176,9 +177,9 @@ def _run_cli(argv, stdin_text=""):
 def test_criterion_7_determinism_and_loud_failure():
     bad = []
     opts = AnalyzeOptions(seed=3)
-    blobs = [render(analyze({"kind": "zoo", "name": "severi_R"},
-                            opts, descriptor="severi_R",
-                            entry=_zoo_entry("severi_R")), "json") for _ in range(2)]
+    ent = _zoo_entry("severi_R")
+    obj = polymap_to_json(ent.map, base_point=ent.base_point)
+    blobs = [render(analyze(obj, opts), "json") for _ in range(2)]
     if blobs[0] != blobs[1]:
         bad.append("same-seed reports differ")
 

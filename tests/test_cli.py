@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 
-from secantgeo import cli, defects
+import pytest
+
+from secantgeo import cli, defects, report
 from secantgeo.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -102,8 +104,58 @@ def test_bad_zoo_and_analyze_inputs_exit_one():
     code, _, err = run(["zoo", "grassmannian", "--m", "3"])
     assert code == 1 and err == "error: grassmannian needs m >= 4\n"
 
+    for of, msg in (("segre:2", "missing parameter --r"),
+                    ("severi", "severi needs --algebra R|C|H|O"),
+                    ("grassmannian", "missing parameter --m")):
+        code, _, err = run(["zoo", "veronese_of", "--d", "2", "--of", of])
+        assert code == 1 and err == "error: %s\n" % msg
+
     code, _, err = run(["analyze"], stdin_text="{\"kind\": \"nope\"}")
     assert code == 1 and "unsupported input kind" in err
+
+
+def test_bad_flags_exit_one():
+    """A malformed command line is an input error, exit 1, not argparse's
+    exit 2, which is the code of a certification failure; --help still
+    exits 0."""
+    probes = (["analyze", "--format", "xml"], ["analyze", "--seed", "x"], ["bogus"],
+              ["analyze", "--nope"], ["zoo", "segre", "--k", "x"])
+    for argv in probes:
+        code, out, err = run(argv)
+        assert code == 1 and out == "" and err.startswith("error: "), argv
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--help"])
+    assert exc.value.code == 0
+
+
+def test_trials_below_one_exit_one_on_every_command():
+    _, chart, _ = run(["zoo", "veronese", "--d", "3", "--m", "1"])
+    for argv in (["analyze"], ["oracle", "join"], ["oracle", "tangent"], ["clifford"]):
+        assert run(argv + ["--trials", "0"], stdin_text=chart) == \
+            (1, "", "error: trials must be >= 1\n"), argv
+
+
+def test_errors_after_loading_are_internal(monkeypatch):
+    """A ValueError raised once the input has loaded is a bug, exit 3, not
+    an input error; a poly_map that is not immersive at its base point
+    still exits 1."""
+    _, chart, _ = run(["zoo", "veronese", "--d", "3", "--m", "1"])
+
+    def broken(*args):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(report, "rank_profile", broken)
+    monkeypatch.setattr(cli, "rank_profile", broken)
+    for argv in (["analyze"], ["clifford"]):
+        assert run(argv, stdin_text=chart) == \
+            (3, "", "internal error: ValueError: injected\n"), argv
+
+    cusp = {"kind": "poly_map", "domain_dim": 1, "codomain_dim": 2, "projective": False,
+            "components": [[{"exps": [2], "coeff": sc("1")}],
+                           [{"exps": [3], "coeff": sc("1")}]]}
+    for argv in (["analyze"], ["clifford"]):
+        assert run(argv, stdin_text=json.dumps(cusp)) == \
+            (1, "", "error: differential has rank 0 < 1 at the base point\n"), argv
 
 
 def test_certification_failure_exits_two_and_more_trials_cure_it():

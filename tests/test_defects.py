@@ -35,6 +35,7 @@ from secantgeo.defects import (
 from secantgeo.genericity import CertificationError, nonzero_vector
 from secantgeo.jets import chart_at, second_fundamental_form
 from secantgeo.linalg import Gaussian, IntegerSpan, Matrix, scalar_values
+from secantgeo.polymaps import polymap_to_json
 from secantgeo.quadrics import (GenericPoint, QuadricSystem, _profile_at, generic_image,
                                 generic_vector, higher_secant_dimension, quadric_system,
                                 rank_profile)
@@ -125,7 +126,7 @@ def test_clifford_on_division_algebra_systems(charted):
         stream = derive_stream(0, "td", "cl", name)
         point = generic_vector(s, prof, stream)
         mini = minimal_subsystem(s, vertex(s, prof, stream))
-        verdict = clifford_relation_check(s, prof, point, mini)
+        verdict = clifford_relation_check(s, prof, point, mini, quotient_frames(s, point))
         assert verdict.applicable
         assert verdict.fiber_condition_ok
         assert verdict.proportionality_ok
@@ -146,7 +147,7 @@ def test_clifford_not_applicable_without_hypersurface_tau():
     stream = derive_stream(0, "td", "na", 1)
     point = generic_vector(s, prof, stream)
     mini = minimal_subsystem(s, vertex(s, prof, stream))
-    verdict = clifford_relation_check(s, prof, point, mini)
+    verdict = clifford_relation_check(s, prof, point, mini, quotient_frames(s, point))
     assert not verdict.applicable
 
 
@@ -171,11 +172,13 @@ def test_clifford_action_rejects_inadmissible_direction(charted):
 def test_so_membership(charted):
     for name in ("severi_R", "severi_C"):
         _, _, s, prof = charted[name]
-        assert so_membership_check(s, generic_vector(s, prof, derive_stream(0, "td", "so", name)))
+        point = generic_vector(s, prof, derive_stream(0, "td", "so", name))
+        assert so_membership_check(s, point, quotient_frames(s, point))
     single = quadric_system(3, [sym(3, {(0, 0): 1, (1, 2): "1/2"})])
     prof = rank_profile(single, derive_stream(0, "td", "so1"))[0]
+    point = generic_vector(single, prof, derive_stream(0, "td", "so2"))
     try:
-        so_membership_check(single, generic_vector(single, prof, derive_stream(0, "td", "so2")))
+        so_membership_check(single, point, quotient_frames(single, point))
         assert False
     except DefectError:
         pass
@@ -414,12 +417,14 @@ def compare_with_reference(s):
         pass
     for point in points:
         ref_point = scalar_point(s, point)
-        for name in PROPERTY_CHECKS + ("so_membership_check",):
+        for name in PROPERTY_CHECKS:
             ours, theirs = getattr(defects, name), getattr(defects_reference, name)
             assert _outcome(ours, s, point) == _outcome(theirs, s, ref_point), name
+        assert _outcome(lambda: so_membership_check(s, point, quotient_frames(s, point))) == \
+            _outcome(defects_reference.so_membership_check, s, ref_point)
         if isinstance(vert, IntegerSpan):
-            assert _outcome(lambda: _values(
-                clifford_relation_check(s, prof, point, minimal_subsystem(s, vert)))) == _outcome(
+            assert _outcome(lambda: _values(clifford_relation_check(
+                s, prof, point, minimal_subsystem(s, vert), quotient_frames(s, point)))) == _outcome(
                 lambda: _values(defects_reference.clifford_relation_check(
                     s, prof, ref_point, subspace(vert))))
     return got[1] if got[0] == "value" else None
@@ -541,7 +546,8 @@ def test_vertex_and_third_form_draws_skip_the_annihilator(monkeypatch, entries):
         return out
 
     monkeypatch.setattr(report, "generic_image", counted)
-    rep = analyze(None, entry=entries["severi_R"])
+    ent = entries["severi_R"]
+    rep = analyze(polymap_to_json(ent.map, base_point=ent.base_point))
     assert draws == [[]] * 5
     assert {v.name: v.status for v in rep.verdicts}["third_form_vanishing"] == "pass"
     # the count sees the full-profile draws of the other verdicts

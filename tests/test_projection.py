@@ -32,7 +32,8 @@ def test_projected_defects_match_reference_route():
     # v2(P^4): sigma is degenerate and a0 = 4 < a - 1 = 9
     ent = veronese(2, 4)
     for seed in (0, 3, 7):
-        rep = analyze(None, AnalyzeOptions(seed=seed), entry=ent)
+        rep = analyze(polymap_to_json(ent.map, base_point=ent.base_point),
+                      AnalyzeOptions(seed=seed))
         assert rep.defects_projected is not None
         ref = projected_defects(ent.map, list(ent.base_point), rep.dims["n"], rep.profile.a0,
                                 seed)

@@ -10,7 +10,8 @@ from secantgeo.linalg import Gaussian, gauss, integer_combination
 from secantgeo.polymaps import polymap_to_json
 from secantgeo.quadrics import (QuadricSystem, quadric_system, quadric_system_from_json,
                                 quadric_system_to_json)
-from secantgeo.report import AnalyzeOptions, analyze, load_input, render, report_to_json
+from secantgeo.report import (AnalyzeOptions, InputError, analyze, load_input, render,
+                              report_to_json)
 from secantgeo.scalars import Scalar
 from secantgeo.zoo import veronese
 from test_defects import base_system
@@ -306,8 +307,5 @@ def test_real_inputs_build_no_gaussian(tmp_path, monkeypatch):
 
 def test_load_input_rejects_malformed_objects():
     for bad in (42, [], {"n": 2}, {"kind": "nope"}, {"kind": "poly_map"}):
-        try:
+        with pytest.raises(InputError):
             load_input(bad)
-            assert False, bad
-        except (ValueError, KeyError):
-            pass

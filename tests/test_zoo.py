@@ -12,6 +12,7 @@ from secantgeo.algebras import AlgebraTag
 from secantgeo.jets import chart_at, chart_roundtrip_check, refined_third_form_cube, second_fundamental_form
 from secantgeo.linalg import IntegerSpan, Matrix, scalar_values
 from secantgeo.oracles import gauss_fiber_dimension, join_dimension
+from secantgeo.polymaps import polymap_to_json
 from secantgeo.quadrics import contract, higher_secant_dimension, rank_profile
 from secantgeo.report import AnalyzeOptions, analyze
 from secantgeo.scalars import Scalar
@@ -138,6 +139,11 @@ def test_build_dispatcher():
     assert build("rank-variety", {"k": 4, "r": 4, "l": 2}).name == "rank_4_4_2"
     re_embed = build("veronese_of", {"of": "veronese:2,1", "d": 2})
     assert re_embed.map.codomain_dim == veronese_of(veronese(2, 1), 2).map.codomain_dim
+    # each inner family's positional parameters fill the named ones of build
+    for of, inner in (("segre:2,3", "segre_2_3"), ("veronese:3,1", "veronese_3_1"),
+                      ("severi:C", "severi_C"), ("grassmannian:6", "grassmannian_2_6"),
+                      ("cone", "cone_twisted_cubic")):
+        assert build("veronese_of", {"of": of, "d": 2}).name == inner + "_v2"
 
 
 def test_build_rejects_bad_parameters():
@@ -151,6 +157,9 @@ def test_build_rejects_bad_parameters():
         ("rank_variety", {"k": 2, "r": 2, "l": 2}),
         ("veronese_of", {"d": 2}),
         ("veronese_of", {"of": "nope:1", "d": 2}),
+        ("veronese_of", {"of": "segre:2", "d": 2}),
+        ("veronese_of", {"of": "severi", "d": 2}),
+        ("veronese_of", {"of": "grassmannian", "d": 2}),
         ("frobnicate", {}),
     ]
     for family, params in cases:
@@ -245,7 +254,8 @@ def test_wide_reembeddings_at_seed_0(entries, name):
     sigma_2 = 2n + 1 from both columns and the refined cubic form does not
     vanish, as the abstract's extension of Roberts' theorem predicts."""
     n, a, a0, checks = WIDE_SEED0[name]
-    rep = analyze(None, AnalyzeOptions(seed=0), entry=veronese_of(entries[name], 3))
+    ent = veronese_of(entries[name], 3)
+    rep = analyze(polymap_to_json(ent.map, base_point=ent.base_point), AnalyzeOptions(seed=0))
     assert (rep.dims["n"], rep.dims["a"], rep.profile.a0) == (n, a, a0)
     assert {c.quantity: (c.formula, c.oracle) for c in rep.cross_checks} == checks
     assert checks["dim_sigma_2"] == (2 * n + 1, 2 * n + 1)
