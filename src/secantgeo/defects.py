@@ -36,7 +36,7 @@ def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> I
         nxt = img if w is None else w.intersect(img)
         if not nxt.dim:
             return nxt
-        if w is not None and nxt == w:
+        if w is not None and nxt.dim == w.dim:  # nxt lies in w
             stable += 1
         else:
             stable = 0

@@ -6,7 +6,7 @@ integers over one common denominator.  `quadric_system` clears Scalar
 matrices into that form once (`jets.second_fundamental_form` builds it
 from the chart's cleared c2 directly), and `quadric_system_to_json`
 divides back once; nothing in between converts.  All the local projective
-invariants (tangential dimension, secant dimension, defects) are functions
+invariants (tangential dimension, secant spans, defects) are functions
 of this data evaluated at certified-generic tangent vectors; for wide
 systems (a >> n) every perp is taken on the smaller side.
 """
@@ -228,9 +228,9 @@ def generic_image(s: QuadricSystem, profile: RankProfile, stream,
     locus or r.
 
     Accepting on a0 alone is sound for conditions closed in v on the
-    Zariski-open set U where rank II_v = a0, such as "w lies in II_v(T)"
-    and "F3(v, v, v) lies in II_v(T)", both rank conditions there: one that
-    holds at the full-profile points, dense in U, holds on all of U."""
+    Zariski-open set U where rank II_v = a0, such as "w lies in II_v(T)",
+    a rank condition there: one that holds at the full-profile points,
+    dense in U, holds on all of U."""
 
     def accept(v):
         image = IntegerSpan(s.a, list(zip(*contract(s, v))))
@@ -249,27 +249,6 @@ def is_tangentially_degenerate(s: QuadricSystem, profile: RankProfile) -> bool:
     """dim ker II_v exceeding max(0, n - a) drops tau below the expected
     dimension."""
     return profile.dim_ker > max(0, s.n - s.a)
-
-
-class SecantDimension(NamedTuple):
-    dimension: int
-    third_form_vanishes: bool
-
-
-def secant_dimension(s: QuadricSystem, jet, profile: RankProfile, stream,
-                     trials: int = 5) -> SecantDimension:
-    """dim sigma(X) = n + a0, plus 1 exactly when the refined cubic form
-    does not vanish at v (checked at a certified-generic v)."""
-    from .jets import refined_third_form_cube
-
-    def sample(bound, strm):
-        v = nonzero_vector(s.n, bound, strm)
-        image = IntegerSpan(s.a, list(zip(*contract(s, v))))
-        return image.dim, refined_third_form_cube(jet, v, image)
-
-    a0, cube_zero = certified_value(sample, stream, trials, what="refined cubic vanishing")
-    dim = s.n + a0 + (0 if cube_zero else 1)
-    return SecantDimension(dim, cube_zero)
 
 
 class HigherSecantDimension(NamedTuple):

@@ -19,10 +19,9 @@ from .jets import chart_at, chart_roundtrip_check, refined_third_form_cube, \
     second_fundamental_form
 from .oracles import join_dimension, tangent_join_dimension
 from .polymaps import polymap_base_point, polymap_from_json
-from .quadrics import (RankProfile, generic_image, generic_vector, higher_secant_dimension,
+from .quadrics import (RankProfile, generic_vector, higher_secant_dimension,
                        hypersurface_projection, is_tangentially_degenerate,
-                       quadric_system_from_json, rank_profile, secant_dimension,
-                       tangential_dimension)
+                       quadric_system_from_json, rank_profile, tangential_dimension)
 
 
 class AnalyzeOptions(NamedTuple):
@@ -99,8 +98,17 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions()) -> AnalysisReport:
     dim_tau = tangential_dimension(s, profile)
     tau_degenerate = is_tangentially_degenerate(s, profile)
 
-    dim_sigma_formula, third_vanishes = (None, None) if jet is None else \
-        secant_dimension(s, jet, profile, derive_stream(seed, "secant"), trials)
+    # dim sigma = n + a0, plus 1 exactly when F3(v, v, v) leaves II_v(T).
+    # Every batch point realizes the whole certified profile, so it lies in
+    # the open set U where rank II_v = a0, and on U "F3(v, v, v) in II_v(T)"
+    # is a closed rank condition: one point where it fails proves that it
+    # fails generically, and "vanishes" at every point is the one-sided
+    # answer a unanimous certification gives.  So nothing escalates here,
+    # and this value cannot exit 2.
+    dim_sigma_formula = third_vanishes = None
+    if jet is not None:
+        third_vanishes = all(refined_third_form_cube(jet, p.v, p.image) for p in points)
+        dim_sigma_formula = n + profile.a0 + (not third_vanishes)
 
     # sigma_k table: formula column is the span rule, which needs the cubic
     # form to vanish; with no chart the branch is unknown and the span value
@@ -169,13 +177,13 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions()) -> AnalysisReport:
     }
 
     roundtrip = None if f is None else chart_roundtrip_check(f, jet)
-    verdicts = _verdicts(s, profile, points, jet, defects, projected, cross_checks,
+    verdicts = _verdicts(s, profile, points, third_vanishes, defects, projected, cross_checks,
                          sigma_rows, tau_gauss, sigma_degenerate, roundtrip, options)
     return AnalysisReport(kind, options, profile, dims, defects, projected, cross_checks,
                           verdicts)
 
 
-def _verdicts(s, profile, points, jet, defects: DefectReport,
+def _verdicts(s, profile, points, third_vanishes, defects: DefectReport,
               projected: DefectReport | None, cross_checks, sigma_rows, tau_gauss,
               sigma_degenerate, roundtrip, options) -> tuple[Verdict, ...]:
     independent = s.independent()
@@ -209,7 +217,7 @@ def _verdicts(s, profile, points, jet, defects: DefectReport,
                            "fiber %d vs delta_tau + 2 = %d (needs a smooth source)" %
                            (tau_gauss.fiber_dim, tau_gauss.delta_tau + 2)))
     else:
-        detail = "tau is not degenerate" if jet is not None else "needs a chart input"
+        detail = "tau is not degenerate" if roundtrip is not None else "needs a chart input"
         out.append(Verdict("tau_gauss_lower_bound", "not-applicable", detail))
         out.append(Verdict("tau_gauss_smooth_bound", "not-applicable", detail))
 
@@ -278,15 +286,10 @@ def _verdicts(s, profile, points, jet, defects: DefectReport,
         except DefectError as e:
             out.append(Verdict(name, "fail", str(e)))
 
-    if jet is not None and sigma_degenerate:
-        # each v accepted on a0 alone, which is sound here (`generic_image`)
-        stream = derive_stream(options.seed, "third-form")
-        ok = True
-        for _ in range(5):
-            v, image = generic_image(s, profile, stream, options.trials)
-            ok = ok and refined_third_form_cube(jet, v, image)
-        out.append(Verdict("third_form_vanishing", _status(ok),
-                           "refined cubic form vanishes at 5 generic vectors"))
+    if third_vanishes is not None and sigma_degenerate:
+        # read at the profile's batch, one point per trial
+        out.append(Verdict("third_form_vanishing", _status(third_vanishes),
+                           "refined cubic form vanishes at %d generic vectors" % options.trials))
     else:
         out.append(Verdict("third_form_vanishing", "not-applicable",
                            "applies to charts with degenerate secant variety"))

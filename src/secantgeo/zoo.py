@@ -198,10 +198,22 @@ def catalog() -> tuple[ZooEntry, ...]:
     )
 
 
+# each family's parameters; `--of` fills an inner family's in this order
+_PARAMS = {"segre": ("k", "r"), "veronese": ("d", "m"), "veronese_of": ("d", "of"),
+           "severi": ("algebra",), "grassmannian": ("m",), "cone": (),
+           "rank_variety": ("k", "r", "l")}
+_INNER = ("segre", "veronese", "severi", "grassmannian", "cone")
+
+
 def build(family: str, params: dict) -> ZooEntry:
-    """CLI-facing dispatcher.  Raises ValueError on unknown families or bad
-    parameters."""
+    """CLI-facing dispatcher.  Raises ValueError on unknown families, on
+    parameters the family does not take, and on bad values."""
     fam = family.replace("-", "_")
+    if fam not in _PARAMS:
+        raise ValueError("unknown family %r" % family)
+    extra = sorted(set(params) - set(_PARAMS[fam]))
+    if extra:
+        raise ValueError("%s takes no parameter %s" % (fam, ", ".join("--" + k for k in extra)))
     if fam == "segre":
         return segre(_need(params, "k"), _need(params, "r"))
     if fam == "veronese":
@@ -217,9 +229,7 @@ def build(family: str, params: dict) -> ZooEntry:
         return grassmannian(2, _need(params, "m"))
     if fam == "cone":
         return cone_over_twisted_cubic()
-    if fam == "rank_variety":
-        return rank_variety(_need(params, "k"), _need(params, "r"), _need(params, "l"))
-    raise ValueError("unknown family %r" % family)
+    return rank_variety(_need(params, "k"), _need(params, "r"), _need(params, "l"))
 
 
 def _need(params: dict, key: str) -> int:
@@ -229,11 +239,6 @@ def _need(params: dict, key: str) -> int:
     return int(val)
 
 
-# the named parameters of `build` that an inner family's positional ones fill
-_OF_PARAMS = {"segre": ("k", "r"), "veronese": ("d", "m"), "severi": ("algebra",),
-              "grassmannian": ("m",), "cone": ()}
-
-
 def _parse_of(text) -> ZooEntry:
     """Inner-entry descriptor for re-embeddings: 'family:p1,p2' with
     positional parameters in the family's natural order, e.g. veronese:2,1."""
@@ -241,9 +246,12 @@ def _parse_of(text) -> ZooEntry:
         raise ValueError("veronese_of needs --of family:params")
     head, _, rest = str(text).partition(":")
     fam = head.replace("-", "_")
-    if fam not in _OF_PARAMS:
+    if fam not in _INNER:
         raise ValueError("unknown inner family %r" % head)
-    return build(fam, dict(zip(_OF_PARAMS[fam], (p for p in rest.split(",") if p))))
+    values = [p for p in rest.split(",") if p]
+    if len(values) > len(_PARAMS[fam]):
+        raise ValueError("%s takes %d parameters, got %d" % (fam, len(_PARAMS[fam]), len(values)))
+    return build(fam, dict(zip(_PARAMS[fam], values)))
 
 
 def expected(entry: ZooEntry) -> dict | None:

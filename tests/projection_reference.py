@@ -6,11 +6,11 @@ Kept as the reference the quadric projection is checked against."""
 
 from secantgeo.defects import DefectReport, defect_report
 from secantgeo.genericity import derive_stream
-from secantgeo.jets import chart_at, second_fundamental_form
+from secantgeo.jets import chart_at, refined_third_form_cube, second_fundamental_form
 from linalg_reference import rank
 from secantgeo.linalg import Matrix
 from secantgeo.polymaps import PolyMap, poly_sum
-from secantgeo.quadrics import rank_profile, secant_dimension
+from secantgeo.quadrics import rank_profile
 from secantgeo.scalars import Scalar
 
 
@@ -46,7 +46,7 @@ def projected_defects(f: PolyMap, base, n: int, a0: int, seed: int,
     proj = linear_project(f, n + a0 + 1, derive_stream(seed, "projection"))
     jet = chart_at(proj, base, 3)
     s = second_fundamental_form(jet)
-    prof = rank_profile(s, derive_stream(seed, "projection", "profile"), trials)[0]
-    sec = secant_dimension(s, jet, prof, derive_stream(seed, "projection", "secant"), trials)
-    return defect_report(s, prof, sec.dimension, derive_stream(seed, "projection", "defects"),
-                         trials)
+    prof, points = rank_profile(s, derive_stream(seed, "projection", "profile"), trials)
+    cube_zero = all(refined_third_form_cube(jet, p.v, p.image) for p in points)
+    return defect_report(s, prof, s.n + prof.a0 + (not cube_zero),
+                         derive_stream(seed, "projection", "defects"), trials)

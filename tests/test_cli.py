@@ -110,6 +110,19 @@ def test_bad_zoo_and_analyze_inputs_exit_one():
         code, _, err = run(["zoo", "veronese_of", "--d", "2", "--of", of])
         assert code == 1 and err == "error: %s\n" % msg
 
+    # parameters the family does not take
+    for argv, msg in ((["veronese_of", "--d", "2", "--of", "segre:2,3,9"],
+                       "segre takes 2 parameters, got 3"),
+                      (["cone", "--k", "7", "--algebra", "O"],
+                       "cone takes no parameter --algebra, --k"),
+                      (["segre", "--k", "2", "--r", "3", "--m", "4"],
+                       "segre takes no parameter --m"),
+                      (["severi", "--algebra", "C", "--d", "3"],
+                       "severi takes no parameter --d"),
+                      (["veronese_of", "--d", "2", "--of", "veronese:2,1,5"],
+                       "veronese takes 2 parameters, got 3")):
+        assert run(["zoo"] + argv) == (1, "", "error: %s\n" % msg), argv
+
     code, _, err = run(["analyze"], stdin_text="{\"kind\": \"nope\"}")
     assert code == 1 and "unsupported input kind" in err
 
@@ -174,6 +187,22 @@ def test_certification_failure_exits_two_and_more_trials_cure_it():
     assert code == 0 and err == ""
     prof = json.loads(out)["profile"]
     assert prof["a0"] == 2 and prof["dim_ann"] == 0 and prof["certified"]
+
+
+def test_cone_exits_zero_where_the_cubic_was_certified_apart():
+    """The refined cubic is read at the profile's batch, so nothing about it
+    escalates: at seeds 140 and 228, where its own certification exited 2,
+    the cone reports what it reports at seed 0."""
+    _, chart, _ = run(["zoo", "cone"])
+    reports = []
+    for seed in (0, 140, 228):
+        code, out, err = run(["analyze", "--format", "json", "--seed", str(seed)],
+                             stdin_text=chart)
+        assert (code, err) == (0, ""), seed
+        rep = json.loads(out)
+        reports.append((rep["dims"], rep["cross_checks"]))
+    assert reports[0][0]["dim_sigma"] == 4 and reports[0][0]["third_form_vanishes"] is False
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def test_oracle_join_and_tangent():
@@ -328,7 +357,7 @@ def test_shared_parser_carries_no_state_between_calls():
              (["oracle", "join", "--k", "3", "--trials", "2"], chart),
              (["oracle", "tangent"], chart),
              (["clifford", "--order", "4"], chart),
-             (["zoo", "cone", "--of", "veronese:3,1"], ""),
+             (["zoo", "veronese_of", "--d", "2", "--of", "veronese:3,1"], ""),
              (["zoo", "segre", "--r", "3"], "")]
     first = []
     for argv, stdin_text in calls:

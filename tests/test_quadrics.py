@@ -13,13 +13,14 @@ from secantgeo.defects import vertex
 from secantgeo.genericity import CertificationError, derive_stream, nonzero_vector, random_vector
 from secantgeo.jets import chart_at, second_fundamental_form
 from secantgeo.linalg import IntegerSpan, Matrix, gauss, integer_values, scalar_values
-from secantgeo.polymaps import Poly, PolyMap
+from secantgeo.polymaps import Poly, PolyMap, polymap_to_json
 from secantgeo.quadrics import (QuadricSystem, _max_rank_in_span, _profile_at, contract,
                                 generic_image, generic_vector, higher_secant_dimension,
                                 hypersurface_projection, integer_quadric,
                                 is_tangentially_degenerate, quadric_system,
                                 quadric_system_from_json, quadric_system_to_json, rank_profile,
-                                secant_dimension, singular_locus, tangential_dimension)
+                                singular_locus, tangential_dimension)
+from secantgeo.report import analyze
 from secantgeo.scalars import ZERO, Rational, Scalar
 from secantgeo.zoo import veronese
 
@@ -304,22 +305,14 @@ def test_secant_dimension_branches():
     q1 = Poly.monomial(2, (2, 0), 1) + Poly.monomial(2, (0, 2), 2)
     q2 = Poly.monomial(2, (1, 1), 1)
     comps = [Poly.variable(2, i) for i in range(2)] + [q1, q2]
-    f = PolyMap(2, 4, False, tuple(comps))
-    jet = chart_at(f, [0, 0], 3)
-    s = second_fundamental_form(jet)
-    prof = rank_profile(s, derive_stream(0, "tq", "sd"))[0]
-    sd = secant_dimension(s, jet, prof, derive_stream(0, "tq", "sd", 1))
-    assert sd.third_form_vanishes
-    assert sd.dimension == 2 + prof.a0
+    rep = analyze(polymap_to_json(PolyMap(2, 4, False, tuple(comps))))
+    assert rep.dims["third_form_vanishes"]
+    assert rep.dims["dim_sigma"] == 2 + rep.profile.a0
     # cubic normal part: the III branch adds one
     comps3 = [Poly.variable(1, 0), Poly.monomial(1, (2,), 1), Poly.monomial(1, (3,), 1)]
-    g = PolyMap(1, 3, False, tuple(comps3))
-    jg = chart_at(g, [0], 3)
-    sg = second_fundamental_form(jg)
-    pg = rank_profile(sg, derive_stream(0, "tq", "sd3"))[0]
-    sd3 = secant_dimension(sg, jg, pg, derive_stream(0, "tq", "sd3", 1))
-    assert not sd3.third_form_vanishes
-    assert sd3.dimension == 1 + pg.a0 + 1
+    rep3 = analyze(polymap_to_json(PolyMap(1, 3, False, tuple(comps3))))
+    assert not rep3.dims["third_form_vanishes"]
+    assert rep3.dims["dim_sigma"] == 1 + rep3.profile.a0 + 1
 
 
 def test_higher_secant_dimension():

@@ -309,3 +309,11 @@ def test_load_input_rejects_malformed_objects():
     for bad in (42, [], {"n": 2}, {"kind": "nope"}, {"kind": "poly_map"}):
         with pytest.raises(InputError):
             load_input(bad)
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    """The python block of README.md runs and prints what its comments say."""
+    text = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "5 4 5\n(8, 13)\n"

@@ -160,6 +160,13 @@ def test_build_rejects_bad_parameters():
         ("veronese_of", {"of": "segre:2", "d": 2}),
         ("veronese_of", {"of": "severi", "d": 2}),
         ("veronese_of", {"of": "grassmannian", "d": 2}),
+        ("veronese_of", {"of": "segre:2,3,9", "d": 2}),
+        ("veronese_of", {"of": "veronese:2,1,5", "d": 2}),
+        ("veronese_of", {"of": "cone:1", "d": 2}),
+        ("cone", {"k": 7, "algebra": "O"}),
+        ("segre", {"k": 2, "r": 3, "m": 4}),
+        ("severi", {"algebra": "C", "d": 3}),
+        ("veronese_of", {"of": "veronese:2,1", "d": 2, "m": 1}),
         ("frobnicate", {}),
     ]
     for family, params in cases:
