@@ -13,8 +13,9 @@ stderr:
   benchmark workloads (`perfbench/workloads.py`, read as it is) at seeds
   0-39;
 - `analyze --format json --trials T` of the same inputs for T = 1, 2, 3, at
-  seeds 0-9: the runs whose certified profile rests on fewer samples than
-  the 3 points the structural checks read;
+  seeds 0-9: the runs whose certified profile rests on so few samples that
+  the structural checks read only T points of its batch (3 when T = 3),
+  and the vertex starts from T images;
 - `analyze --format json` of every light catalog entry (all but severi_O
   and grassmannian_2_7) as a poly_map, at seeds 0-1;
 - `clifford` of the same inputs at seeds 0-1;

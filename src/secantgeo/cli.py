@@ -134,10 +134,10 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_clifford(args) -> int:
     s = load_input(_read_json(args.input), args.order)[3]
-    profile = rank_profile(s, derive_stream(args.seed, "profile"), args.trials)[0]
-    # the verdict of the analysis, at its stream and draws
-    cv = defect_report(s, profile, s.n + profile.a0, derive_stream(args.seed, "defects"),
-                       args.trials).clifford_verdict
+    profile, points = rank_profile(s, derive_stream(args.seed, "profile"), args.trials)
+    # the verdict of the analysis, at its batch, stream and draws
+    cv = defect_report(s, profile, points, s.n + profile.a0,
+                       derive_stream(args.seed, "defects")).clifford_verdict
     result = {"kind": "clifford_verdict", **cv._asdict()}
     sys.stdout.write(dumps(result) + "\n")
     return 0

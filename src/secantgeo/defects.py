@@ -14,32 +14,53 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
-from .genericity import CertificationError
+from .genericity import CertificationError, nonzero_vector
 from .linalg import IntegerSpan, eliminate, integer_combination, integer_mul_vec, solve
 from .quadrics import (GenericPoint, QuadricSystem, RankProfile, _square, contract,
-                       generic_image, generic_vector, integer_quadric)
+                       integer_quadric)
 
 
 class DefectError(RuntimeError):
     """A structural hypothesis failed at a certified-generic vector."""
 
 
-def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> IntegerSpan:
-    """Intersection of II_v(T) over certified-generic v, stabilized when
-    unchanged for 3 consecutive fresh samples, or at 0.  Each v is accepted on
-    dim II_v(T) = a0 alone, which is sound for "w lies in II_v(T)"
-    (`generic_image`), so each image still contains the vertex."""
-    w = None
+def vertex(s: QuadricSystem, profile: RankProfile, points: list, stream) -> IntegerSpan:
+    """The vertex V of the tangentially swept variety: the intersection of
+    II_v(T) over the open set U of v where rank II_v = a0.
+
+    On U, "w lies in II_v(T)" is a rank condition (rank [II_v | w] = a0),
+    closed in v.  So every image at a point of U contains V, any
+    intersection V_k of such images is an upper bound for V, and 0 is
+    final.  And if V_k is larger than V, the v of U with V_k inside II_v(T)
+    form a proper closed subset, which a generic v misses.
+
+    The images of the batch `points` that certified the profile come first:
+    each realizes the whole profile, so lies in U.  Then up to 60 fresh v
+    are drawn on `stream` at bounds that continue the batch's stagger,
+    len(points) + 1, len(points) + 2, ..., capped at 64, and each is kept
+    only when dim II_v(T) = a0.  The intersection stops at 0, or when 3
+    kept draws in a row leave it unchanged (each intersection lies in the
+    last, so equal dimension is equal span).  The bounds keep growing
+    because II_v(T) depends only on the line of v, and a small box holds
+    few lines: draws that each start again at bound 1 can repeat one image
+    3 times and stop above V."""
+    w = points[0].image
+    for p in points[1:]:
+        if not w.dim:
+            break
+        w = w.intersect(p.image)
+    if not w.dim:
+        return w
     stable = 0
-    for _ in range(60):
-        img = generic_image(s, profile, stream, trials)[1]
-        nxt = img if w is None else w.intersect(img)
+    for i in range(1, 61):
+        v = nonzero_vector(s.n, min(len(points) + i, 64), stream)
+        img = IntegerSpan(s.a, list(zip(*contract(s, v))))
+        if img.dim != profile.a0:
+            continue
+        nxt = w.intersect(img)
         if not nxt.dim:
             return nxt
-        if w is not None and nxt.dim == w.dim:  # nxt lies in w
-            stable += 1
-        else:
-            stable = 0
+        stable = stable + 1 if nxt.dim == w.dim else 0
         w = nxt
         if stable >= 3:
             return w
@@ -335,10 +356,13 @@ def quotient_singular_locus_match(s: QuadricSystem, point: GenericPoint) -> bool
     return IntegerSpan(n, k_sub.rows + lifted) == IntegerSpan(n, k_sub.rows + point.singloc.rows)
 
 
-def defect_report(s: QuadricSystem, profile: RankProfile, sigma_dim: int, stream,
-                  trials: int = 5) -> DefectReport:
-    point = generic_vector(s, profile, stream, trials)
-    vert = vertex(s, profile, stream, trials)
+def defect_report(s: QuadricSystem, profile: RankProfile, points: list, sigma_dim: int,
+                  stream) -> DefectReport:
+    """The defects read at the first of the batch `points` that certified
+    the profile (`rank_profile`), with the vertex of all of them and of the
+    fresh draws `vertex` makes on stream."""
+    point = points[0]
+    vert = vertex(s, profile, points, stream)
     mini = minimal_subsystem(s, vert)
     # the quotient frames at v, built once for both Clifford checks; without
     # them neither check has its hypothesis

@@ -164,7 +164,7 @@ def _max_rank_in_span(n: int, quads: list, stream, trials: int, ceiling: int) ->
     corners = list(quads) if len(quads) <= 2 else []
     if len(quads) == 2:
         corners += [integer_combination([(1, quads[0]), (c, quads[1])]) for c in (1, -1)]
-    drawn = _coefficient_draws(len(quads), stream, trials)
+    drawn = [nonzero_vector(len(quads), 4, stream) for _ in range(trials if quads else 0)]
     best = 0
     for q in chain(corners, (integer_combination(list(zip(c, quads))) for c in drawn)):
         if best >= ceiling:
@@ -173,16 +173,11 @@ def _max_rank_in_span(n: int, quads: list, stream, trials: int, ceiling: int) ->
     return best
 
 
-def _coefficient_draws(dim: int, stream, trials: int) -> list:
-    """The r search's `trials` coefficient vectors for a dim-dimensional
-    Ann(v); none when Ann(v) = 0."""
-    return [nonzero_vector(dim, 4, stream) for _ in range(trials if dim else 0)]
-
-
 def rank_profile(s: QuadricSystem, stream, trials: int = 5) -> tuple[RankProfile, list]:
     """The profile at a certified-generic v, identical across `trials`
     samples (bound escalation on disagreement), and the points of that
-    unanimous batch: each realizes the profile, as `generic_vector`'s do."""
+    unanimous batch: each realizes the whole profile, so they are the
+    generic points every later question about the system reads."""
     points = []
 
     def sample(bound, strm):
@@ -191,53 +186,6 @@ def rank_profile(s: QuadricSystem, stream, trials: int = 5) -> tuple[RankProfile
 
     tup = certified_value(sample, stream, trials, what="rank profile")
     return RankProfile(*tup, certified=True), points[-trials:]
-
-
-def _redraw(n: int, stream, accept):
-    """The first accept(v) that is not None over up to 16 draws of v in
-    Z^n, the coordinate bound doubling from 1 up to 64."""
-    bound = 1
-    for _ in range(16):
-        found = accept(nonzero_vector(n, bound, stream))
-        if found is not None:
-            return found
-        bound = min(bound * 2, 64)
-    raise CertificationError("could not rediscover a vector matching the certified profile")
-
-
-def generic_vector(s: QuadricSystem, profile: RankProfile, stream,
-                   trials: int = 5) -> GenericPoint:
-    """A point whose vector realizes the whole certified profile (redrawn
-    until it does).  For callers that read Ann(v), its singular locus or r
-    at v."""
-    want = (profile.a0, profile.r, profile.dim_ker, profile.dim_ann, profile.dim_singloc)
-
-    def accept(v):
-        point = _profile_at(s, v, stream, trials)
-        return point if point.profile == want else None
-
-    return _redraw(s.n, stream, accept)
-
-
-def generic_image(s: QuadricSystem, profile: RankProfile, stream,
-                  trials: int = 5) -> tuple[tuple, IntegerSpan]:
-    """(v, II_v(T)) at a vector with dim II_v(T) = a0, drawn as
-    `generic_vector` draws: each v, then the r search's coefficient
-    vectors, drawn but never eliminated.  So each draw advances the stream
-    as one of `generic_vector` does, and none builds Ann(v), its singular
-    locus or r.
-
-    Accepting on a0 alone is sound for conditions closed in v on the
-    Zariski-open set U where rank II_v = a0, such as "w lies in II_v(T)",
-    a rank condition there: one that holds at the full-profile points,
-    dense in U, holds on all of U."""
-
-    def accept(v):
-        image = IntegerSpan(s.a, list(zip(*contract(s, v))))
-        _coefficient_draws(s.a - image.dim, stream, trials)
-        return (tuple(v), image) if image.dim == profile.a0 else None
-
-    return _redraw(s.n, stream, accept)
 
 
 def tangential_dimension(s: QuadricSystem, profile: RankProfile) -> int:
@@ -278,10 +226,10 @@ def higher_secant_dimension(s: QuadricSystem, k_max: int, profile: RankProfile, 
 
 
 def hypersurface_projection(s: QuadricSystem, profile: RankProfile, stream,
-                            trials: int = 5) -> tuple[QuadricSystem, RankProfile]:
+                            trials: int = 5) -> tuple[QuadricSystem, RankProfile, list]:
     """Second fundamental form of a generic projection of the variety to
     P^{n + a0 + 1}, where its tangential variety is a hypersurface, with
-    the certified profile of that form.
+    the certified profile of that form and the points of its batch.
 
     When the centre of projection misses the embedded tangent space, the
     projected form is the original one followed by the induced quotient
@@ -297,11 +245,11 @@ def hypersurface_projection(s: QuadricSystem, profile: RankProfile, stream,
     else:
         raise CertificationError("no full-rank projection of the normal space in 10 draws")
     t = QuadricSystem(s.n, rows, tuple(integer_quadric(s, row) for row in m), s.den)
-    prof = rank_profile(t, stream, trials)[0]
+    prof, points = rank_profile(t, stream, trials)
     if prof.a0 != profile.a0:
         raise CertificationError("projection changed a0 from %d to %d"
                                  % (profile.a0, prof.a0))
-    return t, prof
+    return t, prof, points
 
 
 def quadric_system_to_json(s: QuadricSystem) -> dict:

@@ -19,9 +19,9 @@ from .jets import chart_at, chart_roundtrip_check, refined_third_form_cube, \
     second_fundamental_form
 from .oracles import join_dimension, tangent_join_dimension
 from .polymaps import polymap_base_point, polymap_from_json
-from .quadrics import (RankProfile, generic_vector, higher_secant_dimension,
-                       hypersurface_projection, is_tangentially_degenerate,
-                       quadric_system_from_json, rank_profile, tangential_dimension)
+from .quadrics import (RankProfile, higher_secant_dimension, hypersurface_projection,
+                       is_tangentially_degenerate, quadric_system_from_json, rank_profile,
+                       tangential_dimension)
 
 
 class AnalyzeOptions(NamedTuple):
@@ -142,8 +142,8 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions()) -> AnalysisReport:
         delta = 2 * n + 1 - dim_sigma_best
 
     sigma_for_defects = dim_sigma_best if dim_sigma_best is not None else n + profile.a0
-    defects = defect_report(s, profile, sigma_for_defects, derive_stream(seed, "defects"),
-                            trials)
+    defects = defect_report(s, profile, points, sigma_for_defects,
+                            derive_stream(seed, "defects"))
 
     # hypersurface reduction: when sigma is degenerate but tau is not a
     # hypersurface, the rank restriction applies to a generic projection to
@@ -151,10 +151,10 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions()) -> AnalysisReport:
     # keeps it
     projected = None
     if sigma_degenerate and profile.a0 < a - 1:
-        s2, prof2 = hypersurface_projection(s, profile, derive_stream(seed, "projection"),
-                                            trials)
-        projected = defect_report(s2, prof2, sigma_for_defects,
-                                  derive_stream(seed, "projection", "defects"), trials)
+        s2, prof2, points2 = hypersurface_projection(s, profile,
+                                                     derive_stream(seed, "projection"), trials)
+        projected = defect_report(s2, prof2, points2, sigma_for_defects,
+                                  derive_stream(seed, "projection", "defects"))
 
     cross_checks = (
         CrossCheck("dim_x", n, oracle_x),
@@ -177,15 +177,15 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions()) -> AnalysisReport:
     }
 
     roundtrip = None if f is None else chart_roundtrip_check(f, jet)
-    verdicts = _verdicts(s, profile, points, third_vanishes, defects, projected, cross_checks,
-                         sigma_rows, tau_gauss, sigma_degenerate, roundtrip, options)
+    verdicts = _verdicts(s, points, third_vanishes, defects, projected, cross_checks,
+                         sigma_rows, tau_gauss, sigma_degenerate, roundtrip)
     return AnalysisReport(kind, options, profile, dims, defects, projected, cross_checks,
                           verdicts)
 
 
-def _verdicts(s, profile, points, third_vanishes, defects: DefectReport,
+def _verdicts(s, points, third_vanishes, defects: DefectReport,
               projected: DefectReport | None, cross_checks, sigma_rows, tau_gauss,
-              sigma_degenerate, roundtrip, options) -> tuple[Verdict, ...]:
+              sigma_degenerate, roundtrip) -> tuple[Verdict, ...]:
     independent = s.independent()
     out = [Verdict("independent_system", _status(independent),
                    "the quadrics are linearly independent" if independent
@@ -268,7 +268,7 @@ def _verdicts(s, profile, points, third_vanishes, defects: DefectReport,
                        if defects.so_membership is not None else defects.clifford_unmet or
                        "needs a one-dimensional annihilator in the hypersurface case"))
 
-    # structural properties at 3 certified-generic vectors, the profile's own
+    # the structural checks, at up to 3 points of the profile's batch
     checks = (
         ("kernel_in_singular_locus", kernel_in_singular_locus),
         ("annihilator_matches_image_perp", annihilator_matches_image_perp),
@@ -276,20 +276,19 @@ def _verdicts(s, profile, points, third_vanishes, defects: DefectReport,
         ("fiber_dimension_identity", fiber_dimension_identity),
         ("quotient_singular_locus_match", quotient_singular_locus_match),
     )
-    stream = derive_stream(options.seed, "properties")
-    points = points[:3] + [generic_vector(s, profile, stream, options.trials)
-                           for _ in range(3 - len(points))]
+    checked = points[:3]
     for name, fn in checks:
         try:
-            ok = all(fn(s, point) for point in points)
-            out.append(Verdict(name, _status(ok), "checked at 3 certified-generic vectors"))
+            ok = all(fn(s, point) for point in checked)
+            out.append(Verdict(name, _status(ok),
+                               "checked at " + _vectors(len(checked), "certified-generic")))
         except DefectError as e:
             out.append(Verdict(name, "fail", str(e)))
 
     if third_vanishes is not None and sigma_degenerate:
         # read at the profile's batch, one point per trial
         out.append(Verdict("third_form_vanishing", _status(third_vanishes),
-                           "refined cubic form vanishes at %d generic vectors" % options.trials))
+                           "refined cubic form vanishes at " + _vectors(len(points), "generic")))
     else:
         out.append(Verdict("third_form_vanishing", "not-applicable",
                            "applies to charts with degenerate secant variety"))
@@ -298,6 +297,11 @@ def _verdicts(s, profile, points, third_vanishes, defects: DefectReport,
                        "graph reproduces the chart along random curves"
                        if roundtrip is not None else "needs a chart input"))
     return tuple(out)
+
+
+def _vectors(count: int, kind: str) -> str:
+    """'1 generic vector', '3 generic vectors'."""
+    return "%d %s vector%s" % (count, kind, "s" * (count != 1))
 
 
 def _defects_to_json(d: DefectReport) -> dict:

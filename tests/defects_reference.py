@@ -14,29 +14,34 @@ from linalg_reference import (Subspace, _dot, add, col, complement_indices, cont
                               solve_left, span_sum, transpose)
 from linalg_reference import intersect_through_perps as intersect
 from quadrics_reference import (ScalarPoint, contraction, generic_image, quadric_from_coefficients,
-                                scalar_point, scalar_quadrics)
+                                scalar_contraction, scalar_point, scalar_quadrics)
 from secantgeo.defects import DefectError
 from secantgeo.genericity import CertificationError
 from secantgeo.linalg import Matrix
-from secantgeo.quadrics import QuadricSystem, RankProfile, generic_vector
+from secantgeo.quadrics import QuadricSystem, RankProfile
 from secantgeo.scalars import ONE, ZERO, Scalar, _coerce
 
 
-def vertex(s: QuadricSystem, profile: RankProfile, stream, trials: int = 5) -> Subspace:
-    """Intersection of II_v(T) over certified-generic v, stabilized when
-    unchanged for 3 consecutive fresh samples, or final as soon as it is 0;
-    each v accepted on a0 alone (`quadrics_reference.generic_image`)."""
+def vertex(s: QuadricSystem, profile: RankProfile, points, stream) -> Subspace:
+    """Intersection of the Scalar images II_v(T) at the batch points, then
+    at fresh v drawn at bounds len(points) + 1, + 2, ..., at most 64, each
+    kept on a0 alone (`quadrics_reference.generic_image`); stabilized when 3
+    kept draws in a row leave it unchanged, or final as soon as it is 0."""
     w = None
+    for p in points:
+        img = Subspace.from_vectors(s.a, transpose(scalar_contraction(s, p.v)).data)
+        w = img if w is None else intersect([w, img])
+        if not w.dim:
+            return w
     stable = 0
-    for _ in range(60):
-        img = generic_image(s, profile, stream, trials)[1]
-        nxt = img if w is None else intersect([w, img])
+    for i in range(1, 61):
+        found = generic_image(s, profile, stream, min(len(points) + i, 64))
+        if found is None:
+            continue
+        nxt = intersect([w, found[1]])
         if not nxt.dim:
             return nxt
-        if w is not None and nxt == w:
-            stable += 1
-        else:
-            stable = 0
+        stable = stable + 1 if nxt == w else 0
         w = nxt
         if stable >= 3:
             return w
@@ -401,10 +406,10 @@ def quotient_singular_locus_match(s: QuadricSystem, point: ScalarPoint) -> bool:
     return lhs == rhs
 
 
-def defect_report(s: QuadricSystem, profile: RankProfile, sigma_dim: int, stream,
-                  trials: int = 5) -> DefectReport:
-    point = scalar_point(s, generic_vector(s, profile, stream, trials))
-    vert = vertex(s, profile, stream, trials)
+def defect_report(s: QuadricSystem, profile: RankProfile, points, sigma_dim: int,
+                  stream) -> DefectReport:
+    point = scalar_point(s, points[0])
+    vert = vertex(s, profile, points, stream)
     clifford = clifford_relation_check(s, profile, point, vert)
     so_ok = None
     if profile.dim_ann == 1 and clifford.applicable:

@@ -48,5 +48,5 @@ def projected_defects(f: PolyMap, base, n: int, a0: int, seed: int,
     s = second_fundamental_form(jet)
     prof, points = rank_profile(s, derive_stream(seed, "projection", "profile"), trials)
     cube_zero = all(refined_third_form_cube(jet, p.v, p.image) for p in points)
-    return defect_report(s, prof, s.n + prof.a0 + (not cube_zero),
-                         derive_stream(seed, "projection", "defects"), trials)
+    return defect_report(s, prof, points, s.n + prof.a0 + (not cube_zero),
+                         derive_stream(seed, "projection", "defects"))

@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,10 +37,10 @@ from secantgeo.genericity import CertificationError, nonzero_vector
 from secantgeo.jets import chart_at, second_fundamental_form
 from secantgeo.linalg import Gaussian, IntegerSpan, Matrix, scalar_values
 from secantgeo.polymaps import polymap_to_json
-from secantgeo.quadrics import (GenericPoint, QuadricSystem, _profile_at, generic_image,
-                                generic_vector, higher_secant_dimension, quadric_system,
-                                rank_profile)
-from secantgeo.report import analyze
+from secantgeo.quadrics import (GenericPoint, QuadricSystem, _profile_at, contract,
+                                higher_secant_dimension, quadric_system,
+                                quadric_system_to_json, rank_profile)
+from secantgeo.report import AnalyzeOptions, analyze
 from secantgeo.scalars import ONE, ZERO, Scalar
 from secantgeo.zoo import catalog
 from test_quadrics import systems
@@ -71,8 +72,8 @@ def test_vertex_of_pair_system():
     # II_v(T) is all of C^2 at generic v, so the swept variety has a full
     # vertex and no quadric is needed to cut it out
     s = pair_system()
-    prof = rank_profile(s, derive_stream(0, "td", "pv"))[0]
-    vert = vertex(s, prof, derive_stream(0, "td", "pv", 1))
+    prof, points = rank_profile(s, derive_stream(0, "td", "pv"))
+    vert = vertex(s, prof, points, derive_stream(0, "td", "pv", 1))
     assert vert.dim == 2
     mini = minimal_subsystem(s, vert)
     assert mini.dim == 0
@@ -81,31 +82,63 @@ def test_vertex_of_pair_system():
 
 def test_vertex_of_single_quadric():
     s = quadric_system(3, [sym(3, {(0, 0): 1, (1, 2): "1/2"})])
-    prof = rank_profile(s, derive_stream(0, "td", "sg"))[0]
-    vert = vertex(s, prof, derive_stream(0, "td", "sg", 1))
+    prof, points = rank_profile(s, derive_stream(0, "td", "sg"))
+    vert = vertex(s, prof, points, derive_stream(0, "td", "sg", 1))
     assert vert.dim == 1
 
 
 def test_vertex_of_severi_system(charted):
-    _, _, s, prof = charted["severi_R"]
-    vert = vertex(s, prof, derive_stream(0, "td", "vr"))
+    s = charted["severi_R"][2]
+    prof, points = rank_profile(s, derive_stream(0, "td", "vr"))
+    vert = vertex(s, prof, points, derive_stream(0, "td", "vr", 1))
     assert vert.dim == 0
     # the whole system is then needed to cut out tau
     assert minimal_subsystem(s, vert).dim == s.a
 
 
+# Small systems on which the vertex, when it drew its own points from bound 1
+# and stopped after 3 unchanged images, stopped at a 1-dimensional span at
+# some of the streams below: the first at Random(15), the second at
+# Random(8) and Random(10).
+STOPPED_ABOVE_THE_VERTEX = (
+    QuadricSystem(3, 4, ([1, 1, 0, 1, 0, 0, 0, 0, 2], [0, 2, 1, 2, 1, 0, 1, 0, 0],
+                         [-1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0, 0]), 1),
+    QuadricSystem(2, 4, ([0, 0, 0, 1], [0, 0, 0, -1], [-2, 0, 0, 2], [0, 1, 1, -1]), 1),
+)
+
+
+@pytest.mark.parametrize("index", range(len(STOPPED_ABOVE_THE_VERTEX)))
+def test_vertex_of_small_systems_on_12_streams(index):
+    s = STOPPED_ABOVE_THE_VERTEX[index]
+    prof, points = rank_profile(s, random.Random(3))
+    assert [vertex(s, prof, points, random.Random(k)).dim for k in range(4, 16)] == [0] * 12
+
+
+@pytest.mark.parametrize("name, seed", [("severi_C", 16), ("severi_C", 31), ("severi_C", 39),
+                                        ("segre_3_3", 66)])
+def test_smooth_entries_have_no_vertex_at_seeds_that_stopped_above_it(entries, name, seed):
+    """Analyses that reported a vertex above 0, and so FAILed the Clifford
+    fiber condition on a smooth variety, when the vertex drew its own
+    points: as a poly_map and as a quadric system."""
+    ent = entries[name]
+    s = second_fundamental_form(chart_at(ent.map, list(ent.base_point), 3))
+    for obj in (polymap_to_json(ent.map, base_point=ent.base_point), quadric_system_to_json(s)):
+        rep = analyze(obj, AnalyzeOptions(seed=seed))
+        assert rep.defects.vertex_dim == 0
+        assert {v.name: v.status for v in rep.verdicts}["clifford_fiber_condition"] == "pass"
+
+
 def test_gauss_fiber_of_cylinder():
     s = cylinder_system()
-    prof = rank_profile(s, derive_stream(0, "td", "cy"))[0]
-    point = generic_vector(s, prof, derive_stream(0, "td", "cy", 1))
+    point = rank_profile(s, derive_stream(0, "td", "cy"))[1][0]
     fib = point.fiber
     assert fib.dim == 1
     assert fiber_dimension_identity(s, point)
 
 
 def test_ii_second_fundamental_form_residues(charted):
-    _, _, s, prof = charted["severi_R"]
-    point = generic_vector(s, prof, derive_stream(0, "td", "ii"))
+    s = charted["severi_R"][2]
+    point = rank_profile(s, derive_stream(0, "td", "ii"))[1][0]
     # II(v, v) is by definition inside II_v(T)
     point = scalar_point(s, point)
     residue, vanished = ii_second_fundamental_form(s, point, point.v, point.v)
@@ -122,10 +155,10 @@ def test_clifford_on_division_algebra_systems(charted):
     want_dims = {"severi_C": (1, 2), "severi_H": (3, 4), "severi_O": (7, 8)}
     signs = set()
     for name, (kdim, mdim) in want_dims.items():
-        _, _, s, prof = charted[name]
-        stream = derive_stream(0, "td", "cl", name)
-        point = generic_vector(s, prof, stream)
-        mini = minimal_subsystem(s, vertex(s, prof, stream))
+        s = charted[name][2]
+        prof, points = rank_profile(s, derive_stream(0, "td", "cl", name))
+        point = points[0]
+        mini = minimal_subsystem(s, vertex(s, prof, points, derive_stream(0, "td", "cl", name, 1)))
         verdict = clifford_relation_check(s, prof, point, mini, quotient_frames(s, point))
         assert verdict.applicable
         assert verdict.fiber_condition_ok
@@ -143,17 +176,16 @@ def test_clifford_on_division_algebra_systems(charted):
 def test_clifford_not_applicable_without_hypersurface_tau():
     # a0 = a: tau has the expected dimension, no forced representation
     s = quadric_system(2, [sym(2, {(0, 1): "1/2"})])
-    prof = rank_profile(s, derive_stream(0, "td", "na"))[0]
-    stream = derive_stream(0, "td", "na", 1)
-    point = generic_vector(s, prof, stream)
-    mini = minimal_subsystem(s, vertex(s, prof, stream))
+    prof, points = rank_profile(s, derive_stream(0, "td", "na"))
+    point = points[0]
+    mini = minimal_subsystem(s, vertex(s, prof, points, derive_stream(0, "td", "na", 1)))
     verdict = clifford_relation_check(s, prof, point, mini, quotient_frames(s, point))
     assert not verdict.applicable
 
 
 def test_clifford_action_rejects_inadmissible_direction(charted):
-    _, _, s, prof = charted["severi_R"]
-    point = generic_vector(s, prof, derive_stream(0, "td", "ad"))
+    s = charted["severi_R"][2]
+    point = rank_profile(s, derive_stream(0, "td", "ad"))[1][0]
     v = point.v
     frames = quotient_frames(s, point)
     m, den = clifford_action(s, frames, v)
@@ -171,12 +203,11 @@ def test_clifford_action_rejects_inadmissible_direction(charted):
 
 def test_so_membership(charted):
     for name in ("severi_R", "severi_C"):
-        _, _, s, prof = charted[name]
-        point = generic_vector(s, prof, derive_stream(0, "td", "so", name))
+        s = charted[name][2]
+        point = rank_profile(s, derive_stream(0, "td", "so", name))[1][0]
         assert so_membership_check(s, point, quotient_frames(s, point))
     single = quadric_system(3, [sym(3, {(0, 0): 1, (1, 2): "1/2"})])
-    prof = rank_profile(single, derive_stream(0, "td", "so1"))[0]
-    point = generic_vector(single, prof, derive_stream(0, "td", "so2"))
+    point = rank_profile(single, derive_stream(0, "td", "so1"))[1][0]
     try:
         so_membership_check(single, point, quotient_frames(single, point))
         assert False
@@ -214,8 +245,7 @@ def test_structural_identities_at_generic_points(charted):
     for name in ("severi_R", "severi_C"):
         systems.append(charted[name][2])
     for idx, s in enumerate(systems):
-        prof = rank_profile(s, derive_stream(0, "td", "st", idx))[0]
-        point = generic_vector(s, prof, derive_stream(0, "td", "st", idx, 1))
+        point = rank_profile(s, derive_stream(0, "td", "st", idx))[1][0]
         assert kernel_in_singular_locus(s, point)
         assert annihilator_matches_image_perp(s, point)
         assert fiber_contains_singloc_products(s, point)
@@ -227,8 +257,7 @@ def test_annihilator_check_reads_the_quadrics(charted):
     """A span of the dimension of Ann(v) holding a quadric not singular at v
     fails the check, on both routes, and so does a proper part of Ann(v)."""
     for idx, s in enumerate((cylinder_system(), charted["severi_R"][2])):
-        prof = rank_profile(s, derive_stream(0, "td", "ann", idx))[0]
-        point = generic_vector(s, prof, derive_stream(0, "td", "ann", idx, 1))
+        point = rank_profile(s, derive_stream(0, "td", "ann", idx))[1][0]
         ann = point.annihilator
         assert ann.dim >= 1 and annihilator_matches_image_perp(s, point)
         unit = next(e for e in ([int(i == j) for j in range(s.a)] for i in range(s.a))
@@ -264,8 +293,9 @@ def test_tau_gauss_bounds(charted):
 
 
 def test_defect_report_on_severi(charted):
-    ent, _, s, prof = charted["severi_C"]
-    rep = defect_report(s, prof, ent.n + prof.a0, derive_stream(0, "td", "dr"))
+    ent, _, s, _ = charted["severi_C"]
+    prof, points = rank_profile(s, derive_stream(0, "td", "dr"))
+    rep = defect_report(s, prof, points, ent.n + prof.a0, derive_stream(0, "td", "dr", 1))
     assert rep.profile == prof
     assert rep.vertex_dim == 0
     assert rep.fiber_dim == 0
@@ -391,30 +421,28 @@ PROPERTY_CHECKS = ("kernel_in_singular_locus", "annihilator_matches_image_perp",
 
 
 def compare_with_reference(s):
-    """Every DefectReport field, vertex, higher_secant_dimension, and at two
-    generic points and at twice the second one (a non-primitive v) the
-    five property checks, so-membership and the Clifford verdict, against
-    the Scalar route.  Returns our defect report, or None when the profile
-    does not certify."""
+    """Every DefectReport field, vertex (from the whole batch and from its
+    first point alone, so that it draws), higher_secant_dimension, and at
+    the first two batch points and at twice the second one (a non-primitive
+    v) the five property checks, so-membership and the Clifford verdict,
+    against the Scalar route.  Returns our defect report, or None when the
+    profile does not certify."""
     try:
-        prof = rank_profile(s, random.Random(3))[0]
+        prof, batch = rank_profile(s, random.Random(3))
     except CertificationError:
         return None
     sigma = s.n + prof.a0
-    got = _same(lambda st: defect_report(s, prof, sigma, st),
-                lambda st: _report_fields(s, defects_reference.defect_report(s, prof, sigma, st)),
+    got = _same(lambda st: defect_report(s, prof, batch, sigma, st),
+                lambda st: _report_fields(
+                    s, defects_reference.defect_report(s, prof, batch, sigma, st)),
                 lambda rep: _report_fields(s, rep))
-    vert = _same(lambda st: vertex(s, prof, st), lambda st: defects_reference.vertex(s, prof, st),
-                 subspace)[1]
+    for first in (batch[:1], batch):  # vert is the whole batch's
+        vert = _same(lambda st: vertex(s, prof, first, st),
+                     lambda st: defects_reference.vertex(s, prof, first, st), subspace)[1]
     for k_max in (3, 4):
         _same(lambda st: higher_secant_dimension(s, k_max, prof, st),
               lambda st: quadrics_reference.higher_secant_dimension(s, k_max, prof, st))
-    stream, points = random.Random(11), []
-    try:
-        points += [generic_vector(s, prof, stream) for _ in range(2)]
-        points.append(_profile_at(s, [2 * x for x in points[-1].v], stream, 3))
-    except CertificationError:
-        pass
+    points = batch[:2] + [_profile_at(s, [2 * x for x in batch[1].v], random.Random(11), 3)]
     for point in points:
         ref_point = scalar_point(s, point)
         for name in PROPERTY_CHECKS:
@@ -456,71 +484,105 @@ def test_reference_comparison_reaches_the_clifford_branch():
 
 # -- vertex draws accepted on a0 ---------------------------------------------
 
-def full_profile_vertex(s, prof, stream):
-    """`vertex` with each image taken at a point of the whole certified
-    profile, as `generic_vector` accepts it."""
+def full_profile_vertex(s, prof, points, stream):
+    """`vertex` keeping a fresh draw only where v realizes the whole
+    certified profile, on the same schedule: any other v gets a zero
+    contraction, whose image has dimension 0, not a0 (the batch reaches 0
+    before any draw when a0 = 0)."""
+    want = tuple(prof[:5])
 
-    def full(*args):
-        point = generic_vector(*args)
-        return point.v, point.image
+    def full(s, v):
+        point = _profile_at(s, v, random.Random(0), 5)
+        return point.contraction if point.profile == want else [[0] * s.n] * s.a
 
-    with mock.patch.object(defects, "generic_image", full):
-        return vertex(s, prof, stream)
+    with mock.patch.object(defects, "contract", full):
+        return vertex(s, prof, points, stream)
 
 
-# The first vector of Random(4), v = (-1, 0, -1), has dim II_v(T) = a0 = 3,
-# but its annihilator quadric has rank 1 and a 2-dimensional kernel, where
-# the certified profile has r = 2 and dim singloc = 1.
-DIVERGENT = QuadricSystem(3, 4, ([0, 0, 2, 0, 0, 0, 2, 0, 0], [0, 0, 0, 0, -1, 0, 0, 0, 0],
-                                 [0, 2, 0, 2, 0, 0, 0, 0, 1], [0, 0, 1, 0, 0, 2, 1, 2, 0]), 1)
+# The quadrics of a 3 x 4 system on x1..x3, and x4^2 on a fifth normal
+# direction e5: every image II_v(T) with v4 != 0 contains e5, so the vertex
+# is span{e5}, the batch never intersects to 0, and `vertex` draws.  The
+# first draw of Random(17), v = (2, 0, 6, -2) at bound 6, has dim II_v(T) =
+# a0 = 4, but its annihilator quadric has rank 1 and a 3-dimensional
+# kernel, where the certified profile has r = 2 and dim singloc = 2.
+DIVERGENT = QuadricSystem(4, 5, (
+    [0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0, 2, 0, 1, 2, 0, 0, 0, 0, 0, 0],
+    [0] * 15 + [1]), 1)
 
 
 def test_draw_of_a0_without_the_full_profile():
-    """Both a0 routes accept the draw that the full-profile rule redraws,
-    end at equal stream states, and give the full-profile route's vertex."""
+    """`vertex` and its Scalar reference keep the draw that the
+    full-profile rule skips, make the same draws, and give the full-profile
+    route's vertex."""
     s = DIVERGENT
-    prof = rank_profile(s, random.Random(3))[0]
-    assert (prof.a0, prof.r, prof.dim_ann, prof.dim_singloc) == (3, 2, 1, 1)
-    first = tuple(nonzero_vector(s.n, 1, random.Random(4)))
-    assert first == (-1, 0, -1)
-    assert _profile_at(s, first, random.Random(0), 5).profile == (3, 1, 0, 1, 2)
-    assert generic_image(s, prof, random.Random(4))[0] == first
-    assert quadrics_reference.generic_image(s, prof, random.Random(4))[0] == first
-    assert generic_vector(s, prof, random.Random(4)).v != first
+    prof, points = rank_profile(s, random.Random(0))
+    assert (prof.a0, prof.r, prof.dim_ann, prof.dim_singloc) == (4, 2, 1, 2)
+    e5 = IntegerSpan(5, [[0, 0, 0, 0, 1]])
+    assert functools.reduce(IntegerSpan.intersect, [p.image for p in points]) == e5
+    first = nonzero_vector(s.n, len(points) + 1, random.Random(17))
+    assert first == [2, 0, 6, -2]
+    assert _profile_at(s, first, random.Random(0), 5).profile == (4, 1, 0, 1, 3)
+    kept = quadrics_reference.generic_image(s, prof, random.Random(17), len(points) + 1)
+    assert kept[0] == tuple(first)
 
-    got = _same(lambda st: vertex(s, prof, st), lambda st: defects_reference.vertex(s, prof, st),
-                subspace, seed=4)
-    assert full_profile_vertex(s, prof, random.Random(4)) == got[1]
+    got = _same(lambda st: vertex(s, prof, points, st),
+                lambda st: defects_reference.vertex(s, prof, points, st), subspace, seed=17)
+    assert got[1] == e5
+    assert full_profile_vertex(s, prof, points, random.Random(17)) == got[1]
 
 
 def test_draw_logs_tell_the_acceptance_rules_apart():
-    """On DIVERGENT at Random(4) the full-profile and the a0 vertex calls
-    end at equal stream states and give the same vertex, but do not make
-    the same draws: the logs, unlike the states, tell them apart."""
+    """On DIVERGENT at Random(17) both rules draw one vector per bound,
+    len(points) + 1, + 2, ..., with nothing drawn between them, and give
+    the same vertex.  The a0 rule keeps the first draw and stops after 3
+    unchanged images; the full-profile rule skips it and needs a 4th, so
+    its log extends the a0 rule's."""
     s = DIVERGENT
-    prof = rank_profile(s, random.Random(3))[0]
-    a0, full = LoggedRandom(4), LoggedRandom(4)
-    assert vertex(s, prof, a0) == full_profile_vertex(s, prof, full)
-    assert a0.getstate() == full.getstate()
-    assert a0.log != full.log
+    prof, points = rank_profile(s, random.Random(0))
+    a0, full, replay = LoggedRandom(17), LoggedRandom(17), LoggedRandom(17)
+    assert vertex(s, prof, points, a0) == full_profile_vertex(s, prof, points, full)
+    for bound in range(len(points) + 1, len(points) + 5):
+        nonzero_vector(s.n, bound, replay)
+    assert full.log == replay.log
+    assert a0.log == full.log[:len(a0.log)] and len(a0.log) < len(full.log)
 
 
 @REFERENCE
 @given(systems(), st.integers(0, 2**16))
 def test_vertex_is_the_full_profile_vertex(s, seed):
-    """Accepting images on a0 alone finds the vertex that images at points
-    of the whole profile find, as a span.  Both routes stop after 3
-    unchanged images, and each draw starts again at coordinate bound 1, so
-    on some streams either one stops early, at a span above the vertex;
-    none of the derandomized examples here does."""
+    """Accepting fresh images on a0 alone finds the vertex that images at
+    points of the whole profile find, as a span."""
     try:
-        prof = rank_profile(s, random.Random(3))[0]
+        prof, points = rank_profile(s, random.Random(3))
     except CertificationError:
         return
-    got = _outcome(vertex, s, prof, random.Random(seed))
-    want = _outcome(full_profile_vertex, s, prof, random.Random(seed))
+    got = _outcome(vertex, s, prof, points, random.Random(seed))
+    want = _outcome(full_profile_vertex, s, prof, points, random.Random(seed))
     if got[0] == want[0] == "value":
         assert got[1] == want[1]
+
+
+@REFERENCE
+@given(systems(), st.integers(0, 2**16))
+def test_vertex_is_the_perp_of_the_summed_annihilators(s, seed):
+    """The vertex is (sum of Ann(v))^perp over 3a independent draws at
+    bound 50 with dim II_v(T) = a0: the intersection of their images, taken
+    in N*, with no stop rule."""
+    try:
+        prof, points = rank_profile(s, random.Random(3))
+    except CertificationError:
+        return
+    got = _outcome(vertex, s, prof, points, random.Random(seed))
+    stream, anns = random.Random(seed + 1), []
+    for _ in range(3 * s.a):
+        image = IntegerSpan(s.a, list(zip(*contract(s, nonzero_vector(s.n, 50, stream)))))
+        if image.dim == prof.a0:
+            anns += image.perp().rows
+    if got[0] == "value" and anns:
+        assert got[1] == IntegerSpan(s.a, anns).perp()
 
 
 def test_vertex_draws_skip_the_annihilator(monkeypatch, entries):
@@ -533,9 +595,9 @@ def test_vertex_draws_skip_the_annihilator(monkeypatch, entries):
         monkeypatch.setattr(quadrics, name, lambda *a, orig=orig, name=name, **k:
                             built.append(name) or orig(*a, **k))
     s = quadric_system(2, [sym(2, {(0, 0): 1}), sym(2, {(1, 1): 1}), sym(2, {(0, 1): "1/2"})])
-    prof = rank_profile(s, derive_stream(0, "td", "skip"))[0]
+    prof, points = rank_profile(s, derive_stream(0, "td", "skip"))
     built.clear()
-    vertex(s, prof, derive_stream(0, "td", "skip", 1))
+    vertex(s, prof, points[:1], derive_stream(0, "td", "skip", 1))
     assert built == []
 
     ent = entries["severi_R"]

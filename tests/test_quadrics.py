@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -8,16 +9,15 @@ from hypothesis import strategies as st
 
 import quadrics_reference as reference
 from linalg_reference import add, kernel, mul_vec, rank, scale, subspace, transpose, zero
-from secantgeo import linalg, quadrics
+from secantgeo import defects, linalg, quadrics
 from secantgeo.defects import vertex
 from secantgeo.genericity import CertificationError, derive_stream, nonzero_vector, random_vector
 from secantgeo.jets import chart_at, second_fundamental_form
 from secantgeo.linalg import IntegerSpan, Matrix, gauss, integer_values, scalar_values
 from secantgeo.polymaps import Poly, PolyMap, polymap_to_json
 from secantgeo.quadrics import (QuadricSystem, _max_rank_in_span, _profile_at, contract,
-                                generic_image, generic_vector, higher_secant_dimension,
-                                hypersurface_projection, integer_quadric,
-                                is_tangentially_degenerate, quadric_system,
+                                higher_secant_dimension, hypersurface_projection,
+                                integer_quadric, is_tangentially_degenerate, quadric_system,
                                 quadric_system_from_json, quadric_system_to_json, rank_profile,
                                 singular_locus, tangential_dimension)
 from secantgeo.report import analyze
@@ -124,28 +124,47 @@ def test_cylinder_system_is_degenerate():
 
 
 def test_generic_vector_certified():
+    """Every point of the batch that certified the profile realizes it, with
+    the spans of the Scalar reference at its v."""
     s = severi_r_system()
-    prof = rank_profile(s, derive_stream(0, "tq", "gv"))[0]
-    point = generic_vector(s, prof, derive_stream(0, "tq", "gv", 1))
-    c = reference.contraction(s, point.v)
-    assert subspace(point.image) == reference.ii_image(s, point.v)
-    assert subspace(point.kernel) == kernel(c)
-    assert subspace(point.annihilator) == kernel(transpose(c))
-    assert point.profile == (prof.a0, prof.r, prof.dim_ker, prof.dim_ann, prof.dim_singloc)
+    prof, points = rank_profile(s, derive_stream(0, "tq", "gv"))
+    assert len(points) == 5
+    for point in points:
+        c = reference.contraction(s, point.v)
+        assert subspace(point.image) == reference.ii_image(s, point.v)
+        assert subspace(point.kernel) == kernel(c)
+        assert subspace(point.annihilator) == kernel(transpose(c))
+        assert point.profile == (prof.a0, prof.r, prof.dim_ker, prof.dim_ann, prof.dim_singloc)
 
 
-def test_generic_image_draws_as_generic_vector_on_full_profile_draws():
-    """Where every draw has the whole certified profile, both rules accept
-    the same v with the same image and leave the stream in the same state."""
+def test_generic_image_draws_as_generic_vector_on_full_profile_draws(monkeypatch):
+    """Where every draw with dim II_v(T) = a0 has the whole certified
+    profile, the vertex keeps exactly the full-profile draws, and the image
+    it intersects at each is that point's II_v(T).  After a batch of one
+    point the fresh draws continue at bounds 2, 3, ..."""
     s = severi_r_system()
-    prof = rank_profile(s, derive_stream(0, "tq", "gi"))[0]
+    prof, points = rank_profile(s, derive_stream(0, "tq", "gi"))
+    want = (prof.a0, prof.r, prof.dim_ker, prof.dim_ann, prof.dim_singloc)
+    draws, images = [], []
+    draw, intersect = defects.nonzero_vector, IntegerSpan.intersect
+
+    def drawn(n, bound, stream):
+        draws.append((bound, draw(n, bound, stream)))
+        return draws[-1][1]
+
+    monkeypatch.setattr(defects, "nonzero_vector", drawn)
+    monkeypatch.setattr(IntegerSpan, "intersect",
+                        lambda w, img: images.append(img) or intersect(w, img))
     for label in range(6):
-        ours, theirs = derive_stream(0, "tq", "gi", label), derive_stream(0, "tq", "gi", label)
-        for _ in range(4):
-            v, image = generic_image(s, prof, ours)
-            point = generic_vector(s, prof, theirs)
-            assert (v, image) == (point.v, point.image)
-            assert ours.getstate() == theirs.getstate()
+        draws.clear()
+        images.clear()
+        vert = vertex(s, prof, points[:1], derive_stream(0, "tq", "gi", label))
+        assert [b for b, _ in draws] == list(range(2, 2 + len(draws)))
+        full = [_profile_at(s, v, derive_stream(0, "tq", "gi", "r"), 5) for _, v in draws]
+        kept = [p for p in full if p.image.dim == prof.a0]
+        assert all(p.profile == want for p in kept)
+        assert images == [p.image for p in kept]
+        assert vert == functools.reduce(intersect, images, points[0].image)
 
 
 def test_each_profile_draw_contracts_once(monkeypatch):
@@ -155,9 +174,8 @@ def test_each_profile_draw_contracts_once(monkeypatch):
     monkeypatch.setattr(quadrics, "contract",
                         lambda *a: contractions.append(1) or contract_once(*a))
     s = severi_r_system()
-    prof = rank_profile(s, derive_stream(0, "tq", "once"))[0]
-    generic_vector(s, prof, derive_stream(0, "tq", "once", 1))
-    assert len(draws) >= 6
+    rank_profile(s, derive_stream(0, "tq", "once"))
+    assert len(draws) >= 5
     assert len(contractions) == len(draws)
 
 
@@ -170,8 +188,8 @@ def test_profile_and_vertex_draws_build_no_scalar(monkeypatch):
         monkeypatch.setattr(mod, "scalar_values",
                             lambda *a, convert=convert: built.append(a) or convert(*a))
     s = severi_r_system()
-    prof = rank_profile(s, derive_stream(0, "tq", "noscalar"))[0]
-    vertex(s, prof, derive_stream(0, "tq", "noscalar", 1))
+    prof, points = rank_profile(s, derive_stream(0, "tq", "noscalar"))
+    vertex(s, prof, points[:1], derive_stream(0, "tq", "noscalar", 1))
     assert built == []
     # the count sees a conversion where one is made
     quadric_system_to_json(s)
@@ -234,12 +252,15 @@ def test_annihilator_rank_search_stops_at_its_ceiling(monkeypatch):
 
 
 def test_generic_vector_unmatchable_profile_is_certification_error():
+    """A vertex whose fresh draws never reach the certified a0 fails loudly
+    after its last draw."""
     s = severi_r_system()
-    prof = rank_profile(s, derive_stream(0, "tq", "gv"))[0]
-    # II_v has rank at most a, so no vector realizes a0 = a + 1
+    prof, points = rank_profile(s, derive_stream(0, "tq", "gv"))
+    # II_v has rank at most a, so no vector realizes a0 = a + 1; one batch
+    # image is not 0, so the vertex must draw
     impossible = prof._replace(a0=s.a + 1)
-    with pytest.raises(CertificationError):
-        generic_vector(s, impossible, derive_stream(0, "tq", "gv", 2))
+    with pytest.raises(CertificationError, match="vertex intersection did not stabilize"):
+        vertex(s, impossible, points[:1], derive_stream(0, "tq", "gv", 2))
 
 
 def test_hypersurface_projection_keeps_a0():
@@ -249,9 +270,11 @@ def test_hypersurface_projection_keeps_a0():
                            sym(2, {(0, 1): 1}), sym(2, {(0, 0): 1, (1, 1): 1})])
     prof = rank_profile(s, derive_stream(0, "tq", "hp"))[0]
     assert prof.a0 == 2
-    t, tprof = hypersurface_projection(s, prof, derive_stream(0, "tq", "hp", 1))
+    t, tprof, points = hypersurface_projection(s, prof, derive_stream(0, "tq", "hp", 1))
     assert (t.n, t.a) == (2, 3)
     assert tprof.a0 == t.a - 1
+    # the batch that certified the projected profile
+    assert len(points) == 5 and all(p.profile == tuple(tprof[:5]) for p in points)
     # a claimed a0 the projection cannot keep is a certification failure
     with pytest.raises(CertificationError):
         hypersurface_projection(s, prof._replace(a0=1), derive_stream(0, "tq", "hp", 2))
@@ -276,7 +299,7 @@ def test_projected_quadrics_are_the_drawn_combinations():
         stream = derive_stream(0, "tq", "hpref", k, 1)
         replay = random.Random()
         replay.setstate(stream.getstate())
-        t, _ = hypersurface_projection(s, prof, stream)
+        t = hypersurface_projection(s, prof, stream)[0]
         rows = prof.a0 + 1
         while True:
             m = [[Scalar(replay.randint(-5, 5)) for _ in range(s.a)] for _ in range(rows)]
@@ -450,13 +473,17 @@ def test_combinations_match_scalar_reference(s, data):
 @PROPERTY
 @given(systems(), st.integers(0, 2**32))
 def test_generic_image_matches_scalar_reference(s, seed):
-    """The v, the image and the stream state after `generic_image` equal the
-    Scalar route's at the same draws."""
+    """At each fresh draw of `vertex`, the integer image and its test on a0
+    equal the Scalar route's (`generic_image`), and the stream advances
+    alike."""
     try:
         prof = rank_profile(s, random.Random(seed))[0]
     except CertificationError:
         return
     ours, theirs = random.Random(seed), random.Random(seed)
-    v, image = generic_image(s, prof, ours)
-    assert (v, subspace(image)) == reference.generic_image(s, prof, theirs)
+    for bound in (2, 6, 64):
+        v = nonzero_vector(s.n, bound, ours)
+        image = IntegerSpan(s.a, list(zip(*contract(s, v))))
+        assert reference.generic_image(s, prof, theirs, bound) == \
+            ((tuple(v), subspace(image)) if image.dim == prof.a0 else None)
     assert ours.getstate() == theirs.getstate()

@@ -144,48 +144,70 @@ def test_one_join_and_one_span_certification_per_analysis(monkeypatch):
         ["secant span dimensions", "join ranks (k <= 4)"]
 
 
+# the structural checks' and the cubic's details at each --trials
+BATCH_DETAILS = {
+    1: ("checked at 1 certified-generic vector",
+        "refined cubic form vanishes at 1 generic vector"),
+    2: ("checked at 2 certified-generic vectors",
+        "refined cubic form vanishes at 2 generic vectors"),
+    3: ("checked at 3 certified-generic vectors",
+        "refined cubic form vanishes at 3 generic vectors"),
+    5: ("checked at 3 certified-generic vectors",
+        "refined cubic form vanishes at 5 generic vectors"),
+}
+
+
 @pytest.mark.parametrize("trials", [1, 2, 3, 5])
 def test_property_checks_read_the_certified_batch(monkeypatch, trials):
-    """The five structural checks run at the first 3 points of the batch that
-    certified the profile; only at trials < 3 are the missing points drawn
-    (on the "properties" stream), and each check still runs at 3 points.
-    Besides those, `generic_vector` is called once per defect report:
-    v2(P^4) has two, its own and its projection's."""
-    draws = {"report": 0, "defects": 0}
-    batches, checked = [], []
-
-    def count_draws(module, label):
-        def drawn(*args):
-            draws[label] += 1
-            return quadrics.generic_vector(*args)
-        monkeypatch.setattr(module, "generic_vector", drawn)
-
-    count_draws(report, "report")
-    count_draws(defects, "defects")
+    """The five structural checks run at the first min(3, trials) points of
+    the batch that certified the profile, and their detail names that count.
+    No point is drawn outside a certified batch: v2(P^4) has two defect
+    reports, its own and its projection's, and each reads the batch of its
+    own profile."""
+    batches, checked, reported, outside, inside = [], [], [], [], [False]
+    profile_at, rank_profile = quadrics._profile_at, quadrics.rank_profile
 
     def profiled(*args):
-        out = quadrics.rank_profile(*args)
+        inside[0] = True
+        try:
+            out = rank_profile(*args)
+        finally:
+            inside[0] = False
         batches.append(out[1])
         return out
+
+    def drawn(*args):
+        if not inside[0]:
+            outside.append(args)
+        return profile_at(*args)
 
     def checking(s, point):
         checked.append(point)
         return defects.kernel_in_singular_locus(s, point)
 
-    monkeypatch.setattr(report, "rank_profile", profiled)
+    def reporting(s, profile, points, *args):
+        reported.append(points)
+        return defects.defect_report(s, profile, points, *args)
+
+    for module in (report, quadrics):
+        monkeypatch.setattr(module, "rank_profile", profiled)
+    monkeypatch.setattr(quadrics, "_profile_at", drawn)
     monkeypatch.setattr(report, "kernel_in_singular_locus", checking)
+    monkeypatch.setattr(report, "defect_report", reporting)
     ent = veronese(2, 4)
     rep = analyze(polymap_to_json(ent.map, base_point=ent.base_point),
                   AnalyzeOptions(trials=trials))
     assert rep.defects_projected is not None
-    assert len(batches) == 1 and len(batches[0]) == trials
-    assert len(checked) == 3
-    assert all(p is q for p, q in zip(checked, batches[0][:3]))
+    assert [len(b) for b in batches] == [trials, trials] and outside == []
+    assert all(p is q for p, q in zip(reported, batches)) and len(reported) == 2
+    assert len(checked) == min(3, trials)
+    assert all(p is q for p, q in zip(checked, batches[0]))
     assert all(p.profile == rep.profile[:5] for p in checked)
-    assert draws == {"report": max(0, 3 - trials), "defects": 2}
     by_name = {v.name: v for v in rep.verdicts}
+    checks, cubic = BATCH_DETAILS[trials]
     for name in VERDICT_NAMES[12:17]:
-        assert by_name[name] == (name, "pass", "checked at 3 certified-generic vectors")
+        assert by_name[name] == (name, "pass", checks)
+    assert by_name["third_form_vanishing"] == ("third_form_vanishing", "pass", cubic)
 
 
 def test_render_json_matches_report_dict():
