@@ -12,13 +12,18 @@ entry:
 
 - the exits other than 0, grouped by exit code and message (the message up
   to its first colon, so the sampled values are left out), with their seeds;
-- how many certified analyses report each `vertex_dim`, and the same for
-  the vertex of the generic projection where the report has one;
+- how many certified analyses report each pair (a0, vertex_dim), and how
+  many report each `vertex_dim` of the generic projection where the
+  report has one;
 - for each verdict that FAILs at some seed, the number of such seeds.
 
-A vertex is an intersection of images II_v(T), each of which contains it,
-so a report above the smallest value seen for an entry is above the true
-vertex.  The last line counts those reports.
+a0 is the generic rank of II_v, and a rank only drops at special points,
+so the largest a0 seen for an entry is that of its generic profile, and a
+report at a smaller a0 rests on a non-generic profile.  Among the reports
+at the largest a0, a vertex is an intersection of images II_v(T), each of
+which contains it, so a report above the smallest value seen there is
+above the true vertex.  The last two lines count those reports and the
+non-generic ones.
 """
 
 from __future__ import annotations
@@ -61,11 +66,11 @@ def scan(path: Path, seeds, trials: int) -> dict:
             exits[(code, message)].append(seed)
             continue
         rep = json.loads(out)
-        vertices[rep["defects"]["vertex_dim"]] += 1
+        vertices[rep["profile"]["a0"], rep["defects"]["vertex_dim"]] += 1
         if rep["defects_projected"] is not None:
             projected[rep["defects_projected"]["vertex_dim"]] += 1
         fails.update(v["name"] for v in rep["verdicts"] if v["status"] == "fail")
-    return {"exits": exits, "vertex_dim": vertices, "projected_vertex_dim": projected,
+    return {"exits": exits, "a0, vertex_dim": vertices, "projected_vertex_dim": projected,
             "fails": fails}
 
 
@@ -80,7 +85,7 @@ def main_scan(argv=None) -> None:
     args = ap.parse_args(argv)
     seeds = range(args.seeds)
     ents = [e for e in catalog() if e.name not in HEAVY]
-    above = total = 0
+    above = total = below = 0
     with tempfile.TemporaryDirectory() as tmp:
         for ent in ents:
             path = Path(tmp) / ("%s.json" % ent.name)
@@ -91,16 +96,19 @@ def main_scan(argv=None) -> None:
             for (code, message), hit in sorted(res["exits"].items()):
                 print("  exit %d x%d: %s; seeds %s"
                       % (code, len(hit), message, ",".join(map(str, hit))))
-            for key in ("vertex_dim", "projected_vertex_dim"):
+            for key in ("a0, vertex_dim", "projected_vertex_dim"):
                 if res[key]:
                     print("  %s: %s" % (key, _counts(res[key])))
             print("  FAIL: %s" % (_counts(res["fails"]) or "none"))
-            vert = res["vertex_dim"]
+            top = max((a0 for a0, _ in res["a0, vertex_dim"]), default=None)
+            vert = {d: c for (a0, d), c in res["a0, vertex_dim"].items() if a0 == top}
             total += sum(vert.values())
             above += sum(c for d, c in vert.items() if d > min(vert))
+            below += sum(c for (a0, _), c in res["a0, vertex_dim"].items() if a0 != top)
             sys.stdout.flush()
-    print("vertex above the smallest for its entry: %d of %d certified analyses"
-          % (above, total))
+    print("vertex above the smallest at its entry's largest a0: %d of %d certified analyses"
+          " at that a0" % (above, total))
+    print("non-generic profiles (a0 below the largest seen for the entry): %d" % below)
 
 
 if __name__ == "__main__":

@@ -252,6 +252,10 @@ class RankRestriction(NamedTuple):
     r: int
     lower: int
 
+    @property
+    def ok(self) -> bool | None:
+        return self.holds if self.applicable else None
+
 
 def rank_restriction_check(s: QuadricSystem, profile: RankProfile,
                            sigma_dim: int) -> RankRestriction:
@@ -271,6 +275,10 @@ class ZakBound(NamedTuple):
     applicable: bool
     holds: bool
     equality: bool
+
+    @property
+    def ok(self) -> bool | None:
+        return self.holds if self.applicable else None
 
 
 def zak_bound_check(s: QuadricSystem, profile: RankProfile, sigma_dim: int,
@@ -375,7 +383,7 @@ def defect_report(s: QuadricSystem, profile: RankProfile, points: list, sigma_di
     clifford = _clifford_not_applicable(s, profile) if frames is None else \
         clifford_relation_check(s, profile, point, mini, frames)
     so_ok = None
-    if profile.dim_ann == 1 and clifford.applicable:
+    if clifford.applicable:
         try:
             so_ok = so_membership_check(s, point, frames)
         except DefectError:

@@ -10,10 +10,10 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .defects import (DefectError, DefectReport, annihilator_matches_image_perp,
-                      defect_report, fiber_contains_singloc_products,
-                      fiber_dimension_identity, kernel_in_singular_locus,
-                      quotient_singular_locus_match, tau_gauss_bound_check)
+from .defects import (DefectReport, annihilator_matches_image_perp, defect_report,
+                      fiber_contains_singloc_products, fiber_dimension_identity,
+                      kernel_in_singular_locus, quotient_singular_locus_match,
+                      tau_gauss_bound_check)
 from .genericity import derive_stream
 from .jets import chart_at, chart_roundtrip_check, refined_third_form_cube, \
     second_fundamental_form
@@ -81,10 +81,6 @@ def load_input(obj, order: int = 3):
         return kind, f, jet, second_fundamental_form(jet)
     except ValueError as e:
         raise InputError(str(e)) from None
-
-
-def _status(flag: bool | None) -> str:
-    return "not-applicable" if flag is None else "pass" if flag else "fail"
 
 
 def analyze(obj, options: AnalyzeOptions = AnalyzeOptions()) -> AnalysisReport:
@@ -186,116 +182,88 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions()) -> AnalysisReport:
 def _verdicts(s, points, third_vanishes, defects: DefectReport,
               projected: DefectReport | None, cross_checks, sigma_rows, tau_gauss,
               sigma_degenerate, roundtrip) -> tuple[Verdict, ...]:
-    independent = s.independent()
-    out = [Verdict("independent_system", _status(independent),
-                   "the quadrics are linearly independent" if independent
-                   else "degenerate system: some quadrics are dependent or zero")]
-
+    """One line per row (name, hypotheses, check): not-applicable with the
+    text of the first hypothesis (holds, text) that does not hold, else the
+    status and detail of check() -> (ok, detail), called only then."""
     pairs = [c for c in cross_checks if c.agree is not None]
-    if pairs:
-        ok = all(c.agree for c in pairs)
-        bad = ", ".join("%s %s!=%s" % (c.quantity, c.formula, c.oracle)
-                        for c in pairs if not c.agree)
-        out.append(Verdict("formula_oracle_agreement", _status(ok),
-                           "all %d cross-checked dimensions agree" % len(pairs) if ok
-                           else "disagreement: " + bad))
-    else:
-        out.append(Verdict("formula_oracle_agreement", "not-applicable",
-                           "no oracle columns for this input"))
-
-    rows = [r for r in sigma_rows if r["within_bound"] is not None]
-    ok = all(r["within_bound"] for r in rows) if rows else None
-    out.append(Verdict("secant_superadditivity", _status(ok),
-                       "dim sigma_k <= n + (k-1) a0 for k = %s" %
-                       ",".join(str(r["k"]) for r in rows) if rows else "no sigma_k data"))
-
-    if tau_gauss is not None:
-        out.append(Verdict("tau_gauss_lower_bound", _status(tau_gauss.weak_bound_holds),
-                           "fiber %d vs delta_tau + 1 = %d" %
-                           (tau_gauss.fiber_dim, tau_gauss.delta_tau + 1)))
-        out.append(Verdict("tau_gauss_smooth_bound", _status(tau_gauss.smooth_bound_holds),
-                           "fiber %d vs delta_tau + 2 = %d (needs a smooth source)" %
-                           (tau_gauss.fiber_dim, tau_gauss.delta_tau + 2)))
-    else:
-        detail = "tau is not degenerate" if roundtrip is not None else "needs a chart input"
-        out.append(Verdict("tau_gauss_lower_bound", "not-applicable", detail))
-        out.append(Verdict("tau_gauss_smooth_bound", "not-applicable", detail))
-
-    rr = defects.rank_restriction
-    rr_detail = "r = %d vs n - a + 2 = %d" % (rr.r, rr.lower)
-    if not rr.applicable and projected is not None:
-        rr = projected.rank_restriction
-        rr_detail = "after generic projection to a hypersurface: r = %d vs n - a + 2 = %d" % \
-            (rr.r, rr.lower)
-    out.append(Verdict("rank_restriction", _status(rr.holds if rr.applicable else None),
-                       rr_detail if rr.applicable else
-                       "needs a degenerate secant variety and hypersurface tangential variety"))
-
-    zb = defects.zak_bound
-    zb_where = ""
-    if not zb.applicable and projected is not None:
-        zb = projected.zak_bound
-        zb_where = " (after generic projection)"
-    out.append(Verdict("zak_bound", _status(zb.holds if zb.applicable else None),
-                       "a >= n/2 + 2 + fiber/2%s%s" %
-                       (", equality" if zb.equality else "", zb_where)
-                       if zb.applicable else
-                       "needs a degenerate secant variety and hypersurface tangential variety"))
-
-    cv = defects.clifford_verdict
-    if cv.applicable:
-        out.append(Verdict("clifford_fiber_condition", _status(cv.fiber_condition_ok),
-                           "dim F_v = vertex_dim + 1"))
-        out.append(Verdict("clifford_proportionality", _status(cv.proportionality_ok),
-                           "minimal-subsystem restrictions to span{v} + ker II_v are proportional"))
-        if cv.proportionality_ok:
-            out.append(Verdict("clifford_identity", _status(cv.phi_v_is_identity),
-                               "phi_v is the identity"))
-            out.append(Verdict("clifford_relation", _status(cv.relation_holds),
-                               "anticommutation with sign %+d on %d x %d kernel pairs; "
-                               "module dim %d" % (cv.sign, cv.kernel_dim, cv.kernel_dim,
-                                                  cv.module_dim)))
-        else:
-            out.append(Verdict("clifford_identity", "not-applicable", "no common quadric"))
-            out.append(Verdict("clifford_relation", "not-applicable", "no common quadric"))
-    else:
-        for name in ("clifford_fiber_condition", "clifford_proportionality",
-                     "clifford_identity", "clifford_relation"):
-            out.append(Verdict(name, "not-applicable", defects.clifford_unmet or
-                               "tangential variety is not a hypersurface"))
-    out.append(Verdict("so_membership", _status(defects.so_membership),
-                       "each phi_w is skew for the annihilator pairing"
-                       if defects.so_membership is not None else defects.clifford_unmet or
-                       "needs a one-dimensional annihilator in the hypersurface case"))
-
-    # the structural checks, at up to 3 points of the profile's batch
-    checks = (
-        ("kernel_in_singular_locus", kernel_in_singular_locus),
-        ("annihilator_matches_image_perp", annihilator_matches_image_perp),
-        ("fiber_contains_singloc_products", fiber_contains_singloc_products),
-        ("fiber_dimension_identity", fiber_dimension_identity),
-        ("quotient_singular_locus_match", quotient_singular_locus_match),
-    )
+    bad = ["%s %s!=%s" % (c.quantity, c.formula, c.oracle) for c in pairs if not c.agree]
+    bounded = [r for r in sigma_rows if r["within_bound"] is not None]
+    # the rank restriction and Zak's bound read the projection's defects
+    # when tau is not a hypersurface itself
+    hyp, where = (defects, "") if defects.rank_restriction.applicable or projected is None \
+        else (projected, "after generic projection to a hypersurface: ")
+    rr, zb, cv = hyp.rank_restriction, hyp.zak_bound, defects.clifford_verdict
+    independent = s.independent()
     checked = points[:3]
-    for name, fn in checks:
-        try:
-            ok = all(fn(s, point) for point in checked)
-            out.append(Verdict(name, _status(ok),
-                               "checked at " + _vectors(len(checked), "certified-generic")))
-        except DefectError as e:
-            out.append(Verdict(name, "fail", str(e)))
 
-    if third_vanishes is not None and sigma_degenerate:
+    chart = (roundtrip is not None, "needs a chart input")
+    tau_degenerate = (tau_gauss is not None, "tau is not degenerate")
+    hypersurface = (rr.applicable,
+                    "needs a degenerate secant variety and hypersurface tangential variety")
+    clifford = (cv.applicable, defects.clifford_unmet or "tangential variety is not a hypersurface")
+    common_quadric = (cv.proportionality_ok, "no common quadric")
+    rows = [
+        ("independent_system", [], lambda: (
+            independent, "the quadrics are linearly independent" if independent
+            else "degenerate system: some quadrics are dependent or zero")),
+        ("formula_oracle_agreement", [(pairs, "no oracle columns for this input")], lambda: (
+            not bad, "disagreement: " + ", ".join(bad) if bad
+            else "all %d cross-checked dimensions agree" % len(pairs))),
+        ("secant_superadditivity", [(bounded, "no sigma_k data")], lambda: (
+            all(r["within_bound"] for r in bounded),
+            "dim sigma_k <= n + (k-1) a0 for k = %s" % ",".join(str(r["k"]) for r in bounded))),
+        ("tau_gauss_lower_bound", [chart, tau_degenerate], lambda: (
+            tau_gauss.weak_bound_holds,
+            "fiber %d vs delta_tau + 1 = %d" % (tau_gauss.fiber_dim, tau_gauss.delta_tau + 1))),
+        ("tau_gauss_smooth_bound", [chart, tau_degenerate], lambda: (
+            tau_gauss.smooth_bound_holds,
+            "fiber %d vs delta_tau + 2 = %d (needs a smooth source)" %
+            (tau_gauss.fiber_dim, tau_gauss.delta_tau + 2))),
+        ("rank_restriction", [hypersurface], lambda: (
+            rr.ok, "%sr = %d vs n - a + 2 = %d" % (where, rr.r, rr.lower))),
+        ("zak_bound", [hypersurface], lambda: (
+            zb.ok, "a >= n/2 + 2 + fiber/2%s%s" % (", equality" if zb.equality else "",
+                                                   " (after generic projection)" if where
+                                                   else ""))),
+        ("clifford_fiber_condition", [clifford], lambda: (
+            cv.fiber_condition_ok, "dim F_v = vertex_dim + 1")),
+        ("clifford_proportionality", [clifford], lambda: (
+            cv.proportionality_ok,
+            "minimal-subsystem restrictions to span{v} + ker II_v are proportional")),
+        ("clifford_identity", [clifford, common_quadric], lambda: (
+            cv.phi_v_is_identity, "phi_v is the identity")),
+        ("clifford_relation", [clifford, common_quadric], lambda: (
+            cv.relation_holds, "anticommutation with sign %+d on %d x %d kernel pairs; "
+            "module dim %d" % (cv.sign, cv.kernel_dim, cv.kernel_dim, cv.module_dim))),
+        ("so_membership", [(defects.so_membership is not None, defects.clifford_unmet or
+                            "needs a one-dimensional annihilator in the hypersurface case")],
+         lambda: (defects.so_membership, "each phi_w is skew for the annihilator pairing")),
+        # the structural checks, at up to 3 points of the profile's batch
+        *((name, [], lambda fn=fn: (
+            all(fn(s, point) for point in checked),
+            "checked at " + _vectors(len(checked), "certified-generic")))
+          for name, fn in (
+              ("kernel_in_singular_locus", kernel_in_singular_locus),
+              ("annihilator_matches_image_perp", annihilator_matches_image_perp),
+              ("fiber_contains_singloc_products", fiber_contains_singloc_products),
+              ("fiber_dimension_identity", fiber_dimension_identity),
+              ("quotient_singular_locus_match", quotient_singular_locus_match))),
         # read at the profile's batch, one point per trial
-        out.append(Verdict("third_form_vanishing", _status(third_vanishes),
-                           "refined cubic form vanishes at " + _vectors(len(points), "generic")))
-    else:
-        out.append(Verdict("third_form_vanishing", "not-applicable",
-                           "applies to charts with degenerate secant variety"))
-
-    out.append(Verdict("chart_roundtrip", _status(roundtrip),
-                       "graph reproduces the chart along random curves"
-                       if roundtrip is not None else "needs a chart input"))
+        ("third_form_vanishing", [(third_vanishes is not None and sigma_degenerate,
+                                   "applies to charts with degenerate secant variety")],
+         lambda: (third_vanishes,
+                  "refined cubic form vanishes at " + _vectors(len(points), "generic"))),
+        ("chart_roundtrip", [chart], lambda: (
+            roundtrip, "graph reproduces the chart along random curves")),
+    ]
+    out = []
+    for name, hypotheses, check in rows:
+        unmet = next((text for holds, text in hypotheses if not holds), None)
+        if unmet is None:
+            ok, detail = check()
+            out.append(Verdict(name, "pass" if ok else "fail", detail))
+        else:
+            out.append(Verdict(name, "not-applicable", unmet))
     return tuple(out)
 
 
@@ -312,10 +280,9 @@ def _defects_to_json(d: DefectReport) -> dict:
         "minimal_subsystem": {"dim": d.minimal_subsystem.dim},
         "clifford_verdict": d.clifford_verdict._asdict(),
         "so_membership": d.so_membership,
-        "rank_restriction_ok": d.rank_restriction.holds if d.rank_restriction.applicable
-        else None,
+        "rank_restriction_ok": d.rank_restriction.ok,
         "rank_restriction": d.rank_restriction._asdict(),
-        "zak_bound_ok": d.zak_bound.holds if d.zak_bound.applicable else None,
+        "zak_bound_ok": d.zak_bound.ok,
         "zak_bound": d.zak_bound._asdict(),
     }
 

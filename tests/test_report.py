@@ -210,6 +210,36 @@ def test_property_checks_read_the_certified_batch(monkeypatch, trials):
     assert by_name["third_form_vanishing"] == ("third_form_vanishing", "pass", cubic)
 
 
+def test_verdict_lines_the_digest_never_reaches(entries, monkeypatch):
+    """Five reachable verdict lines that no record of
+    scripts/report_digest.py holds, each with its exact detail: the two
+    FAILs of the twisted-cubic cone's non-generic profile at one trial, the
+    superadditivity line with no sigma_k row to read, and the cubic and
+    so-membership FAILs, injected on severi_R."""
+    def verdict(obj, name, **options):
+        return next(v for v in analyze(obj, AnalyzeOptions(**options)).verdicts
+                    if v.name == name)
+
+    cone, sev = (entries[name] for name in ("cone_twisted_cubic", "severi_R"))
+    cone = polymap_to_json(cone.map, base_point=cone.base_point)
+    sev = polymap_to_json(sev.map, base_point=sev.base_point)
+    assert verdict(cone, "formula_oracle_agreement", seed=1, trials=1) == (
+        "formula_oracle_agreement", "fail",
+        "disagreement: dim_tau 2!=3, dim_sigma_2 2!=4, dim_sigma_3 3!=4, dim_sigma_4 3!=4")
+    assert verdict(cone, "tau_gauss_lower_bound", seed=1, trials=1) == (
+        "tau_gauss_lower_bound", "fail", "fiber 2 vs delta_tau + 1 = 3")
+    assert verdict(quadric_system_to_json(severi_r_system()), "secant_superadditivity",
+                   k_max=2) == ("secant_superadditivity", "not-applicable", "no sigma_k data")
+
+    monkeypatch.setattr(report, "refined_third_form_cube", lambda *args: False)
+    assert verdict(sev, "third_form_vanishing") == (
+        "third_form_vanishing", "fail", "refined cubic form vanishes at 5 generic vectors")
+    monkeypatch.undo()
+    monkeypatch.setattr(defects, "so_membership_check", lambda *args: False)
+    assert verdict(sev, "so_membership") == (
+        "so_membership", "fail", "each phi_w is skew for the annihilator pairing")
+
+
 def test_render_json_matches_report_dict():
     obj = quadric_system_to_json(severi_r_system())
     rep = analyze(obj, AnalyzeOptions())
