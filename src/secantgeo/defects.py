@@ -21,7 +21,11 @@ from .quadrics import (GenericPoint, QuadricSystem, RankProfile, _square, contra
 
 
 class DefectError(RuntimeError):
-    """A structural hypothesis failed at a certified-generic vector."""
+    """A structural hypothesis failed at a certified-generic vector; `needs` names it, if set."""
+
+    def __init__(self, message: str, needs: str | None = None):
+        super().__init__(message)
+        self.needs = needs
 
 
 def vertex(s: QuadricSystem, profile: RankProfile, points: list, stream) -> IntegerSpan:
@@ -38,12 +42,13 @@ def vertex(s: QuadricSystem, profile: RankProfile, points: list, stream) -> Inte
     each realizes the whole profile, so lies in U.  Then up to 60 fresh v
     are drawn on `stream` at bounds that continue the batch's stagger,
     len(points) + 1, len(points) + 2, ..., capped at 64, and each is kept
-    only when dim II_v(T) = a0.  The intersection stops at 0, or when 3
-    kept draws in a row leave it unchanged (each intersection lies in the
-    last, so equal dimension is equal span).  The bounds keep growing
-    because II_v(T) depends only on the line of v, and a small box holds
-    few lines: draws that each start again at bound 1 can repeat one image
-    3 times and stop above V."""
+    only when dim II_v(T) = a0; one above a0 proves the profile not generic
+    and raises CertificationError at once.  The intersection stops at 0, or
+    when 3 kept draws in a row leave it unchanged (each intersection lies
+    in the last, so equal dimension is equal span).  The bounds keep
+    growing because II_v(T) depends only on the line of v, and a small box
+    holds few lines: draws that each start again at bound 1 can repeat one
+    image 3 times and stop above V."""
     w = points[0].image
     for p in points[1:]:
         if not w.dim:
@@ -55,7 +60,10 @@ def vertex(s: QuadricSystem, profile: RankProfile, points: list, stream) -> Inte
     for i in range(1, 61):
         v = nonzero_vector(s.n, min(len(points) + i, 64), stream)
         img = IntegerSpan(s.a, list(zip(*contract(s, v))))
-        if img.dim != profile.a0:
+        if img.dim > profile.a0:
+            raise CertificationError("rank profile not generic: a fresh draw has dim II_v(T) = "
+                                     "%d > a0 = %d" % (img.dim, profile.a0))
+        if img.dim < profile.a0:
             continue
         nxt = w.intersect(img)
         if not nxt.dim:
@@ -65,27 +73,6 @@ def vertex(s: QuadricSystem, profile: RankProfile, points: list, stream) -> Inte
         if stable >= 3:
             return w
     raise CertificationError("vertex intersection did not stabilize")
-
-
-class MinimalSubsystem(NamedTuple):
-    """The subsystem II*(V^perp) cutting out the same tangential variety: its
-    coefficient vectors in N*, and on demand the matching quadrics, in the
-    format of `integer_quadric`."""
-
-    system: QuadricSystem
-    coefficients: IntegerSpan
-
-    @property
-    def dim(self) -> int:
-        return self.coefficients.dim
-
-    @property
-    def quadrics(self) -> tuple[list, ...]:
-        return tuple(integer_quadric(self.system, row) for row in self.coefficients.rows)
-
-
-def minimal_subsystem(s: QuadricSystem, vert: IntegerSpan) -> MinimalSubsystem:
-    return MinimalSubsystem(s, vert.perp())
 
 
 class QuotientFrames(NamedTuple):
@@ -133,7 +120,8 @@ def clifford_action(s: QuadricSystem, frames: QuotientFrames, w) -> tuple[list, 
     if not all(frames.image.contains(col) for col in cols):
         raise DefectError("II_w(T) escapes II_v(T); w is not admissible")
     if not all(frames.fiber.contains(integer_mul_vec(cw, row)) for row in frames.singloc.rows):
-        raise DefectError("II_w(singloc) escapes the Gauss fiber directions")
+        raise DefectError("II_w(singloc) escapes the Gauss fiber directions",
+                          needs="II(ker II_v, singloc Ann(v)) inside F_v")
     return solve(frames.iso, _coordinates(frames.fiber, frames.tangent_reps, frames.pivots, cols))
 
 
@@ -160,11 +148,6 @@ class CliffordVerdict(NamedTuple):
     kernel_dim: int
 
 
-def _clifford_not_applicable(s: QuadricSystem, profile: RankProfile) -> CliffordVerdict:
-    return CliffordVerdict(False, False, False, False, False, 0, False,
-                           s.n - profile.dim_singloc, profile.dim_ker)
-
-
 def _restrict_quadric(n: int, q: list, basis) -> list:
     """The Gram matrix u^T q w over the basis, for q in the format of
     `integer_quadric`."""
@@ -172,11 +155,12 @@ def _restrict_quadric(n: int, q: list, basis) -> list:
     return [integer_mul_vec(qb, u) for u in basis]
 
 
-def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: GenericPoint,
-                            mini: MinimalSubsystem, frames: QuotientFrames) -> CliffordVerdict:
+def clifford_relation_check(s: QuadricSystem, point: GenericPoint, perp: IntegerSpan,
+                            frames: QuotientFrames, phis: list) -> CliffordVerdict:
     """At a certified-generic point v of a degenerate tangential
-    hypersurface, with the minimal subsystem `mini` of the vertex, verify
-    the anticommutation relation
+    hypersurface, with `perp` the perp of the vertex in N* (the coefficients
+    of the minimal subsystem II*(V^perp)), verify the anticommutation
+    relation
 
         phi_w1 phi_w2 + phi_w2 phi_w1 + 2 sign Q_v(w1, w2) Id = 0
 
@@ -184,13 +168,14 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Gener
     restriction of the minimal-subsystem quadrics to span{v} + ker II_v,
     normalized so Q_v(v, v) = 1.  phi_v must be the identity, and v must be
     Q_v-orthogonal to the kernel directions.  `frames` are the point's
-    quotient frames (`quotient_frames`)."""
-    if profile.a0 != s.a - 1:
-        return _clifford_not_applicable(s, profile)
-    fiber_ok = frames.fiber.dim == s.a - mini.dim + 1
+    quotient frames (`quotient_frames`), and `phis` the actions (M, den) of
+    `clifford_action` at v and at the kernel rows, in that order: the basis
+    Q_v is restricted to."""
+    fiber_ok = frames.fiber.dim == s.a - perp.dim + 1
 
     ker = point.kernel
-    restrictions = [_restrict_quadric(s.n, q, [point.v, *ker.rows]) for q in mini.quadrics]
+    restrictions = [_restrict_quadric(s.n, integer_quadric(s, row), [point.v, *ker.rows])
+                    for row in perp.rows]
     ref = next((m for m in restrictions if any(map(any, m))), None)
     prop_ok = ref is not None
     if prop_ok:
@@ -205,17 +190,16 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Gener
     q00 = ref[0][0]
     ident = [[int(i == j) for j in range(len(frames.tangent_reps))]
              for i in range(len(frames.tangent_reps))]
-    m_v, d_v = clifford_action(s, frames, point.v)
+    m_v, d_v = phis[0]
     phi_v_ok = _vanishes([(1, m_v), (-d_v, ident)])
-    phis = [clifford_action(s, frames, row) for row in ker.rows]
 
     # with phi_i = m_i / d_i: q00 (m_i m_j + m_j m_i) + 2 sign ref_ij d_i d_j Id = 0;
     # the first pair with Q_ij != 0 that fits a sign fixes it
     k, sign, relation, antis = ker.dim, 0, True, []
-    for i, j in combinations_with_replacement(range(k), 2):
+    for i, j in combinations_with_replacement(range(1, k + 1), 2):
         (mi, di), (mj, dj) = phis[i], phis[j]
         anti = [(q00, _matmul(mi, mj)), (q00, _matmul(mj, mi))]
-        rhs = ref[i + 1][j + 1] * di * dj
+        rhs = ref[i][j] * di * dj
         antis.append(anti)
         if sign:
             relation = relation and _vanishes(anti + [(2 * sign * rhs, ident)])
@@ -228,22 +212,19 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Gener
                            len(frames.tangent_reps), k)
 
 
-def so_membership_check(s: QuadricSystem, point: GenericPoint,
-                        frames: QuotientFrames) -> bool:
+def so_membership_check(s: QuadricSystem, point: GenericPoint, frames: QuotientFrames,
+                        phis: list) -> bool:
     """Each phi_w for w in ker II_v is skew for the quotient descent of the
-    annihilator generator: P(phi_w x, y) + P(x, phi_w y) = 0, `frames` the
-    point's quotient frames.  Requires dim Ann(v) = 1."""
+    annihilator generator: P(phi_w x, y) + P(x, phi_w y) = 0, with `frames`
+    and `phis` as in `clifford_relation_check` (phis[0] is phi_v).
+    Requires dim Ann(v) = 1."""
     ann = point.annihilator
     if ann.dim != 1:
         raise DefectError("so membership needs a one-dimensional annihilator")
     p, t = integer_quadric(s, ann.rows[0]), frames.tangent_reps
     pbar = [[p[i * s.n + j] for j in t] for i in t]
-    for row in point.kernel.rows:
-        m, _ = clifford_action(s, frames, row)
-        if not _vanishes([(1, _matmul([list(c) for c in zip(*m)], pbar)),
-                          (1, _matmul(pbar, m))]):
-            return False
-    return True
+    return all(_vanishes([(1, _matmul([list(c) for c in zip(*m)], pbar)),
+                          (1, _matmul(pbar, m))]) for m, _ in phis[1:])
 
 
 class RankRestriction(NamedTuple):
@@ -289,30 +270,11 @@ def zak_bound_check(s: QuadricSystem, profile: RankProfile, sigma_dim: int,
     return ZakBound(_hypersurface_case(s, profile, sigma_dim), lhs >= rhs, lhs == rhs)
 
 
-class TauGaussBound(NamedTuple):
-    fiber_dim: int
-    delta_tau: int
-    weak_bound_holds: bool
-    smooth_bound_holds: bool
-
-
-def tau_gauss_bound_check(f, s: QuadricSystem, profile: RankProfile, stream,
-                          trials: int = 5) -> TauGaussBound:
-    """Fiber dimension of the Gauss map of the tangential variety against
-    the two lower bounds delta_tau + 1 (always) and delta_tau + 2 (smooth
-    source)."""
-    from .oracles import gauss_fiber_dimension
-
-    fiber = gauss_fiber_dimension(f, stream, trials)
-    delta = s.n - profile.a0
-    return TauGaussBound(fiber, delta, fiber >= delta + 1, fiber >= delta + 2)
-
-
 class DefectReport(NamedTuple):
     profile: RankProfile
     vertex_dim: int
     fiber_dim: int
-    minimal_subsystem: MinimalSubsystem
+    minimal_subsystem: IntegerSpan  # the perp of the vertex in N*: II*(V^perp)
     clifford_verdict: CliffordVerdict
     so_membership: bool | None
     rank_restriction: RankRestriction
@@ -371,29 +333,30 @@ def defect_report(s: QuadricSystem, profile: RankProfile, points: list, sigma_di
     fresh draws `vertex` makes on stream."""
     point = points[0]
     vert = vertex(s, profile, points, stream)
-    mini = minimal_subsystem(s, vert)
-    # the quotient frames at v, built once for both Clifford checks; without
-    # them neither check has its hypothesis
-    frames = unmet = None
+    perp = vert.perp()
+    clifford = CliffordVerdict(False, False, False, False, False, 0, False,
+                               s.n - profile.dim_singloc, profile.dim_ker)
+    so_ok = unmet = None
     if profile.a0 == s.a - 1:
+        # the quotient frames at v and each phi_w, for w = v and the kernel
+        # rows, built once for both checks; without them neither check has
+        # its hypothesis.  The frames exist, and each II_w(T) lies in
+        # Ann(v)^perp = II_v(T), exactly when ker II_v lies in singloc Ann(v);
+        # the one raise that needs more names it
         try:
             frames = quotient_frames(s, point)
+            phis = [clifford_action(s, frames, w) for w in (point.v, *point.kernel.rows)]
         except DefectError as e:
-            unmet = "needs ker II_v inside singloc Ann(v); %s" % e
-    clifford = _clifford_not_applicable(s, profile) if frames is None else \
-        clifford_relation_check(s, profile, point, mini, frames)
-    so_ok = None
-    if clifford.applicable:
-        try:
-            so_ok = so_membership_check(s, point, frames)
-        except DefectError:
-            so_ok = None
+            unmet = "needs %s; %s" % (e.needs or "ker II_v inside singloc Ann(v)", e)
+        else:
+            clifford = clifford_relation_check(s, point, perp, frames, phis)
+            so_ok = so_membership_check(s, point, frames, phis)
     fiber_dim = point.fiber.dim - 1
     return DefectReport(
         profile=profile,
         vertex_dim=vert.dim,
         fiber_dim=fiber_dim,
-        minimal_subsystem=mini,
+        minimal_subsystem=perp,
         clifford_verdict=clifford,
         so_membership=so_ok,
         rank_restriction=rank_restriction_check(s, profile, sigma_dim),

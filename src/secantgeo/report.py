@@ -12,12 +12,11 @@ from typing import NamedTuple
 
 from .defects import (DefectReport, annihilator_matches_image_perp, defect_report,
                       fiber_contains_singloc_products, fiber_dimension_identity,
-                      kernel_in_singular_locus, quotient_singular_locus_match,
-                      tau_gauss_bound_check)
+                      kernel_in_singular_locus, quotient_singular_locus_match)
 from .genericity import derive_stream
 from .jets import chart_at, chart_roundtrip_check, refined_third_form_cube, \
     second_fundamental_form
-from .oracles import join_dimension, tangent_join_dimension
+from .oracles import gauss_fiber_dimension, join_dimension, tangent_join_dimension
 from .polymaps import polymap_base_point, polymap_from_json
 from .quadrics import (RankProfile, higher_secant_dimension, hypersurface_projection,
                        is_tangentially_degenerate, quadric_system_from_json, rank_profile,
@@ -124,8 +123,7 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions()) -> AnalysisReport:
         oracle_sigma = dict(enumerate(sigmas, 2))
         oracle_tau = tangent_join_dimension(f, derive_stream(seed, "oracle", "tau"), trials)
         if tau_degenerate:
-            tau_gauss = tau_gauss_bound_check(f, s, profile,
-                                              derive_stream(seed, "oracle", "gauss"), trials)
+            tau_gauss = gauss_fiber_dimension(f, derive_stream(seed, "oracle", "gauss"), trials)
     for row in sigma_rows:
         row["oracle"] = oracle_sigma.get(row["k"])
         have = [v for v in (row["formula"], row["oracle"]) if v is not None]
@@ -169,7 +167,7 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions()) -> AnalysisReport:
         "sigma_degenerate": sigma_degenerate,
         "third_form_vanishes": third_vanishes,
         "sigma_k": sigma_rows,
-        "tau_gauss_fiber": tau_gauss.fiber_dim if tau_gauss else None,
+        "tau_gauss_fiber": tau_gauss,
     }
 
     roundtrip = None if f is None else chart_roundtrip_check(f, jet)
@@ -195,6 +193,7 @@ def _verdicts(s, points, third_vanishes, defects: DefectReport,
     rr, zb, cv = hyp.rank_restriction, hyp.zak_bound, defects.clifford_verdict
     independent = s.independent()
     checked = points[:3]
+    delta_tau = s.n - defects.profile.a0
 
     chart = (roundtrip is not None, "needs a chart input")
     tau_degenerate = (tau_gauss is not None, "tau is not degenerate")
@@ -213,12 +212,12 @@ def _verdicts(s, points, third_vanishes, defects: DefectReport,
             all(r["within_bound"] for r in bounded),
             "dim sigma_k <= n + (k-1) a0 for k = %s" % ",".join(str(r["k"]) for r in bounded))),
         ("tau_gauss_lower_bound", [chart, tau_degenerate], lambda: (
-            tau_gauss.weak_bound_holds,
-            "fiber %d vs delta_tau + 1 = %d" % (tau_gauss.fiber_dim, tau_gauss.delta_tau + 1))),
+            tau_gauss >= delta_tau + 1,
+            "fiber %d vs delta_tau + 1 = %d" % (tau_gauss, delta_tau + 1))),
         ("tau_gauss_smooth_bound", [chart, tau_degenerate], lambda: (
-            tau_gauss.smooth_bound_holds,
-            "fiber %d vs delta_tau + 2 = %d (needs a smooth source)" %
-            (tau_gauss.fiber_dim, tau_gauss.delta_tau + 2))),
+            tau_gauss >= delta_tau + 2,
+            "fiber %d vs delta_tau + 2 = %d (needs a smooth source)"
+            % (tau_gauss, delta_tau + 2))),
         ("rank_restriction", [hypersurface], lambda: (
             rr.ok, "%sr = %d vs n - a + 2 = %d" % (where, rr.r, rr.lower))),
         ("zak_bound", [hypersurface], lambda: (

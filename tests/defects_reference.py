@@ -13,10 +13,10 @@ from linalg_reference import (Subspace, _dot, add, col, complement_indices, cont
                               identity, inverse, is_zero, kernel, matmul, mul_vec, scale,
                               solve_left, span_sum, transpose)
 from linalg_reference import intersect_through_perps as intersect
-from quadrics_reference import (ScalarPoint, contraction, generic_image, quadric_from_coefficients,
+from quadrics_reference import (ScalarPoint, contraction, quadric_from_coefficients,
                                 scalar_contraction, scalar_point, scalar_quadrics)
 from secantgeo.defects import DefectError
-from secantgeo.genericity import CertificationError
+from secantgeo.genericity import CertificationError, nonzero_vector
 from secantgeo.linalg import Matrix
 from secantgeo.quadrics import QuadricSystem, RankProfile
 from secantgeo.scalars import ONE, ZERO, Scalar, _coerce
@@ -25,8 +25,9 @@ from secantgeo.scalars import ONE, ZERO, Scalar, _coerce
 def vertex(s: QuadricSystem, profile: RankProfile, points, stream) -> Subspace:
     """Intersection of the Scalar images II_v(T) at the batch points, then
     at fresh v drawn at bounds len(points) + 1, + 2, ..., at most 64, each
-    kept on a0 alone (`quadrics_reference.generic_image`); stabilized when 3
-    kept draws in a row leave it unchanged, or final as soon as it is 0."""
+    kept on a0 alone, skipped below it and raising CertificationError above
+    it; stabilized when 3 kept draws in a row leave it unchanged, or final
+    as soon as it is 0."""
     w = None
     for p in points:
         img = Subspace.from_vectors(s.a, transpose(scalar_contraction(s, p.v)).data)
@@ -35,10 +36,14 @@ def vertex(s: QuadricSystem, profile: RankProfile, points, stream) -> Subspace:
             return w
     stable = 0
     for i in range(1, 61):
-        found = generic_image(s, profile, stream, min(len(points) + i, 64))
-        if found is None:
+        v = nonzero_vector(s.n, min(len(points) + i, 64), stream)
+        img = Subspace.from_vectors(s.a, transpose(scalar_contraction(s, v)).data)
+        if img.dim > profile.a0:
+            raise CertificationError("rank profile not generic: a fresh draw has dim II_v(T) = "
+                                     "%d > a0 = %d" % (img.dim, profile.a0))
+        if img.dim < profile.a0:
             continue
-        nxt = intersect([w, found[1]])
+        nxt = intersect([w, img])
         if not nxt.dim:
             return nxt
         stable = stable + 1 if nxt == w else 0
@@ -188,6 +193,10 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Scala
     mini = minimal_subsystem(s, vert)
 
     ker = point.kernel
+    # every phi_w first, as the integer route builds them: a w that is not
+    # admissible raises before any restriction is read
+    phi_v = clifford_action(s, frames, point.v)
+    phis = [clifford_action(s, frames, row) for row in ker.basis]
     kspan = [point.v, *ker.basis]
     restrictions = [_restrict_quadric(q, kspan) for q in mini.quadrics]
     ref = next((m for m in restrictions if not is_zero(m)), None)
@@ -203,8 +212,7 @@ def clifford_relation_check(s: QuadricSystem, profile: RankProfile, point: Scala
     qv = scale(ref, ONE / ref.at(0, 0))  # Q_v on (v, w_1, ..., w_k) coordinates
 
     ident = identity(len(frames.tangent_reps))
-    phi_v_ok = clifford_action(s, frames, point.v) == ident
-    phis = [clifford_action(s, frames, row) for row in ker.basis]
+    phi_v_ok = phi_v == ident
 
     sign = 0
     relation = True
@@ -314,26 +322,6 @@ def zak_bound_check(s: QuadricSystem, profile: RankProfile, sigma_dim: int,
 
 
 @dataclass(frozen=True)
-class TauGaussBound:
-    fiber_dim: int
-    delta_tau: int
-    weak_bound_holds: bool
-    smooth_bound_holds: bool
-
-
-def tau_gauss_bound_check(f, s: QuadricSystem, profile: RankProfile, stream,
-                          trials: int = 5) -> TauGaussBound:
-    """Fiber dimension of the Gauss map of the tangential variety against
-    the two lower bounds delta_tau + 1 (always) and delta_tau + 2 (smooth
-    source)."""
-    from .oracles import gauss_fiber_dimension
-
-    fiber = gauss_fiber_dimension(f, stream, trials)
-    delta = s.n - profile.a0
-    return TauGaussBound(fiber, delta, fiber >= delta + 1, fiber >= delta + 2)
-
-
-@dataclass(frozen=True)
 class DefectReport:
     profile: RankProfile
     vertex_dim: int
@@ -410,13 +398,15 @@ def defect_report(s: QuadricSystem, profile: RankProfile, points, sigma_dim: int
                   stream) -> DefectReport:
     point = scalar_point(s, points[0])
     vert = vertex(s, profile, points, stream)
-    clifford = clifford_relation_check(s, profile, point, vert)
-    so_ok = None
-    if profile.dim_ann == 1 and clifford.applicable:
-        try:
-            so_ok = so_membership_check(s, point)
-        except DefectError:
-            so_ok = None
+    # a DefectError of the frames or of any phi_w leaves both checks without
+    # their hypothesis
+    try:
+        clifford = clifford_relation_check(s, profile, point, vert)
+        so_ok = so_membership_check(s, point) if clifford.applicable else None
+    except DefectError:
+        clifford = CliffordVerdict(False, False, False, False, False, 0, False,
+                                   s.n - profile.dim_singloc, profile.dim_ker)
+        so_ok = None
     fiber_dim = gauss_fiber(s, point).dim - 1
     return DefectReport(
         profile=profile,

@@ -8,8 +8,8 @@ import sys
 
 from oracle_reference import terracini_consistency_check
 from secantgeo.cli import main
-from secantgeo.defects import tau_gauss_bound_check
 from secantgeo.genericity import derive_stream
+from secantgeo.oracles import gauss_fiber_dimension
 from secantgeo.polymaps import polymap_to_json
 from secantgeo.report import AnalyzeOptions, analyze, render
 from secantgeo.zoo import catalog
@@ -90,8 +90,8 @@ def test_criterion_3_tau_gauss_fibers(analysis, charted):
     # severi_R has a nondegenerate tau, so its fiber is not in the report;
     # measure it with the same oracle the report uses for the others
     ent, _, s, prof = charted["severi_R"]
-    tg = tau_gauss_bound_check(ent.map, s, prof, derive_stream(0, "acceptance", "gauss"))
-    fibers = {"severi_R": (tg.fiber_dim, s.n - prof.a0)}
+    fiber = gauss_fiber_dimension(ent.map, derive_stream(0, "acceptance", "gauss"))
+    fibers = {"severi_R": (fiber, s.n - prof.a0)}
     for name in ("severi_C", "severi_H", "severi_O"):
         d = analysis(name)[0].dims
         fibers[name] = (d["tau_gauss_fiber"], d["delta_tau"])

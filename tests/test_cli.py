@@ -10,6 +10,8 @@ import pytest
 
 from secantgeo import cli, defects, report
 from secantgeo.cli import main
+from secantgeo.linalg import IntegerSpan
+from secantgeo.polymaps import polymap_to_json
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -189,6 +191,22 @@ def test_certification_failure_exits_two_and_more_trials_cure_it():
     assert prof["a0"] == 2 and prof["dim_ann"] == 0 and prof["certified"]
 
 
+def test_non_generic_profile_exits_two_at_the_first_larger_image(monkeypatch, entries):
+    """At one trial and seed 13 the profile of rank_4_4_2 certifies a0 = 3
+    below the generic 4.  The vertex's first fresh draw has an image of dim
+    4, which proves the profile non-generic: the analysis exits 2 saying
+    so, after that one contraction."""
+    ent = entries["rank_4_4_2"]
+    chart = json.dumps(polymap_to_json(ent.map, base_point=ent.base_point))
+    contract, calls = defects.contract, []
+    monkeypatch.setattr(defects, "contract", lambda *a: calls.append(1) or contract(*a))
+    code, out, err = run(["analyze", "--trials", "1", "--seed", "13"], stdin_text=chart)
+    assert (code, out) == (2, "")
+    assert err == ("certification failure: rank profile not generic: a fresh draw has "
+                   "dim II_v(T) = 4 > a0 = 3\n")
+    assert len(calls) == 1
+
+
 def test_cone_exits_zero_where_the_cubic_was_certified_apart():
     """The refined cubic is read at the profile's batch, so nothing about it
     escalates: at seeds 140 and 228, where its own certification exited 2,
@@ -247,6 +265,10 @@ def _no_frames(s, point):
     raise defects.DefectError("tangent quotient (dim 1) and image quotient (dim 0) disagree")
 
 
+CLIFFORD_LINES = ("clifford_fiber_condition", "clifford_proportionality", "clifford_identity",
+                  "clifford_relation", "so_membership")
+
+
 def test_missing_quotient_frames_is_a_verdict_not_exit_3(monkeypatch):
     """When the quotient frames at v do not exist (ker II_v not inside
     singloc Ann(v), so the tangent and image quotients differ in dimension),
@@ -257,9 +279,55 @@ def test_missing_quotient_frames_is_a_verdict_not_exit_3(monkeypatch):
     ker II_v into singloc Ann(v).  So the failure is injected, on the
     cylinder x1^2, x2^2, x1 x2 over C^3, where a0 = a - 1 = 2 and ker II_v
     is a line."""
+    _clifford_lines_without_hypothesis(
+        monkeypatch, "quotient_frames", _no_frames,
+        "needs ker II_v inside singloc Ann(v); "
+        "tangent quotient (dim 1) and image quotient (dim 0) disagree")
+
+
+def test_phi_w_that_cannot_be_built_is_a_verdict_not_exit_3(monkeypatch):
+    """A DefectError from phi_w at the kernel row, injected on the cylinder
+    as above, makes the same lines not-applicable with that error named,
+    and the analysis exits 0: the frames and every phi_w are built in one
+    place, before either check reads them."""
+    action, calls = defects.clifford_action, []
+
+    def inadmissible(s, frames, w):
+        # the first call is phi_v, the second the kernel row's
+        calls.append(w)
+        if len(calls) == 2:
+            raise defects.DefectError("II_w(T) escapes II_v(T); w is not admissible")
+        return action(s, frames, w)
+
+    _clifford_lines_without_hypothesis(
+        monkeypatch, "clifford_action", inadmissible,
+        "needs ker II_v inside singloc Ann(v); II_w(T) escapes II_v(T); w is not admissible")
+    assert len(calls) == 2
+
+
+def test_phi_w_outside_the_fiber_names_its_own_hypothesis(monkeypatch):
+    """phi_w also needs II_w(singloc) inside F_v, which w in singloc Ann(v)
+    does not give.  With F_v emptied in the frames phi_v reads, on the
+    cylinder as above, clifford_action's own raise fires, and the lines
+    name that hypothesis rather than ker II_v inside singloc Ann(v)."""
+    action = defects.clifford_action
+
+    def no_fiber(s, frames, w):
+        return action(s, frames._replace(fiber=IntegerSpan(s.a, [])), w)
+
+    _clifford_lines_without_hypothesis(
+        monkeypatch, "clifford_action", no_fiber,
+        "needs II(ker II_v, singloc Ann(v)) inside F_v; "
+        "II_w(singloc) escapes the Gauss fiber directions")
+
+
+def _clifford_lines_without_hypothesis(monkeypatch, attr, broken, detail):
+    """Analyze the cylinder, then again with defects.<attr> replaced by
+    `broken`, which raises a DefectError: the Clifford and so lines pass,
+    then are not-applicable with `detail`; every other line is unchanged,
+    and both runs exit 0."""
     cylinder = _cylinder()
-    names = ("clifford_fiber_condition", "clifford_proportionality", "clifford_identity",
-             "clifford_relation", "so_membership")
+    names = CLIFFORD_LINES
 
     def verdicts():
         code, out, err = run(["analyze", "--format", "json"], stdin_text=cylinder)
@@ -271,13 +339,12 @@ def test_missing_quotient_frames_is_a_verdict_not_exit_3(monkeypatch):
     clean, by_name = verdicts()
     assert all(by_name[name]["status"] == "pass" for name in names)
 
-    monkeypatch.setattr(defects, "quotient_frames", _no_frames)
+    monkeypatch.setattr(defects, attr, broken)
     rep, by_name = verdicts()
     for name in names:
         assert by_name[name] == {
             "name": name, "status": "not-applicable",
-            "detail": "needs ker II_v inside singloc Ann(v); tangent quotient (dim 1) and "
-                      "image quotient (dim 0) disagree"}
+            "detail": detail}
     assert not rep["defects"]["clifford_verdict"]["applicable"]
     assert rep["defects"]["so_membership"] is None
     assert by_name["kernel_in_singular_locus"]["status"] == "pass"

@@ -24,21 +24,20 @@ from secantgeo.defects import (
     fiber_contains_singloc_products,
     fiber_dimension_identity,
     kernel_in_singular_locus,
-    minimal_subsystem,
     quotient_frames,
     quotient_singular_locus_match,
     rank_restriction_check,
     so_membership_check,
-    tau_gauss_bound_check,
     vertex,
     zak_bound_check,
 )
 from secantgeo.genericity import CertificationError, nonzero_vector
 from secantgeo.jets import chart_at, second_fundamental_form
 from secantgeo.linalg import Gaussian, IntegerSpan, Matrix, scalar_values
+from secantgeo.oracles import gauss_fiber_dimension
 from secantgeo.polymaps import polymap_to_json
 from secantgeo.quadrics import (GenericPoint, QuadricSystem, _profile_at, contract,
-                                higher_secant_dimension, quadric_system,
+                                higher_secant_dimension, integer_quadric, quadric_system,
                                 quadric_system_to_json, rank_profile)
 from secantgeo.report import AnalyzeOptions, analyze
 from secantgeo.scalars import ONE, ZERO, Scalar
@@ -75,9 +74,9 @@ def test_vertex_of_pair_system():
     prof, points = rank_profile(s, derive_stream(0, "td", "pv"))
     vert = vertex(s, prof, points, derive_stream(0, "td", "pv", 1))
     assert vert.dim == 2
-    mini = minimal_subsystem(s, vert)
-    assert mini.dim == 0
-    assert mini.quadrics == ()
+    perp = vert.perp()
+    assert perp.dim == 0
+    assert tuple(integer_quadric(s, row) for row in perp.rows) == ()
 
 
 def test_vertex_of_single_quadric():
@@ -93,7 +92,7 @@ def test_vertex_of_severi_system(charted):
     vert = vertex(s, prof, points, derive_stream(0, "td", "vr", 1))
     assert vert.dim == 0
     # the whole system is then needed to cut out tau
-    assert minimal_subsystem(s, vert).dim == s.a
+    assert vert.perp().dim == s.a
 
 
 # Small systems on which the vertex, when it drew its own points from bound 1
@@ -150,6 +149,13 @@ def test_ii_second_fundamental_form_residues(charted):
     assert not vanished
 
 
+def clifford_data(s, point):
+    """The quotient frames at the point and phi_w for w = v and the kernel
+    rows, as `defect_report` builds them."""
+    frames = quotient_frames(s, point)
+    return frames, [clifford_action(s, frames, w) for w in (point.v, *point.kernel.rows)]
+
+
 def test_clifford_on_division_algebra_systems(charted):
     """Anticommutation on ker II_v with one sign, module dims 2, 4, 8."""
     want_dims = {"severi_C": (1, 2), "severi_H": (3, 4), "severi_O": (7, 8)}
@@ -157,9 +163,8 @@ def test_clifford_on_division_algebra_systems(charted):
     for name, (kdim, mdim) in want_dims.items():
         s = charted[name][2]
         prof, points = rank_profile(s, derive_stream(0, "td", "cl", name))
-        point = points[0]
-        mini = minimal_subsystem(s, vertex(s, prof, points, derive_stream(0, "td", "cl", name, 1)))
-        verdict = clifford_relation_check(s, prof, point, mini, quotient_frames(s, point))
+        verdict = defect_report(s, prof, points, s.n + prof.a0,
+                                derive_stream(0, "td", "cl", name, 1)).clifford_verdict
         assert verdict.applicable
         assert verdict.fiber_condition_ok
         assert verdict.proportionality_ok
@@ -173,13 +178,28 @@ def test_clifford_on_division_algebra_systems(charted):
     assert len(signs) == 1
 
 
+def test_defect_report_builds_each_phi_once(monkeypatch, charted):
+    """One `clifford_action` per w in (v, *ker II_v): the relation and the
+    so check read the same phis, 2, 4 and 8 of them on the C, H and O
+    systems."""
+    calls, action = [], defects.clifford_action
+    monkeypatch.setattr(defects, "clifford_action", lambda *a: calls.append(1) or action(*a))
+    for name, want in (("severi_C", 2), ("severi_H", 4), ("severi_O", 8)):
+        s = charted[name][2]
+        prof, points = rank_profile(s, derive_stream(0, "td", "once", name))
+        calls.clear()
+        rep = defect_report(s, prof, points, s.n + prof.a0,
+                            derive_stream(0, "td", "once", name, 1))
+        assert rep.clifford_verdict.relation_holds and rep.so_membership is True
+        assert len(calls) == 1 + prof.dim_ker == want
+
+
 def test_clifford_not_applicable_without_hypersurface_tau():
     # a0 = a: tau has the expected dimension, no forced representation
     s = quadric_system(2, [sym(2, {(0, 1): "1/2"})])
     prof, points = rank_profile(s, derive_stream(0, "td", "na"))
-    point = points[0]
-    mini = minimal_subsystem(s, vertex(s, prof, points, derive_stream(0, "td", "na", 1)))
-    verdict = clifford_relation_check(s, prof, point, mini, quotient_frames(s, point))
+    verdict = defect_report(s, prof, points, s.n + prof.a0,
+                            derive_stream(0, "td", "na", 1)).clifford_verdict
     assert not verdict.applicable
 
 
@@ -205,11 +225,11 @@ def test_so_membership(charted):
     for name in ("severi_R", "severi_C"):
         s = charted[name][2]
         point = rank_profile(s, derive_stream(0, "td", "so", name))[1][0]
-        assert so_membership_check(s, point, quotient_frames(s, point))
+        assert so_membership_check(s, point, *clifford_data(s, point))
     single = quadric_system(3, [sym(3, {(0, 0): 1, (1, 2): "1/2"})])
     point = rank_profile(single, derive_stream(0, "td", "so1"))[1][0]
     try:
-        so_membership_check(single, point, quotient_frames(single, point))
+        so_membership_check(single, point, *clifford_data(single, point))
         assert False
     except DefectError:
         pass
@@ -277,19 +297,24 @@ def _with_annihilator(point, ann):
 
 
 def test_tau_gauss_bounds(charted):
+    """The fiber of the Gauss map of tau against the two lower bounds the
+    report checks, delta_tau + 1 (always) and delta_tau + 2 (smooth
+    source)."""
     ent, _, s, prof = charted["severi_R"]
-    tg = tau_gauss_bound_check(ent.map, s, prof, derive_stream(0, "td", "tg"))
-    assert tg.fiber_dim == 2
-    assert tg.delta_tau == 0
-    assert tg.weak_bound_holds
-    assert tg.smooth_bound_holds
+    fiber = gauss_fiber_dimension(ent.map, derive_stream(0, "td", "tg"))
+    delta_tau = s.n - prof.a0
+    assert fiber == 2
+    assert delta_tau == 0
+    assert fiber >= delta_tau + 1
+    assert fiber >= delta_tau + 2
     # the singular cone meets the weak bound only
     ent, _, s, prof = charted["cone_twisted_cubic"]
-    tg = tau_gauss_bound_check(ent.map, s, prof, derive_stream(0, "td", "tg2"))
-    assert tg.fiber_dim == 2
-    assert tg.delta_tau == 1
-    assert tg.weak_bound_holds
-    assert not tg.smooth_bound_holds
+    fiber = gauss_fiber_dimension(ent.map, derive_stream(0, "td", "tg2"))
+    delta_tau = s.n - prof.a0
+    assert fiber == 2
+    assert delta_tau == 1
+    assert fiber >= delta_tau + 1
+    assert not fiber >= delta_tau + 2
 
 
 def test_defect_report_on_severi(charted):
@@ -399,15 +424,16 @@ def _values(record) -> tuple:
 
 def _report_fields(s, rep):
     """Every DefectReport field, the integer ones converted: each span to its
-    canonical Scalar subspace, each integer-form quadric to its Scalar matrix."""
+    canonical Scalar subspace, each integer-form quadric of the minimal
+    subsystem to its Scalar matrix."""
     mini = rep.minimal_subsystem
-    if isinstance(mini.coefficients, IntegerSpan):
-        last, den = mini.coefficients.last, s.den
+    if isinstance(mini, IntegerSpan):
+        last, den = mini.last, s.den
         den = den * last if type(last) is int else (den * last[0], den * last[1])
-        quads = tuple(Matrix(s.n, s.n, [scalar_values(q, den)[i:i + s.n]
+        quads = tuple(Matrix(s.n, s.n, [scalar_values(integer_quadric(s, row), den)[i:i + s.n]
                                         for i in range(0, s.n * s.n, s.n)])
-                      for q in mini.quadrics)
-        coeffs = subspace(mini.coefficients)
+                      for row in mini.rows)
+        coeffs = subspace(mini)
     else:
         quads, coeffs = mini.quadrics, mini.coefficients
     return (rep.profile, rep.vertex_dim, rep.fiber_dim, coeffs, mini.dim, quads,
@@ -424,9 +450,11 @@ def compare_with_reference(s):
     """Every DefectReport field, vertex (from the whole batch and from its
     first point alone, so that it draws), higher_secant_dimension, and at
     the first two batch points and at twice the second one (a non-primitive
-    v) the five property checks, so-membership and the Clifford verdict,
-    against the Scalar route.  Returns our defect report, or None when the
-    profile does not certify."""
+    v) the five property checks and so-membership, and in the hypersurface
+    case, the only one where `defect_report` builds the Clifford verdict
+    (outside it the report's not-applicable verdict is compared above), the
+    Clifford verdict, against the Scalar route.  Returns our defect report,
+    or None when the profile does not certify."""
     try:
         prof, batch = rank_profile(s, random.Random(3))
     except CertificationError:
@@ -448,11 +476,11 @@ def compare_with_reference(s):
         for name in PROPERTY_CHECKS:
             ours, theirs = getattr(defects, name), getattr(defects_reference, name)
             assert _outcome(ours, s, point) == _outcome(theirs, s, ref_point), name
-        assert _outcome(lambda: so_membership_check(s, point, quotient_frames(s, point))) == \
+        assert _outcome(lambda: so_membership_check(s, point, *clifford_data(s, point))) == \
             _outcome(defects_reference.so_membership_check, s, ref_point)
-        if isinstance(vert, IntegerSpan):
+        if prof.a0 == s.a - 1 and isinstance(vert, IntegerSpan):
             assert _outcome(lambda: _values(clifford_relation_check(
-                s, prof, point, minimal_subsystem(s, vert), quotient_frames(s, point)))) == _outcome(
+                s, point, vert.perp(), *clifford_data(s, point)))) == _outcome(
                 lambda: _values(defects_reference.clifford_relation_check(
                     s, prof, ref_point, subspace(vert))))
     return got[1] if got[0] == "value" else None

@@ -1,10 +1,14 @@
+import ast
 import random
 from itertools import combinations_with_replacement
 from math import lcm
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import secantgeo
 
 import oracle_reference as reference
 from oracle_reference import build_join_map, build_tangent_map, terracini_consistency_check
@@ -15,6 +19,22 @@ from secantgeo.oracles import gauss_fiber_dimension, join_dimension, tangent_joi
 from secantgeo.polymaps import Poly, PolyMap, lift_jet
 from secantgeo.scalars import Rational, Scalar
 from secantgeo.zoo import catalog
+
+
+def test_formula_layer_never_imports_oracles():
+    """The formula modules import nothing of `oracles`, at module level or
+    inside a function, so that each cross-check of the report compares two
+    independent routes."""
+    root = Path(secantgeo.__file__).parent
+    for module in ("quadrics", "jets", "series", "defects"):
+        for node in ast.walk(ast.parse((root / (module + ".py")).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any("oracles" in name.split(".") for name in names), (module, node.lineno)
 
 
 def twisted_cubic() -> PolyMap:

@@ -1,5 +1,7 @@
 import importlib.util
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -222,6 +224,19 @@ def test_reports_match_committed_digests():
     systems (tests/data/report_digests.json, written by scripts/regen_golden.py)."""
     regen = _regen_golden()
     assert regen.digest_text().encode("utf-8") == regen.DIGESTS.read_bytes()
+
+
+@pytest.mark.slow
+def test_report_digest_matches_committed_lines():
+    """Both lines of `scripts/report_digest.py`, the sha256 of the charts
+    and of all 1398 report runs it makes, equal those in
+    tests/data/report_digest_lines.txt.  A change that alters the bytes of
+    any report updates that file and explains each changed record in
+    CHANGES.md."""
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, str(root / "scripts" / "report_digest.py")],
+                         capture_output=True, text=True, check=True, cwd=root).stdout
+    assert out == (root / "tests" / "data" / "report_digest_lines.txt").read_text()
 
 
 @pytest.mark.slow
