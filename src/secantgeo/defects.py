@@ -75,29 +75,22 @@ def vertex(s: QuadricSystem, profile: RankProfile, points: list, stream) -> Inte
     raise CertificationError("vertex intersection did not stabilize")
 
 
-class QuotientFrames(NamedTuple):
-    """Frames for T / singloc(Ann v) and II_v(T) / F_v, and the matrix of the
-    isomorphism II_v induces between them.  T / singloc is spanned by the
-    unit vectors at `tangent_reps`.  A vector of the image quotient is
-    reduced modulo F_v (`IntegerSpan.reduce`); its coordinates in the
-    reduced-row-echelon basis of the quotient are then its entries at
-    `pivots`."""
-
-    tangent_reps: tuple[int, ...]
-    singloc: IntegerSpan
-    image: IntegerSpan
-    fiber: IntegerSpan
-    pivots: tuple[int, ...]
-    iso: list  # II_v on the quotients in these frames, times a common factor
-
-
 def _coordinates(fiber: IntegerSpan, treps, pivots, cols) -> list:
     """Entry (i, j): coordinate i of column treps[j] in the image quotient."""
     red = [fiber.reduce(cols[t]) for t in treps]
     return [[r[p] for r in red] for p in pivots]
 
 
-def quotient_frames(s: QuadricSystem, point: GenericPoint) -> QuotientFrames:
+def clifford_module(s: QuadricSystem, point: GenericPoint, ws) -> tuple[tuple, list, object]:
+    """(tangent_reps, [M_w for w in ws], den): phi_w = M_w / den, for each w
+    of `ws` on Gaussian integers, is the endomorphism of T / singloc(Ann v)
+    that follows II_w and inverts the isomorphism II_v induces onto
+    II_v(T) / F_v.  T / singloc is spanned by the unit vectors at
+    `tangent_reps`; a vector of the image quotient, reduced modulo F_v, has
+    its coordinates at the pivots of the quotient's reduced-row-echelon
+    basis.  One `solve` against the isomorphism serves every w, so all
+    share den.  Requires II_w(T) inside II_v(T) and II_w(singloc) inside
+    F_v; phi_v is the identity by construction."""
     sl, img, fib = point.singloc, point.image, point.fiber
     treps = tuple(sl.free_columns())
     pivots = tuple(eliminate([fib.reduce(row) for row in img.rows])[0])
@@ -105,24 +98,20 @@ def quotient_frames(s: QuadricSystem, point: GenericPoint) -> QuotientFrames:
         raise DefectError(
             "tangent quotient (dim %d) and image quotient (dim %d) disagree"
             % (len(treps), len(pivots)))
-    cols = list(zip(*point.contraction))
-    return QuotientFrames(treps, sl, img, fib, pivots, _coordinates(fib, treps, pivots, cols))
-
-
-def clifford_action(s: QuadricSystem, frames: QuotientFrames, w) -> tuple[list, object]:
-    """(M, den): the endomorphism phi_w = M / den of T / singloc(Ann v), for
-    w on Gaussian integers, obtained by following II_w and inverting the
-    isomorphism induced by II_v (the frames at v).  Requires II_w(T) inside
-    II_v(T) and II_w(singloc) inside F_v; phi_v is the identity by
-    construction."""
-    cw = contract(s, w)
-    cols = list(zip(*cw))
-    if not all(frames.image.contains(col) for col in cols):
-        raise DefectError("II_w(T) escapes II_v(T); w is not admissible")
-    if not all(frames.fiber.contains(integer_mul_vec(cw, row)) for row in frames.singloc.rows):
-        raise DefectError("II_w(singloc) escapes the Gauss fiber directions",
-                          needs="II(ker II_v, singloc Ann(v)) inside F_v")
-    return solve(frames.iso, _coordinates(frames.fiber, frames.tangent_reps, frames.pivots, cols))
+    blocks = []
+    for w in ws:
+        cw = contract(s, w)
+        cols = list(zip(*cw))
+        if not all(map(img.contains, cols)):
+            raise DefectError("II_w(T) escapes II_v(T); w is not admissible")
+        if not all(fib.contains(integer_mul_vec(cw, row)) for row in sl.rows):
+            raise DefectError("II_w(singloc) escapes the Gauss fiber directions",
+                              needs="II(ker II_v, singloc Ann(v)) inside F_v")
+        blocks.append(_coordinates(fib, treps, pivots, cols))
+    k = len(treps)
+    iso = _coordinates(fib, treps, pivots, list(zip(*point.contraction)))
+    x, den = solve(iso, [[e for b in blocks for e in b[i]] for i in range(k)])
+    return treps, [[r[j * k:j * k + k] for r in x] for j in range(len(ws))], den
 
 
 def _matmul(a: list, b: list) -> list:
@@ -156,7 +145,7 @@ def _restrict_quadric(n: int, q: list, basis) -> list:
 
 
 def clifford_relation_check(s: QuadricSystem, point: GenericPoint, perp: IntegerSpan,
-                            frames: QuotientFrames, phis: list) -> CliffordVerdict:
+                            phis: list, den) -> CliffordVerdict:
     """At a certified-generic point v of a degenerate tangential
     hypersurface, with `perp` the perp of the vertex in N* (the coefficients
     of the minimal subsystem II*(V^perp)), verify the anticommutation
@@ -167,11 +156,10 @@ def clifford_relation_check(s: QuadricSystem, point: GenericPoint, perp: Integer
     on pairs from ker II_v, with one global sign; Q_v is the common
     restriction of the minimal-subsystem quadrics to span{v} + ker II_v,
     normalized so Q_v(v, v) = 1.  phi_v must be the identity, and v must be
-    Q_v-orthogonal to the kernel directions.  `frames` are the point's
-    quotient frames (`quotient_frames`), and `phis` the actions (M, den) of
-    `clifford_action` at v and at the kernel rows, in that order: the basis
-    Q_v is restricted to."""
-    fiber_ok = frames.fiber.dim == s.a - perp.dim + 1
+    Q_v-orthogonal to the kernel directions.  `phis` and `den` are
+    `clifford_module`'s M_w and den for w = v and the kernel rows, in that
+    order: the basis Q_v is restricted to."""
+    fiber_ok = point.fiber.dim == s.a - perp.dim + 1
 
     ker = point.kernel
     restrictions = [_restrict_quadric(s.n, integer_quadric(s, row), [point.v, *ker.rows])
@@ -186,20 +174,18 @@ def clifford_relation_check(s: QuadricSystem, point: GenericPoint, perp: Integer
                       for m in restrictions)
     if not prop_ok or not ref[0][0]:
         return CliffordVerdict(True, fiber_ok, False, False, False, 0, False,
-                               s.n - frames.singloc.dim, ker.dim)
-    q00 = ref[0][0]
-    ident = [[int(i == j) for j in range(len(frames.tangent_reps))]
-             for i in range(len(frames.tangent_reps))]
-    m_v, d_v = phis[0]
-    phi_v_ok = _vanishes([(1, m_v), (-d_v, ident)])
+                               s.n - point.singloc.dim, ker.dim)
+    q00, dim = ref[0][0], len(phis[0])
+    ident = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    phi_v_ok = _vanishes([(1, phis[0]), (-den, ident)])
 
-    # with phi_i = m_i / d_i: q00 (m_i m_j + m_j m_i) + 2 sign ref_ij d_i d_j Id = 0;
+    # with phi_i = m_i / den: q00 (m_i m_j + m_j m_i) + 2 sign ref_ij den^2 Id = 0;
     # the first pair with Q_ij != 0 that fits a sign fixes it
     k, sign, relation, antis = ker.dim, 0, True, []
     for i, j in combinations_with_replacement(range(1, k + 1), 2):
-        (mi, di), (mj, dj) = phis[i], phis[j]
+        mi, mj = phis[i], phis[j]
         anti = [(q00, _matmul(mi, mj)), (q00, _matmul(mj, mi))]
-        rhs = ref[i][j] * di * dj
+        rhs = ref[i][j] * den * den
         antis.append(anti)
         if sign:
             relation = relation and _vanishes(anti + [(2 * sign * rhs, ident)])
@@ -208,23 +194,22 @@ def clifford_relation_check(s: QuadricSystem, point: GenericPoint, perp: Integer
     if not sign:
         sign, relation = 1, all(map(_vanishes, antis))
     v_orth = not any(ref[0][1:])
-    return CliffordVerdict(True, fiber_ok, True, phi_v_ok, relation, sign, v_orth,
-                           len(frames.tangent_reps), k)
+    return CliffordVerdict(True, fiber_ok, True, phi_v_ok, relation, sign, v_orth, dim, k)
 
 
-def so_membership_check(s: QuadricSystem, point: GenericPoint, frames: QuotientFrames,
+def so_membership_check(s: QuadricSystem, point: GenericPoint, tangent_reps: tuple,
                         phis: list) -> bool:
     """Each phi_w for w in ker II_v is skew for the quotient descent of the
-    annihilator generator: P(phi_w x, y) + P(x, phi_w y) = 0, with `frames`
-    and `phis` as in `clifford_relation_check` (phis[0] is phi_v).
-    Requires dim Ann(v) = 1."""
+    annihilator generator: P(phi_w x, y) + P(x, phi_w y) = 0, with
+    `tangent_reps` and `phis` of `clifford_module` as in
+    `clifford_relation_check` (phis[0] is phi_v).  Requires dim Ann(v) = 1."""
     ann = point.annihilator
     if ann.dim != 1:
         raise DefectError("so membership needs a one-dimensional annihilator")
-    p, t = integer_quadric(s, ann.rows[0]), frames.tangent_reps
+    p, t = integer_quadric(s, ann.rows[0]), tangent_reps
     pbar = [[p[i * s.n + j] for j in t] for i in t]
     return all(_vanishes([(1, _matmul([list(c) for c in zip(*m)], pbar)),
-                          (1, _matmul(pbar, m))]) for m, _ in phis[1:])
+                          (1, _matmul(pbar, m))]) for m in phis[1:])
 
 
 class RankRestriction(NamedTuple):
@@ -274,7 +259,7 @@ class DefectReport(NamedTuple):
     profile: RankProfile
     vertex_dim: int
     fiber_dim: int
-    minimal_subsystem: IntegerSpan  # the perp of the vertex in N*: II*(V^perp)
+    minimal_subsystem_dim: int  # dim II*(V^perp), the vertex's perp in N*: a - vertex_dim
     clifford_verdict: CliffordVerdict
     so_membership: bool | None
     rank_restriction: RankRestriction
@@ -333,30 +318,28 @@ def defect_report(s: QuadricSystem, profile: RankProfile, points: list, sigma_di
     fresh draws `vertex` makes on stream."""
     point = points[0]
     vert = vertex(s, profile, points, stream)
-    perp = vert.perp()
     clifford = CliffordVerdict(False, False, False, False, False, 0, False,
                                s.n - profile.dim_singloc, profile.dim_ker)
     so_ok = unmet = None
     if profile.a0 == s.a - 1:
-        # the quotient frames at v and each phi_w, for w = v and the kernel
-        # rows, built once for both checks; without them neither check has
-        # its hypothesis.  The frames exist, and each II_w(T) lies in
-        # Ann(v)^perp = II_v(T), exactly when ker II_v lies in singloc Ann(v);
-        # the one raise that needs more names it
+        # the module at v, phi_w for w = v and the kernel rows, built once for
+        # both checks; without it neither check has its hypothesis.  The
+        # quotients agree, and each II_w(T) lies in Ann(v)^perp = II_v(T),
+        # exactly when ker II_v lies in singloc Ann(v); the one raise that
+        # needs more names it
         try:
-            frames = quotient_frames(s, point)
-            phis = [clifford_action(s, frames, w) for w in (point.v, *point.kernel.rows)]
+            treps, phis, den = clifford_module(s, point, (point.v, *point.kernel.rows))
         except DefectError as e:
             unmet = "needs %s; %s" % (e.needs or "ker II_v inside singloc Ann(v)", e)
         else:
-            clifford = clifford_relation_check(s, point, perp, frames, phis)
-            so_ok = so_membership_check(s, point, frames, phis)
+            clifford = clifford_relation_check(s, point, vert.perp(), phis, den)
+            so_ok = so_membership_check(s, point, treps, phis)
     fiber_dim = point.fiber.dim - 1
     return DefectReport(
         profile=profile,
         vertex_dim=vert.dim,
         fiber_dim=fiber_dim,
-        minimal_subsystem=perp,
+        minimal_subsystem_dim=s.a - vert.dim,
         clifford_verdict=clifford,
         so_membership=so_ok,
         rank_restriction=rank_restriction_check(s, profile, sigma_dim),

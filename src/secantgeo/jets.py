@@ -233,8 +233,9 @@ def second_fundamental_form(j: JetChart) -> QuadricSystem:
             else:
                 q[r * n + t] = q[t * n + r] = c
         quads.append(q)
-    g = gcd(2 * den, *[p for q in quads for x in q for p in (x.real, x.imag)])
-    return QuadricSystem(n, len(forms), tuple([x // g for x in q] for q in quads), 2 * den // g)
+    flat, den = _reduced([x for q in quads for x in q], 2 * den)
+    return QuadricSystem(n, len(forms), tuple(list(flat[i:i + n * n])
+                                              for i in range(0, len(flat), n * n)), den)
 
 
 def refined_third_form_cube(j: JetChart, v, image: IntegerSpan) -> bool:

@@ -276,7 +276,7 @@ def _defects_to_json(d: DefectReport) -> dict:
         "profile": d.profile._asdict(),
         "vertex_dim": d.vertex_dim,
         "fiber_dim": d.fiber_dim,
-        "minimal_subsystem": {"dim": d.minimal_subsystem.dim},
+        "minimal_subsystem": {"dim": d.minimal_subsystem_dim},
         "clifford_verdict": d.clifford_verdict._asdict(),
         "so_membership": d.so_membership,
         "rank_restriction_ok": d.rank_restriction.ok,
@@ -347,7 +347,7 @@ def render(rep: AnalysisReport, fmt: str = "text") -> str:
         lines.append("  tau Gauss fiber dimension: %d" % d["tau_gauss_fiber"])
     de = rep.defects
     lines.append("  vertex_dim = %d  fiber_dim = %d  minimal subsystem dim = %d"
-                 % (de.vertex_dim, de.fiber_dim, de.minimal_subsystem.dim))
+                 % (de.vertex_dim, de.fiber_dim, de.minimal_subsystem_dim))
     lines.append("")
     for v in rep.verdicts:
         lines.append("  %-34s %-15s %s" % (v.name, v.status.upper(), v.detail))

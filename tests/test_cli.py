@@ -12,6 +12,7 @@ from secantgeo import cli, defects, report
 from secantgeo.cli import main
 from secantgeo.linalg import IntegerSpan
 from secantgeo.polymaps import polymap_to_json
+from secantgeo.quadrics import GenericPoint
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -261,8 +262,22 @@ def _cylinder() -> str:
         [[z, half, z], [half, z, z], [z, z, z]]]})
 
 
-def _no_frames(s, point):
-    raise defects.DefectError("tangent quotient (dim 1) and image quotient (dim 0) disagree")
+_clifford_module = defects.clifford_module
+
+
+def _at_spans(point, singloc, fiber):
+    """The point with singloc Ann(v) and F_v replaced."""
+    moved = GenericPoint(point.v, point.contraction, point.image, point.annihilator, singloc,
+                         point.r)
+    moved._fiber = fiber
+    return moved
+
+
+def _no_frames(s, point, ws):
+    """`clifford_module` with singloc Ann(v) and F_v emptied: T / singloc is
+    all of T, one dimension more than II_v(T)."""
+    empty = IntegerSpan(s.n, [])
+    return _clifford_module(s, _at_spans(point, empty, IntegerSpan(s.a, [])), ws)
 
 
 CLIFFORD_LINES = ("clifford_fiber_condition", "clifford_proportionality", "clifford_identity",
@@ -280,43 +295,46 @@ def test_missing_quotient_frames_is_a_verdict_not_exit_3(monkeypatch):
     cylinder x1^2, x2^2, x1 x2 over C^3, where a0 = a - 1 = 2 and ker II_v
     is a line."""
     _clifford_lines_without_hypothesis(
-        monkeypatch, "quotient_frames", _no_frames,
+        monkeypatch, "clifford_module", _no_frames,
         "needs ker II_v inside singloc Ann(v); "
-        "tangent quotient (dim 1) and image quotient (dim 0) disagree")
+        "tangent quotient (dim 3) and image quotient (dim 2) disagree")
 
 
 def test_phi_w_that_cannot_be_built_is_a_verdict_not_exit_3(monkeypatch):
     """A DefectError from phi_w at the kernel row, injected on the cylinder
     as above, makes the same lines not-applicable with that error named,
-    and the analysis exits 0: the frames and every phi_w are built in one
-    place, before either check reads them."""
-    action, calls = defects.clifford_action, []
+    and the analysis exits 0: the module builds every phi_w in one place,
+    before either check reads them.  The kernel row is swapped for
+    (-v2, v1, 0), whose II_w(T) leaves II_v(T): on the cylinder, II_w(T)
+    lies in II_v(T) only when (w1, w2) is a multiple of (v1, v2)."""
+    calls = []
 
-    def inadmissible(s, frames, w):
-        # the first call is phi_v, the second the kernel row's
-        calls.append(w)
-        if len(calls) == 2:
-            raise defects.DefectError("II_w(T) escapes II_v(T); w is not admissible")
-        return action(s, frames, w)
+    def inadmissible(s, point, ws):
+        # ws is (v, kernel row)
+        calls.append(ws)
+        v = point.v
+        return _clifford_module(s, point, [ws[0], [-v[1], v[0], 0]])
 
     _clifford_lines_without_hypothesis(
-        monkeypatch, "clifford_action", inadmissible,
+        monkeypatch, "clifford_module", inadmissible,
         "needs ker II_v inside singloc Ann(v); II_w(T) escapes II_v(T); w is not admissible")
-    assert len(calls) == 2
+    assert [len(ws) for ws in calls] == [2]
 
 
 def test_phi_w_outside_the_fiber_names_its_own_hypothesis(monkeypatch):
     """phi_w also needs II_w(singloc) inside F_v, which w in singloc Ann(v)
-    does not give.  With F_v emptied in the frames phi_v reads, on the
-    cylinder as above, clifford_action's own raise fires, and the lines
-    name that hypothesis rather than ker II_v inside singloc Ann(v)."""
-    action = defects.clifford_action
+    does not give.  With singloc Ann(v) = {v2 x1 = v1 x2} swapped for the
+    plane {x2 = 0} and F_v kept, on the cylinder as above, the quotients
+    still agree in dimension but II_v(e1) leaves F_v = span II(v, v), so
+    the module's own raise fires, and the lines name that hypothesis rather
+    than ker II_v inside singloc Ann(v)."""
 
-    def no_fiber(s, frames, w):
-        return action(s, frames._replace(fiber=IntegerSpan(s.a, [])), w)
+    def no_fiber(s, point, ws):
+        plane = IntegerSpan(s.n, [[1, 0, 0], [0, 0, 1]])
+        return _clifford_module(s, _at_spans(point, plane, point.fiber), ws)
 
     _clifford_lines_without_hypothesis(
-        monkeypatch, "clifford_action", no_fiber,
+        monkeypatch, "clifford_module", no_fiber,
         "needs II(ker II_v, singloc Ann(v)) inside F_v; "
         "II_w(singloc) escapes the Gauss fiber directions")
 
@@ -359,7 +377,7 @@ def test_clifford_subcommand_is_the_analysis_verdict(monkeypatch):
     cylinder = _cylinder()
     for broken in (False, True):
         if broken:
-            monkeypatch.setattr(defects, "quotient_frames", _no_frames)
+            monkeypatch.setattr(defects, "clifford_module", _no_frames)
         code, out, err = run(["clifford", "--seed", "2"], stdin_text=cylinder)
         assert code == 0 and err == ""
         cv = json.loads(out)

@@ -18,13 +18,12 @@ from secantgeo import defects, derive_stream, quadrics
 from secantgeo.defects import (
     DefectError,
     annihilator_matches_image_perp,
-    clifford_action,
+    clifford_module,
     clifford_relation_check,
     defect_report,
     fiber_contains_singloc_products,
     fiber_dimension_identity,
     kernel_in_singular_locus,
-    quotient_frames,
     quotient_singular_locus_match,
     rank_restriction_check,
     so_membership_check,
@@ -150,10 +149,9 @@ def test_ii_second_fundamental_form_residues(charted):
 
 
 def clifford_data(s, point):
-    """The quotient frames at the point and phi_w for w = v and the kernel
-    rows, as `defect_report` builds them."""
-    frames = quotient_frames(s, point)
-    return frames, [clifford_action(s, frames, w) for w in (point.v, *point.kernel.rows)]
+    """The Clifford module at the point for w = v and the kernel rows, as
+    `defect_report` builds it: (tangent_reps, phis, den)."""
+    return clifford_module(s, point, (point.v, *point.kernel.rows))
 
 
 def test_clifford_on_division_algebra_systems(charted):
@@ -179,19 +177,24 @@ def test_clifford_on_division_algebra_systems(charted):
 
 
 def test_defect_report_builds_each_phi_once(monkeypatch, charted):
-    """One `clifford_action` per w in (v, *ker II_v): the relation and the
-    so check read the same phis, 2, 4 and 8 of them on the C, H and O
-    systems."""
-    calls, action = [], defects.clifford_action
-    monkeypatch.setattr(defects, "clifford_action", lambda *a: calls.append(1) or action(*a))
+    """One `clifford_module` over every w in (v, *ker II_v): the relation
+    and the so check read the same phis, 2, 4 and 8 of them on the C, H and
+    O systems, and one `solve` gives them all, over one denominator."""
+    calls, module = [], defects.clifford_module
+    solves, solve = [], defects.solve
+    monkeypatch.setattr(defects, "clifford_module",
+                        lambda s, point, ws: calls.append(len(ws)) or module(s, point, ws))
+    monkeypatch.setattr(defects, "solve", lambda *a: solves.append(1) or solve(*a))
     for name, want in (("severi_C", 2), ("severi_H", 4), ("severi_O", 8)):
         s = charted[name][2]
         prof, points = rank_profile(s, derive_stream(0, "td", "once", name))
         calls.clear()
+        solves.clear()
         rep = defect_report(s, prof, points, s.n + prof.a0,
                             derive_stream(0, "td", "once", name, 1))
         assert rep.clifford_verdict.relation_holds and rep.so_membership is True
-        assert len(calls) == 1 + prof.dim_ker == want
+        assert calls == [1 + prof.dim_ker] and calls[0] == want
+        assert len(solves) == 1
 
 
 def test_clifford_not_applicable_without_hypersurface_tau():
@@ -207,15 +210,14 @@ def test_clifford_action_rejects_inadmissible_direction(charted):
     s = charted["severi_R"][2]
     point = rank_profile(s, derive_stream(0, "td", "ad"))[1][0]
     v = point.v
-    frames = quotient_frames(s, point)
-    m, den = clifford_action(s, frames, v)
-    k = len(frames.tangent_reps)
+    treps, (m,), den = clifford_module(s, point, [v])
+    k = len(treps)
     assert Matrix(k, k, [scalar_values(r, den) for r in m]) == identity(k)
     # II_w(T) of a transverse w is not contained in II_v(T)
     w = [v[0] + 1, v[1] + 2]
     if list(w) != list(v):
         try:
-            clifford_action(s, frames, w)
+            clifford_module(s, point, [v, w])
             assert False
         except DefectError:
             pass
@@ -225,11 +227,11 @@ def test_so_membership(charted):
     for name in ("severi_R", "severi_C"):
         s = charted[name][2]
         point = rank_profile(s, derive_stream(0, "td", "so", name))[1][0]
-        assert so_membership_check(s, point, *clifford_data(s, point))
+        assert so_membership_check(s, point, *clifford_data(s, point)[:2])
     single = quadric_system(3, [sym(3, {(0, 0): 1, (1, 2): "1/2"})])
     point = rank_profile(single, derive_stream(0, "td", "so1"))[1][0]
     try:
-        so_membership_check(single, point, *clifford_data(single, point))
+        so_membership_check(single, point, *clifford_data(single, point)[:2])
         assert False
     except DefectError:
         pass
@@ -324,7 +326,7 @@ def test_defect_report_on_severi(charted):
     assert rep.profile == prof
     assert rep.vertex_dim == 0
     assert rep.fiber_dim == 0
-    assert rep.minimal_subsystem.dim == s.a
+    assert rep.minimal_subsystem_dim == s.a
     assert rep.clifford_verdict.relation_holds
     assert rep.so_membership is True
     assert rep.rank_restriction.holds
@@ -422,21 +424,23 @@ def _values(record) -> tuple:
     return tuple(record) if isinstance(record, tuple) else dataclasses.astuple(record)
 
 
-def _report_fields(s, rep):
-    """Every DefectReport field, the integer ones converted: each span to its
-    canonical Scalar subspace, each integer-form quadric of the minimal
-    subsystem to its Scalar matrix."""
-    mini = rep.minimal_subsystem
-    if isinstance(mini, IntegerSpan):
-        last, den = mini.last, s.den
+def _report_fields(s, rep, perp=None):
+    """Every DefectReport field, and the minimal subsystem's coefficients
+    and quadrics.  Ours holds only the subsystem's dimension, so `perp`, the
+    perp of our vertex at the report's stream, gives them, converted: the
+    span to its canonical Scalar subspace, each integer-form quadric to its
+    Scalar matrix."""
+    if perp is None:
+        mini = rep.minimal_subsystem
+        quads, coeffs, dim = mini.quadrics, mini.coefficients, mini.dim
+    else:
+        last, den = perp.last, s.den
         den = den * last if type(last) is int else (den * last[0], den * last[1])
         quads = tuple(Matrix(s.n, s.n, [scalar_values(integer_quadric(s, row), den)[i:i + s.n]
                                         for i in range(0, s.n * s.n, s.n)])
-                      for row in mini.rows)
-        coeffs = subspace(mini)
-    else:
-        quads, coeffs = mini.quadrics, mini.coefficients
-    return (rep.profile, rep.vertex_dim, rep.fiber_dim, coeffs, mini.dim, quads,
+                      for row in perp.rows)
+        coeffs, dim = subspace(perp), rep.minimal_subsystem_dim
+    return (rep.profile, rep.vertex_dim, rep.fiber_dim, coeffs, dim, quads,
             _values(rep.clifford_verdict), rep.so_membership,
             _values(rep.rank_restriction), _values(rep.zak_bound))
 
@@ -460,13 +464,13 @@ def compare_with_reference(s):
     except CertificationError:
         return None
     sigma = s.n + prof.a0
+    for first in (batch[:1], batch):  # vert is the whole batch's, at the report's stream
+        vert = _same(lambda st: vertex(s, prof, first, st),
+                     lambda st: defects_reference.vertex(s, prof, first, st), subspace)[1]
     got = _same(lambda st: defect_report(s, prof, batch, sigma, st),
                 lambda st: _report_fields(
                     s, defects_reference.defect_report(s, prof, batch, sigma, st)),
-                lambda rep: _report_fields(s, rep))
-    for first in (batch[:1], batch):  # vert is the whole batch's
-        vert = _same(lambda st: vertex(s, prof, first, st),
-                     lambda st: defects_reference.vertex(s, prof, first, st), subspace)[1]
+                lambda rep: _report_fields(s, rep, vert.perp()))
     for k_max in (3, 4):
         _same(lambda st: higher_secant_dimension(s, k_max, prof, st),
               lambda st: quadrics_reference.higher_secant_dimension(s, k_max, prof, st))
@@ -476,11 +480,11 @@ def compare_with_reference(s):
         for name in PROPERTY_CHECKS:
             ours, theirs = getattr(defects, name), getattr(defects_reference, name)
             assert _outcome(ours, s, point) == _outcome(theirs, s, ref_point), name
-        assert _outcome(lambda: so_membership_check(s, point, *clifford_data(s, point))) == \
+        assert _outcome(lambda: so_membership_check(s, point, *clifford_data(s, point)[:2])) == \
             _outcome(defects_reference.so_membership_check, s, ref_point)
         if prof.a0 == s.a - 1 and isinstance(vert, IntegerSpan):
             assert _outcome(lambda: _values(clifford_relation_check(
-                s, point, vert.perp(), *clifford_data(s, point)))) == _outcome(
+                s, point, vert.perp(), *clifford_data(s, point)[1:]))) == _outcome(
                 lambda: _values(defects_reference.clifford_relation_check(
                     s, prof, ref_point, subspace(vert))))
     return got[1] if got[0] == "value" else None
@@ -508,6 +512,28 @@ def test_reference_comparison_reaches_the_clifford_branch():
     assert cv.applicable and cv.proportionality_ok and cv.relation_holds
     assert cv.kernel_dim == 1 and cv.module_dim == 2
     assert rep.so_membership is True
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(systems(), st.sampled_from((1, 2, 6)), st.integers(0, 2**32))
+def test_self_checks_that_always_hold_or_follow(s, bound, seed):
+    """At a random v, special ones of bound 1 and 2 included: the first
+    structural check implies the two that read F_v and the quotient,
+    annihilator_matches_image_perp always holds, and wherever
+    `clifford_module` builds at the report's ws, phi_v's block of its one
+    solve is den Id."""
+    v = nonzero_vector(s.n, bound, random.Random(seed))
+    point = _profile_at(s, v, random.Random(seed + 1), 3)
+    if kernel_in_singular_locus(s, point):
+        assert fiber_dimension_identity(s, point)
+        assert quotient_singular_locus_match(s, point)
+    assert annihilator_matches_image_perp(s, point)
+    try:
+        treps, phis, den = clifford_data(s, point)
+    except DefectError:
+        return
+    ident = [[int(i == j) for j in treps] for i in treps]
+    assert defects._vanishes([(1, phis[0]), (-den, ident)])
 
 
 # -- vertex draws accepted on a0 ---------------------------------------------

@@ -95,6 +95,21 @@ def test_projection_only_when_tau_is_not_a_hypersurface(analysis):
     assert "projection" in rr.detail
 
 
+def test_minimal_subsystem_is_the_vertex_codimension():
+    """minimal_subsystem_dim = a - vertex_dim, the dimension of the
+    vertex's perp in N*, in the input's report and in the projected one, on
+    v2(P^4): a = 10, and a0 + 1 = 5 after the projection; the JSON keeps
+    the value under minimal_subsystem.dim."""
+    rep = analyze(polymap_to_json(veronese(2, 4).map))
+    assert rep.defects_projected is not None
+    for d, a in ((rep.defects, 10), (rep.defects_projected, rep.profile.a0 + 1)):
+        assert d.minimal_subsystem_dim == a - d.vertex_dim
+    got = json.loads(render(rep, "json"))
+    assert got["defects"]["minimal_subsystem"] == {"dim": rep.defects.minimal_subsystem_dim}
+    assert got["defects_projected"]["minimal_subsystem"] == \
+        {"dim": rep.defects_projected.minimal_subsystem_dim}
+
+
 def test_nondegenerate_sigma_skips_gauss_and_third_form(analysis):
     rep, _ = analysis("veronese_3_1")
     d = rep.dims
