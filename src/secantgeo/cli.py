@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Exit codes: 0 all requested verdicts computed (even when some fail),
-1 input error (bad flags and `--trials` below 1 included),
+1 input error (bad flags, `--trials` below 1 and `analyze --k` below 2),
 2 certification failure, 3 internal error: any other exception, such as
 a ValueError raised after the input has loaded.
 """
@@ -150,6 +150,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if getattr(args, "trials", 1) < 1:
             raise InputError("trials must be >= 1")
+        if getattr(args, "k_max", 2) < 2:
+            raise InputError("--k must be >= 2")
         return handlers[args.command](args)
     except InputError as e:
         sys.stderr.write("error: %s\n" % e)

@@ -10,12 +10,12 @@ quotient is exact or raises, and the floor-division remainders of ints all
 have the sign of the divisor or are zero, so the row's sum equals the
 divisor times the sum of its quotients only when every remainder is zero.
 `IntegerSpan` is the one span type: it keeps the canonical basis of a span
-times one integer factor, and reduces, intersects, compares and takes
-annihilators (from the smaller side) without dividing.  `solve` is the one
-solver.  The quadric systems, the generic point, the defect checks, the
-oracles, the chart and its series all work on these integers, and the
-random draws are ints.  Scalars stay at the edge (JSON, the zoo's `Poly`
-coefficients, and `Matrix` only for `PolyMap.jacobian_at`):
+times one integer factor, and reduces, compares, takes annihilators (from
+the smaller side) and intersects (by `reduce`) without dividing.  `solve`
+is the one solver.  The quadric systems, the generic point, the defect
+checks, the oracles, the chart and its series all work on these integers,
+and the random draws are ints.  Scalars stay at the edge (JSON, the zoo's
+`Poly` coefficients, and `Matrix` only for `PolyMap.jacobian_at`):
 `integer_values` clears Scalars by the lcm of their denominators, which
 moves no rank or row space, and `scalar_values` divides on the way back.
 """
@@ -319,14 +319,14 @@ class IntegerSpan:
         return not any(self.reduce(vec))
 
     def intersect(self, other: "IntegerSpan") -> "IntegerSpan":
-        """The intersection, by Zassenhaus: in an echelon form of the rows
-        (u, u) for u in this span and (w, 0) for w in the other, the rows
-        that vanish on the first half span it with their second half."""
-        n, k = self.ambient_dim, self.dim
-        rows = [list(r) for r in self.rows + other.rows]
-        zero = [0] * n
-        pivots, red, _ = eliminate([r + r for r in rows[:k]] + [r + zero for r in rows[k:]])
-        return IntegerSpan(n, [r[n:] for p, r in zip(pivots, red) if p >= n])
+        """The combinations of the rows that the linear `other.reduce` kills,
+        read off the left kernel of the images: dim(this) x codim(other),
+        one column for a hyperplane.  This span when every image is 0."""
+        red = [other.reduce(r) for r in self.rows]
+        if not any(map(any, red)):
+            return self
+        ker = IntegerSpan(len(red), list(zip(*red))).perp().rows
+        return IntegerSpan(self.ambient_dim, [integer_combination(zip(c, self.rows)) for c in ker])
 
     def perp(self) -> "IntegerSpan":
         """The annihilator under sum x_i y_i: one vector per free column j,

@@ -108,7 +108,7 @@ def analyze(obj, options: AnalyzeOptions = AnalyzeOptions()) -> AnalysisReport:
     # sigma_k table: formula column is the span rule, which needs the cubic
     # form to vanish; with no chart the branch is unknown and the span value
     # is reported as-is
-    k_max = max(2, options.k_max)
+    k_max = options.k_max
     sigma_rows = [{"k": 2, "formula": dim_sigma_formula, "bound": n + profile.a0}]
     for hk in higher_secant_dimension(s, k_max, profile, derive_stream(seed, "higher"),
                                       trials)[1:]:

@@ -3,9 +3,10 @@
 The elimination it used before its integer kernel: rank, RREF and kernel
 computed directly on Scalars (`scalar_rank`, `scalar_rref`,
 `scalar_kernel`), `intersect_through_perps`, the intersection as it was
-before it ran by Zassenhaus on integer spans, and `perp_by_free_columns`,
-the annihilator as it was before it eliminated on the smaller side.  The
-integer kernel is checked against these.
+before it ran on integer spans, `intersect_by_zassenhaus`, the integer
+intersection as it was before it reduced one span modulo the other, and
+`perp_by_free_columns`, the annihilator as it was before it eliminated on
+the smaller side.  The integer kernel is checked against these.
 
 The Scalar span API it kept until `IntegerSpan` and `solve` became its one
 span type and one solver: `Subspace`, `rank`, `rref`, `kernel`,
@@ -199,6 +200,18 @@ def intersect_through_perps(spaces) -> "Subspace":
     return Subspace.from_vectors(amb, scalar_kernel(Matrix(len(ann), amb, ann)))
 
 
+def intersect_by_zassenhaus(span: IntegerSpan, other: IntegerSpan) -> IntegerSpan:
+    """`IntegerSpan.intersect` as it was before it reduced this span modulo
+    the other: in an echelon form of the rows (u, u) for u in this span and
+    (w, 0) for w in the other, the rows that vanish on the first half span
+    the intersection with their second half.  Rows of width 2a."""
+    n, k = span.ambient_dim, span.dim
+    rows = [list(r) for r in span.rows + other.rows]
+    zero = [0] * n
+    pivots, red, _ = eliminate([r + r for r in rows[:k]] + [r + zero for r in rows[k:]])
+    return IntegerSpan(n, [r[n:] for p, r in zip(pivots, red) if p >= n])
+
+
 def perp_by_free_columns(span: IntegerSpan) -> IntegerSpan:
     """`IntegerSpan.perp` as it was before it worked from the smaller side:
     one vector per free column j (-last at j and row_i[j] at the pivot of
@@ -302,7 +315,7 @@ def span_sum(spaces: Sequence[Subspace]) -> Subspace:
 
 
 def intersect(spaces: Sequence[Subspace]) -> Subspace:
-    """Intersection by Zassenhaus on the integer rows (`IntegerSpan.intersect`)."""
+    """Intersection on the integer rows, by `IntegerSpan.intersect`."""
     if not spaces:
         raise ValueError("intersect of nothing")
     if len({s.ambient_dim for s in spaces}) > 1:

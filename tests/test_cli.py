@@ -241,6 +241,18 @@ def test_oracle_join_and_tangent():
     assert code == 1 and err == "error: --k must be >= 1\n"
 
 
+def test_analyze_k_below_2_is_an_input_error():
+    """analyze --k 1 and --k -3 exit 1 with nothing on stdout, as oracle
+    join --k 0 does, rather than computing sigma_2 alone; an API call with
+    k_max below 2 meets higher_secant_dimension's own check."""
+    _, chart, _ = run(["zoo", "veronese", "--d", "3", "--m", "1"])
+    for k in ("1", "-3"):
+        code, out, err = run(["analyze", "--k", k, "--format", "json"], stdin_text=chart)
+        assert (code, out, err) == (1, "", "error: --k must be >= 2\n")
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        report.analyze(json.loads(chart), report.AnalyzeOptions(k_max=1))
+
+
 def test_clifford_subcommand():
     _, chart, _ = run(["zoo", "severi", "--algebra", "C"])
     code, out, err = run(["clifford"], stdin_text=chart)

@@ -1,9 +1,9 @@
 """Golden numbers from closed forms, with no oracle call.
 
 `zoo_expected.json` was written from the dimension oracles.  Here every
-catalog entry's n, a, ambient, dim_x, dim_tau, a0 = dim_tau - n, dim_sigma
-and sigma3 come from classical formulas instead, dim sigma_s of the s-secant
-variety (projective dimensions, capped at the ambient one):
+catalog entry's n, a, ambient, dim_x, dim_tau, a0 = dim_tau - n, dim_sigma,
+sigma3 and sigma4 come from classical formulas instead, dim sigma_s of the
+s-secant variety (projective dimensions, capped at the ambient one):
 
 - Segre P^{k-1} x P^{r-1}: s(k + r - s) - 1;
 - v2(P^m): s(m + 1) - s(s - 1)/2 - 1;
@@ -22,12 +22,19 @@ min(2n + 1, ambient)), and min(2n, ambient) otherwise; rank_4_4_2 and
 segre_2_2 fill their ambient space.  The two remaining fields of the golden
 file, r and tau_gauss_fiber, are oracle-only: no closed form here gives
 them.
+
+Three inputs past the catalog, G(2, 10), Segre P^5 x P^5 and v2(P^8), are
+analyzed at seed 0, and both columns of every cross-check of their reports
+are checked against the same closed forms.
 """
 
 from math import comb
 
 import pytest
 
+from secantgeo import zoo
+from secantgeo.polymaps import polymap_to_json
+from secantgeo.report import AnalyzeOptions, analyze
 from secantgeo.zoo import catalog, expected
 
 
@@ -38,7 +45,8 @@ def _fields(n: int, ambient: int, sigma, tau=None) -> dict:
     if tau is None:
         tau = s2 if s2 < min(2 * n + 1, ambient) else min(2 * n, ambient)
     return {"n": n, "dim_x": n, "ambient": ambient, "a": ambient - n, "dim_sigma": s2,
-            "sigma3": sigma(3), "dim_tau": tau, "a0": tau - n}
+            "sigma3": sigma(3), "sigma4": min(sigma(4), ambient), "dim_tau": tau,
+            "a0": tau - n}
 
 
 def segre(k: int, r: int) -> dict:
@@ -79,7 +87,7 @@ def cone_over(curve: dict) -> dict:
     one more ambient coordinate, every secant and tangent variety a cone
     too.  The golden file names its values *_sm: read on the smooth locus."""
     n, ambient = curve["n"] + 1, curve["ambient"] + 1
-    sigma = {2: curve["dim_sigma"] + 1, 3: curve["sigma3"] + 1}
+    sigma = {2: curve["dim_sigma"] + 1, 3: curve["sigma3"] + 1, 4: curve["sigma4"] + 1}
     return _fields(n, ambient, sigma.get, tau=curve["dim_tau"] + 1)
 
 
@@ -136,3 +144,25 @@ def test_fulton_hansen_cases():
     for name in ("veronese_3_1", "veronese_3_2"):
         f = CLOSED_FORMS[name]
         assert f["dim_tau"] == 2 * f["n"] and f["dim_sigma"] == 2 * f["n"] + 1
+
+
+PAST_THE_CATALOG = {
+    "grassmannian_2_10": (zoo.grassmannian(2, 10), grassmannian(10)),
+    "segre_6_6": (zoo.segre(6, 6), segre(6, 6)),
+    "veronese_2_8": (zoo.veronese(2, 8), veronese(2, 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_THE_CATALOG))
+def test_reports_past_the_catalog_give_the_closed_forms(name):
+    """G(2, 10), Segre P^5 x P^5 and v2(P^8) at seed 0: dim_x, dim_tau and
+    sigma_2, sigma_3, sigma_4 from the formula and the oracle column alike
+    (29, 38, 43; 19, 26, 31; 16, 23, 29)."""
+    ent, want = PAST_THE_CATALOG[name]
+    rep = analyze(polymap_to_json(ent.map, base_point=ent.base_point), AnalyzeOptions(seed=0))
+    closed = {"dim_x": want["dim_x"], "dim_tau": want["dim_tau"],
+              "dim_sigma_2": want["dim_sigma"], "dim_sigma_3": want["sigma3"],
+              "dim_sigma_4": want["sigma4"]}
+    assert {c.quantity: (c.formula, c.oracle) for c in rep.cross_checks} == \
+        {key: (value, value) for key, value in closed.items()}
+    assert (rep.dims["n"], rep.dims["ambient"]) == (want["n"], want["ambient"])

@@ -8,6 +8,7 @@ import linalg_reference as reference
 from linalg_reference import (Subspace, _integer_rows, complement_indices, contains_subspace,
                               identity, intersect, inverse, kernel, matmul, mul_vec, rank, rref,
                               solve_left, span_sum, stack_rows, subspace, transpose, zero)
+from secantgeo import linalg
 from secantgeo.genericity import fully_nonzero_vector, random_vector
 from secantgeo.linalg import (Gaussian, IntegerSpan, Matrix, _combine, gauss,
                               integer_combination, integer_mul_vec, integer_values,
@@ -465,6 +466,49 @@ def test_perp_matches_the_free_column_route():
                  "small" if 2 * span.dim <= a else "large")
     assert dims == {"zero", "full", "small", "large"}
     assert signs[1] and signs[-1]
+
+
+def test_intersect_matches_the_zassenhaus_route():
+    """Reducing one span modulo the other gives the span Zassenhaus gave,
+    on 3000 pairs over Z and Z[i] with a <= 8: zero spans, a full other
+    span, spans inside the other (its rows plus more rows among them), a
+    hyperplane as the other span, and the general case."""
+    rng = random.Random(29)
+    cases = set()
+    for trial in range(3000):
+        a, gaussian = rng.randint(1, 8), trial % 2 == 1
+        rows = _random_span_rows(rng, a, gaussian)
+        span = IntegerSpan(a, rows)
+        more = _random_span_rows(rng, a, gaussian)
+        other = IntegerSpan(a, rows + more if trial % 3 == 0 else more)
+        assert span.intersect(other) == reference.intersect_by_zassenhaus(span, other)
+        cases.add("zero" if span.dim == 0 else "full" if other.dim == a else
+                  "contained" if all(map(other.contains, span.rows)) else
+                  "hyperplane" if other.dim == a - 1 else "general")
+    assert cases == {"zero", "full", "contained", "hyperplane", "general"}
+
+
+def test_intersecting_hyperplanes_eliminates_no_row_wider_than_a(monkeypatch):
+    """Two random hyperplanes of C^a meet in a codimension-2 span, and no
+    elimination on the way sees a row longer than a: Zassenhaus would
+    eliminate 2a - 2 rows of width 2a."""
+    rng = random.Random(3)
+    widths, eliminate = [], linalg.eliminate
+
+    def recorded(rows, reduce=False):
+        widths.extend(len(r) for r in rows)
+        return eliminate(rows, reduce)
+
+    for a in range(3, 11):
+        u, w = (IntegerSpan(a, [random_vector(a, 9, rng)]).perp() for _ in range(2))
+        want = reference.intersect_by_zassenhaus(u, w)
+        monkeypatch.setattr(linalg, "eliminate", recorded)
+        got = u.intersect(w)
+        monkeypatch.setattr(linalg, "eliminate", eliminate)
+        assert (u.dim, w.dim, got.dim) == (a - 1, a - 1, a - 2)
+        assert got == want
+        assert widths and max(widths) <= a
+        widths.clear()
 
 
 def test_draws_are_the_randint_draws():
